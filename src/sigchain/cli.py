@@ -22,7 +22,7 @@ log = logging.getLogger("sigchain")
 
 def _resolve(arg: str) -> Path:
     p = Path(arg)
-    if p.exists():
+    if p.is_file():
         return p
     if p.suffix == "" and "/" not in arg:
         return scn.bundled_scenario_path(arg)

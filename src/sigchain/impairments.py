@@ -15,12 +15,7 @@ import warnings
 import numpy as np
 from scipy import signal
 
-from sigchain.envelope import (
-    ComplexEnvelope,
-    _delayed_samples,
-    _interp_kernels,
-    DELAY_KERNEL_HALF,
-)
+from sigchain.envelope import ComplexEnvelope, _delayed_samples, _samples_at
 
 __all__ = [
     "amplitude_error",
@@ -159,8 +154,12 @@ def sample_jitter(env: ComplexEnvelope, sigma_s: float, seed: int) -> ComplexEnv
     """Random sampling-instant error: each output sample is the envelope
     re-interpolated at t_k + delta_k, delta_k ~ N(0, sigma_s), i.i.d.
 
+    The re-interpolation runs the fractional-delay interpolator's Farrow
+    table as a filter bank: one 16-tap FIR per polynomial order over the
+    record, combined per sample by Horner's rule in that sample's fraction.
+    It matches delaying each sample with its own ``_interp_kernels`` row.
     Requires sigma_s < 0.1 / sample_rate so offsets stay deep inside one
-    sample and the interpolator stays accurate.
+    sample, the small-jitter regime this model describes.
     """
     if sigma_s < 0.0:
         raise ValueError("sigma_s must be nonnegative")
@@ -168,23 +167,9 @@ def sample_jitter(env: ComplexEnvelope, sigma_s: float, seed: int) -> ComplexEnv
         raise ValueError("sigma_s must stay below a tenth of a sample")
     if sigma_s == 0.0:
         return env
-    n = len(env)
     rng = np.random.default_rng(seed)
-    d = rng.normal(0.0, sigma_s * env.sample_rate, n)
-    base = np.floor(d).astype(np.int64)
-    frac = d - base
-    kernels = _interp_kernels(frac)
-    offs = np.arange(-DELAY_KERNEL_HALF + 1, DELAY_KERNEL_HALF + 1)
-    idx = np.arange(n)[:, None] + base[:, None] + offs[None, :]
-    padded = np.concatenate(
-        (
-            np.zeros(DELAY_KERNEL_HALF + 1, dtype=np.complex128),
-            env.samples,
-            np.zeros(DELAY_KERNEL_HALF + 1, dtype=np.complex128),
-        )
-    )
-    gathered = padded[idx + DELAY_KERNEL_HALF + 1]
-    return _rebuild(env, np.sum(gathered * kernels, axis=1))
+    d = rng.normal(0.0, sigma_s * env.sample_rate, len(env))
+    return _rebuild(env, _samples_at(env.samples, d))
 
 
 def am_ampm(env: ComplexEnvelope, gain_poly, phase_poly) -> ComplexEnvelope:

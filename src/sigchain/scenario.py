@@ -325,12 +325,8 @@ def load_scenario(source) -> dict:
         raise ConfigError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
-    validate_scenario(raw)
-    return raw
-
-
-def validate_scenario(raw) -> None:
     plan_scenario(raw)
+    return raw
 
 
 def _check_name(d: dict, path: str) -> str:
@@ -599,7 +595,8 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
         try:
             summary, _ = _compute(cfg)
             return point, summary, None
-        except (ConfigError, ValueError, RuntimeError) as e:
+        except Exception as e:  # noqa: BLE001  one bad point must not end the sweep
+            log.debug("sweep point %s traceback", point, exc_info=True)
             return point, None, str(e)
 
     if threads > 1:

@@ -8,6 +8,7 @@ from sigchain.envelope import (
     ComplexEnvelope,
     PolarTracks,
     Spectrum,
+    _interp_kernels,
     fractional_delay,
     from_polar,
     make_envelope,
@@ -135,6 +136,33 @@ class TestFractionalDelay:
         out = fractional_delay(env, 0.5).samples
         guard = DELAY_KERNEL_HALF
         assert np.max(np.abs(out[guard:-guard] - (2.0 + 1.0j))) < 1e-12
+
+    def test_accurate_at_every_fraction(self):
+        # A dense grid over [0, 1), plus the narrow windows near 0.062 and
+        # 0.938 where a per-fraction moment solve once went near-singular.
+        fracs = np.concatenate((np.arange(2000) / 2000.0,
+                                np.linspace(0.0605, 0.0633, 29),
+                                np.linspace(0.9367, 0.9395, 29)))
+        taps = _interp_kernels(fracs)
+        assert np.max(np.sum(np.abs(taps), axis=1)) <= 2.0
+        # Away from the record edges, delaying a unit tone exp(j w k) by frac
+        # multiplies it by sum_j h_j exp(-j w m_j), where tap j weights the
+        # sample m_j = j - 7 before the output; exact is exp(-j w frac).
+        m = np.arange(-DELAY_KERNEL_HALF + 1, DELAY_KERNEL_HALF + 1)
+        bounds = ((0.05, 1e-3), (0.1, 1e-3), (0.2, 1e-3), (0.35, 1e-2))
+        for f, bound in bounds:
+            w = 2.0 * np.pi * f
+            err = np.abs(taps @ np.exp(-1j * w * m) - np.exp(-1j * w * fracs))
+            assert np.max(err) <= bound, (f, np.max(err))
+        # fractional_delay applies those taps, including in the old windows
+        guard = DELAY_KERNEL_HALF + 1
+        for f, bound in bounds:
+            env = tone(f, 1.0, 64)
+            for frac in (0.0619, 0.25, 0.5, 0.9381):
+                out = fractional_delay(env, frac).samples
+                expect = env.samples * np.exp(-2j * np.pi * f * frac)
+                assert np.max(np.abs(out[guard:-guard]
+                                     - expect[guard:-guard])) <= bound
 
 
 class TestWindowedFft:

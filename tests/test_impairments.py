@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigchain.envelope import ComplexEnvelope, fractional_delay
+from sigchain.envelope import (
+    DELAY_KERNEL_HALF,
+    ComplexEnvelope,
+    _interp_kernels,
+    fractional_delay,
+)
 from sigchain import impairments as imp
 
 
@@ -276,6 +281,24 @@ class TestSampleJitter:
         out = imp.sample_jitter(env, 0.05 / 1e6, seed=1)
         mid = slice(32, -32)
         assert np.max(np.abs(out.samples[mid] - env.samples[mid])) < 1e-7
+
+    def test_matches_per_sample_kernel_rows(self):
+        # the Farrow bank and the constant-delay path read one tap table
+        env = _rand_envelope(12, n=200)
+        sigma, seed = 0.09 / env.sample_rate, 4
+        out = imp.sample_jitter(env, sigma, seed).samples
+        d = np.random.default_rng(seed).normal(
+            0.0, sigma * env.sample_rate, len(env))
+        base = np.floor(d).astype(int)
+        taps = _interp_kernels(d - base)
+        offsets = range(-DELAY_KERNEL_HALF + 1, DELAY_KERNEL_HALF + 1)
+        x = env.samples
+        ref = np.zeros(len(env), dtype=complex)
+        for k in range(len(env)):
+            for j, m in enumerate(offsets):
+                if 0 <= k + base[k] + m < len(env):
+                    ref[k] += taps[k, j] * x[k + base[k] + m]
+        assert np.max(np.abs(out - ref)) <= 1e-12
 
 
 class TestAmAmpm:

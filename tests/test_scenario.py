@@ -1,6 +1,8 @@
 """Scenario files, deterministic emitters, sweeps, and the CLI."""
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +254,14 @@ class TestSweep:
         evm_hi = float(lines[3].split(",")[1])
         assert evm_hi > evm_lo
 
+    def test_mistyped_value_fails_only_its_point(self, tmp_path):
+        target = scn.run_sweep(self.sweep_config([2.0e9, "abc", 1.0e9]),
+                               tmp_path)
+        lines = target.read_text().splitlines()
+        assert len(lines) == 4
+        assert lines[2] == "abc,FAILED,FAILED"
+        assert "FAILED" not in lines[1] and "FAILED" not in lines[3]
+
     def test_threads_do_not_change_bytes(self, tmp_path):
         cfg = self.sweep_config([3.0e9, 2.0e9, 1.0e9, 8.0e8])
         a = scn.run_sweep(cfg, tmp_path / "a", threads=1)
@@ -344,6 +354,16 @@ class TestBundled:
             scn.load_scenario(scn.bundled_scenario_path(name))
 
 
+class TestReadme:
+    def test_json_examples_validate(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(),
+                            flags=re.S)
+        assert blocks
+        for block in blocks:
+            scn.plan_scenario(json.loads(block))
+
+
 class TestCli:
     def test_simulate_exit_zero(self, tmp_path, capsys):
         p = tmp_path / "s.json"
@@ -355,6 +375,14 @@ class TestCli:
     def test_bundled_name_resolves(self, tmp_path, capsys):
         assert main(["simulate", "qpsk_ideal", "--out-dir",
                      str(tmp_path / "out")]) == 0
+        assert "qpsk_ideal" in capsys.readouterr().out
+
+    def test_bundled_name_not_hidden_by_directory(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a results folder named like a scenario, e.g. from an earlier run
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "qpsk_ideal").mkdir()
+        assert main(["simulate", "qpsk_ideal", "--out-dir", "out"]) == 0
         assert "qpsk_ideal" in capsys.readouterr().out
 
     def test_config_error_exit_two(self, tmp_path, capsys):
