@@ -253,34 +253,36 @@ def evm_budget(
     return BudgetReport(terms, rss, total)
 
 
-def _kmeans_1d(values: np.ndarray, k: int, n_iter: int = 64) -> np.ndarray:
-    """Deterministic 1-d Lloyd iteration, centers returned sorted."""
-    centers = np.quantile(values, (np.arange(k) + 0.5) / k)
+def _runs(s: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Bounds of each center's run in sorted ``s``: run j is
+    ``s[bounds[j]:bounds[j + 1]]``.  Runs are cut at the midpoints between
+    centers, with ties and repeated centers going to the lower index, as a
+    nearest-center ``argmin`` would assign them."""
+    mids = np.where(centers[:-1] < centers[1:],
+                    0.5 * (centers[:-1] + centers[1:]), np.inf)
+    mids = np.minimum.accumulate(mids[::-1])[::-1]
+    cuts = np.searchsorted(s, mids, side="right")
+    return np.concatenate(([0], cuts, [s.size]))
+
+
+def _kmeans_1d(s: np.ndarray, k: int, n_iter: int = 64) -> np.ndarray:
+    """Deterministic 1-d Lloyd iteration on sorted ``s``; centers returned
+    sorted.  Each step cuts ``s`` into contiguous runs and takes run means
+    from a prefix sum; an empty run keeps its previous center."""
+    csum = np.concatenate(([0.0], np.cumsum(s)))
+    centers = np.quantile(s, (np.arange(k) + 0.5) / k)
     for _ in range(n_iter):
-        assign = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
+        bounds = _runs(s, centers)
+        counts = np.diff(bounds)
         new = centers.copy()
-        for j in range(k):
-            sel = values[assign == j]
-            if sel.size:
-                new[j] = sel.mean()
+        filled = counts > 0
+        new[filled] = np.diff(csum[bounds])[filled] / counts[filled]
         new = np.sort(new)
         if np.allclose(new, centers, rtol=0.0, atol=1e-12):
             centers = new
             break
         centers = new
     return centers
-
-
-def _worst_adjacent_gap(values: np.ndarray, classes: np.ndarray,
-                        k: int) -> float:
-    """Smallest opening between neighboring level classes; negative when the
-    classes interleave (eye closed at this phase)."""
-    gaps = []
-    present = [j for j in range(k) if np.any(classes == j)]
-    for lo, hi in zip(present, present[1:]):
-        gaps.append(float(values[classes == hi].min()
-                          - values[classes == lo].max()))
-    return min(gaps) if gaps else math.inf
 
 
 def _recut_traces(x: np.ndarray, n_traces: int, sps: int,
@@ -297,16 +299,23 @@ def _recut_traces(x: np.ndarray, n_traces: int, sps: int,
 
 def _identity_gaps(traces: np.ndarray, n_levels: int):
     """Classify traces by their center value, then track the worst opening
-    between classes at every phase with trace identity held fixed."""
+    between classes at every phase with trace identity held fixed.
+
+    A phase's gap is the smallest opening between neighboring classes,
+    negative where they interleave and inf with fewer than two classes."""
     center = traces.shape[1] // 2
-    centers = _kmeans_1d(traces[:, center], n_levels)
-    classes = np.argmin(
-        np.abs(traces[:, center][:, None] - centers[None, :]), axis=1)
-    gaps = np.array([
-        _worst_adjacent_gap(traces[:, m], classes, n_levels)
-        for m in range(traces.shape[1])
-    ])
-    return gaps, classes
+    order = np.argsort(traces[:, center], kind="stable")
+    ranked = traces[order]
+    s = ranked[:, center]
+    counts = np.diff(_runs(s, _kmeans_1d(s, n_levels)))
+    classes = np.empty(order.size, dtype=np.int64)
+    classes[order] = np.repeat(np.arange(n_levels), counts)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    if starts.size < 2:
+        return np.full(traces.shape[1], math.inf), classes
+    lows = np.minimum.reduceat(ranked, starts, axis=0)
+    highs = np.maximum.reduceat(ranked, starts, axis=0)
+    return np.min(lows[1:] - highs[:-1], axis=0), classes
 
 
 def eye_metrics(env: ComplexEnvelope, symbol_period: float,
@@ -319,6 +328,9 @@ def eye_metrics(env: ComplexEnvelope, symbol_period: float,
     phases.  Holding trace identity fixed means intersymbol interference that
     drives a trace across the eye registers as closure rather than as a
     clean crossing into another level, so closed eyes report as closed.
+    Each phase classifies by a 1-d Lloyd quantizer on the sorted center
+    values, so every class is one contiguous run, and the winning phase's
+    traces, gaps and classes are kept rather than recomputed.
     """
     sps_f = symbol_period * env.sample_rate
     sps = int(round(sps_f))
@@ -348,14 +360,15 @@ def eye_metrics(env: ComplexEnvelope, symbol_period: float,
     # score = worst opening near the instant; ties broken by total open width
     best_key, opt = (-math.inf, -1), 0
     for p in range(sps):
-        gaps_p, _ = _identity_gaps(_recut_traces(x, n_traces, sps, p),
-                                   n_levels)
-        key = (float(np.min(gaps_p[window])), open_run(gaps_p > 0.0))
+        traces = _recut_traces(x, n_traces, sps, p)
+        gaps, classes = _identity_gaps(traces, n_levels)
+        key = (float(np.min(gaps[window])), open_run(gaps > 0.0))
         if key > best_key:
             best_key, opt = key, p
+        if opt == p:
+            best = (traces, gaps, classes)
 
-    traces = _recut_traces(x, n_traces, sps, opt)
-    gaps, classes = _identity_gaps(traces, n_levels)
+    traces, gaps, classes = best
     width = open_run(gaps > 0.0) / sps
     levels = np.array([
         traces[classes == j, center].mean()

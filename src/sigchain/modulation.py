@@ -26,7 +26,6 @@ __all__ = [
     "gate_envelope",
     "gate_envelope_unit_area",
     "with_peak",
-    "constellation_to_csv",
 ]
 
 _NORM_TOL = 1e-12
@@ -407,11 +406,3 @@ def gate_envelope(spec: GateEnvelopeSpec, sample_rate: float) -> ComplexEnvelope
 def with_peak(spec: GateEnvelopeSpec, peak: float) -> GateEnvelopeSpec:
     return replace(spec, peak_amplitude=peak)
 
-
-def constellation_to_csv(constellation: Constellation, path) -> None:
-    """Write (label_bits, i, q) rows for every point."""
-    lines = ["label_bits,i,q"]
-    for label, point in zip(constellation.labels, constellation.points):
-        lines.append(f"{label},{point.real:.17g},{point.imag:.17g}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

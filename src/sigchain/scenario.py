@@ -113,25 +113,53 @@ def write_text_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(v)
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                v = float(v)
-                if math.isnan(v):
-                    cells.append("nan")
-                elif math.isinf(v):
-                    cells.append("inf" if v > 0 else "-inf")
-                else:
-                    cells.append(format(v, ".17g"))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+# Rows per %-formatting pass: bounds the transient tuple of cell values
+_CSV_BLOCK = 4096
+# A cell holding any of these is quoted (RFC 4180)
+_CSV_QUOTED = frozenset(',"\r\n')
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, str):
+        text = v
+    elif isinstance(v, (int, np.integer)):
+        return str(int(v))
+    elif isinstance(v, (list, dict)) or v is None:
+        text = json.dumps(v, separators=(",", ":"))
+    else:
+        return "%.17g" % float(v)
+    if not _CSV_QUOTED.isdisjoint(text):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv(header: str, *columns) -> str:
+    """CSV text from equal-length columns, one row per index.
+
+    A float ndarray column goes through one C-level ``%.17g`` pass per block
+    of ``_CSV_BLOCK`` rows; any other column is formatted cell by cell:
+    strings as they are, integers in decimal, floats as ``%.17g`` and lists,
+    objects and null as compact JSON.  ``%.17g`` spells nan and infinities
+    ``nan``, ``inf`` and ``-inf``.  A cell holding a comma, quote or line
+    break is quoted per RFC 4180.
+    """
+    cols, fmts = [], []
+    for c in columns:
+        if isinstance(c, np.ndarray) and c.dtype.kind == "f":
+            cols.append(c)
+            fmts.append("%.17g")
+        else:
+            cols.append([_csv_cell(v) for v in c])
+            fmts.append("%s")
+    row = ",".join(fmts) + "\n"
+    n = len(cols[0])
+    parts = [header + "\n"]
+    for start in range(0, n, _CSV_BLOCK):
+        block = np.empty((min(_CSV_BLOCK, n - start), len(cols)), dtype=object)
+        for j, c in enumerate(cols):
+            block[:, j] = c[start:start + _CSV_BLOCK]
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 # ------------------------------------------------------------- validation
@@ -404,11 +432,6 @@ def plan_scenario(raw) -> dict:
 
 # --------------------------------------------------------------- compute
 
-def _labels_from_bits(bits: np.ndarray, bps: int) -> np.ndarray:
-    weights = 1 << np.arange(bps - 1, -1, -1)
-    return bits.reshape(-1, bps) @ weights
-
-
 def _compute_comm(plan: dict) -> tuple[dict, dict]:
     const = plan["constellation"]
     shape = plan["pulse"]
@@ -423,7 +446,6 @@ def _compute_comm(plan: dict) -> tuple[dict, dict]:
     result = met.demodulate(env, const, shape, symbol_period,
                             timing_search=plan["timing_search"],
                             skip_edge_symbols=skip)
-    sent_labels = _labels_from_bits(bits, const.bits_per_symbol)[skip:-skip]
     ref = stream.symbols[skip:-skip]
     n = min(len(result.rx_symbols), len(ref))
     report = met.evm(result.rx_symbols[:n], ref[:n])
@@ -433,21 +455,17 @@ def _compute_comm(plan: dict) -> tuple[dict, dict]:
 
     if "constellation" in plan["outputs"]:
         bps = const.bits_per_symbol
-        rows = []
-        for k in range(n):
-            label = int(sent_labels[k])
-            rows.append((format(label, f"0{bps}b"),
-                         ref[k].real, ref[k].imag,
-                         result.rx_symbols[k].real,
-                         result.rx_symbols[k].imag))
-        artifacts["constellation.csv"] = _csv("bits,i_ref,q_ref,i_rx,q_rx",
-                                              rows)
+        sent = bits.reshape(-1, bps)[skip:skip + n] + ord("0")
+        labels = sent.astype(np.uint8).view(f"S{bps}").ravel().astype(str)
+        rx = result.rx_symbols[:n]
+        artifacts["constellation.csv"] = _csv(
+            "bits,i_ref,q_ref,i_rx,q_rx", labels, ref[:n].real, ref[:n].imag,
+            rx.real, rx.imag)
     if "psd" in plan["outputs"]:
         spectrum = met.psd_welch(env, nperseg=min(1024, len(env)))
         with np.errstate(divide="ignore"):
             db = 10.0 * np.log10(spectrum.psd)
-        artifacts["psd.csv"] = _csv("freq_hz,db",
-                                    zip(spectrum.freqs, db))
+        artifacts["psd.csv"] = _csv("freq_hz,db", spectrum.freqs, db)
     if "eye" in plan["outputs"]:
         eye = met.eye_metrics(env, symbol_period, n_levels=plan["eye_levels"])
         summary["eye"] = {"height": eye.eye_height,
@@ -457,8 +475,8 @@ def _compute_comm(plan: dict) -> tuple[dict, dict]:
         sps = int(round(symbol_period * env.sample_rate))
         instant = int(round(eye.sample_instant_fraction * sps))
         offs = (np.arange(len(env)) - instant + sps // 2) % sps
-        artifacts["eye.csv"] = _csv("t_frac,i,q", zip(
-            offs / sps, env.samples.real, env.samples.imag))
+        artifacts["eye.csv"] = _csv("t_frac,i,q", offs / sps,
+                                    env.samples.real, env.samples.imag)
     if "budget" in plan["outputs"]:
         budget = met.evm_budget(bits, const, shape, plan["chain"],
                                 symbol_period=symbol_period)
@@ -466,10 +484,9 @@ def _compute_comm(plan: dict) -> tuple[dict, dict]:
                              "total_rss": budget.total_rss,
                              "total_measured": budget.total_measured,
                              "rss_deviation": budget.rss_deviation}
-        rows = [(term, value) for term, value in budget.terms.items()]
-        rows.append(("rss", budget.total_rss))
-        rows.append(("measured", budget.total_measured))
-        artifacts["budget.csv"] = _csv("term,evm", rows)
+        artifacts["budget.csv"] = _csv(
+            "term,evm", [*budget.terms, "rss", "measured"],
+            [*budget.terms.values(), budget.total_rss, budget.total_measured])
     return summary, artifacts
 
 
@@ -498,8 +515,8 @@ def _compute_qubit(plan: dict) -> tuple[dict, dict]:
     if "bloch" in plan["outputs"]:
         times, pts = qb.bloch_trajectory(model, env,
                                          substeps=plan["substeps"])
-        artifacts["bloch.csv"] = _csv("t,x,y,z", zip(
-            times, pts[:, 0], pts[:, 1], pts[:, 2]))
+        artifacts["bloch.csv"] = _csv("t,x,y,z", times, pts[:, 0], pts[:, 1],
+                                      pts[:, 2])
     return summary, artifacts
 
 
@@ -564,7 +581,10 @@ def _sweep_columns(mode: str) -> tuple:
 
 
 def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
-    """Run a one- or two-axis parameter sweep; failures become FAILED rows."""
+    """Run a one- or two-axis parameter sweep; failures become FAILED rows.
+
+    When any point fails, ``failures.json`` beside ``sweep.csv`` lists each
+    failed point's ``{path: value}`` map with its error message."""
     d = _want_dict(raw, "sweep-file")
     _no_extras(d, ("base", "sweep"), "sweep-file")
     base = _get(d, "base", "sweep-file", "dict")
@@ -606,25 +626,26 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
         results = [one(p) for p in grid]
 
     cols = _sweep_columns(base_plan["mode"])
-    rows = []
-    n_failed = 0
+    failures = []
     for point, summary, err in results:
-        cells = list(point)
         if summary is None:
-            n_failed += 1
-            log.warning("sweep point %s failed: %s", point, err)
-            cells.extend(["FAILED"] * len(cols))
-        else:
-            for c in cols:
-                v = summary.get(c)
-                cells.append(math.nan if v is None else v)
-        rows.append(cells)
+            where = dict(zip(paths, point))
+            log.warning("sweep point %s failed: %s", ", ".join(
+                f"{p}={v!r}" for p, v in where.items()), err)
+            failures.append({"point": where, "error": err})
+    metric_cols = [["FAILED" if s is None else s.get(c, math.nan)
+                    for _, s, _ in results] for c in cols]
     dest = Path(out_dir) / base_plan["name"]
     dest.mkdir(parents=True, exist_ok=True)
     header = ",".join(list(paths) + list(cols))
     target = dest / "sweep.csv"
-    write_text_atomic(target, _csv(header, rows))
-    log.info("wrote %s (%d points, %d failed)", target, len(rows), n_failed)
+    write_text_atomic(target, _csv(header, *zip(*grid), *metric_cols))
+    if failures:
+        write_text_atomic(dest / "failures.json", emit_json(failures))
+    else:
+        (dest / "failures.json").unlink(missing_ok=True)
+    log.info("wrote %s (%d points, %d failed)", target, len(grid),
+             len(failures))
     return target
 
 

@@ -223,6 +223,132 @@ class TestEye:
             met.eye_metrics(env, 1e-6)
 
 
+def _kmeans_1d_oracle(values, k, n_iter=64):
+    """The mask-based Lloyd iteration eye_metrics used before sorted runs."""
+    centers = np.quantile(values, (np.arange(k) + 0.5) / k)
+    for _ in range(n_iter):
+        assign = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
+        new = centers.copy()
+        for j in range(k):
+            sel = values[assign == j]
+            if sel.size:
+                new[j] = sel.mean()
+        new = np.sort(new)
+        if np.allclose(new, centers, rtol=0.0, atol=1e-12):
+            centers = new
+            break
+        centers = new
+    return centers
+
+
+def _worst_adjacent_gap_oracle(values, classes, k):
+    gaps = []
+    present = [j for j in range(k) if np.any(classes == j)]
+    for lo, hi in zip(present, present[1:]):
+        gaps.append(float(values[classes == hi].min()
+                          - values[classes == lo].max()))
+    return min(gaps) if gaps else math.inf
+
+
+def _eye_oracle(env, symbol_period, n_levels):
+    """eye_metrics as written before sorted runs: every phase is cut and
+    classified by argmin, and the winning phase is cut a second time."""
+    sps = int(round(symbol_period * env.sample_rate))
+    x = env.samples.real
+    n_traces = x.size // sps
+    center = sps // 2
+    halfwin = max(1, sps // 8)
+    window = (center + np.arange(-halfwin, halfwin + 1)) % sps
+
+    def identity_gaps(traces):
+        centers = _kmeans_1d_oracle(traces[:, center], n_levels)
+        classes = np.argmin(
+            np.abs(traces[:, center][:, None] - centers[None, :]), axis=1)
+        gaps = np.array([
+            _worst_adjacent_gap_oracle(traces[:, m], classes, n_levels)
+            for m in range(sps)])
+        return gaps, classes
+
+    def open_run(open_cols):
+        if np.all(open_cols):
+            return open_cols.size
+        if not np.any(open_cols):
+            return 0
+        best = run = 0
+        for v in np.concatenate([open_cols, open_cols]):
+            run = run + 1 if v else 0
+            best = max(best, run)
+        return min(best, open_cols.size)
+
+    best_key, opt = (-math.inf, -1), 0
+    for p in range(sps):
+        gaps_p, _ = identity_gaps(met._recut_traces(x, n_traces, sps, p))
+        key = (float(np.min(gaps_p[window])), open_run(gaps_p > 0.0))
+        if key > best_key:
+            best_key, opt = key, p
+    traces = met._recut_traces(x, n_traces, sps, opt)
+    gaps, classes = identity_gaps(traces)
+    levels = np.array([traces[classes == j, center].mean()
+                       for j in range(n_levels) if np.any(classes == j)])
+    return met.EyeReport(float(gaps[center]), open_run(gaps > 0.0) / sps,
+                         opt / sps, levels)
+
+
+class TestEyeOracle:
+    """eye_metrics must classify exactly as the argmin-based oracle does."""
+
+    @staticmethod
+    def _ask(m, kind, seed, n_sym=384, sps=16):
+        const = mod.build_constellation("m_ask", m=m)
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, const.bits_per_symbol * n_sym)
+        shape = mod.PulseShape("rect", samples_per_symbol=sps)
+        _, env = ch.synth_comm_waveform(bits, const, shape, None, 1e-6)
+        if kind == "band_limited":
+            env = imp.bandwidth_limit(env, 0.3e6)
+        elif kind == "noisy":
+            noise = rng.standard_normal(len(env)) * 0.04
+            env = ComplexEnvelope(env.samples + noise, env.sample_rate)
+        return env
+
+    @staticmethod
+    def _assert_same(env, n_levels):
+        got = met.eye_metrics(env, 1e-6, n_levels=n_levels)
+        want = _eye_oracle(env, 1e-6, n_levels)
+        assert got.eye_height == want.eye_height
+        assert got.eye_width_fraction == want.eye_width_fraction
+        assert got.sample_instant_fraction == want.sample_instant_fraction
+        assert np.array_equal(got.levels, want.levels)
+
+    @pytest.mark.parametrize("kind", ["rect", "band_limited", "noisy"])
+    @pytest.mark.parametrize("m,seed", [(2, 11), (4, 12), (8, 13)])
+    def test_matches_oracle(self, m, seed, kind):
+        self._assert_same(self._ask(m, kind, seed), m)
+
+    @pytest.mark.parametrize("kind", ["rect", "band_limited", "noisy"])
+    def test_two_levels_at_four_classes(self, kind):
+        self._assert_same(self._ask(2, kind, 14), 4)
+
+    def test_constant_input(self):
+        env = ComplexEnvelope(np.full(16 * 64, 0.3 + 0.1j), 16e6)
+        self._assert_same(env, 2)
+
+    @pytest.mark.parametrize("values,counts,n_levels", [
+        # the first Lloyd step has 0.0 exactly midway between -1 and 1
+        ([-1.0, 0.0, 1.0], [100, 50, 100], 2),
+        # the starting quantiles repeat -1 and 1 and stay repeated, with
+        # values on both sides of -1
+        ([-1.5, -1.0, -0.5, 1.0], [16, 128, 16, 160], 4),
+        # repeated starting quantiles that the first step pulls apart
+        ([-1.0, -0.9, 1.0], [128, 26, 102], 4),
+    ])
+    def test_ties_and_repeated_centers(self, values, counts, n_levels):
+        symbols = np.random.default_rng(15).permutation(
+            np.repeat(values, counts))
+        env = ComplexEnvelope(np.repeat(symbols, 16).astype(complex), 16e6)
+        self._assert_same(env, n_levels)
+
+
 class TestSpectra:
     def test_psd_integrates_to_power(self):
         rng = np.random.default_rng(5)

@@ -9,7 +9,6 @@ from sigchain.modulation import (
     GateEnvelopeSpec,
     PulseShape,
     build_constellation,
-    constellation_to_csv,
     gate_envelope,
     gate_envelope_unit_area,
     map_bits,
@@ -126,15 +125,6 @@ class TestConstellations:
     def test_non_normalized_constellation_rejected(self):
         with pytest.raises(ValueError):
             Constellation(np.array([2.0 + 0j, -2.0 + 0j]), 1, "raw")
-
-    def test_csv_export(self, tmp_path):
-        c = build_constellation("m_psk", m=4)
-        path = tmp_path / "points.csv"
-        constellation_to_csv(c, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "label_bits,i,q"
-        assert len(lines) == 5
-        assert lines[1].startswith("00,")
 
 
 class TestMapBits:

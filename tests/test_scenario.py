@@ -1,5 +1,7 @@
 """Scenario files, deterministic emitters, sweeps, and the CLI."""
+import csv
 import json
+import logging
 import math
 import re
 from pathlib import Path
@@ -75,6 +77,73 @@ class TestEmitter:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             scn.emit_json({"x": object()})
+
+
+def _reference_csv(header, rows):
+    """The per-cell CSV rules, written out cell by cell."""
+    lines = [header]
+    for row in rows:
+        cells = []
+        for v in row:
+            if isinstance(v, str):
+                cells.append(v)
+            elif isinstance(v, (int, np.integer)):
+                cells.append(str(int(v)))
+            else:
+                v = float(v)
+                if math.isnan(v):
+                    cells.append("nan")
+                elif math.isinf(v):
+                    cells.append("inf" if v > 0 else "-inf")
+                else:
+                    cells.append(format(v, ".17g"))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsv:
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0,
+               -3.0, 1e16, 123456789.125]
+
+    def columns(self, n):
+        rng = np.random.default_rng(n)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
+        floats[:len(self.SPECIAL)] = self.SPECIAL[:n]
+        ints = rng.integers(-2**62, 2**62, n)
+        return [
+            floats,
+            (rng.standard_normal(n) * 1e3).astype(np.float32),
+            ints,
+            [int(v) for v in ints],
+            [f"s{k:03b}" for k in range(n)],
+            ["FAILED" if k % 3 == 1 else float(v)
+             for k, v in enumerate(floats)],
+            np.ascontiguousarray(floats[::-1]),
+        ]
+
+    @pytest.mark.parametrize("extra", [0, 1, 17])
+    @pytest.mark.parametrize("blocks", [0, 1, 2])
+    def test_matches_per_cell_rules(self, blocks, extra):
+        n = blocks * scn._CSV_BLOCK + extra
+        cols = self.columns(n)
+        got = scn._csv("a,b,c,d,e,f,g", *cols)
+        assert got == _reference_csv("a,b,c,d,e,f,g", zip(*cols))
+        assert got.count("\n") == n + 1
+
+    def test_special_values_spelled_out(self):
+        text = scn._csv("x", np.array([math.nan, math.inf, -math.inf, -0.0]))
+        assert text == "x\nnan\ninf\n-inf\n-0\n"
+
+    def test_non_scalar_cells_are_quoted_json(self):
+        text = scn._csv("v,w", [[0.5, 1], {"a": "b"}, None, 'say "hi"'],
+                        [1.0, 2.0, 3.0, 4.0])
+        assert text == ('v,w\n"[0.5,1]",1\n"{""a"":""b""}",2\n'
+                        'null,3\n"say ""hi""",4\n')
+        rows = list(csv.reader(text.splitlines()))
+        assert [json.loads(r[0]) for r in rows[1:4]] == [
+            [0.5, 1], {"a": "b"}, None]
+        assert rows[4][0] == 'say "hi"'
 
 
 class TestValidation:
@@ -254,13 +323,37 @@ class TestSweep:
         evm_hi = float(lines[3].split(",")[1])
         assert evm_hi > evm_lo
 
-    def test_mistyped_value_fails_only_its_point(self, tmp_path):
-        target = scn.run_sweep(self.sweep_config([2.0e9, "abc", 1.0e9]),
-                               tmp_path)
+    def test_mistyped_value_fails_only_its_point(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="sigchain"):
+            target = scn.run_sweep(self.sweep_config([2.0e9, "abc", 1.0e9]),
+                                   tmp_path)
         lines = target.read_text().splitlines()
         assert len(lines) == 4
         assert lines[2] == "abc,FAILED,FAILED"
         assert "FAILED" not in lines[1] and "FAILED" not in lines[3]
+        failures = json.loads((target.parent / "failures.json").read_text())
+        assert len(failures) == 1
+        assert failures[0]["point"] == {
+            "chain.stages.0.params.cutoff_hz": "abc"}
+        assert failures[0]["error"]
+        assert "chain.stages.0.params.cutoff_hz='abc'" in caplog.text
+
+    def test_list_values_are_quoted_json(self, tmp_path):
+        path = "chain.stages.0.params.offset"
+        chain = {"stages": [
+            {"kind": "lo_feedthrough", "params": {"offset": [0.0, 0.0]}}]}
+        cfg = {"base": qpsk_config(name="lo", n_symbols=32, outputs=(),
+                                   chain=chain),
+               "sweep": {"paths": [path],
+                         "values": [[[0.01, 0.0], [0.02, 0.01]]]}}
+        target = scn.run_sweep(cfg, tmp_path)
+        with open(target, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [json.loads(r[path]) for r in rows] == [[0.01, 0.0],
+                                                       [0.02, 0.01]]
+        assert all(None not in r for r in rows)
+        assert 0.0 < float(rows[0]["evm_rms"]) < float(rows[1]["evm_rms"])
+        assert not (target.parent / "failures.json").exists()
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         cfg = self.sweep_config([3.0e9, 2.0e9, 1.0e9, 8.0e8])
