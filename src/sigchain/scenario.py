@@ -633,7 +633,8 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
             log.warning("sweep point %s failed: %s", ", ".join(
                 f"{p}={v!r}" for p, v in where.items()), err)
             failures.append({"point": where, "error": err})
-    metric_cols = [["FAILED" if s is None else s.get(c, math.nan)
+    metric_cols = [["FAILED" if s is None else
+                    (math.nan if s.get(c) is None else s[c])
                     for _, s, _ in results] for c in cols]
     dest = Path(out_dir) / base_plan["name"]
     dest.mkdir(parents=True, exist_ok=True)

@@ -355,6 +355,17 @@ class TestSweep:
         assert 0.0 < float(rows[0]["evm_rms"]) < float(rows[1]["evm_rms"])
         assert not (target.parent / "failures.json").exists()
 
+    def test_two_level_qubit_leakage_reads_nan(self, tmp_path):
+        cfg = {"base": pi_config(name="pi-swp", outputs=()),
+               "sweep": {"paths": ["qubit.gate.rotation_angle"],
+                         "values": [[math.pi / 2, math.pi]]}}
+        target = scn.run_sweep(cfg, tmp_path)
+        with open(target, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        assert [r["leakage"] for r in rows] == ["nan", "nan"]
+        assert all(float(r["infidelity"]) < 1e-9 for r in rows)
+
     def test_threads_do_not_change_bytes(self, tmp_path):
         cfg = self.sweep_config([3.0e9, 2.0e9, 1.0e9, 8.0e8])
         a = scn.run_sweep(cfg, tmp_path / "a", threads=1)
