@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -86,11 +85,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.threads < 1:
         raise scn.ConfigError("--threads must be >= 1")
-    path = _resolve(args.scenario)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise scn.ConfigError(f"cannot read {path}: {e}") from None
+    raw = scn.read_config(_resolve(args.scenario))
     target = scn.run_sweep(raw, args.out_dir, threads=args.threads)
     n_rows = target.read_text().count("\n") - 1
     print(f"sweep: {n_rows} points -> {target}")
@@ -98,11 +93,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    path = _resolve(args.scenario)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise scn.ConfigError(f"cannot read {path}: {e}") from None
+    raw = scn.read_config(_resolve(args.scenario))
     report = scn.run_calibration(raw, args.out_dir,
                                  procedure=args.procedure)
     dest = Path(args.out_dir) / report["name"]

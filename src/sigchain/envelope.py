@@ -308,6 +308,10 @@ def delay_real_track(track: np.ndarray, tau: float, sample_rate: float) -> np.nd
     return _delayed_samples(track, tau * sample_rate)
 
 
+def _periodic_hann(n: int) -> np.ndarray:
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
 def windowed_fft(env: ComplexEnvelope, window: str = "rect") -> np.ndarray:
     """FFT of the windowed record.
 
@@ -320,9 +324,7 @@ def windowed_fft(env: ComplexEnvelope, window: str = "rect") -> np.ndarray:
     if window == "rect":
         wx = x
     elif window == "hann":
-        n = x.size
-        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-        wx = x * w
+        wx = x * _periodic_hann(x.size)
     else:
         raise ValueError(f"unknown window {window!r}")
     return np.fft.fft(wx)

@@ -9,11 +9,11 @@ inter-path timing skew.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 import numpy as np
-from scipy import signal
 
 from sigchain.envelope import ComplexEnvelope, _delayed_samples, _samples_at
 
@@ -111,16 +111,73 @@ def _one_pole_coeffs(cutoff_hz: float, sample_rate: float):
     return [b0, b0], [1.0, a1]
 
 
+# Inside one scan block the powers |p|^-k stay at or below 1e150.  Blocks
+# are of equal length, at least half the longest such block, so the carry
+# one block further back is below 1e-75 relative and is dropped.
+_SCAN_RANGE = 150.0 * math.log(10.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_tables(b0: float, p: float, block: int):
+    """b0 p^k and p^-k for k < block (read-only arrays), and p^block.
+
+    Powers of |p| come from ``pow`` one by one, so no rounding accumulates
+    along the block; a negative p only flips the sign of odd k.
+    """
+    k = np.arange(block, dtype=np.float64)
+    scale = np.power(abs(p), k)
+    grow = np.power(abs(p), -k)
+    if p < 0.0:
+        scale[1::2] *= -1.0
+        grow[1::2] *= -1.0
+    scale *= b0
+    scale.flags.writeable = False
+    grow.flags.writeable = False
+    return scale, grow, p**block
+
+
+def _one_pole(x: np.ndarray, b0: float, a1: float) -> np.ndarray:
+    """y[n] = b0 (x[n] + x[n-1]) - a1 y[n-1] from a zero state.
+
+    ``x`` is float64 or complex128.  A blocked scan: with p = -a1, each
+    block of L samples is y = b0 p^k cumsum((x[n] + x[n-1]) p^-k) plus
+    p^(k+1) times the last value of the block before.  The record is cut
+    into the fewest equal blocks with |p|^-(L-1) <= 1e150, so the carry
+    from two blocks back, below 1e-75 relative, is left out.
+    """
+    n = x.size
+    p = -a1
+    if p == 0.0 or n == 0:
+        s = x.copy()
+        s[1:] += x[:-1]
+        return b0 * s
+    n_blocks = min(n, max(1, math.ceil(-math.log(abs(p)) * n / _SCAN_RANGE)))
+    block = -(-n // n_blocks)
+    s = np.zeros(n_blocks * block, dtype=x.dtype)
+    s[0] = x[0]
+    np.add(x[1:], x[:-1], out=s[1:n])
+    scale, grow, carry = _scan_tables(b0, p, block)
+    y = s.reshape(n_blocks, block)    # scanned in place
+    y *= grow
+    if n_blocks > 1:
+        # The carry p^(k+1) c, with c = b0 p^(L-1) (sum of the block before),
+        # equals b0 p^k (p^L times that sum): one more cumsum term at k = 0.
+        y[1:, 0] += carry * y[:-1].sum(axis=1)
+    np.cumsum(y, axis=1, out=y)
+    y *= scale
+    return s[:n]
+
+
 def bandwidth_limit(env: ComplexEnvelope, cutoff_hz: float) -> ComplexEnvelope:
     """Single-pole low-pass with unity DC gain (finite analog bandwidth)."""
     b, a = _one_pole_coeffs(cutoff_hz, env.sample_rate)
-    return _rebuild(env, signal.lfilter(b, a, env.samples))
+    return _rebuild(env, _one_pole(env.samples, b[0], a[1]))
 
 
 def lowpass_track(track: np.ndarray, cutoff_hz: float, sample_rate: float) -> np.ndarray:
     """One-pole low-pass applied to a real-valued track."""
     b, a = _one_pole_coeffs(cutoff_hz, sample_rate)
-    return signal.lfilter(b, a, np.asarray(track, dtype=np.float64))
+    return _one_pole(np.asarray(track, dtype=np.float64), b[0], a[1])
 
 
 def quantize_track(

@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from sigchain import modulation as mod
-from sigchain.envelope import ComplexEnvelope, Spectrum
+from sigchain.envelope import ComplexEnvelope, Spectrum, _periodic_hann
 from sigchain.chains import StageSpec, TxChain, run_chain, synth_comm_waveform
 
 __all__ = [
@@ -377,21 +376,25 @@ def eye_metrics(env: ComplexEnvelope, symbol_period: float,
     return EyeReport(float(gaps[center]), float(width), opt / sps, levels)
 
 
-def psd_welch(env: ComplexEnvelope, nperseg: int = 1024,
-              window: str = "hann") -> Spectrum:
-    """Two-sided Welch power spectral density, centered on zero frequency."""
+def psd_welch(env: ComplexEnvelope, nperseg: int = 1024) -> Spectrum:
+    """Two-sided Welch power spectral density, centered on zero frequency.
+
+    Periodic Hann segments with 50% overlap, no detrending, density
+    scaling; the resolution bandwidth is the window's equivalent noise
+    bandwidth.
+    """
     if nperseg < 8:
         raise ValueError("nperseg must be at least 8")
     nperseg = min(nperseg, len(env))
-    freqs, psd = signal.welch(
-        env.samples, fs=env.sample_rate, window=window, nperseg=nperseg,
-        noverlap=nperseg // 2, detrend=False, return_onesided=False,
-        scaling="density",
-    )
-    order = np.argsort(freqs)
-    w = signal.get_window(window, nperseg)
-    enbw = env.sample_rate * np.sum(w ** 2) / np.sum(w) ** 2
-    return Spectrum(freqs[order], np.maximum(psd[order], 0.0), float(enbw))
+    fs = env.sample_rate
+    w = _periodic_hann(nperseg)
+    power = np.sum(w * w)
+    segs = np.lib.stride_tricks.sliding_window_view(env.samples, nperseg)
+    spec = np.fft.fft(segs[::nperseg - nperseg // 2] * w, axis=1)
+    psd = np.mean(spec.real ** 2 + spec.imag ** 2, axis=0) / (fs * power)
+    freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, 1.0 / fs))
+    enbw = fs * power / np.sum(w) ** 2
+    return Spectrum(freqs, np.fft.fftshift(psd), float(enbw))
 
 
 def spurs_sfdr(spectrum: Spectrum, carrier_freq: float,

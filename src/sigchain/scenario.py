@@ -30,6 +30,7 @@ from sigchain.chains import (StageSpec, TxChain, synth_comm_waveform,
 
 __all__ = [
     "ConfigError",
+    "read_config",
     "load_scenario",
     "run_scenario",
     "run_sweep",
@@ -344,15 +345,20 @@ def _parse_qubit_model(obj, path: str) -> qb.QubitModel:
         raise ConfigError(f"{path}: {e}") from None
 
 
-def load_scenario(source) -> dict:
-    """Read and validate a scenario file; returns the raw config dict."""
+def read_config(source):
+    """Parse a scenario, sweep or calibration file without validating it."""
     path = Path(source)
     try:
-        raw = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
+
+
+def load_scenario(source) -> dict:
+    """Read and validate a scenario file; returns the raw config dict."""
+    raw = read_config(source)
     plan_scenario(raw)
     return raw
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from sigchain.envelope import (
     DELAY_KERNEL_HALF,
@@ -187,6 +188,52 @@ class TestBandwidthLimit:
                 np.mean(np.abs(out.samples[sl])) / np.mean(np.abs(env.samples[sl]))
             )
         assert all(a > b for a, b in zip(gains, gains[1:]))
+
+
+class TestOnePoleScan:
+    """The blocked numpy scan against scipy's sequential recurrence.
+
+    Cutoffs from 1e-6 to 0.4999 of the sample rate put the pole near +1,
+    at 0 (0.25) and near -1; lengths cover empty and one-sample records,
+    either side of the longest block (where a record first splits in two),
+    and many blocks.
+    """
+
+    FRACS = (1e-6, 0.1, 0.25, 0.4, 0.49, 0.4999)
+
+    @staticmethod
+    def _lengths(frac):
+        _, a = imp._one_pole_coeffs(frac, 1.0)
+        longest = max(1, int(imp._SCAN_RANGE / -math.log(abs(a[1]))))
+        lengths = (0, 1, 2, longest - 1, longest, longest + 1,
+                   3 * longest + 5, 2**16)
+        return sorted({n for n in lengths if 0 <= n <= 2**16})
+
+    @staticmethod
+    def _close(y, ref):
+        assert y.shape == ref.shape
+        if ref.size:
+            scale = max(float(np.max(np.abs(ref))), 1e-300)
+            assert np.max(np.abs(y - ref)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("frac", FRACS)
+    def test_matches_lfilter(self, frac):
+        fs = 1e6
+        b, a = imp._one_pole_coeffs(frac * fs, fs)
+        rng = np.random.default_rng(23)
+        for n in self._lengths(frac):
+            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            if n:
+                out = imp.bandwidth_limit(ComplexEnvelope(x, fs), frac * fs)
+                self._close(out.samples, signal.lfilter(b, a, x))
+            self._close(imp.lowpass_track(x.real, frac * fs, fs),
+                        signal.lfilter(b, a, x.real))
+
+    @pytest.mark.parametrize("frac", FRACS[1:] + (1e-4,))
+    def test_step_settles_to_one(self, frac):
+        # 1e-6 would need millions of samples; 1e-4 settles in 2^16
+        y = imp.lowpass_track(np.ones(2**16), frac, 1.0)
+        assert abs(y[-1] - 1.0) <= 1e-12
 
 
 class TestQuantize:

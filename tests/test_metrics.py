@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from sigchain import chains as ch
 from sigchain import impairments as imp
@@ -347,6 +348,32 @@ class TestEyeOracle:
             np.repeat(values, counts))
         env = ComplexEnvelope(np.repeat(symbols, 16).astype(complex), 16e6)
         self._assert_same(env, n_levels)
+
+
+class TestPsdWelchOracle:
+    """The numpy Welch estimate against scipy.signal.welch."""
+
+    @pytest.mark.parametrize("nperseg,n", [
+        (8, 96), (1024, 8192), (2048, 16384),
+        (1024, 1024),            # one segment: nperseg equals the record
+        (1024, 5000),            # not a multiple of nperseg / 2
+        (2048, 700),             # nperseg clipped to the record
+    ])
+    def test_matches_scipy(self, nperseg, n):
+        fs = 3.7e6
+        rng = np.random.default_rng(nperseg + n)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        spec = met.psd_welch(ComplexEnvelope(x, fs), nperseg=nperseg)
+        m = min(nperseg, n)
+        f, p = signal.welch(x, fs=fs, window="hann", nperseg=m,
+                            noverlap=m // 2, detrend=False,
+                            return_onesided=False, scaling="density")
+        order = np.argsort(f)
+        assert np.array_equal(spec.freqs, f[order])
+        assert np.max(np.abs(spec.psd - p[order]) / p[order]) <= 1e-12
+        w = signal.get_window("hann", m)
+        enbw = fs * np.sum(w ** 2) / np.sum(w) ** 2
+        assert spec.resolution_bw == pytest.approx(enbw, rel=1e-12)
 
 
 class TestSpectra:

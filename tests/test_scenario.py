@@ -3,7 +3,10 @@ import csv
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -458,14 +461,27 @@ class TestBundled:
             scn.load_scenario(scn.bundled_scenario_path(name))
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 class TestReadme:
-    def test_json_examples_validate(self):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(),
+    @staticmethod
+    def _blocks(lang):
+        blocks = re.findall(rf"```{lang}\n(.*?)```", README.read_text(),
                             flags=re.S)
         assert blocks
-        for block in blocks:
+        return blocks
+
+    def test_json_examples_validate(self):
+        for block in self._blocks("json"):
             scn.plan_scenario(json.loads(block))
+
+    def test_python_examples_run_in_order(self, capsys):
+        # later blocks reuse names bound by earlier ones, e.g. `chain`
+        namespace = {}
+        for i, block in enumerate(self._blocks("python")):
+            exec(compile(block, f"README.md python block {i}", "exec"),
+                 namespace)
 
 
 class TestCli:
@@ -494,6 +510,15 @@ class TestCli:
         p.write_text("{broken")
         assert main(["simulate", str(p), "--out-dir", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "calibrate"])
+    def test_malformed_json_exit_two_names_file(self, command, tmp_path,
+                                                capsys):
+        p = tmp_path / "bad.json"
+        p.write_text("{broken")
+        assert main([command, str(p), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(p) in err
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json"),
@@ -533,3 +558,13 @@ class TestCli:
         assert main(["calibrate", str(p), "--out-dir",
                      str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "fix-iq" / "report.json").exists()
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only oracle; the runtime needs numpy alone
+        src = str(Path(scn.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sigchain.cli, sys; assert not [m for m in "
+                "sys.modules if m.split('.')[0] == 'scipy']")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
