@@ -16,7 +16,8 @@ import numpy as np
 
 from sigchain import modulation as mod
 from sigchain.chains import (StageSpec, TxChain, append_stage, prepend_stage,
-                             run_chain, synth_comm_waveform, with_stage_param)
+                             run_chain, run_chain_per_trim,
+                             synth_comm_waveform, with_stage_param)
 from sigchain.envelope import ComplexEnvelope, fractional_delay
 from sigchain.metrics import demodulate, evm
 
@@ -70,12 +71,14 @@ class AmplitudeLut:
     """Drive code versus measured rotation angle, monotone by construction.
 
     The top knot is the interpolated code for an exact half-turn, so
-    ``code_for_angle(pi)`` never extrapolates.
+    ``code_for_angle(pi)`` never extrapolates.  ``residual`` is the largest
+    distance, in radians, between the measured angles and their monotone fit.
     """
 
     codes: np.ndarray
     theta: np.ndarray
     theta_raw: np.ndarray
+    residual: float
 
     @property
     def pi_code(self) -> float:
@@ -135,7 +138,7 @@ def rabi_amplitude_cal(model, envelope_spec, sample_rate: float,
 
     lut_codes = np.append(codes[keep], pi_code)
     lut_theta = np.append(np.minimum(theta_fit, math.pi), math.pi)
-    return AmplitudeLut(lut_codes, lut_theta, theta_raw)
+    return AmplitudeLut(lut_codes, lut_theta, theta_raw, residual)
 
 
 def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
@@ -206,17 +209,16 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
     bits = _probe_bits(n_symbols, const.bits_per_symbol, seed)
 
     candidates = np.arange(-window_s, window_s + 0.5 * step_s, step_s)
+    stream, probe = synth_comm_waveform(bits, const, shape,
+                                        symbol_period=symbol_period)
+    outputs = run_chain_per_trim(chain, probe, candidates.tolist())
+    ref = stream.symbols[shape.span_symbols:-shape.span_symbols]
     scores = np.empty(candidates.size)
-    for idx, cand in enumerate(candidates):
-        trial = with_stage_param(chain, "polar_paths",
-                                 comp_delay_s=float(cand))
-        stream, env = synth_comm_waveform(bits, const, shape, chain=trial,
-                                          symbol_period=symbol_period)
+    for idx, (cand, env) in enumerate(zip(candidates, outputs)):
         if cand != 0.0:
             env = fractional_delay(env, -float(cand))
         result = demodulate(env, const, shape, symbol_period,
                             skip_edge_symbols=shape.span_symbols)
-        ref = stream.symbols[shape.span_symbols:-shape.span_symbols]
         n = min(len(result.rx_symbols), len(ref))
         scores[idx] = evm(result.rx_symbols[:n], ref[:n]).evm_rms
     best = int(np.argmin(scores))

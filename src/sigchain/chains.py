@@ -37,6 +37,7 @@ __all__ = [
     "TxChain",
     "apply_stage",
     "run_chain",
+    "run_chain_per_trim",
     "cartesian_chain",
     "polar_chain",
     "rfdac_chain",
@@ -158,7 +159,8 @@ def _apply_iq_paths(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     return env
 
 
-def _apply_polar_paths(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
+def _polar_tracks(env: ComplexEnvelope, p: dict):
+    """AM and PM tracks of a polar_paths stage, up to the AM trim delay."""
     fs = env.sample_rate
     tracks = to_polar(env)
     amp = np.array(tracks.amplitude)
@@ -173,9 +175,6 @@ def _apply_polar_paths(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     am_cut = p.get("am_cutoff_hz")
     if am_cut is not None:
         amp = imp.lowpass_track(amp, am_cut, fs)
-    tau_a = p.get("tau_a", 0.0) + p.get("comp_delay_s", 0.0)
-    if tau_a != 0.0:
-        amp = delay_real_track(amp, tau_a, fs)
 
     pm_bits = p.get("pm_bits")
     if pm_bits is not None:
@@ -188,11 +187,24 @@ def _apply_polar_paths(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     tau_p = p.get("tau_p", 0.0)
     if tau_p != 0.0:
         phase = delay_real_track(phase, tau_p, fs)
+    return amp, phase
 
+
+def _join_polar_tracks(env: ComplexEnvelope, amp: np.ndarray,
+                       phase: np.ndarray, tau_a: float) -> ComplexEnvelope:
+    """Delay the AM track by ``tau_a`` and recombine it with the PM track."""
+    fs = env.sample_rate
+    if tau_a != 0.0:
+        amp = delay_real_track(amp, tau_a, fs)
     # filtering and interpolation can undershoot; amplitude is physical
     amp = np.maximum(amp, 0.0)
-    out = from_polar(PolarTracks(amp, phase, fs), t0=env.t0)
-    return out
+    return from_polar(PolarTracks(amp, phase, fs), t0=env.t0)
+
+
+def _apply_polar_paths(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
+    amp, phase = _polar_tracks(env, p)
+    return _join_polar_tracks(
+        env, amp, phase, p.get("tau_a", 0.0) + p.get("comp_delay_s", 0.0))
 
 
 def _apply_rfdac_core(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
@@ -377,14 +389,46 @@ def run_chain(chain: TxChain, env: ComplexEnvelope) -> ComplexEnvelope:
     return out
 
 
+def run_chain_per_trim(chain: TxChain, env: ComplexEnvelope, comp_delays):
+    """Outputs of the chain for each AM trim delay of its polar_paths stage.
+
+    Yields what ``run_chain(with_stage_param(chain, "polar_paths",
+    comp_delay_s=d), env)`` returns for each ``d`` in ``comp_delays``, in
+    order.  The stages before the first polar_paths stage and its track
+    preparation run once, before this returns; each output then costs only
+    the AM delay, the recombination and the stages after it.
+    """
+    at = _stage_index(chain, "polar_paths")
+    context = {"gate_mask": np.abs(env.samples) > 0.0}
+    for spec in chain.stages[:at]:
+        env = apply_stage(env, spec, context)
+    p = chain.stages[at].params
+    amp, phase = _polar_tracks(env, p)
+
+    def outputs():
+        for delay in comp_delays:
+            out = _join_polar_tracks(env, amp, phase,
+                                     p.get("tau_a", 0.0) + delay)
+            for spec in chain.stages[at + 1:]:
+                out = apply_stage(out, spec, context)
+            yield out
+
+    return outputs()
+
+
+def _stage_index(chain: TxChain, kind: str) -> int:
+    for k, spec in enumerate(chain.stages):
+        if spec.kind == kind:
+            return k
+    raise ValueError(f"chain has no {kind!r} stage")
+
+
 def with_stage_param(chain: TxChain, kind: str, **updates) -> TxChain:
     """Copy the chain with parameters updated on its first ``kind`` stage."""
     stages = list(chain.stages)
-    for k, spec in enumerate(stages):
-        if spec.kind == kind:
-            stages[k] = StageSpec(kind, {**spec.params, **updates})
-            return TxChain(chain.architecture, tuple(stages))
-    raise ValueError(f"chain has no {kind!r} stage")
+    k = _stage_index(chain, kind)
+    stages[k] = StageSpec(kind, {**stages[k].params, **updates})
+    return TxChain(chain.architecture, tuple(stages))
 
 
 def prepend_stage(chain: TxChain, spec: StageSpec) -> TxChain:

@@ -11,11 +11,14 @@ refinement until the propagator stops moving.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from sigchain import modulation as mod
+from sigchain.chains import synth_qubit_pulse
 from sigchain.envelope import ComplexEnvelope
 
 __all__ = [
@@ -96,80 +99,105 @@ def target_unitary(gate: GateSpec) -> np.ndarray:
     return math.cos(th / 2.0) * np.eye(2) - 1j * math.sin(th / 2.0) * axis
 
 
-def _refined_samples(env: ComplexEnvelope, substeps: int) -> np.ndarray:
+def _drive(env: ComplexEnvelope, substeps: int):
+    # drive samples refined by linear interpolation, and their time step
+    if substeps < 1:
+        raise ValueError("substeps must be at least 1")
+    dt = 1.0 / (env.sample_rate * substeps)
     if substeps == 1:
-        return env.samples
+        return env.samples, dt
     n = len(env)
     coarse = np.arange(n) + 0.5
     fine = (np.arange(n * substeps) + 0.5) / substeps
     re = np.interp(fine, coarse, env.samples.real)
     im = np.interp(fine, coarse, env.samples.imag)
-    return re + 1j * im
+    return re + 1j * im, dt
 
 
-def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    # time-ordered product steps[n-1] @ ... @ steps[0], paired up for speed
-    while steps.shape[0] > 1:
-        if steps.shape[0] % 2:
-            head = np.matmul(steps[1:-1:2], steps[0:-1:2])
-            steps = np.concatenate([head, steps[-1:]])
-        else:
-            steps = np.matmul(steps[1::2], steps[0::2])
-    return steps[0]
-
-
-def _propagate_two_level(model: QubitModel, x: np.ndarray,
-                         dt: float) -> np.ndarray:
-    # H = (detuning/2) sz + (g/2)(Re x sx + Im x sy); per-step closed form
+def _su2_steps(model: QubitModel, x: np.ndarray, dt: float):
+    # steps [[a, -b*], [b, a*]] of H = (detuning/2) sz + (g/2)(Re x sx +
+    # Im x sy) held over each sample of x, as the pair (a, b)
     ax = 0.5 * model.drive_gain * x.real
     ay = 0.5 * model.drive_gain * x.imag
-    az = np.full(x.size, 0.5 * model.detuning)
+    az = 0.5 * model.detuning
     r = np.sqrt(ax * ax + ay * ay + az * az)
     ang = r * dt
-    c = np.cos(ang)
     s = np.where(r > 0.0, np.sin(ang) / np.where(r > 0.0, r, 1.0), dt)
-    u = np.empty((x.size, 2, 2), dtype=np.complex128)
-    u[:, 0, 0] = c - 1j * s * az
-    u[:, 0, 1] = -1j * s * (ax - 1j * ay)
-    u[:, 1, 0] = -1j * s * (ax + 1j * ay)
-    u[:, 1, 1] = c + 1j * s * az
-    return _ordered_product(u)
+    return np.cos(ang) - 1j * s * az, -1j * s * (ax + 1j * ay)
 
 
-def _three_level_hamiltonians(model: QubitModel, x: np.ndarray) -> np.ndarray:
-    n = x.size
-    h = np.zeros((n, 3, 3), dtype=np.complex128)
+def _su2_mul(a2, b2, a1, b1):
+    # [[a2, -b2*], [b2, a2*]] @ [[a1, -b1*], [b1, a1*]] as its pair (a, b)
+    return a2 * a1 - np.conj(b2) * b1, b2 * a1 + np.conj(a2) * b1
+
+
+def _ordered_product(mul, *steps):
+    # time-ordered product steps[n-1] ... steps[0] over axis 0, paired up; a
+    # step is one matrix or a two-level pair (a, b), multiplied by ``mul``
+    while len(steps[0]) > 1:
+        head = mul(*[s[1::2] for s in steps], *[s[:-1:2] for s in steps])
+        if len(steps[0]) % 2:
+            head = [np.concatenate([h, s[-1:]]) for h, s in zip(head, steps)]
+        steps = head
+    return [s[0] for s in steps]
+
+
+def _su2_prefixes(a, b):
+    # every time-ordered prefix product of two-level steps over axis 0, by a
+    # log-depth scan (Blelloch, CMU-CS-90-190): the prefixes ending on odd
+    # steps are those of the pair products; each even step extends the one
+    # before it
+    if len(a) < 2:
+        return a, b
+    pa, pb = a.copy(), b.copy()
+    pa[1::2], pb[1::2] = _su2_prefixes(
+        *_su2_mul(a[1::2], b[1::2], a[:-1:2], b[:-1:2]))
+    pa[2::2], pb[2::2] = _su2_mul(a[2::2], b[2::2], pa[1:-1:2], pb[1:-1:2])
+    return pa, pb
+
+
+def _three_level_steps(model: QubitModel, x: np.ndarray, dt: float):
+    # exp(-i H dt) for each sample of x, from the eigendecomposition of H
+    h = np.zeros(x.shape + (3, 3), dtype=np.complex128)
     d = model.detuning
-    h[:, 0, 0] = 0.5 * d
-    h[:, 1, 1] = -0.5 * d
-    h[:, 2, 2] = -1.5 * d + model.anharmonicity
+    h[..., [0, 1, 2], [0, 1, 2]] = [0.5 * d, -0.5 * d,
+                                    -1.5 * d + model.anharmonicity]
     cpl = 0.5 * model.drive_gain * np.conj(x)
-    h[:, 0, 1] = cpl
-    h[:, 1, 2] = math.sqrt(2.0) * cpl
-    h[:, 1, 0] = np.conj(h[:, 0, 1])
-    h[:, 2, 1] = np.conj(h[:, 1, 2])
-    return h
-
-
-def _propagate_three_level(model: QubitModel, x: np.ndarray,
-                           dt: float) -> np.ndarray:
-    h = _three_level_hamiltonians(model, x)
+    h[..., 0, 1], h[..., 1, 2] = cpl, math.sqrt(2.0) * cpl
+    h[..., 1, 0], h[..., 2, 1] = np.conj(h[..., 0, 1]), np.conj(h[..., 1, 2])
     evals, evecs = np.linalg.eigh(h)
     phase = np.exp(-1j * evals * dt)
-    steps = np.einsum("kij,kj,klj->kil", evecs, phase, np.conj(evecs))
-    return _ordered_product(steps)
+    return np.einsum("...ij,...j,...lj->...il", evecs, phase, np.conj(evecs))
+
+
+def _propagators(model: QubitModel, x: np.ndarray, dt: float) -> np.ndarray:
+    """Propagators (..., L, L) of drive samples x (n, ...), time on axis 0."""
+    if model.levels == 2:
+        a, b = _ordered_product(_su2_mul, *_su2_steps(model, x, dt))
+        return np.stack([np.stack([a, -np.conj(b)], -1),
+                         np.stack([b, np.conj(a)], -1)], -2)
+    steps = _three_level_steps(model, x, dt)
+    return _ordered_product(lambda u2, u1: (u2 @ u1,), steps)[0]
+
+
+_BATCH_ROWS = 16      # drive records propagated together; bounds the memory
+
+
+def _propagate_each(model: QubitModel, envs) -> np.ndarray:
+    """Propagators (n_records, L, L) of equal-length drive records."""
+    us = [np.empty((0, model.levels, model.levels), dtype=np.complex128)]
+    envs = iter(envs)
+    for first in envs:
+        rows = [first, *itertools.islice(envs, _BATCH_ROWS - 1)]
+        x = np.stack([e.samples for e in rows], axis=1)
+        us.append(_propagators(model, x, 1.0 / first.sample_rate))
+    return np.concatenate(us)
 
 
 def propagate(model: QubitModel, env: ComplexEnvelope,
               substeps: int = 1) -> np.ndarray:
     """Total propagator for a drive record (time-ordered product)."""
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
-    x = _refined_samples(env, substeps)
-    dt = 1.0 / (env.sample_rate * substeps)
-    if model.levels == 2:
-        return _propagate_two_level(model, x, dt)
-    return _propagate_three_level(model, x, dt)
+    return _propagators(model, *_drive(env, substeps))
 
 
 def propagate_converged(model: QubitModel, env: ComplexEnvelope,
@@ -280,34 +308,14 @@ def bloch_trajectory(model: QubitModel, env: ComplexEnvelope,
     """
     if model.levels != 2:
         raise ValueError("bloch_trajectory needs a two-level model")
-    x = _refined_samples(env, substeps)
-    dt = 1.0 / (env.sample_rate * substeps)
-    psi = np.array([1.0, 0.0], dtype=np.complex128)
-    pts = np.empty((x.size + 1, 3))
-    times = np.empty(x.size + 1)
-
-    def record(k: int, state: np.ndarray) -> None:
-        a, b = state
-        pts[k, 0] = 2.0 * np.real(np.conj(a) * b)
-        pts[k, 1] = 2.0 * np.imag(np.conj(a) * b)
-        pts[k, 2] = np.abs(a) ** 2 - np.abs(b) ** 2
-        times[k] = env.t0 + k * dt
-
-    record(0, psi)
-    ax = 0.5 * model.drive_gain * x.real
-    ay = 0.5 * model.drive_gain * x.imag
-    az = 0.5 * model.detuning
-    for k in range(x.size):
-        r = math.sqrt(ax[k] ** 2 + ay[k] ** 2 + az ** 2)
-        ang = r * dt
-        c = math.cos(ang)
-        s = math.sin(ang) / r if r > 0.0 else dt
-        u = np.array([
-            [c - 1j * s * az, -1j * s * (ax[k] - 1j * ay[k])],
-            [-1j * s * (ax[k] + 1j * ay[k]), c + 1j * s * az],
-        ])
-        psi = u @ psi
-        record(k + 1, psi)
+    x, dt = _drive(env, substeps)
+    # the state after k steps is the first column of their product
+    a, b = _su2_prefixes(*_su2_steps(model, x, dt))
+    a, b = np.append(1.0, a), np.append(0.0, b)
+    ab = np.conj(a) * b
+    pts = np.column_stack([2.0 * ab.real, 2.0 * ab.imag,
+                           np.abs(a) ** 2 - np.abs(b) ** 2])
+    times = env.t0 + np.arange(x.size + 1) * dt
     return times, pts
 
 
@@ -318,16 +326,11 @@ def rabi_protocol(model: QubitModel, envelope_spec, sample_rate: float,
     Each scale sets the envelope peak directly; the pulse runs through the
     transmit chain (when given) before hitting the qubit.
     """
-    from sigchain import modulation as mod
-    from sigchain.chains import synth_qubit_pulse
-
-    p1 = np.empty(len(scales))
-    for k, scale in enumerate(scales):
-        spec = mod.with_peak(envelope_spec, float(scale))
-        env = synth_qubit_pulse(chain, spec, sample_rate)
-        u = propagate(model, env)
-        p1[k] = abs(u[1, 0]) ** 2
-    return p1
+    u = _propagate_each(model, (
+        synth_qubit_pulse(chain, mod.with_peak(envelope_spec, float(scale)),
+                          sample_rate)
+        for scale in scales))
+    return np.abs(u[:, 1, 0]) ** 2
 
 
 def phase_coherency_protocol(model: QubitModel, envelope_spec,
@@ -340,18 +343,13 @@ def phase_coherency_protocol(model: QubitModel, envelope_spec,
     independent of phi_b, so any phi_b ripple measures inter-pulse phase
     error injected by the chain.
     """
-    from sigchain.chains import synth_qubit_pulse
-
-    p0 = np.empty(len(phi_b_values))
     env_a = synth_qubit_pulse(chain, envelope_spec, sample_rate,
                               rotation_angle=theta_a, axis_phase=0.0,
                               drive_gain=model.drive_gain)
-    u_a = propagate(model, env_a)
-    for k, phi_b in enumerate(phi_b_values):
-        env_b = synth_qubit_pulse(chain, envelope_spec, sample_rate,
-                                  rotation_angle=math.pi,
-                                  axis_phase=float(phi_b),
-                                  drive_gain=model.drive_gain)
-        u = propagate(model, env_b) @ u_a
-        p0[k] = abs(u[0, 0]) ** 2
-    return p0
+    u_b = _propagate_each(model, (
+        synth_qubit_pulse(chain, envelope_spec, sample_rate,
+                          rotation_angle=math.pi, axis_phase=float(phi_b),
+                          drive_gain=model.drive_gain)
+        for phi_b in phi_b_values))
+    u = u_b @ propagate(model, env_a)
+    return np.abs(u[:, 0, 0]) ** 2

@@ -698,6 +698,14 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
         envelope = _parse_gate_envelope(_get(r, "envelope", path, "dict"),
                                         f"{path}.envelope")
         scales = _get(r, "scales", path, "list")
+        for k, v in enumerate(scales):
+            _check(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and math.isfinite(v), f"{path}.scales.{k}",
+                   f"expected finite number, got {v!r}")
+        _check(len(scales) >= 5, f"{path}.scales",
+               "need at least 5 sweep points")
+        _check(all(lo < hi for lo, hi in zip(scales, scales[1:])),
+               f"{path}.scales", "must be strictly increasing")
         lut = cal.rabi_amplitude_cal(
             model, envelope, fs, scales, chain=chain,
             residual_tol=_get(r, "residual_tol", path, "number",
@@ -706,7 +714,7 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
                             required=False, default=0.995))
         report = {"routine": kind, "pi_code": lut.pi_code,
                   "codes": lut.codes, "theta": lut.theta,
-                  "theta_raw": lut.theta_raw}
+                  "theta_raw": lut.theta_raw, "residual": lut.residual}
     elif kind == "iq_cal":
         _no_extras(r, ("kind", "tone_freq", "n_samples"), path)
         _check(chain is not None, "calibration.chain",
@@ -725,11 +733,17 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
                        "n_symbols", "seed"), path)
         _check(chain is not None, "calibration.chain",
                "polar_delay_align needs a chain")
+        _check(any(st.kind == "polar_paths" for st in chain.stages),
+               "calibration.chain.stages",
+               "polar_delay_align needs a 'polar_paths' stage")
+        window_s = _get(r, "window_s", path, "number")
+        _check(window_s > 0.0, f"{path}.window_s", "must be positive")
+        step_s = _get(r, "step_s", path, "number")
+        _check(step_s > 0.0, f"{path}.step_s", "must be positive")
         corrected, delay, scores = cal.polar_delay_align(
             chain, fs,
             symbol_period=_get(r, "symbol_period", path, "number"),
-            window_s=_get(r, "window_s", path, "number"),
-            step_s=_get(r, "step_s", path, "number"),
+            window_s=window_s, step_s=step_s,
             n_symbols=_get(r, "n_symbols", path, "int", required=False,
                            default=96),
             seed=_get(r, "seed", path, "int", required=False, default=7))

@@ -13,8 +13,9 @@ from sigchain import calibration as cal
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain.chains import (StageSpec, TxChain, cartesian_chain, polar_chain,
-                             rfdac_chain, run_chain, synth_comm_waveform)
-from sigchain.envelope import ComplexEnvelope
+                             prepend_stage, rfdac_chain, run_chain,
+                             synth_comm_waveform, with_stage_param)
+from sigchain.envelope import ComplexEnvelope, fractional_delay
 from sigchain.metrics import demodulate, evm, image_rejection
 
 TWO_PI = 2.0 * math.pi
@@ -80,6 +81,15 @@ class TestRabiAmplitudeCal:
         c = lut.pi_code
         achieved = gt * c * (1.0 - 1.5 * c ** 2 + c ** 4)
         assert achieved == pytest.approx(math.pi, abs=5e-3)
+
+    def test_residual_is_the_distance_to_the_monotone_fit(self):
+        model = qb.QubitModel(drive_gain=2.2 * math.pi / TAU)
+        chain = _rabi_chain([1.0, -1.5, 1.0])
+        lut = cal.rabi_amplitude_cal(model, _rect_spec(), FS,
+                                     np.linspace(0.05, 1.1, 60), chain=chain)
+        # the dip is what the fit smooths away; the top knot is the half turn
+        fit = lut.theta[:-1]
+        assert 0.0 < lut.residual == np.max(np.abs(lut.theta_raw - fit))
 
     def test_deep_fold_raises(self):
         model = qb.QubitModel(drive_gain=2.2 * math.pi / TAU)
@@ -185,7 +195,52 @@ class TestIqCal:
             cal.iq_cal(self.CHAIN, FS, tone_freq=0.6 * FS)
 
 
+def _align_scores_per_candidate(chain, fs, symbol_period, window_s, step_s,
+                                n_symbols=96, seed=7):
+    """The delay search as one whole chain run per candidate: the oracle
+    for the hoisted search, which runs the candidate-invariant part once."""
+    const = mod.build_constellation("m_psk", m=4)
+    shape = mod.PulseShape("raised_cosine", span_symbols=8,
+                           samples_per_symbol=int(round(symbol_period * fs)))
+    bits = np.random.default_rng(seed).integers(
+        0, 2, size=n_symbols * const.bits_per_symbol)
+    candidates = np.arange(-window_s, window_s + 0.5 * step_s, step_s)
+    scores = np.empty(candidates.size)
+    for idx, cand in enumerate(candidates):
+        trial = with_stage_param(chain, "polar_paths",
+                                 comp_delay_s=float(cand))
+        stream, env = synth_comm_waveform(bits, const, shape, chain=trial,
+                                          symbol_period=symbol_period)
+        if cand != 0.0:
+            env = fractional_delay(env, -float(cand))
+        result = demodulate(env, const, shape, symbol_period,
+                            skip_edge_symbols=shape.span_symbols)
+        ref = stream.symbols[shape.span_symbols:-shape.span_symbols]
+        n = min(len(result.rx_symbols), len(ref))
+        scores[idx] = evm(result.rx_symbols[:n], ref[:n]).evm_rms
+    return candidates, scores
+
+
 class TestPolarDelayAlign:
+    def test_matches_per_candidate_chain_runs(self):
+        chain = prepend_stage(
+            polar_chain(am_bits=8, am_cutoff_hz=3e9, tau_a=4e-11, pm_bits=10,
+                        pm_cutoff_hz=3e9, tau_p=1.5e-10, off_ratio_db=40.0),
+            StageSpec("lo_feedthrough", {"offset": 0.01 + 0.005j}))
+        # dyadic window and step, so that the grid holds an exact 0.0
+        grid = dict(symbol_period=1e-9, window_s=2.0 ** -31,
+                    step_s=2.0 ** -34, n_symbols=128, seed=11)
+        cands, ref = _align_scores_per_candidate(chain, 8e9, **grid)
+        assert 0.0 in cands
+        _, delay, scores = cal.polar_delay_align(chain, 8e9, **grid)
+        assert np.array_equal(scores, ref)
+        assert delay == float(cands[np.argmin(ref)])
+
+    def test_chain_without_polar_paths_is_named(self):
+        with pytest.raises(ValueError, match="polar_paths"):
+            cal.polar_delay_align(cartesian_chain(quad_skew=0.05), 8e9,
+                                  1e-9, window_s=4e-10, step_s=5e-11)
+
     def test_recovers_injected_skew(self):
         fs = 8e9
         chain = polar_chain(tau_p=180e-12)

@@ -158,6 +158,33 @@ class TestPolar:
         assert np.max(np.abs(np.abs(off) - 1e-2)) < 1e-9
         assert np.max(np.abs(out.samples[:256])) == 0.0
 
+    def test_per_trim_runs_match_whole_chain_runs(self):
+        # a gated burst: the stage before polar_paths fills the gaps, so the
+        # gated stages after it see the commanded mask only via the context
+        rng = np.random.default_rng(5)
+        sym = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 384))
+        x = np.concatenate([np.zeros(64), sym, np.zeros(64), sym[:128]])
+        env = ComplexEnvelope(x, 8e9)
+        chain = ch.polar_chain(
+            am_bits=7, am_cutoff_hz=1.5e9, tau_a=3e-11, pm_bits=9,
+            pm_cutoff_hz=2e9, tau_p=8e-11, off_ratio_db=30.0,
+            extra_stages=(ch.StageSpec("gated_offset", {"offset": 0.01}),))
+        chain = ch.prepend_stage(chain, ch.StageSpec("lo_feedthrough",
+                                                     {"offset": 0.02 - 0.01j}))
+        delays = [-5e-11, 0.0, 2.5e-11, 1.1e-10]
+        outs = list(ch.run_chain_per_trim(chain, env, delays))
+        assert len(outs) == len(delays)
+        for delay, out in zip(delays, outs):
+            ref = ch.run_chain(ch.with_stage_param(
+                chain, "polar_paths", comp_delay_s=delay), env)
+            assert np.array_equal(out.samples, ref.samples)
+            assert (out.sample_rate, out.t0) == (ref.sample_rate, ref.t0)
+
+    def test_per_trim_needs_polar_paths(self):
+        with pytest.raises(ValueError, match="polar_paths"):
+            ch.run_chain_per_trim(ch.cartesian_chain(quad_skew=0.1),
+                                  _tone(0.1), [0.0])
+
     def test_gated_offset_only_touches_off_samples(self):
         x = np.concatenate([np.zeros(16), np.ones(16), np.zeros(16)])
         env = ComplexEnvelope(x.astype(complex), 1e6)

@@ -12,6 +12,7 @@ from scipy.linalg import expm
 
 from sigchain import modulation as mod
 from sigchain import qubit as qb
+from sigchain.chains import StageSpec, TxChain, synth_qubit_pulse
 from sigchain.envelope import ComplexEnvelope
 
 TWO_PI = 2.0 * math.pi
@@ -39,6 +40,127 @@ def _expm_product(model, env):
             h[2, 1] = np.conj(h[1, 2])
             u = expm(-1j * h * dt) @ u
     return u
+
+
+# ---- the per-record matrix code the batched SU(2) kernel replaced; the
+# ---- kernel tests below hold the new code to it within 1e-12
+
+def _ref_ordered_product(steps):
+    while steps.shape[0] > 1:
+        if steps.shape[0] % 2:
+            head = np.matmul(steps[1:-1:2], steps[0:-1:2])
+            steps = np.concatenate([head, steps[-1:]])
+        else:
+            steps = np.matmul(steps[1::2], steps[0::2])
+    return steps[0]
+
+
+def _ref_propagate(model, env):
+    x = env.samples
+    dt = 1.0 / env.sample_rate
+    if model.levels == 2:
+        ax = 0.5 * model.drive_gain * x.real
+        ay = 0.5 * model.drive_gain * x.imag
+        az = np.full(x.size, 0.5 * model.detuning)
+        r = np.sqrt(ax * ax + ay * ay + az * az)
+        ang = r * dt
+        c = np.cos(ang)
+        s = np.where(r > 0.0, np.sin(ang) / np.where(r > 0.0, r, 1.0), dt)
+        u = np.empty((x.size, 2, 2), dtype=np.complex128)
+        u[:, 0, 0] = c - 1j * s * az
+        u[:, 0, 1] = -1j * s * (ax - 1j * ay)
+        u[:, 1, 0] = -1j * s * (ax + 1j * ay)
+        u[:, 1, 1] = c + 1j * s * az
+        return _ref_ordered_product(u)
+    h = np.zeros((x.size, 3, 3), dtype=np.complex128)
+    d = model.detuning
+    h[:, 0, 0] = 0.5 * d
+    h[:, 1, 1] = -0.5 * d
+    h[:, 2, 2] = -1.5 * d + model.anharmonicity
+    cpl = 0.5 * model.drive_gain * np.conj(x)
+    h[:, 0, 1] = cpl
+    h[:, 1, 2] = math.sqrt(2.0) * cpl
+    h[:, 1, 0] = np.conj(h[:, 0, 1])
+    h[:, 2, 1] = np.conj(h[:, 1, 2])
+    evals, evecs = np.linalg.eigh(h)
+    phase = np.exp(-1j * evals * dt)
+    steps = np.einsum("kij,kj,klj->kil", evecs, phase, np.conj(evecs))
+    return _ref_ordered_product(steps)
+
+
+def _ref_bloch(model, env, substeps):
+    n = len(env)
+    coarse = np.arange(n) + 0.5
+    fine = (np.arange(n * substeps) + 0.5) / substeps
+    x = np.interp(fine, coarse, env.samples.real) \
+        + 1j * np.interp(fine, coarse, env.samples.imag)
+    dt = 1.0 / (env.sample_rate * substeps)
+    psi = np.array([1.0, 0.0], dtype=np.complex128)
+    pts = np.empty((x.size + 1, 3))
+    times = np.empty(x.size + 1)
+
+    def record(k, state):
+        a, b = state
+        pts[k, 0] = 2.0 * np.real(np.conj(a) * b)
+        pts[k, 1] = 2.0 * np.imag(np.conj(a) * b)
+        pts[k, 2] = np.abs(a) ** 2 - np.abs(b) ** 2
+        times[k] = env.t0 + k * dt
+
+    record(0, psi)
+    ax = 0.5 * model.drive_gain * x.real
+    ay = 0.5 * model.drive_gain * x.imag
+    az = 0.5 * model.detuning
+    for k in range(x.size):
+        r = math.sqrt(ax[k] ** 2 + ay[k] ** 2 + az ** 2)
+        ang = r * dt
+        c = math.cos(ang)
+        s = math.sin(ang) / r if r > 0.0 else dt
+        u = np.array([
+            [c - 1j * s * az, -1j * s * (ax[k] - 1j * ay[k])],
+            [-1j * s * (ax[k] + 1j * ay[k]), c + 1j * s * az],
+        ])
+        psi = u @ psi
+        record(k + 1, psi)
+    return times, pts
+
+
+def _ref_rabi(model, spec, fs, scales, chain):
+    p1 = np.empty(len(scales))
+    for k, scale in enumerate(scales):
+        env = synth_qubit_pulse(chain, mod.with_peak(spec, float(scale)), fs)
+        p1[k] = abs(_ref_propagate(model, env)[1, 0]) ** 2
+    return p1
+
+
+def _ref_phase_coherency(model, spec, fs, theta_a, phi_b_values, chain):
+    p0 = np.empty(len(phi_b_values))
+    u_a = _ref_propagate(model, synth_qubit_pulse(
+        chain, spec, fs, rotation_angle=theta_a, drive_gain=model.drive_gain))
+    for k, phi_b in enumerate(phi_b_values):
+        env_b = synth_qubit_pulse(chain, spec, fs, rotation_angle=math.pi,
+                                  axis_phase=float(phi_b),
+                                  drive_gain=model.drive_gain)
+        p0[k] = abs((_ref_propagate(model, env_b) @ u_a)[0, 0]) ** 2
+    return p0
+
+
+# the drive of the benchmark's qubit gate: a 16 ns Gaussian at 64 GS/s
+# through a four-stage Cartesian chain
+GATE_FS = 6.4e10
+GATE_GAIN = math.pi / 1.0e-8
+GATE_CHAIN = TxChain("cartesian", (
+    StageSpec("amplitude_error", {"eps_a": 0.01}),
+    StageSpec("iq_imbalance", {"gain_mismatch": 0.02, "quad_skew": 0.01}),
+    StageSpec("lo_feedthrough", {"offset": 0.002 - 0.001j}),
+    StageSpec("bandwidth_limit", {"cutoff_hz": 4.0e9}),
+))
+
+
+def _gate_spec(drag=False):
+    return mod.GateEnvelopeSpec(
+        "gaussian", 1.6e-8, peak_amplitude=None, sigma_fraction=0.25,
+        drag_enabled=drag,
+        drag_coefficient_s=-6.366197723675814e-10 if drag else 0.0)
 
 
 def _rect_env(peak, duration, fs):
@@ -426,3 +548,62 @@ class TestBloch:
         model = qb.QubitModel(drive_gain=1.0, levels=3, anharmonicity=-1.0)
         with pytest.raises(ValueError, match="two-level"):
             qb.bloch_trajectory(model, _rect_env(1.0, 64e-9, 1e9))
+
+
+class TestBatchedKernel:
+    """The SU(2) pair kernel, the batched protocols and the prefix scan
+    against the per-record matrix code they replaced."""
+
+    MODEL3 = qb.QubitModel(drive_gain=GATE_GAIN, levels=3,
+                           anharmonicity=-1.5707963267948966e9)
+
+    def test_propagate_two_level_detuned_drag(self):
+        model = qb.QubitModel(drive_gain=GATE_GAIN, detuning=TWO_PI * 7e6)
+        env = synth_qubit_pulse(GATE_CHAIN, _gate_spec(drag=True), GATE_FS,
+                                rotation_angle=math.pi,
+                                drive_gain=GATE_GAIN)
+        u = qb.propagate(model, env)
+        assert np.max(np.abs(u - _ref_propagate(model, env))) <= 1e-12
+        # an odd-length record carries its last step up the tree
+        odd = ComplexEnvelope(env.samples[:1001], env.sample_rate)
+        assert np.max(np.abs(qb.propagate(model, odd)
+                             - _ref_propagate(model, odd))) <= 1e-12
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_rabi_protocol_per_scale(self, levels):
+        model = qb.QubitModel(drive_gain=GATE_GAIN) if levels == 2 \
+            else self.MODEL3
+        spec = mod.with_peak(_gate_spec(drag=levels == 3), 1.0)
+        # more scales than one stacked block, and not a multiple of it
+        scales = np.linspace(0.05, 1.6, 37)
+        p1 = qb.rabi_protocol(model, spec, GATE_FS, scales, chain=GATE_CHAIN)
+        ref = _ref_rabi(model, spec, GATE_FS, scales, GATE_CHAIN)
+        assert p1.shape == (37,)
+        assert np.max(np.abs(p1 - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_rabi_protocol_empty_scales(self, levels):
+        model = qb.QubitModel(drive_gain=GATE_GAIN) if levels == 2 \
+            else self.MODEL3
+        spec = mod.with_peak(_gate_spec(), 1.0)
+        p1 = qb.rabi_protocol(model, spec, GATE_FS, [], chain=GATE_CHAIN)
+        assert p1.shape == (0,)
+
+    def test_phase_coherency_protocol(self):
+        model = qb.QubitModel(drive_gain=GATE_GAIN, detuning=TWO_PI * 2e6)
+        phi = np.linspace(0.0, TWO_PI, 21)
+        p0 = qb.phase_coherency_protocol(model, _gate_spec(), GATE_FS, 1.1,
+                                         phi, chain=GATE_CHAIN)
+        ref = _ref_phase_coherency(model, _gate_spec(), GATE_FS, 1.1, phi,
+                                   GATE_CHAIN)
+        assert np.max(np.abs(p0 - ref)) <= 1e-12
+
+    def test_bloch_scan_matches_sequential_loop(self):
+        model = qb.QubitModel(drive_gain=GATE_GAIN)
+        env = synth_qubit_pulse(GATE_CHAIN, _gate_spec(), GATE_FS,
+                                rotation_angle=math.pi, drive_gain=GATE_GAIN)
+        times, pts = qb.bloch_trajectory(model, env, substeps=16)
+        ref_times, ref_pts = _ref_bloch(model, env, 16)
+        assert pts.shape == ref_pts.shape == (16 * len(env) + 1, 3)
+        assert np.array_equal(times, ref_times)
+        assert np.max(np.abs(pts - ref_pts)) <= 1e-12

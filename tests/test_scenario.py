@@ -407,6 +407,37 @@ class TestSweep:
             scn.run_sweep(cfg, tmp_path)
 
 
+def rabi_cal_config(scales=None):
+    return {
+        "name": "rabi-cal",
+        "sample_rate": 1.0e9,
+        "routine": {
+            "kind": "rabi_amplitude_cal",
+            "model": {"levels": 2, "drive_gain": math.pi / 64e-9},
+            "envelope": {"shape": "rect", "duration_s": 64e-9,
+                         "peak_amplitude": 1.0},
+            "scales": scales or [0.05 * (k + 1) for k in range(24)],
+        },
+    }
+
+
+def align_cal_config(**routine):
+    return {
+        "name": "align-cal",
+        "sample_rate": 8.0e9,
+        "chain": {"architecture": "polar", "stages": [
+            {"kind": "polar_paths", "params": {"tau_p": 1.5e-10}}]},
+        "routine": {"kind": "polar_delay_align", "symbol_period": 1.0e-9,
+                    "window_s": 4.0e-10, "step_s": 5.0e-11, **routine},
+    }
+
+
+def _no_polar_paths(cfg):
+    cfg["chain"]["stages"] = [
+        {"kind": "iq_imbalance", "params": {"quad_skew": 0.05}}]
+    return cfg
+
+
 class TestCalibrationRunner:
     def cal_config(self):
         return {
@@ -433,6 +464,13 @@ class TestCalibrationRunner:
         cfg["routine"]["kind"] = "tea_leaves"
         with pytest.raises(scn.ConfigError, match="routine.kind"):
             scn.run_calibration(cfg, tmp_path)
+
+    def test_rabi_report_carries_residual(self, tmp_path):
+        report = scn.run_calibration(rabi_cal_config(), tmp_path)
+        parsed = json.loads(
+            (tmp_path / "rabi-cal" / "report.json").read_text())
+        assert parsed["residual"] == report["residual"]
+        assert 0.0 <= report["residual"] <= 0.15
 
     def test_reruns_are_byte_identical(self, tmp_path):
         scn.run_calibration(self.cal_config(), tmp_path / "a")
@@ -558,6 +596,39 @@ class TestCli:
         assert main(["calibrate", str(p), "--out-dir",
                      str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "fix-iq" / "report.json").exists()
+
+    @pytest.mark.parametrize("cfg, where", [
+        (rabi_cal_config([0.1, 0.2, "x", 0.4, 0.5]),
+         "calibration.routine.scales.2: expected finite number"),
+        (rabi_cal_config([0.1, True, 0.3, 0.4, 0.5]),
+         "calibration.routine.scales.1: expected finite number"),
+        (rabi_cal_config([0.1, 0.2, 0.2, 0.4, 0.5]),
+         "calibration.routine.scales: must be strictly increasing"),
+        (rabi_cal_config([0.1, 0.2, 0.3, 0.4]),
+         "calibration.routine.scales: need at least 5 sweep points"),
+        (align_cal_config(window_s=0.0),
+         "calibration.routine.window_s: must be positive"),
+        (align_cal_config(step_s=-5.0e-11),
+         "calibration.routine.step_s: must be positive"),
+        (_no_polar_paths(align_cal_config()),
+         "calibration.chain.stages: polar_delay_align needs a 'polar_paths'"),
+    ], ids=["scale-str", "scale-bool", "scales-not-increasing",
+            "too-few-scales", "window-zero", "step-negative",
+            "no-polar-paths"])
+    def test_calibration_input_exit_two_before_compute(
+            self, cfg, where, tmp_path, capsys, monkeypatch):
+        from sigchain import calibration as cal
+
+        def compute(*args, **kwargs):
+            raise AssertionError("compute started")
+
+        monkeypatch.setattr(cal, "rabi_amplitude_cal", compute)
+        monkeypatch.setattr(cal, "polar_delay_align", compute)
+        p = tmp_path / "cal.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["calibrate", str(p), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert where in capsys.readouterr().err
 
     def test_import_loads_no_scipy(self):
         # scipy is a test-only oracle; the runtime needs numpy alone
