@@ -18,7 +18,8 @@ calibration can be expressed as a parameter update or an extra stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from sigchain.envelope import (
 )
 
 __all__ = [
+    "ParamError",
     "StageSpec",
     "TxChain",
     "apply_stage",
@@ -51,26 +53,42 @@ __all__ = [
 ]
 
 HARMONIC_FACTORS = (2, 3, 4)
+ARCHITECTURES = ("cartesian", "polar", "rfdac", "harmonic", "custom")
+
+
+class ParamError(ValueError):
+    """A stage parameter breaks its schema; ``key`` names the parameter."""
+
+    def __init__(self, kind: str, key: str, problem: str) -> None:
+        super().__init__(f"stage {kind!r} {problem}")
+        self.key = key
 
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One chain stage: a kind from the registry plus its parameters."""
+    """One chain stage: a kind from the registry plus its parameters, which
+    construction checks against the kind's schema.  A parameter given as
+    None counts as absent."""
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _STAGES:
-            raise ValueError(
-                f"unknown stage kind {self.kind!r}; expected one of "
-                f"{sorted(_STAGES)}"
-            )
-        unknown = set(self.params) - _STAGES[self.kind]
+        row = STAGES.get(self.kind)
+        if row is None:
+            raise ValueError(f"unknown stage kind {self.kind!r}; expected "
+                             f"one of {sorted(STAGES)}")
+        unknown = set(self.params) - set(row.params)
         if unknown:
-            raise ValueError(
-                f"stage {self.kind!r} got unknown parameters {sorted(unknown)}"
-            )
+            raise ValueError(f"stage {self.kind!r} got unknown parameters "
+                             f"{sorted(unknown)}")
+        for key, par in row.params.items():
+            par.check(self.kind, key, self.params.get(key))
+        if row.seeded(self.params) and self.params.get("seed") is None:
+            raise ParamError(self.kind, "seed", "is stochastic and needs an "
+                             "explicit seed for reproducible runs")
+        if row.check is not None:
+            row.check(self.params)
 
 
 @dataclass(frozen=True)
@@ -81,8 +99,7 @@ class TxChain:
     stages: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.architecture not in ("cartesian", "polar", "rfdac", "harmonic",
-                                     "custom"):
+        if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         stages = tuple(self.stages)
         for st in stages:
@@ -91,46 +108,97 @@ class TxChain:
         object.__setattr__(self, "stages", stages)
 
 
-# parameter vocabulary per stage kind; apply-time code fills in defaults
-_STAGES: dict[str, set] = {
-    "amplitude_error": {"eps_a"},
-    "static_phase_error": {"phi_e"},
-    "phase_noise": {"rate", "seed"},
-    "iq_imbalance": {"gain_mismatch", "quad_skew"},
-    "lo_feedthrough": {"offset"},
-    "bandwidth_limit": {"cutoff_hz"},
-    "quantize": {"bits", "full_scale"},
-    "sample_jitter": {"sigma_s", "seed"},
-    "am_ampm": {"gain_poly", "phase_poly"},
-    "onoff_leakage": {"off_ratio_db"},
-    "path_skew": {"tau_i", "tau_q"},
-    "iq_paths": {"bits", "full_scale", "cutoff_hz", "tau_i", "tau_q"},
-    "polar_paths": {
-        "am_bits", "am_full_scale", "am_cutoff_hz", "tau_a",
-        "pm_bits", "pm_cutoff_hz", "tau_p", "comp_delay_s",
-    },
-    "rfdac_core": {
-        "bits", "full_scale", "hold_factor", "mismatch_sigma", "seed",
-        "trim_bits",
-    },
-    "harmonic_multiply": {"factor"},
-    "rise_fall": {"cutoff_hz"},
-    "spur_inject": {"offset_hz", "level_dbc", "phase"},
-    "state_errors": {"levels", "errors", "sigma", "seed"},
-    "iq_correction": {"matrix", "offset"},
-    "dpd": {"gain_poly", "phase_poly"},
-    "gated_offset": {"offset"},
+# ------------------------------------------------------ parameter schema
+
+def _real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) \
+        and not isinstance(v, bool)
+
+
+def _vector(v, n: int = 0, item=None) -> bool:
+    """A nonempty list, tuple or array (of ``n`` items, if given) of finite
+    reals, or of items that pass ``item``."""
+    if not isinstance(v, (list, tuple, np.ndarray)) \
+            or getattr(v, "ndim", 1) == 0 or not len(v) or n and len(v) != n:
+        return False
+    return all(item(x) if item else _real(x) and -math.inf < x < math.inf
+               for x in v)
+
+
+_TYPES = {
+    "int": lambda v: _real(v) and isinstance(v, (int, np.integer)),
+    "number": _real,
+    "complex": lambda v: (_real(v) or isinstance(
+        v, (complex, np.complexfloating))) and abs(v) < math.inf,
+    "numbers": _vector,
+    "matrix": lambda v: _vector(v, 2, lambda row: _vector(row, 2)),
 }
 
 
-def _require(params: dict, stage: str, *names):
-    out = []
-    for name in names:
-        if name not in params or params[name] is None:
-            raise ValueError(f"stage {stage!r} requires parameter {name!r}")
-        out.append(params[name])
-    return out if len(out) > 1 else out[0]
+_REQUIRED = object()
 
+
+@dataclass(frozen=True)
+class Param:
+    """A stage parameter.  Its type is "int", "number" (real), "complex"
+    (finite), "numbers" (a nonempty list of finite reals) or "matrix" (2x2
+    finite reals); int and number types have bounds, an interval such as
+    "(0, inf)".  A parameter without a default is required; a default of
+    None means the stage skips what the parameter controls.  ``below`` maps
+    the sample rate the stage sees to an exclusive upper bound, checked
+    where that rate is known."""
+
+    type: str
+    bounds: str = "(-inf, inf)"
+    default: object = _REQUIRED
+    below: Callable | None = None
+
+    def check(self, kind: str, key: str, v) -> None:
+        if v is None:
+            if self.default is _REQUIRED:
+                raise ParamError(kind, key, f"requires parameter {key!r}")
+            return
+        if not _TYPES[self.type](v):
+            raise ParamError(kind, key, f"parameter {key!r} must be of type "
+                             f"{self.type!r}, got {v!r}")
+        lo, hi = (float(b) for b in self.bounds[1:-1].split(","))
+        if self.type in ("int", "number") and not (
+                (lo < v if self.bounds[0] == "(" else lo <= v)
+                and (v < hi if self.bounds[-1] == ")" else v <= hi)):
+            raise ParamError(kind, key, f"parameter {key!r} must lie in "
+                             f"{self.bounds}, got {v!r}")
+
+
+class Stage(NamedTuple):
+    """A registry row.  ``apply`` names an impairments function, called
+    with the parameters in schema order, or is a function of (envelope,
+    parameters, context).  ``seeded`` says whether given parameters make
+    the stage draw random numbers; ``check`` raises ParamError."""
+
+    apply: str | Callable
+    term: str | None
+    params: dict
+    seeded: Callable = lambda p: False
+    check: Callable | None = None
+
+
+def _args(spec: StageSpec) -> dict:
+    """The stage's parameters in schema order, defaults for absent ones."""
+    return {k: par.default if spec.params.get(k) is None else spec.params[k]
+            for k, par in STAGES[spec.kind].params.items()}
+
+
+def apply_stage(
+    env: ComplexEnvelope, spec: StageSpec, context: dict | None = None
+) -> ComplexEnvelope:
+    """Apply one stage to an envelope, as its registry row describes."""
+    row, p = STAGES[spec.kind], _args(spec)
+    if isinstance(row.apply, str):  # by name: a rebound imp.<name> is used
+        return getattr(imp, row.apply)(env, *p.values())
+    return row.apply(env, p, context)
+
+
+# ----------------------------------------------------- apply functions
 
 def _gate_mask(env: ComplexEnvelope, context: dict | None) -> np.ndarray:
     """Commanded on/off mask, taken from the chain input when available."""
@@ -145,17 +213,13 @@ def _gate_mask(env: ComplexEnvelope, context: dict | None) -> np.ndarray:
     return np.abs(env.samples) > 0.0
 
 
-def _apply_iq_paths(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
-    bits = p.get("bits")
-    if bits is not None:
-        env = imp.quantize(env, bits, p.get("full_scale", 1.0))
-    cutoff = p.get("cutoff_hz")
-    if cutoff is not None:
-        env = imp.bandwidth_limit(env, cutoff)
-    tau_i = p.get("tau_i", 0.0)
-    tau_q = p.get("tau_q", 0.0)
-    if tau_i != 0.0 or tau_q != 0.0:
-        env = imp.path_skew(env, tau_i, tau_q)
+def _apply_iq_paths(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
+    if p["bits"] is not None:
+        env = imp.quantize(env, p["bits"], p["full_scale"])
+    if p["cutoff_hz"] is not None:
+        env = imp.bandwidth_limit(env, p["cutoff_hz"])
+    if p["tau_i"] != 0.0 or p["tau_q"] != 0.0:
+        env = imp.path_skew(env, p["tau_i"], p["tau_q"])
     return env
 
 
@@ -166,27 +230,22 @@ def _polar_tracks(env: ComplexEnvelope, p: dict):
     amp = np.array(tracks.amplitude)
     phase = np.array(tracks.phase)
 
-    am_bits = p.get("am_bits")
-    if am_bits is not None:
-        fsr = p.get("am_full_scale")
+    if p["am_bits"] is not None:
+        fsr = p["am_full_scale"]
         if fsr is None:
             fsr = float(amp.max()) if amp.max() > 0.0 else 1.0
-        amp = imp.quantize_track(amp, am_bits, fsr, lo=0.0)
-    am_cut = p.get("am_cutoff_hz")
-    if am_cut is not None:
-        amp = imp.lowpass_track(amp, am_cut, fs)
+        amp = imp.quantize_track(amp, p["am_bits"], fsr, lo=0.0)
+    if p["am_cutoff_hz"] is not None:
+        amp = imp.lowpass_track(amp, p["am_cutoff_hz"], fs)
 
-    pm_bits = p.get("pm_bits")
-    if pm_bits is not None:
+    if p["pm_bits"] is not None:
         # phase accumulator has unbounded range; quantize step only, no clip
-        step = 2.0 * math.pi / 2.0 ** pm_bits
+        step = 2.0 * math.pi / 2.0 ** p["pm_bits"]
         phase = np.round(phase / step) * step
-    pm_cut = p.get("pm_cutoff_hz")
-    if pm_cut is not None:
-        phase = imp.lowpass_track(phase, pm_cut, fs)
-    tau_p = p.get("tau_p", 0.0)
-    if tau_p != 0.0:
-        phase = delay_real_track(phase, tau_p, fs)
+    if p["pm_cutoff_hz"] is not None:
+        phase = imp.lowpass_track(phase, p["pm_cutoff_hz"], fs)
+    if p["tau_p"] != 0.0:
+        phase = delay_real_track(phase, p["tau_p"], fs)
     return amp, phase
 
 
@@ -201,21 +260,14 @@ def _join_polar_tracks(env: ComplexEnvelope, amp: np.ndarray,
     return from_polar(PolarTracks(amp, phase, fs), t0=env.t0)
 
 
-def _apply_polar_paths(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
+def _apply_polar_paths(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
     amp, phase = _polar_tracks(env, p)
-    return _join_polar_tracks(
-        env, amp, phase, p.get("tau_a", 0.0) + p.get("comp_delay_s", 0.0))
+    return _join_polar_tracks(env, amp, phase, p["tau_a"] + p["comp_delay_s"])
 
 
-def _apply_rfdac_core(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
-    bits = _require(p, "rfdac_core", "bits")
-    full_scale = p.get("full_scale", 1.0)
-    sigma = p.get("mismatch_sigma", 0.0)
-    trim_bits = p.get("trim_bits", 0)
-    hold = int(p.get("hold_factor", 1))
-    if hold < 1:
-        raise ValueError("hold_factor must be a positive integer")
-
+def _apply_rfdac_core(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
+    bits, full_scale, hold = p["bits"], p["full_scale"], p["hold_factor"]
+    sigma = p["mismatch_sigma"]
     step = 2.0 * full_scale / 2.0 ** bits
     half_codes = int(round(2.0 ** bits / 2.0))
 
@@ -229,16 +281,13 @@ def _apply_rfdac_core(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
 
     table_i = table_q = None
     if sigma > 0.0:
-        seed = p.get("seed")
-        if seed is None:
-            raise ValueError("rfdac_core with mismatch_sigma > 0 needs a seed")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(p["seed"])
         n_codes = 2 * half_codes + 1
         table_i = rng.normal(0.0, sigma, n_codes)
         table_q = rng.normal(0.0, sigma, n_codes)
-        if trim_bits > 0:
+        if p["trim_bits"] > 0:
             # factory trim measures each code and stores a coarse correction
-            tstep = 4.0 * sigma / 2.0 ** trim_bits
+            tstep = 4.0 * sigma / 2.0 ** p["trim_bits"]
             for table in (table_i, table_q):
                 corr = np.clip(np.round(table / tstep) * tstep,
                                -2.0 * sigma, 2.0 * sigma)
@@ -252,50 +301,35 @@ def _apply_rfdac_core(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     return ComplexEnvelope(samples, env.sample_rate * hold, env.t0)
 
 
-def _apply_harmonic_multiply(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
-    factor = _require(p, "harmonic_multiply", "factor")
-    if factor not in HARMONIC_FACTORS:
-        raise ValueError(f"harmonic factor must be one of {HARMONIC_FACTORS}")
+def _apply_harmonic_multiply(env: ComplexEnvelope, p: dict, ctx):
     tracks = to_polar(env)
-    out = tracks.amplitude * np.exp(1j * factor * tracks.phase)
+    out = tracks.amplitude * np.exp(1j * p["factor"] * tracks.phase)
     return ComplexEnvelope(out, env.sample_rate, env.t0)
 
 
-def _apply_rise_fall(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
-    cutoff = _require(p, "rise_fall", "cutoff_hz")
+def _apply_rise_fall(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
     tracks = to_polar(env)
-    amp = np.maximum(imp.lowpass_track(tracks.amplitude, cutoff,
+    amp = np.maximum(imp.lowpass_track(tracks.amplitude, p["cutoff_hz"],
                                        env.sample_rate), 0.0)
     out = amp * np.exp(1j * tracks.phase)
     return ComplexEnvelope(out, env.sample_rate, env.t0)
 
 
-def _apply_spur_inject(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
-    offset_hz, level_dbc = _require(p, "spur_inject", "offset_hz", "level_dbc")
-    phase = p.get("phase", 0.0)
+def _apply_spur_inject(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
     rms = math.sqrt(float(np.mean(np.abs(env.samples) ** 2)))
-    amp = rms * 10.0 ** (level_dbc / 20.0)
+    amp = rms * 10.0 ** (p["level_dbc"] / 20.0)
     t = np.arange(len(env)) / env.sample_rate
-    spur = amp * np.exp(1j * (2.0 * math.pi * offset_hz * t + phase))
+    spur = amp * np.exp(1j * (2.0 * math.pi * p["offset_hz"] * t + p["phase"]))
     return ComplexEnvelope(env.samples + spur, env.sample_rate, env.t0)
 
 
-def _apply_state_errors(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
-    levels = np.asarray(_require(p, "state_errors", "levels"), dtype=np.float64)
-    if levels.size == 0:
-        raise ValueError("state_errors needs at least one level")
-    errors = p.get("errors")
+def _apply_state_errors(env: ComplexEnvelope, p: dict, ctx):
+    levels = np.asarray(p["levels"], dtype=np.float64)
+    errors = p["errors"]
     if errors is None:
-        sigma = p.get("sigma")
-        seed = p.get("seed")
-        if sigma is None or seed is None:
-            raise ValueError(
-                "state_errors needs either explicit errors or sigma plus seed"
-            )
-        errors = np.random.default_rng(seed).normal(0.0, sigma, levels.size)
+        errors = np.random.default_rng(p["seed"]).normal(
+            0.0, p["sigma"], levels.size)
     errors = np.asarray(errors, dtype=np.float64)
-    if errors.shape != levels.shape:
-        raise ValueError("errors must match levels in length")
     tracks = to_polar(env)
     idx = np.argmin(np.abs(tracks.amplitude[:, None] - levels[None, :]), axis=1)
     amp = tracks.amplitude * (1.0 + errors[idx])
@@ -303,76 +337,100 @@ def _apply_state_errors(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     return ComplexEnvelope(out, env.sample_rate, env.t0)
 
 
-def _apply_iq_correction(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
-    matrix = np.asarray(_require(p, "iq_correction", "matrix"), dtype=np.float64)
-    if matrix.shape != (2, 2):
-        raise ValueError("iq_correction matrix must be 2x2")
-    offset = p.get("offset", 0.0)
+def _apply_iq_correction(env: ComplexEnvelope, p: dict, ctx):
+    (a, b), (c, d) = np.asarray(p["matrix"], dtype=np.float64)
     i, q = env.samples.real, env.samples.imag
-    ip = matrix[0, 0] * i + matrix[0, 1] * q
-    qp = matrix[1, 0] * i + matrix[1, 1] * q
-    return ComplexEnvelope(ip + 1j * qp + offset, env.sample_rate, env.t0)
+    out = a * i + b * q + 1j * (c * i + d * q) + p["offset"]
+    return ComplexEnvelope(out, env.sample_rate, env.t0)
 
 
-def apply_stage(
-    env: ComplexEnvelope, spec: StageSpec, context: dict | None = None
-) -> ComplexEnvelope:
-    """Apply one stage to an envelope.  Stochastic stages need a seed."""
-    p = spec.params
-    kind = spec.kind
-    if kind == "amplitude_error":
-        return imp.amplitude_error(env, _require(p, kind, "eps_a"))
-    if kind == "static_phase_error":
-        return imp.static_phase_error(env, _require(p, kind, "phi_e"))
-    if kind == "phase_noise":
-        rate, seed = _require(p, kind, "rate", "seed")
-        return imp.phase_noise(env, rate, seed)
-    if kind == "iq_imbalance":
-        return imp.iq_imbalance(env, p.get("gain_mismatch", 0.0),
-                                p.get("quad_skew", 0.0))
-    if kind == "lo_feedthrough":
-        return imp.lo_feedthrough(env, _require(p, kind, "offset"))
-    if kind == "bandwidth_limit":
-        return imp.bandwidth_limit(env, _require(p, kind, "cutoff_hz"))
-    if kind == "quantize":
-        bits = _require(p, kind, "bits")
-        return imp.quantize(env, bits, p.get("full_scale", 1.0))
-    if kind == "sample_jitter":
-        sigma_s, seed = _require(p, kind, "sigma_s", "seed")
-        return imp.sample_jitter(env, sigma_s, seed)
-    if kind == "am_ampm":
-        return imp.am_ampm(env, _require(p, kind, "gain_poly"),
-                           p.get("phase_poly", [0.0]))
-    if kind == "onoff_leakage":
-        ratio = _require(p, kind, "off_ratio_db")
-        return imp.onoff_leakage(env, ratio, _gate_mask(env, context))
-    if kind == "path_skew":
-        return imp.path_skew(env, p.get("tau_i", 0.0), p.get("tau_q", 0.0))
-    if kind == "iq_paths":
-        return _apply_iq_paths(env, p)
-    if kind == "polar_paths":
-        return _apply_polar_paths(env, p)
-    if kind == "rfdac_core":
-        return _apply_rfdac_core(env, p)
-    if kind == "harmonic_multiply":
-        return _apply_harmonic_multiply(env, p)
-    if kind == "rise_fall":
-        return _apply_rise_fall(env, p)
-    if kind == "spur_inject":
-        return _apply_spur_inject(env, p)
-    if kind == "state_errors":
-        return _apply_state_errors(env, p)
-    if kind == "iq_correction":
-        return _apply_iq_correction(env, p)
-    if kind == "dpd":
-        return imp.am_ampm(env, _require(p, kind, "gain_poly"),
-                           p.get("phase_poly", [0.0]))
-    if kind == "gated_offset":
-        mask = _gate_mask(env, context)
-        offset = _require(p, kind, "offset")
-        samples = np.where(mask, env.samples, env.samples + offset)
-        return ComplexEnvelope(samples, env.sample_rate, env.t0)
-    raise ValueError(f"unknown stage kind {kind!r}")  # unreachable
+def _apply_gated_offset(env: ComplexEnvelope, p: dict, ctx):
+    samples = np.where(_gate_mask(env, ctx), env.samples,
+                       env.samples + p["offset"])
+    return ComplexEnvelope(samples, env.sample_rate, env.t0)
+
+
+def _check_factor(p: dict) -> None:
+    if p["factor"] not in HARMONIC_FACTORS:
+        raise ParamError("harmonic_multiply", "factor", "harmonic factor "
+                         f"must be one of {HARMONIC_FACTORS}")
+
+
+def _check_state_errors(p: dict) -> None:
+    if p.get("errors") is None and p.get("sigma") is None:
+        raise ParamError("state_errors", "sigma", "requires parameter "
+                         "'sigma' when 'errors' is absent")
+    if p.get("errors") is not None and len(p["errors"]) != len(p["levels"]):
+        raise ParamError("state_errors", "errors", "needs as many errors "
+                         "as levels")
+
+
+# ------------------------------------------------------------- registry
+
+_SEED = Param("int", "[0, inf)", default=None)
+_BITS = Param("int", "[1, 32]", default=None)
+_ZERO = Param("number", default=0.0)
+_FULL_SCALE = Param("number", "(0, inf)", default=1.0)
+_CUTOFF = Param("number", "(0, inf)", below=lambda fs: fs / 2.0)
+_CUTOFF_OR_NONE = replace(_CUTOFF, default=None)
+
+# Every stage kind, described once: how it is applied, its budget term
+# (None for a composite stage), its parameter schema and its seed rule.
+STAGES: dict[str, Stage] = {
+    "amplitude_error": Stage("amplitude_error", "amp",
+                             {"eps_a": Param("number", "(-1, inf)")}),
+    "static_phase_error": Stage("static_phase_error", "phase",
+                                {"phi_e": Param("number")}),
+    "phase_noise": Stage("phase_noise", "pn", {
+        "rate": Param("number", "[0, inf)"), "seed": _SEED}, lambda p: True),
+    "iq_imbalance": Stage("iq_imbalance", "iq_lo",
+                          {"gain_mismatch": _ZERO, "quad_skew": _ZERO}),
+    "lo_feedthrough": Stage("lo_feedthrough", "iq_lo",
+                            {"offset": Param("complex")}),
+    "bandwidth_limit": Stage("bandwidth_limit", "bw", {"cutoff_hz": _CUTOFF}),
+    "quantize": Stage("quantize", "amp", {
+        "bits": Param("int", "[1, 32]"), "full_scale": _FULL_SCALE}),
+    "sample_jitter": Stage("sample_jitter", "pn", {
+        "sigma_s": Param("number", "[0, inf)", below=lambda fs: 0.1 / fs),
+        "seed": _SEED}, lambda p: True),
+    "am_ampm": Stage("am_ampm", "amp", {
+        "gain_poly": Param("numbers"),
+        "phase_poly": Param("numbers", default=(0.0,))}),
+    "onoff_leakage": Stage(
+        lambda env, p, ctx: imp.onoff_leakage(env, p["off_ratio_db"],
+                                              _gate_mask(env, ctx)),
+        "iq_lo", {"off_ratio_db": Param("number", "[0, inf]")}),
+    "path_skew": Stage("path_skew", "bw", {"tau_i": _ZERO, "tau_q": _ZERO}),
+    "iq_paths": Stage(_apply_iq_paths, None, {
+        "bits": _BITS, "full_scale": _FULL_SCALE,
+        "cutoff_hz": _CUTOFF_OR_NONE, "tau_i": _ZERO, "tau_q": _ZERO}),
+    "polar_paths": Stage(_apply_polar_paths, None, {
+        "am_bits": _BITS, "am_cutoff_hz": _CUTOFF_OR_NONE, "tau_a": _ZERO,
+        "am_full_scale": Param("number", "(0, inf)", default=None),
+        "pm_bits": _BITS, "pm_cutoff_hz": _CUTOFF_OR_NONE, "tau_p": _ZERO,
+        "comp_delay_s": _ZERO}),
+    "rfdac_core": Stage(_apply_rfdac_core, None, {
+        "bits": Param("int", "[1, 32]"), "full_scale": _FULL_SCALE,
+        "hold_factor": Param("int", "[1, inf)", default=1),
+        "mismatch_sigma": Param("number", "[0, inf)", default=0.0),
+        "seed": _SEED, "trim_bits": Param("int", "[0, 32]", default=0)},
+        lambda p: (p.get("mismatch_sigma") or 0.0) > 0.0),
+    "harmonic_multiply": Stage(_apply_harmonic_multiply, None,
+                               {"factor": Param("int")}, check=_check_factor),
+    "rise_fall": Stage(_apply_rise_fall, "bw", {"cutoff_hz": _CUTOFF}),
+    "spur_inject": Stage(_apply_spur_inject, "iq_lo", {
+        "offset_hz": Param("number"), "level_dbc": Param("number"),
+        "phase": _ZERO}),
+    "state_errors": Stage(_apply_state_errors, "amp", {
+        "levels": Param("numbers"), "errors": Param("numbers", default=None),
+        "sigma": Param("number", "[0, inf)", default=None), "seed": _SEED},
+        lambda p: p.get("errors") is None, _check_state_errors),
+    "iq_correction": Stage(_apply_iq_correction, "iq_lo", {
+        "matrix": Param("matrix"), "offset": Param("complex", default=0.0)}),
+    "gated_offset": Stage(_apply_gated_offset, "iq_lo",
+                          {"offset": Param("complex")}),
+}
+STAGES["dpd"] = STAGES["am_ampm"]   # a predistorter is an AM-AM/AM-PM pair
 
 
 def run_chain(chain: TxChain, env: ComplexEnvelope) -> ComplexEnvelope:
@@ -402,13 +460,12 @@ def run_chain_per_trim(chain: TxChain, env: ComplexEnvelope, comp_delays):
     context = {"gate_mask": np.abs(env.samples) > 0.0}
     for spec in chain.stages[:at]:
         env = apply_stage(env, spec, context)
-    p = chain.stages[at].params
+    p = _args(chain.stages[at])
     amp, phase = _polar_tracks(env, p)
 
     def outputs():
         for delay in comp_delays:
-            out = _join_polar_tracks(env, amp, phase,
-                                     p.get("tau_a", 0.0) + delay)
+            out = _join_polar_tracks(env, amp, phase, p["tau_a"] + delay)
             for spec in chain.stages[at + 1:]:
                 out = apply_stage(out, spec, context)
             yield out
@@ -466,46 +523,24 @@ def cartesian_chain(
     return TxChain("cartesian", tuple(stages) + tuple(extra_stages))
 
 
-def polar_chain(
-    am_bits: int | None = None,
-    am_full_scale: float | None = None,
-    am_cutoff_hz: float | None = None,
-    tau_a: float = 0.0,
-    pm_bits: int | None = None,
-    pm_cutoff_hz: float | None = None,
-    tau_p: float = 0.0,
-    comp_delay_s: float = 0.0,
-    off_ratio_db: float = math.inf,
-    extra_stages=(),
-) -> TxChain:
-    """Amplitude/phase transmitter.  The path-decomposition stage is always
-    present (it defines the architecture and carries the alignment knob)."""
-    stages = [StageSpec("polar_paths", {
-        "am_bits": am_bits, "am_full_scale": am_full_scale,
-        "am_cutoff_hz": am_cutoff_hz, "tau_a": tau_a,
-        "pm_bits": pm_bits, "pm_cutoff_hz": pm_cutoff_hz, "tau_p": tau_p,
-        "comp_delay_s": comp_delay_s,
-    })]
+def polar_chain(*, off_ratio_db: float = math.inf, extra_stages=(),
+                **paths) -> TxChain:
+    """Amplitude/phase transmitter: a polar_paths stage taking the keyword
+    arguments ``paths`` as its parameters.  That stage is always present (it
+    defines the architecture) and always carries the alignment knob
+    ``comp_delay_s``, 0.0 unless given."""
+    stages = [StageSpec("polar_paths", {"comp_delay_s": 0.0, **paths})]
     if not math.isinf(off_ratio_db):
         stages.append(StageSpec("onoff_leakage", {"off_ratio_db": off_ratio_db}))
     return TxChain("polar", tuple(stages) + tuple(extra_stages))
 
 
-def rfdac_chain(
-    bits: int,
-    full_scale: float = 1.0,
-    hold_factor: int = 1,
-    mismatch_sigma: float = 0.0,
-    seed: int | None = None,
-    trim_bits: int = 0,
-    cutoff_hz: float | None = None,
-    extra_stages=(),
-) -> TxChain:
-    """Direct digital synthesis with one high-rate converter."""
-    stages = [StageSpec("rfdac_core", {
-        "bits": bits, "full_scale": full_scale, "hold_factor": hold_factor,
-        "mismatch_sigma": mismatch_sigma, "seed": seed, "trim_bits": trim_bits,
-    })]
+def rfdac_chain(*, cutoff_hz: float | None = None, extra_stages=(),
+                **core) -> TxChain:
+    """Direct digital synthesis with one high-rate converter: an rfdac_core
+    stage taking the keyword arguments ``core`` as its parameters, then a
+    bandwidth limit when ``cutoff_hz`` is given."""
+    stages = [StageSpec("rfdac_core", core)]
     if cutoff_hz is not None:
         stages.append(StageSpec("bandwidth_limit", {"cutoff_hz": cutoff_hz}))
     return TxChain("rfdac", tuple(stages) + tuple(extra_stages))
@@ -525,8 +560,6 @@ def harmonic_chain(
     """Sub-harmonic phase path multiplied up to the carrier."""
     stages = []
     if phase_noise_rate > 0.0:
-        if phase_noise_seed is None:
-            raise ValueError("phase noise needs an explicit seed")
         stages.append(StageSpec("phase_noise", {
             "rate": phase_noise_rate, "seed": phase_noise_seed,
         }))
@@ -539,9 +572,7 @@ def harmonic_chain(
         stages.append(StageSpec("rise_fall", {"cutoff_hz": rise_fall_cutoff_hz}))
     if spur_offset_hz is not None:
         stages.append(StageSpec("spur_inject", {
-            "offset_hz": spur_offset_hz, "level_dbc": spur_level_dbc,
-            "phase": 0.0,
-        }))
+            "offset_hz": spur_offset_hz, "level_dbc": spur_level_dbc}))
     return TxChain("harmonic", tuple(stages) + tuple(extra_stages))
 
 

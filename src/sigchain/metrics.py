@@ -1,5 +1,5 @@
-"""Link-quality metrics: symbol decisions, EVM, error budgets, eye diagrams,
-spectra, and a small LMS equalizer.
+"""Link-quality metrics: symbol decisions, EVM, error budgets, eye diagrams
+and spectra.
 
 Decision sampling is deliberately dumb: fixed instants from the pulse shape's
 group delay, an optional blind integer timing search, and no carrier, phase,
@@ -14,7 +14,7 @@ import numpy as np
 
 from sigchain import modulation as mod
 from sigchain.envelope import ComplexEnvelope, Spectrum, _periodic_hann
-from sigchain.chains import StageSpec, TxChain, run_chain, synth_comm_waveform
+from sigchain.chains import STAGES, TxChain, run_chain, synth_comm_waveform
 
 __all__ = [
     "DemodResult",
@@ -25,12 +25,10 @@ __all__ = [
     "reference_symbols",
     "evm",
     "evm_budget",
-    "BUDGET_TERM_OF_STAGE",
     "eye_metrics",
     "psd_welch",
     "spurs_sfdr",
     "image_rejection",
-    "lms_equalizer_train",
 ]
 
 
@@ -179,27 +177,7 @@ def evm(rx_symbols, ref_symbols) -> EvmReport:
     return EvmReport(e, e_db, rx.size)
 
 
-# Additive error budget: every atomic impairment belongs to one term
-BUDGET_TERM_OF_STAGE = {
-    "amplitude_error": "amp",
-    "am_ampm": "amp",
-    "quantize": "amp",
-    "dpd": "amp",
-    "state_errors": "amp",
-    "static_phase_error": "phase",
-    "phase_noise": "pn",
-    "sample_jitter": "pn",
-    "iq_imbalance": "iq_lo",
-    "lo_feedthrough": "iq_lo",
-    "onoff_leakage": "iq_lo",
-    "spur_inject": "iq_lo",
-    "gated_offset": "iq_lo",
-    "iq_correction": "iq_lo",
-    "bandwidth_limit": "bw",
-    "path_skew": "bw",
-    "rise_fall": "bw",
-}
-
+# Additive error budget terms; each atomic stage kind names its own
 BUDGET_TERMS = ("amp", "phase", "pn", "iq_lo", "bw")
 
 
@@ -218,12 +196,14 @@ def evm_budget(
     must be built from atomic impairment stages so each one attributes to a
     single term; composite path stages are rejected.
     """
+    by_term: dict = {}
     for spec in chain.stages:
-        if spec.kind not in BUDGET_TERM_OF_STAGE:
+        if STAGES[spec.kind].term is None:
             raise ValueError(
                 f"stage {spec.kind!r} cannot be attributed to a budget term; "
                 "build the chain from atomic impairment stages"
             )
+        by_term.setdefault(STAGES[spec.kind].term, []).append(spec)
     if skip_edge_symbols is None:
         skip_edge_symbols = shape.span_symbols
 
@@ -241,12 +221,8 @@ def evm_budget(
         ref = ref[: res.rx_symbols.size]
         return evm(res.rx_symbols, ref).evm_rms
 
-    terms = {}
-    for term in BUDGET_TERMS:
-        sub = tuple(s for s in chain.stages
-                    if BUDGET_TERM_OF_STAGE[s.kind] == term)
-        if sub:
-            terms[term] = measure(sub)
+    terms = {term: measure(tuple(by_term[term]))
+             for term in BUDGET_TERMS if term in by_term}
     total = measure(chain.stages)
     rss = math.sqrt(sum(v * v for v in terms.values()))
     return BudgetReport(terms, rss, total)
@@ -454,43 +430,3 @@ def image_rejection(env: ComplexEnvelope, tone_freq: float) -> float:
         return math.inf
     return 10.0 * math.log10(p_sig / p_img)
 
-
-def lms_equalizer_train(
-    rx: ComplexEnvelope,
-    ref: ComplexEnvelope,
-    n_taps: int = 11,
-    step: float = 1e-3,
-    n_passes: int = 1,
-):
-    """Train a symbol-spaced LMS FIR equalizer so conv(rx, taps, 'same')
-    approaches the reference.  Returns (taps, mse_history); raises if the
-    error grows instead of shrinking (step too large)."""
-    if n_taps < 1 or n_taps % 2 == 0:
-        raise ValueError("n_taps must be odd and positive")
-    if rx.sample_rate != ref.sample_rate or len(rx) != len(ref):
-        raise ValueError("rx and ref must share grid and length")
-    x = rx.samples
-    d = ref.samples
-    c = n_taps // 2
-    w = np.zeros(n_taps, dtype=np.complex128)
-    w[c] = 1.0
-    history = []
-    block_err, block_n = 0.0, 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_passes):
-            for k in range(c, x.size - c):
-                u = x[k + c: k - c - 1 if k - c - 1 >= 0 else None: -1]
-                y = np.dot(w, u)
-                e = d[k] - y
-                w = w + step * e * np.conj(u)
-                block_err += abs(e) ** 2
-                block_n += 1
-                if block_n == 256:
-                    history.append(block_err / block_n)
-                    block_err, block_n = 0.0, 0
-    if block_n:
-        history.append(block_err / block_n)
-    grew = len(history) >= 2 and history[-1] > 4.0 * history[0]
-    if grew or not np.all(np.isfinite(w)):
-        raise ValueError("LMS diverged; reduce the step size")
-    return w, np.asarray(history)

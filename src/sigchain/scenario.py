@@ -25,7 +25,8 @@ from sigchain import calibration as cal
 from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import qubit as qb
-from sigchain.chains import (StageSpec, TxChain, synth_comm_waveform,
+from sigchain.chains import (ARCHITECTURES, STAGES, ParamError, StageSpec,
+                             TxChain, _real, synth_comm_waveform,
                              synth_qubit_pulse)
 
 __all__ = [
@@ -43,11 +44,11 @@ __all__ = [
 
 log = logging.getLogger("sigchain")
 
-ARCHITECTURES = ("cartesian", "polar", "rfdac", "harmonic", "custom")
 COMM_OUTPUTS = ("constellation", "psd", "eye", "budget")
 QUBIT_OUTPUTS = ("bloch",)
 ROUTINES = ("rabi_amplitude_cal", "iq_cal", "polar_delay_align", "dpd_fit",
             "leakage_cancel")
+MAX_SAMPLES = 1 << 24     # largest record a scenario may ask for, in samples
 
 
 class ConfigError(ValueError):
@@ -184,88 +185,67 @@ def _no_extras(d: dict, allowed, path: str) -> None:
     _check(not extras, path, f"unknown key {extras[0]!r}" if extras else "")
 
 
+# JSON value kinds: (test, the name messages use)
+_KINDS = {"number": (_real, "number"),
+          "int": (lambda v: _real(v) and isinstance(v, int), "integer"),
+          "str": (lambda v: isinstance(v, str), "string"),
+          "bool": (lambda v: isinstance(v, bool), "boolean"),
+          "list": (lambda v: isinstance(v, list), "array"),
+          "dict": (lambda v: isinstance(v, dict), "object")}
+
+
 def _get(d: dict, key: str, path: str, kind: str, required: bool = True,
          default=None):
     if key not in d:
         _check(not required, path, f"missing required key {key!r}")
         return default
     v = d[key]
-    p = f"{path}.{key}"
-    if kind == "number":
-        _check(isinstance(v, (int, float)) and not isinstance(v, bool), p,
-               f"expected number, got {_typename(v)}")
-        return float(v)
-    if kind == "int":
-        _check(isinstance(v, int) and not isinstance(v, bool), p,
-               f"expected integer, got {_typename(v)}")
-        return v
-    if kind == "str":
-        _check(isinstance(v, str), p, f"expected string, got {_typename(v)}")
-        return v
-    if kind == "bool":
-        _check(isinstance(v, bool), p,
-               f"expected boolean, got {_typename(v)}")
-        return v
-    if kind == "list":
-        _check(isinstance(v, list), p, f"expected array, got {_typename(v)}")
-        return v
-    if kind == "dict":
-        _check(isinstance(v, dict), p,
-               f"expected object, got {_typename(v)}")
-        return v
-    raise AssertionError(kind)
+    test, name = _KINDS[kind]
+    _check(test(v), f"{path}.{key}", f"expected {name}, got {_typename(v)}")
+    return float(v) if kind == "number" else v
 
 
-def _maybe_complex(value, path: str):
-    """Stage params written as [re, im] become complex scalars."""
-    if isinstance(value, list) and len(value) == 2 and all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in value):
-        return complex(value[0], value[1])
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    raise ConfigError(f"{path}: expected number or [re, im] pair")
-
-
-_SEEDED_ALWAYS = ("phase_noise", "sample_jitter")
-
-
-def _parse_stage(obj, path: str) -> StageSpec:
+def _parse_stage(obj, path: str, fs: float) -> tuple[StageSpec, float]:
+    """A stage checked against its schema at the sample rate ``fs`` it sees,
+    and its output rate.  Complex parameters may be [re, im] pairs."""
     d = _want_dict(obj, path)
     _no_extras(d, ("kind", "params"), path)
     kind = _get(d, "kind", path, "str")
     params = dict(_get(d, "params", path, "dict", required=False,
                        default={}))
-    for key in ("offset",):
-        if key in params:
-            params[key] = _maybe_complex(params[key], f"{path}.params.{key}")
+    for key, par in (STAGES[kind].params if kind in STAGES else {}).items():
+        v = params.get(key)
+        if par.type == "complex" and isinstance(v, list) and len(v) == 2 \
+                and all(map(_real, v)):
+            params[key] = complex(*v)
+        if par.below and _real(v) and not v < par.below(fs):
+            raise ConfigError(f"{path}.params.{key}: must stay below "
+                              f"{par.below(fs):g} at the {fs:g} Hz sample "
+                              f"rate this stage sees, got {v!r}")
     try:
         spec = StageSpec(kind, params)
+    except ParamError as e:
+        raise ConfigError(f"{path}.params.{e.key}: {e}") from None
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
-    needs_seed = kind in _SEEDED_ALWAYS \
-        or (kind == "rfdac_core" and params.get("mismatch_sigma", 0.0) > 0.0) \
-        or (kind == "state_errors" and "sigma" in params)
-    if needs_seed:
-        _check("seed" in params, f"{path}.params",
-               f"stage kind {kind!r} is stochastic and needs an explicit "
-               "seed for reproducible runs")
-    return spec
+    return spec, fs * (params.get("hold_factor") or 1)
 
 
-def _parse_chain(obj, path: str) -> TxChain | None:
+def _parse_chain(obj, path: str, fs: float) -> tuple[TxChain | None, float]:
+    """The chain at input sample rate ``fs``, and its sample rate factor."""
     if obj is None:
-        return None
+        return None, 1.0
     d = _want_dict(obj, path)
     _no_extras(d, ("architecture", "stages"), path)
     arch = _get(d, "architecture", path, "str", required=False,
                 default="custom")
     _check(arch in ARCHITECTURES, f"{path}.architecture",
            f"expected one of {ARCHITECTURES}, got {arch!r}")
-    stages = _get(d, "stages", path, "list")
-    specs = tuple(_parse_stage(s, f"{path}.stages.{i}")
-                  for i, s in enumerate(stages))
-    return TxChain(arch, specs)
+    specs, rate = [], fs
+    for i, s in enumerate(_get(d, "stages", path, "list")):
+        spec, rate = _parse_stage(s, f"{path}.stages.{i}", rate)
+        specs.append(spec)
+    return TxChain(arch, tuple(specs)), rate / fs
 
 
 def _parse_constellation(obj, path: str):
@@ -371,6 +351,11 @@ def _check_name(d: dict, path: str) -> str:
     return name
 
 
+def _check_samples(n_samples: float, path: str) -> None:
+    _check(n_samples <= MAX_SAMPLES, path, f"asks for {n_samples:.4g} "
+           f"samples, more than the budget of {MAX_SAMPLES}")
+
+
 def plan_scenario(raw) -> dict:
     """Validate a scenario config and build the objects it describes."""
     d = _want_dict(raw, "scenario")
@@ -382,7 +367,7 @@ def plan_scenario(raw) -> dict:
            f"expected 'comm' or 'qubit', got {mode!r}")
     fs = _get(d, "sample_rate", "scenario", "number")
     _check(fs > 0.0, "scenario.sample_rate", "must be positive")
-    chain = _parse_chain(d.get("chain"), "scenario.chain")
+    chain, hold = _parse_chain(d.get("chain"), "scenario.chain", fs)
     plan = {"name": name, "mode": mode, "sample_rate": fs, "chain": chain}
 
     if mode == "comm":
@@ -397,6 +382,8 @@ def plan_scenario(raw) -> dict:
             _get(c, "pulse", "scenario.comm", "dict"), "scenario.comm.pulse")
         n_symbols = _get(c, "n_symbols", "scenario.comm", "int")
         _check(n_symbols >= 16, "scenario.comm.n_symbols", "must be >= 16")
+        _check_samples(n_symbols * plan["pulse"].samples_per_symbol * hold,
+                       "scenario.comm.n_symbols")
         plan["n_symbols"] = n_symbols
         plan["bit_seed"] = _get(c, "bit_seed", "scenario.comm", "int")
         plan["timing_search"] = _get(c, "timing_search", "scenario.comm",
@@ -428,6 +415,9 @@ def plan_scenario(raw) -> dict:
         substeps = _get(q, "substeps", "scenario.qubit", "int",
                         required=False, default=1)
         _check(substeps >= 1, "scenario.qubit.substeps", "must be >= 1")
+        n_samples = plan["envelope"].duration_s * fs * hold
+        _check_samples(n_samples, "scenario.qubit.envelope.duration_s")
+        _check_samples(n_samples * substeps, "scenario.qubit.substeps")
         plan["substeps"] = substeps
         plan["outputs"] = _parse_outputs(q, "scenario.qubit", QUBIT_OUTPUTS)
         if "bloch" in plan["outputs"]:
@@ -674,7 +664,7 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
     name = _check_name(d, "calibration")
     fs = _get(d, "sample_rate", "calibration", "number")
     _check(fs > 0.0, "calibration.sample_rate", "must be positive")
-    chain = _parse_chain(d.get("chain"), "calibration.chain")
+    chain, _ = _parse_chain(d.get("chain"), "calibration.chain", fs)
     r = dict(_get(d, "routine", "calibration", "dict", required=False,
                   default={}))
     kind = _get(r, "kind", "calibration.routine", "str", required=False)

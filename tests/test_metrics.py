@@ -1,5 +1,5 @@
 """Metric-layer tests: decision sampling, EVM identities, budget additivity,
-eye openings, spectra, and equalizer training."""
+eye openings and spectra."""
 import math
 
 import numpy as np
@@ -67,6 +67,13 @@ class TestDemodulate:
         res = met.demodulate(env, const, shape, 1e-6, skip_edge_symbols=5)
         assert res.rx_symbols.size == 40
         assert np.max(np.abs(res.rx_symbols - stream.symbols[5:-5])) < 1e-12
+
+    def test_equalizer_taps_filter_before_decisions(self):
+        const, shape, stream, env = _loopback("rect", n_sym=50)
+        plain = met.demodulate(env, const, shape, 1e-6)
+        half = met.demodulate(env, const, shape, 1e-6,
+                              equalizer_taps=[0.0, 0.5, 0.0])
+        assert np.array_equal(half.rx_symbols, 0.5 * plain.rx_symbols)
 
     def test_non_integer_symbol_period_rejected(self):
         const, shape, stream, env = _loopback("rect")
@@ -443,54 +450,3 @@ class TestSpectra:
         with pytest.raises(ValueError, match="bin"):
             met.image_rejection(env, 12345.6789)
 
-
-class TestLms:
-    @staticmethod
-    def _channelized(seed=2, n_sym=600):
-        const = mod.build_constellation("m_psk", m=4)
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, 2 * n_sym)
-        shape = mod.PulseShape("rect", samples_per_symbol=4)
-        _, env = ch.synth_comm_waveform(bits, const, shape, None, 1e-6)
-        taps = np.array([1.0, 0.25 + 0.1j, -0.1])
-        rx = ComplexEnvelope(np.convolve(env.samples, taps, "same"),
-                             env.sample_rate)
-        return rx, env
-
-    def test_training_reduces_error(self):
-        rx, ref = self._channelized()
-        w, hist = met.lms_equalizer_train(rx, ref, n_taps=9, step=2e-3,
-                                          n_passes=3)
-        eq = np.convolve(rx.samples, w, "same")
-        pre = np.sqrt(np.mean(np.abs(rx.samples - ref.samples) ** 2))
-        post = np.sqrt(np.mean(np.abs(eq - ref.samples) ** 2))
-        assert post < pre / 5.0
-        assert hist[-1] < hist[0] / 10.0
-
-    def test_identity_channel_keeps_spike(self):
-        _, ref = self._channelized()
-        w, _ = met.lms_equalizer_train(ref, ref, n_taps=7, step=1e-3)
-        assert abs(w[3] - 1.0) < 1e-6
-        assert np.max(np.abs(np.delete(w, 3))) < 1e-6
-
-    def test_divergence_detected(self):
-        rx, ref = self._channelized(n_sym=300)
-        with pytest.raises(ValueError, match="diverged"):
-            met.lms_equalizer_train(rx, ref, n_taps=9, step=5.0, n_passes=2)
-
-    def test_taps_feed_demodulator(self):
-        const = mod.build_constellation("m_psk", m=4)
-        rng = np.random.default_rng(4)
-        bits = rng.integers(0, 2, 2 * 400)
-        shape = mod.PulseShape("rect", samples_per_symbol=4)
-        stream, env = ch.synth_comm_waveform(bits, const, shape, None, 1e-6)
-        taps = np.array([1.0, 0.3])
-        rx = ComplexEnvelope(np.convolve(env.samples, taps, "same"),
-                             env.sample_rate)
-        w, _ = met.lms_equalizer_train(rx, env, n_taps=9, step=2e-3,
-                                       n_passes=3)
-        raw = met.demodulate(rx, const, shape, 1e-6)
-        eq = met.demodulate(rx, const, shape, 1e-6, equalizer_taps=w)
-        e_raw = met.evm(raw.rx_symbols, stream.symbols).evm_rms
-        e_eq = met.evm(eq.rx_symbols, stream.symbols).evm_rms
-        assert e_eq < e_raw / 3.0

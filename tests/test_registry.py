@@ -1,0 +1,183 @@
+"""The stage registry: one row per stage kind drives dispatch, the budget
+term, the seed rule and the parameter checks.  The schema-driven fuzz test
+mutates one parameter of every bundled scenario's stages and only parses."""
+import copy
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sigchain import chains as ch
+from sigchain import impairments as imp
+from sigchain import metrics as met
+from sigchain import scenario as scn
+from sigchain.envelope import ComplexEnvelope
+
+
+def _env(n: int = 64, fs: float = 1e6) -> ComplexEnvelope:
+    return ComplexEnvelope(np.exp(2j * np.pi * 0.01 * np.arange(n)), fs)
+
+
+class TestRows:
+    def test_terms_are_budget_terms(self):
+        for kind, row in ch.STAGES.items():
+            assert row.term is None or row.term in met.BUDGET_TERMS, kind
+
+    def test_dpd_is_the_am_ampm_row(self):
+        assert ch.STAGES["dpd"] is ch.STAGES["am_ampm"]
+        spec = ch.StageSpec("dpd", {"gain_poly": [1.0, -0.05]})
+        assert spec.kind == "dpd"
+        a = ch.apply_stage(_env(), spec)
+        b = imp.am_ampm(_env(), [1.0, -0.05], [0.0])
+        assert np.array_equal(a.samples, b.samples)
+
+    def test_impairment_is_looked_up_per_call(self, monkeypatch):
+        calls = []
+
+        def spy(env, eps_a):
+            calls.append(eps_a)
+            return env
+
+        monkeypatch.setattr(imp, "amplitude_error", spy)
+        ch.apply_stage(_env(), ch.StageSpec("amplitude_error", {"eps_a": 0.1}))
+        assert calls == [0.1]
+
+    def test_defaults_are_not_stored(self):
+        params = {"bits": 8, "seed": None}
+        spec = ch.StageSpec("rfdac_core", params)
+        ch.apply_stage(_env(), spec)
+        assert spec.params == {"bits": 8, "seed": None}
+
+    def test_null_optional_is_absent(self):
+        a = ch.apply_stage(_env(), ch.StageSpec("iq_paths", {
+            "bits": None, "full_scale": None, "tau_i": None,
+            "cutoff_hz": 1e5}))
+        b = imp.bandwidth_limit(_env(), 1e5)
+        assert np.array_equal(a.samples, b.samples)
+
+    def test_numpy_scalars_accepted(self):
+        ch.StageSpec("quantize", {"bits": np.int64(8),
+                                  "full_scale": np.float64(1.5)})
+        ch.StageSpec("amplitude_error", {"eps_a": np.int32(0)})
+
+
+class TestSchemaChecks:
+    @pytest.mark.parametrize("kind, params, key, match", [
+        ("quantize", {"bits": 8.5}, "bits", "type 'int'"),
+        ("rfdac_core", {"bits": True}, "bits", "type 'int'"),
+        ("amplitude_error", {"eps_a": "0.02"}, "eps_a", "type 'number'"),
+        ("amplitude_error", {"eps_a": False}, "eps_a", "type 'number'"),
+        ("amplitude_error", {"eps_a": -1.0}, "eps_a", r"\(-1, inf\)"),
+        ("amplitude_error", {"eps_a": math.nan}, "eps_a", "must lie in"),
+        ("static_phase_error", {"phi_e": math.inf}, "phi_e", "must lie in"),
+        ("iq_imbalance", {"gain_mismatch": [1, 2]}, "gain_mismatch", "type"),
+        ("phase_noise", {"rate": 1.0, "seed": "x"}, "seed", "type 'int'"),
+        ("phase_noise", {"rate": 1.0, "seed": -1}, "seed", "must lie in"),
+        ("phase_noise", {"rate": 1.0}, "seed", "seed"),
+        ("rfdac_core", {"bits": 8, "hold_factor": 0}, "hold_factor",
+         "must lie in"),
+        ("rfdac_core", {"bits": 8, "mismatch_sigma": 0.01}, "seed", "seed"),
+        ("harmonic_multiply", {"factor": 5}, "factor", "harmonic factor"),
+        ("iq_correction", {"matrix": [[1.0, 0.0]]}, "matrix", "'matrix'"),
+        ("iq_correction", {"matrix": [[1, 0], [0, "1"]]}, "matrix",
+         "'matrix'"),
+        ("lo_feedthrough", {"offset": [0.1, 0.2]}, "offset", "'complex'"),
+        ("am_ampm", {"gain_poly": []}, "gain_poly", "'numbers'"),
+        ("state_errors", {"levels": [0.0, 1.0], "errors": [0.1]}, "errors",
+         "as many errors as levels"),
+        ("state_errors", {"levels": [1.0], "seed": 3}, "sigma",
+         "requires parameter 'sigma'"),
+        ("state_errors", {"levels": [1.0], "sigma": 0.1}, "seed", "seed"),
+        ("bandwidth_limit", {}, "cutoff_hz", "requires parameter"),
+    ])
+    def test_rejected_at_construction(self, kind, params, key, match):
+        with pytest.raises(ch.ParamError, match=match) as info:
+            ch.StageSpec(kind, params)
+        assert info.value.key == key
+
+    def test_explicit_errors_need_no_seed(self):
+        ch.StageSpec("state_errors", {"levels": [1.0], "errors": [0.1]})
+
+    def test_off_ratio_may_be_infinite(self):
+        out = ch.apply_stage(_env(), ch.StageSpec(
+            "onoff_leakage", {"off_ratio_db": math.inf}))
+        assert np.array_equal(out.samples, _env().samples)
+
+
+# ------------------------------------------------------------- fuzzing
+
+def _bundled_scenarios() -> dict:
+    """Every bundled file as a scenario that plan_scenario accepts: a sweep
+    contributes its base, a calibration its chain on a short QPSK link."""
+    out = {}
+    qpsk = scn.read_config(scn.bundled_scenario_path("qpsk_ideal"))
+    for name in scn.list_bundled_scenarios():
+        cfg = scn.read_config(scn.bundled_scenario_path(name))
+        if "sweep" in cfg:
+            cfg = cfg["base"]
+        elif "routine" in cfg:
+            cfg = {**qpsk, "name": name, "sample_rate": cfg["sample_rate"],
+                   "chain": cfg["chain"]}
+        out[name] = cfg
+    return out
+
+
+SCENARIOS = _bundled_scenarios()
+SITES = [(name, i, key)
+         for name, cfg in SCENARIOS.items()
+         for i, stage in enumerate(cfg.get("chain", {}).get("stages", []))
+         for key in ch.STAGES[stage["kind"]].params]
+WRONG_TYPES = ["x", {"re": 1.0}, [[1.0], [2.0, 3.0]], [1.0, 2.0, 3.0], []]
+
+
+def _stage_rate(cfg: dict, index: int) -> float:
+    """The sample rate stage ``index`` sees: earlier hold factors scale it."""
+    rate = cfg["sample_rate"]
+    for stage in cfg["chain"]["stages"][:index]:
+        rate *= stage["params"].get("hold_factor") or 1
+    return rate
+
+
+def _past_bounds(par, rate: float) -> list:
+    """Values just outside a parameter's bounds, and its rate bound."""
+    out = [par.below(rate)] if par.below else []
+    if par.type in ("int", "number"):
+        lo, hi = (float(b) for b in par.bounds[1:-1].split(","))
+        if par.bounds[0] == "(":
+            out.append(lo)
+        elif lo > -math.inf:
+            out.append(int(lo) - 1 if par.type == "int"
+                       else np.nextafter(lo, -math.inf))
+        if par.bounds[-1] == ")":
+            out.append(hi)
+        elif hi < math.inf:
+            out.append(int(hi) + 1 if par.type == "int"
+                       else np.nextafter(hi, math.inf))
+    return out
+
+
+def test_every_bundled_stage_parameter_is_a_site():
+    assert len(SITES) > 30
+    assert {k for _, _, k in SITES} >= {"offset", "cutoff_hz", "seed",
+                                        "hold_factor", "factor"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_one_mutated_parameter_is_accepted_or_named(data):
+    name, index, key = data.draw(st.sampled_from(SITES))
+    cfg = copy.deepcopy(SCENARIOS[name])
+    par = ch.STAGES[cfg["chain"]["stages"][index]["kind"]].params[key]
+    value = data.draw(st.one_of(
+        st.sampled_from([None, True, False, *WRONG_TYPES,
+                         *_past_bounds(par, _stage_rate(cfg, index))]),
+        st.text(max_size=4),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)))
+    cfg["chain"]["stages"][index].setdefault("params", {})[key] = value
+    try:
+        scn.plan_scenario(cfg)
+    except scn.ConfigError as e:
+        assert str(e).startswith(f"scenario.chain.stages.{index}.params.{key}"
+                                 ":"), str(e)

@@ -235,6 +235,52 @@ class TestValidation:
         with pytest.raises(scn.ConfigError, match="rotation_angle"):
             scn.plan_scenario(cfg)
 
+    @pytest.mark.parametrize("stages, where", [
+        # each stage sees the scenario rate times every earlier hold factor
+        ([{"kind": "bandwidth_limit", "params": {"cutoff_hz": 4.0e9}}],
+         "stages.0.params.cutoff_hz: must stay below 4e+09"),
+        ([{"kind": "rfdac_core", "params": {"bits": 8, "hold_factor": 2}},
+          {"kind": "bandwidth_limit", "params": {"cutoff_hz": 8.0e9}}],
+         "stages.1.params.cutoff_hz: must stay below 8e+09"),
+        ([{"kind": "polar_paths", "params": {"pm_cutoff_hz": 5.0e9}}],
+         "stages.0.params.pm_cutoff_hz"),
+        ([{"kind": "sample_jitter",
+           "params": {"sigma_s": 1.25e-11, "seed": 1}}],
+         "stages.0.params.sigma_s: must stay below 1.25e-11"),
+    ])
+    def test_rate_bounds_at_the_stage_rate(self, stages, where):
+        with pytest.raises(scn.ConfigError, match=re.escape(where)):
+            scn.plan_scenario(qpsk_config(chain={"stages": stages}))
+
+    def test_hold_factor_raises_the_rate_later_stages_see(self):
+        stages = [
+            {"kind": "rfdac_core", "params": {"bits": 8, "hold_factor": 2}},
+            {"kind": "bandwidth_limit", "params": {"cutoff_hz": 6.0e9}}]
+        scn.plan_scenario(qpsk_config(chain={"stages": stages}))
+
+    def test_sample_budget_counts_symbols_and_holds(self):
+        sps = 8
+        cfg = qpsk_config(n_symbols=scn.MAX_SAMPLES // sps)
+        scn.plan_scenario(cfg)
+        cfg["chain"] = {"stages": [
+            {"kind": "rfdac_core", "params": {"bits": 8, "hold_factor": 2}}]}
+        with pytest.raises(scn.ConfigError,
+                           match=r"^scenario\.comm\.n_symbols: asks for"):
+            scn.plan_scenario(cfg)
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("duration_s", 1.0e9, "scenario.qubit.envelope.duration_s"),
+        ("substeps", 10**9, "scenario.qubit.substeps"),
+    ])
+    def test_sample_budget_counts_gate_samples(self, key, value, where):
+        cfg = pi_config()
+        if key == "substeps":
+            cfg["qubit"]["substeps"] = value
+        else:
+            cfg["qubit"]["envelope"][key] = value
+        with pytest.raises(scn.ConfigError, match=re.escape(where)):
+            scn.plan_scenario(cfg)
+
     def test_load_scenario_rejects_bad_json(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -629,6 +675,38 @@ class TestCli:
         assert main(["calibrate", str(p), "--out-dir",
                      str(tmp_path / "out")]) == 2
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, stage, params, where", [
+        ("qam16_budget", 0, {"eps_a": "0.02"}, "stages.0.params.eps_a"),
+        ("qam16_budget", 5, {"cutoff_hz": 9.0e9},
+         "stages.5.params.cutoff_hz"),
+        ("qam16_budget", 2, {"seed": "x"}, "stages.2.params.seed"),
+        ("qam16_budget", 3, {"gain_mismatch": [1, 2]},
+         "stages.3.params.gain_mismatch"),
+        ("qam16_budget", 0, {"kind": "quantize", "bits": 8.5},
+         "stages.0.params.bits"),
+        ("rfdac_images", 0, {"bits": True}, "stages.0.params.bits"),
+        ("qam16_budget", None, {"n_symbols": 10**13}, "comm.n_symbols"),
+    ], ids=["eps-str", "cutoff-past-nyquist", "seed-str", "gain-list",
+            "quantize-bits-float", "rfdac-bits-bool", "n-symbols-huge"])
+    def test_config_mistakes_exit_two_with_path(
+            self, scenario, stage, params, where, tmp_path, capsys):
+        cfg = scn.read_config(scn.bundled_scenario_path(scenario))
+        params = dict(params)
+        if stage is None:
+            cfg["comm"].update(params)
+        elif "kind" in params:
+            cfg["chain"]["stages"][stage] = {"kind": params.pop("kind"),
+                                             "params": params}
+        else:
+            cfg["chain"]["stages"][stage]["params"].update(params)
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", str(p), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        prefix = "scenario." if stage is None else "scenario.chain."
+        assert f"config error: {prefix}{where}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_import_loads_no_scipy(self):
         # scipy is a test-only oracle; the runtime needs numpy alone
