@@ -40,6 +40,7 @@ from sigchain.chains import (
 from sigchain.metrics import (
     BudgetReport,
     EvmReport,
+    LinkScorer,
     demodulate,
     evm,
     evm_budget,
@@ -100,6 +101,7 @@ __all__ = [
     "synth_qubit_pulse",
     "BudgetReport",
     "EvmReport",
+    "LinkScorer",
     "demodulate",
     "evm",
     "evm_budget",

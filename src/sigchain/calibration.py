@@ -19,7 +19,7 @@ from sigchain.chains import (StageSpec, TxChain, append_stage, prepend_stage,
                              run_chain, run_chain_per_trim,
                              synth_comm_waveform, with_stage_param)
 from sigchain.envelope import ComplexEnvelope, fractional_delay
-from sigchain.metrics import demodulate, evm
+from sigchain.metrics import LinkScorer
 
 __all__ = [
     "CalibrationError",
@@ -180,11 +180,6 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
     return prepend_stage(chain, stage)
 
 
-def _probe_bits(n_symbols: int, bits_per_symbol: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=n_symbols * bits_per_symbol)
-
-
 def polar_delay_align(chain: TxChain, sample_rate: float,
                       symbol_period: float, window_s: float, step_s: float,
                       n_symbols: int = 96, seed: int = 7):
@@ -206,21 +201,19 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
     const = mod.build_constellation("m_psk", m=4)
     shape = mod.PulseShape("raised_cosine", span_symbols=8,
                            samples_per_symbol=int(round(sps)))
-    bits = _probe_bits(n_symbols, const.bits_per_symbol, seed)
+    bits = np.random.default_rng(seed).integers(
+        0, 2, size=n_symbols * const.bits_per_symbol)
 
     candidates = np.arange(-window_s, window_s + 0.5 * step_s, step_s)
     stream, probe = synth_comm_waveform(bits, const, shape,
                                         symbol_period=symbol_period)
     outputs = run_chain_per_trim(chain, probe, candidates.tolist())
-    ref = stream.symbols[shape.span_symbols:-shape.span_symbols]
+    scorer = LinkScorer(stream, const, shape)
     scores = np.empty(candidates.size)
     for idx, (cand, env) in enumerate(zip(candidates, outputs)):
         if cand != 0.0:
             env = fractional_delay(env, -float(cand))
-        result = demodulate(env, const, shape, symbol_period,
-                            skip_edge_symbols=shape.span_symbols)
-        n = min(len(result.rx_symbols), len(ref))
-        scores[idx] = evm(result.rx_symbols[:n], ref[:n]).evm_rms
+        scores[idx] = scorer(env)[2].evm_rms
     best = int(np.argmin(scores))
     if best in (0, candidates.size - 1):
         raise CalibrationError("best trim delay sits on the search boundary; "

@@ -14,15 +14,15 @@ import numpy as np
 
 from sigchain import modulation as mod
 from sigchain.envelope import ComplexEnvelope, Spectrum, _periodic_hann
-from sigchain.chains import STAGES, TxChain, run_chain, synth_comm_waveform
+from sigchain.chains import STAGES, TxChain, run_chain
 
 __all__ = [
     "DemodResult",
     "EvmReport",
     "BudgetReport",
     "EyeReport",
+    "LinkScorer",
     "demodulate",
-    "reference_symbols",
     "evm",
     "evm_budget",
     "eye_metrics",
@@ -154,15 +154,6 @@ def demodulate(
     return DemodResult(rx, labels.astype(np.int64), offset)
 
 
-def reference_symbols(labels, constellation: mod.Constellation) -> np.ndarray:
-    """Ideal constellation points for a label sequence."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0
-                        or labels.max() >= constellation.points.size):
-        raise ValueError("label out of range for this constellation")
-    return constellation.points[labels]
-
-
 def evm(rx_symbols, ref_symbols) -> EvmReport:
     """Error vector magnitude, normalized by the reference RMS."""
     rx = np.asarray(rx_symbols, dtype=np.complex128)
@@ -177,24 +168,44 @@ def evm(rx_symbols, ref_symbols) -> EvmReport:
     return EvmReport(e, e_db, rx.size)
 
 
+@dataclass(frozen=True)
+class LinkScorer:
+    """Scores any envelope of one record against its transmitted symbols.
+
+    A call returns the decision-point and reference symbols, cut to a common
+    length, and their EvmReport.  The first and last ``shape.span_symbols``
+    symbols, where the pulse tails are cut off, are left out."""
+
+    stream: mod.SymbolStream
+    constellation: mod.Constellation
+    shape: mod.PulseShape
+    timing_search: bool = False
+
+    def __call__(self, env: ComplexEnvelope
+                 ) -> tuple[np.ndarray, np.ndarray, EvmReport]:
+        span = self.shape.span_symbols
+        ref = self.stream.symbols[span:-span]
+        rx = demodulate(env, self.constellation, self.shape,
+                        self.stream.symbol_period,
+                        timing_search=self.timing_search,
+                        skip_edge_symbols=span).rx_symbols
+        n = min(rx.size, ref.size)
+        return rx[:n], ref[:n], evm(rx[:n], ref[:n])
+
+
 # Additive error budget terms; each atomic stage kind names its own
 BUDGET_TERMS = ("amp", "phase", "pn", "iq_lo", "bw")
 
 
-def evm_budget(
-    bits,
-    constellation: mod.Constellation,
-    shape: mod.PulseShape,
-    chain: TxChain,
-    symbol_period: float = 1.0,
-    skip_edge_symbols: int | None = None,
-) -> BudgetReport:
+def evm_budget(scorer: LinkScorer, clean: ComplexEnvelope, chain: TxChain,
+               total: EvmReport) -> BudgetReport:
     """Split a chain's EVM into additive mechanism terms.
 
-    Each term's EVM is measured by running only that term's stages (in chain
-    order); the root sum of squares is compared with the full chain.  Chains
-    must be built from atomic impairment stages so each one attributes to a
-    single term; composite path stages are rejected.
+    Each term's EVM is the ``scorer``'s score of the ``clean`` waveform run
+    through only that term's stages (in chain order); their root sum of
+    squares is compared with ``total``, the same scorer's report on the full
+    chain's output.  Chains must be built from atomic impairment stages so
+    each one attributes to a single term; composite path stages are rejected.
     """
     by_term: dict = {}
     for spec in chain.stages:
@@ -204,28 +215,13 @@ def evm_budget(
                 "build the chain from atomic impairment stages"
             )
         by_term.setdefault(STAGES[spec.kind].term, []).append(spec)
-    if skip_edge_symbols is None:
-        skip_edge_symbols = shape.span_symbols
-
-    stream, clean = synth_comm_waveform(bits, constellation, shape,
-                                        None, symbol_period)
-    if stream is None:
-        raise ValueError("bit stream is empty")
-
-    def measure(sub: tuple) -> float:
-        env = run_chain(TxChain(chain.architecture, sub), clean)
-        res = demodulate(env, constellation, shape, stream.symbol_period,
-                         skip_edge_symbols=skip_edge_symbols)
-        n_edge = skip_edge_symbols
-        ref = stream.symbols[n_edge:-n_edge] if n_edge else stream.symbols
-        ref = ref[: res.rx_symbols.size]
-        return evm(res.rx_symbols, ref).evm_rms
-
-    terms = {term: measure(tuple(by_term[term]))
-             for term in BUDGET_TERMS if term in by_term}
-    total = measure(chain.stages)
+    terms = {}
+    for term in BUDGET_TERMS:
+        if term in by_term:
+            sub = TxChain(chain.architecture, tuple(by_term[term]))
+            terms[term] = scorer(run_chain(sub, clean))[2].evm_rms
     rss = math.sqrt(sum(v * v for v in terms.values()))
-    return BudgetReport(terms, rss, total)
+    return BudgetReport(terms, rss, total.evm_rms)
 
 
 def _runs(s: np.ndarray, centers: np.ndarray) -> np.ndarray:

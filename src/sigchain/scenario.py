@@ -26,7 +26,7 @@ from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain.chains import (ARCHITECTURES, STAGES, ParamError, StageSpec,
-                             TxChain, _real, synth_comm_waveform,
+                             TxChain, _real, run_chain, synth_comm_waveform,
                              synth_qubit_pulse)
 
 __all__ = [
@@ -394,6 +394,11 @@ def plan_scenario(raw) -> dict:
         if "budget" in plan["outputs"]:
             _check(chain is not None, "scenario.comm.outputs",
                    "a budget report needs a chain")
+            for i, spec in enumerate(chain.stages):
+                _check(STAGES[spec.kind].term is not None,
+                       f"scenario.chain.stages.{i}.kind",
+                       f"stage {spec.kind!r} cannot be attributed to a "
+                       "budget term")
     else:
         q = _get(d, "qubit", "scenario", "dict")
         _no_extras(q, ("model", "envelope", "gate", "substeps", "outputs"),
@@ -435,27 +440,22 @@ def _compute_comm(plan: dict) -> tuple[dict, dict]:
     symbol_period = shape.samples_per_symbol / fs
     rng = np.random.default_rng(plan["bit_seed"])
     bits = rng.integers(0, 2, size=plan["n_symbols"] * const.bits_per_symbol)
-    stream, env = synth_comm_waveform(bits, const, shape,
-                                      chain=plan["chain"],
-                                      symbol_period=symbol_period)
-    skip = shape.span_symbols
-    result = met.demodulate(env, const, shape, symbol_period,
-                            timing_search=plan["timing_search"],
-                            skip_edge_symbols=skip)
-    ref = stream.symbols[skip:-skip]
-    n = min(len(result.rx_symbols), len(ref))
-    report = met.evm(result.rx_symbols[:n], ref[:n])
+    stream, clean = synth_comm_waveform(bits, const, shape,
+                                        symbol_period=symbol_period)
+    env = clean if plan["chain"] is None else run_chain(plan["chain"], clean)
+    scorer = met.LinkScorer(stream, const, shape, plan["timing_search"])
+    rx, ref, report = scorer(env)
     summary = {"evm_rms": report.evm_rms, "evm_db": report.evm_db,
                "num_symbols": report.num_symbols}
     artifacts = {}
 
     if "constellation" in plan["outputs"]:
         bps = const.bits_per_symbol
-        sent = bits.reshape(-1, bps)[skip:skip + n] + ord("0")
+        skip = shape.span_symbols
+        sent = bits.reshape(-1, bps)[skip:skip + rx.size] + ord("0")
         labels = sent.astype(np.uint8).view(f"S{bps}").ravel().astype(str)
-        rx = result.rx_symbols[:n]
         artifacts["constellation.csv"] = _csv(
-            "bits,i_ref,q_ref,i_rx,q_rx", labels, ref[:n].real, ref[:n].imag,
+            "bits,i_ref,q_ref,i_rx,q_rx", labels, ref.real, ref.imag,
             rx.real, rx.imag)
     if "psd" in plan["outputs"]:
         spectrum = met.psd_welch(env, nperseg=min(1024, len(env)))
@@ -474,8 +474,7 @@ def _compute_comm(plan: dict) -> tuple[dict, dict]:
         artifacts["eye.csv"] = _csv("t_frac,i,q", offs / sps,
                                     env.samples.real, env.samples.imag)
     if "budget" in plan["outputs"]:
-        budget = met.evm_budget(bits, const, shape, plan["chain"],
-                                symbol_period=symbol_period)
+        budget = met.evm_budget(scorer, clean, plan["chain"], report)
         summary["budget"] = {"terms": dict(budget.terms),
                              "total_rss": budget.total_rss,
                              "total_measured": budget.total_measured,
@@ -664,7 +663,7 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
     name = _check_name(d, "calibration")
     fs = _get(d, "sample_rate", "calibration", "number")
     _check(fs > 0.0, "calibration.sample_rate", "must be positive")
-    chain, _ = _parse_chain(d.get("chain"), "calibration.chain", fs)
+    chain, hold = _parse_chain(d.get("chain"), "calibration.chain", fs)
     r = dict(_get(d, "routine", "calibration", "dict", required=False,
                   default={}))
     kind = _get(r, "kind", "calibration.routine", "str", required=False)
@@ -712,9 +711,10 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
         tone = r.get("tone_freq")
         if tone is not None:
             tone = _get(r, "tone_freq", path, "number")
-        corrected = cal.iq_cal(chain, fs, tone_freq=tone,
-                               n_samples=_get(r, "n_samples", path, "int",
-                                              required=False, default=4096))
+        n_samples = _get(r, "n_samples", path, "int", required=False,
+                         default=4096)
+        _check_samples(n_samples * hold, f"{path}.n_samples")
+        corrected = cal.iq_cal(chain, fs, tone_freq=tone, n_samples=n_samples)
         stage = corrected.stages[0]
         report = {"routine": kind, "matrix": stage.params["matrix"],
                   "offset": stage.params["offset"]}
@@ -730,12 +730,14 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
         _check(window_s > 0.0, f"{path}.window_s", "must be positive")
         step_s = _get(r, "step_s", path, "number")
         _check(step_s > 0.0, f"{path}.step_s", "must be positive")
+        symbol_period = _get(r, "symbol_period", path, "number")
+        n_symbols = _get(r, "n_symbols", path, "int", required=False,
+                         default=96)
+        _check_samples(n_symbols * symbol_period * fs * hold,
+                       f"{path}.n_symbols")
         corrected, delay, scores = cal.polar_delay_align(
-            chain, fs,
-            symbol_period=_get(r, "symbol_period", path, "number"),
-            window_s=window_s, step_s=step_s,
-            n_symbols=_get(r, "n_symbols", path, "int", required=False,
-                           default=96),
+            chain, fs, symbol_period=symbol_period, window_s=window_s,
+            step_s=step_s, n_symbols=n_symbols,
             seed=_get(r, "seed", path, "int", required=False, default=7))
         report = {"routine": kind, "best_delay_s": delay,
                   "evm_per_candidate": scores}
@@ -744,15 +746,18 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
                        "hold_samples"), path)
         _check(chain is not None, "calibration.chain", "dpd_fit needs a "
                "chain")
+        n_levels = _get(r, "n_levels", path, "int", required=False,
+                        default=32)
+        hold_samples = _get(r, "hold_samples", path, "int", required=False,
+                            default=64)
+        _check_samples(n_levels * hold_samples * hold, f"{path}.n_levels")
         corrected, gain_poly, phase_poly = cal.dpd_fit(
             chain, fs,
             order=_get(r, "order", path, "int", required=False, default=5),
-            n_levels=_get(r, "n_levels", path, "int", required=False,
-                          default=32),
+            n_levels=n_levels,
             full_scale=_get(r, "full_scale", path, "number", required=False,
                             default=1.0),
-            hold_samples=_get(r, "hold_samples", path, "int",
-                              required=False, default=64))
+            hold_samples=hold_samples)
         report = {"routine": kind, "gain_poly": gain_poly,
                   "phase_poly": phase_poly}
     else:
@@ -760,12 +765,14 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
                    path)
         _check(chain is not None, "calibration.chain",
                "leakage_cancel needs a chain")
+        on_samples = _get(r, "on_samples", path, "int", required=False,
+                          default=256)
+        off_samples = _get(r, "off_samples", path, "int", required=False,
+                           default=256)
+        _check_samples((on_samples + off_samples) * hold,
+                       f"{path}.on_samples")
         corrected, level = cal.leakage_cancel(
-            chain, fs,
-            on_samples=_get(r, "on_samples", path, "int", required=False,
-                            default=256),
-            off_samples=_get(r, "off_samples", path, "int", required=False,
-                             default=256),
+            chain, fs, on_samples=on_samples, off_samples=off_samples,
             guard_samples=_get(r, "guard_samples", path, "int",
                                required=False, default=8))
         report = {"routine": kind, "off_level": level}

@@ -106,8 +106,11 @@ class TestAcceptance:
             StageSpec("lo_feedthrough", {"offset": 0.02}),
             StageSpec("bandwidth_limit", {"cutoff_hz": 5.0 / symbol_period}),
         ))
-        report = met.evm_budget(bits, const, shape, chain,
-                                symbol_period=symbol_period)
+        stream, clean = synth_comm_waveform(bits, const, shape, None,
+                                            symbol_period)
+        scorer = met.LinkScorer(stream, const, shape)
+        report = met.evm_budget(scorer, clean, chain,
+                                scorer(run_chain(chain, clean))[2])
         assert report.rss_deviation < 0.10
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0

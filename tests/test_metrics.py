@@ -122,12 +122,55 @@ class TestEvm:
         with pytest.raises(ValueError):
             met.evm(np.ones(3), np.zeros(3))
 
-    def test_reference_symbols_range_check(self):
-        const = mod.build_constellation("m_psk", m=4)
-        assert np.array_equal(met.reference_symbols([0, 3], const),
-                              const.points[[0, 3]])
-        with pytest.raises(ValueError):
-            met.reference_symbols([4], const)
+
+class TestLinkScorer:
+    def test_leaves_out_the_pulse_tails(self):
+        const, shape, stream, env = _loopback("raised_cosine", n_sym=80)
+        rx, ref, report = met.LinkScorer(stream, const, shape)(env)
+        span = shape.span_symbols
+        assert np.array_equal(ref, stream.symbols[span:-span])
+        assert np.max(np.abs(rx - ref)) < 1e-9
+        assert report.num_symbols == 80 - 2 * span
+
+    def test_timing_search_is_honoured(self):
+        const, shape, stream, env = _loopback("raised_cosine", n_sym=80)
+        shifted = fractional_delay(env, 3.0 / env.sample_rate)
+        searched = met.LinkScorer(stream, const, shape, timing_search=True)
+        assert searched(shifted)[2].evm_rms < 1e-9
+        assert met.LinkScorer(stream, const, shape)(shifted)[2].evm_rms > 0.1
+
+
+def _budget(bits, const, shape, chain, symbol_period):
+    """evm_budget as a scenario runs it: one synthesis, one full-chain run."""
+    stream, clean = ch.synth_comm_waveform(bits, const, shape, None,
+                                           symbol_period)
+    scorer = met.LinkScorer(stream, const, shape)
+    total = scorer(ch.run_chain(chain, clean))[2]
+    return met.evm_budget(scorer, clean, chain, total)
+
+
+def _budget_oracle(bits, constellation, shape, chain, symbol_period):
+    """evm_budget before the shared scorer: it re-synthesized the clean
+    waveform and ran the whole chain again for its measured total."""
+    by_term: dict = {}
+    for spec in chain.stages:
+        by_term.setdefault(ch.STAGES[spec.kind].term, []).append(spec)
+    skip = shape.span_symbols
+    stream, clean = ch.synth_comm_waveform(bits, constellation, shape,
+                                           None, symbol_period)
+
+    def measure(sub: tuple) -> float:
+        env = ch.run_chain(ch.TxChain(chain.architecture, sub), clean)
+        res = met.demodulate(env, constellation, shape, stream.symbol_period,
+                             skip_edge_symbols=skip)
+        ref = stream.symbols[skip:-skip][: res.rx_symbols.size]
+        return met.evm(res.rx_symbols, ref).evm_rms
+
+    terms = {term: measure(tuple(by_term[term]))
+             for term in met.BUDGET_TERMS if term in by_term}
+    total = measure(chain.stages)
+    rss = math.sqrt(sum(v * v for v in terms.values()))
+    return met.BudgetReport(terms, rss, total)
 
 
 class TestBudget:
@@ -151,7 +194,7 @@ class TestBudget:
             ch.StageSpec("lo_feedthrough", {"offset": 0.015 + 0.01j}),
             ch.StageSpec("bandwidth_limit", {"cutoff_hz": 0.8e6}),
         ))
-        rep = met.evm_budget(bits, const, shape, chain, 1e-6)
+        rep = _budget(bits, const, shape, chain, 1e-6)
         assert set(rep.terms) == {"amp", "phase", "pn", "iq_lo", "bw"}
         assert rep.rss_deviation < 0.1
         assert all(v > 0.0 for v in rep.terms.values())
@@ -164,7 +207,7 @@ class TestBudget:
                                span_symbols=12, samples_per_symbol=8)
         chain = ch.TxChain("cartesian", (
             ch.StageSpec("amplitude_error", {"eps_a": 0.05}),))
-        rep = met.evm_budget(bits, const, shape, chain, 1e-6)
+        rep = _budget(bits, const, shape, chain, 1e-6)
         assert set(rep.terms) == {"amp"}
         assert rep.terms["amp"] == pytest.approx(0.05, abs=1e-9)
         assert rep.total_measured == pytest.approx(0.05, abs=1e-9)
@@ -173,7 +216,46 @@ class TestBudget:
         const, bits, shape = self._setup(n_sym=50)
         chain = ch.polar_chain(tau_a=1e-9)
         with pytest.raises(ValueError, match="budget term"):
-            met.evm_budget(bits, const, shape, chain, 1e-6)
+            _budget(bits, const, shape, chain, 1e-6)
+
+
+class TestBudgetOracle:
+    """The budget from the shared scorer and the main run must equal the
+    budget that re-synthesized and re-ran the whole chain."""
+
+    ATOMIC = (
+        ch.StageSpec("amplitude_error", {"eps_a": 0.02}),
+        ch.StageSpec("am_ampm", {"gain_poly": [1.0, -0.03],
+                                 "phase_poly": [0.0, 0.0, 0.02]}),
+        ch.StageSpec("static_phase_error", {"phi_e": 0.015}),
+        ch.StageSpec("iq_imbalance", {"gain_mismatch": 0.03,
+                                      "quad_skew": 0.02}),
+        ch.StageSpec("lo_feedthrough", {"offset": 0.004 + 0.003j}),
+        ch.StageSpec("bandwidth_limit", {"cutoff_hz": 1.6e6}),
+    )
+    STOCHASTIC = (
+        ch.StageSpec("amplitude_error", {"eps_a": 0.01}),
+        ch.StageSpec("phase_noise", {"rate": 40.0, "seed": 5}),
+        ch.StageSpec("sample_jitter", {"sigma_s": 2.0e-9, "seed": 6}),
+        ch.StageSpec("bandwidth_limit", {"cutoff_hz": 2.0e6}),
+    )
+
+    @pytest.mark.parametrize("stages", [ATOMIC, STOCHASTIC],
+                             ids=["atomic", "phase-noise-jitter"])
+    @pytest.mark.parametrize("kind", ["root_raised_cosine", "raised_cosine",
+                                      "rect"])
+    def test_matches_oracle(self, kind, stages):
+        const = mod.build_constellation("square_qam", m=16)
+        bits = np.random.default_rng(4).integers(0, 2, 4 * 240)
+        shape = mod.PulseShape(kind, rolloff=0.35, span_symbols=12,
+                               samples_per_symbol=8)
+        chain = ch.TxChain("cartesian", stages)
+        got = _budget(bits, const, shape, chain, 1e-6)
+        want = _budget_oracle(bits, const, shape, chain, 1e-6)
+        assert got.terms == want.terms
+        assert got.total_rss == want.total_rss
+        assert got.total_measured == want.total_measured
+        assert got.total_measured > 0.0
 
 
 class TestEye:

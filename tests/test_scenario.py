@@ -349,6 +349,30 @@ class TestRunScenario:
         assert lines[-2].startswith("rss,")
         assert lines[-1].startswith("measured,")
 
+    @pytest.mark.parametrize("timing_search", [False, True])
+    def test_budget_reuses_the_main_run(self, timing_search, tmp_path,
+                                        monkeypatch):
+        from sigchain import chains as ch
+        from sigchain import metrics as met
+
+        runs = []
+
+        def counting(chain, env, run_chain=ch.run_chain):
+            runs.append(chain)
+            return run_chain(chain, env)
+
+        for module in (ch, met, scn):
+            monkeypatch.setattr(module, "run_chain", counting, raising=False)
+        cfg = scn.read_config(scn.bundled_scenario_path("qam16_budget"))
+        cfg["comm"]["timing_search"] = timing_search
+        summary = scn.run_scenario(cfg, tmp_path)
+        budget = summary["budget"]
+        assert budget["total_measured"] == summary["evm_rms"]
+        # the search absorbs the low-pass group delay: 0.063 against 0.128
+        assert (summary["evm_rms"] < 0.1) == timing_search
+        # one run per term plus the main run, whose EVM is the total
+        assert len(runs) == len(budget["terms"]) + 1
+
 
 class TestSweep:
     def sweep_config(self, values):
@@ -475,6 +499,18 @@ def align_cal_config(**routine):
             {"kind": "polar_paths", "params": {"tau_p": 1.5e-10}}]},
         "routine": {"kind": "polar_delay_align", "symbol_period": 1.0e-9,
                     "window_s": 4.0e-10, "step_s": 5.0e-11, **routine},
+    }
+
+
+def probe_cal_config(kind, hold_factor=1, **routine):
+    """A ``kind`` calibration of a chain that holds each sample
+    ``hold_factor`` times."""
+    return {
+        "name": "probe-cal",
+        "sample_rate": 4.0e9,
+        "chain": {"stages": [{"kind": "rfdac_core", "params": {
+            "bits": 12, "hold_factor": hold_factor}}]},
+        "routine": {"kind": kind, **routine},
     }
 
 
@@ -658,9 +694,20 @@ class TestCli:
          "calibration.routine.step_s: must be positive"),
         (_no_polar_paths(align_cal_config()),
          "calibration.chain.stages: polar_delay_align needs a 'polar_paths'"),
+        (probe_cal_config("iq_cal", n_samples=2**25),
+         "calibration.routine.n_samples: asks for"),
+        (probe_cal_config("iq_cal", hold_factor=8, n_samples=2**22),
+         "calibration.routine.n_samples: asks for"),
+        (probe_cal_config("dpd_fit", n_levels=2**13, hold_samples=2**12),
+         "calibration.routine.n_levels: asks for"),
+        (align_cal_config(n_symbols=10**9),
+         "calibration.routine.n_symbols: asks for"),
+        (probe_cal_config("leakage_cancel", on_samples=2**24),
+         "calibration.routine.on_samples: asks for"),
     ], ids=["scale-str", "scale-bool", "scales-not-increasing",
             "too-few-scales", "window-zero", "step-negative",
-            "no-polar-paths"])
+            "no-polar-paths", "iq-samples", "iq-samples-held",
+            "dpd-staircase", "align-symbols", "leakage-burst"])
     def test_calibration_input_exit_two_before_compute(
             self, cfg, where, tmp_path, capsys, monkeypatch):
         from sigchain import calibration as cal
@@ -668,8 +715,8 @@ class TestCli:
         def compute(*args, **kwargs):
             raise AssertionError("compute started")
 
-        monkeypatch.setattr(cal, "rabi_amplitude_cal", compute)
-        monkeypatch.setattr(cal, "polar_delay_align", compute)
+        for routine in scn.ROUTINES:
+            monkeypatch.setattr(cal, routine, compute)
         p = tmp_path / "cal.json"
         p.write_text(json.dumps(cfg))
         assert main(["calibrate", str(p), "--out-dir",
@@ -687,8 +734,11 @@ class TestCli:
          "stages.0.params.bits"),
         ("rfdac_images", 0, {"bits": True}, "stages.0.params.bits"),
         ("qam16_budget", None, {"n_symbols": 10**13}, "comm.n_symbols"),
+        ("qam16_budget", 5, {"kind": "rfdac_core", "bits": 12},
+         "stages.5.kind"),
     ], ids=["eps-str", "cutoff-past-nyquist", "seed-str", "gain-list",
-            "quantize-bits-float", "rfdac-bits-bool", "n-symbols-huge"])
+            "quantize-bits-float", "rfdac-bits-bool", "n-symbols-huge",
+            "budget-composite-stage"])
     def test_config_mistakes_exit_two_with_path(
             self, scenario, stage, params, where, tmp_path, capsys):
         cfg = scn.read_config(scn.bundled_scenario_path(scenario))
