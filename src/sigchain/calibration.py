@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+# The alignment probe's pulse spans this many symbols; its scorer leaves as
+# many out at each end of the record.
+ALIGN_SPAN_SYMBOLS = 8
+
+
 class CalibrationError(RuntimeError):
     """A calibration probe measured something its model cannot correct."""
 
@@ -199,7 +204,7 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
         raise ValueError("symbol_period must span an integer number of "
                          "samples, at least 4")
     const = mod.build_constellation("m_psk", m=4)
-    shape = mod.PulseShape("raised_cosine", span_symbols=8,
+    shape = mod.PulseShape("raised_cosine", span_symbols=ALIGN_SPAN_SYMBOLS,
                            samples_per_symbol=int(round(sps)))
     bits = np.random.default_rng(seed).integers(
         0, 2, size=n_symbols * const.bits_per_symbol)

@@ -30,7 +30,6 @@ from sigchain.envelope import (
     PolarTracks,
     delay_real_track,
     from_polar,
-    to_polar,
 )
 
 __all__ = [
@@ -146,12 +145,15 @@ class Param:
     "(0, inf)".  A parameter without a default is required; a default of
     None means the stage skips what the parameter controls.  ``below`` maps
     the sample rate the stage sees to an exclusive upper bound, checked
-    where that rate is known."""
+    where that rate is known.  ``delay`` marks a delay in seconds whose
+    magnitude must stay below a quarter of the record duration, checked
+    where that duration is known."""
 
     type: str
     bounds: str = "(-inf, inf)"
     default: object = _REQUIRED
     below: Callable | None = None
+    delay: bool = False
 
     def check(self, kind: str, key: str, v) -> None:
         if v is None:
@@ -226,9 +228,7 @@ def _apply_iq_paths(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
 def _polar_tracks(env: ComplexEnvelope, p: dict):
     """AM and PM tracks of a polar_paths stage, up to the AM trim delay."""
     fs = env.sample_rate
-    tracks = to_polar(env)
-    amp = np.array(tracks.amplitude)
-    phase = np.array(tracks.phase)
+    amp, phase = env.polar.amplitude, env.polar.phase
 
     if p["am_bits"] is not None:
         fsr = p["am_full_scale"]
@@ -302,13 +302,13 @@ def _apply_rfdac_core(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
 
 
 def _apply_harmonic_multiply(env: ComplexEnvelope, p: dict, ctx):
-    tracks = to_polar(env)
+    tracks = env.polar
     out = tracks.amplitude * np.exp(1j * p["factor"] * tracks.phase)
     return ComplexEnvelope(out, env.sample_rate, env.t0)
 
 
 def _apply_rise_fall(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
-    tracks = to_polar(env)
+    tracks = env.polar
     amp = np.maximum(imp.lowpass_track(tracks.amplitude, p["cutoff_hz"],
                                        env.sample_rate), 0.0)
     out = amp * np.exp(1j * tracks.phase)
@@ -330,7 +330,7 @@ def _apply_state_errors(env: ComplexEnvelope, p: dict, ctx):
         errors = np.random.default_rng(p["seed"]).normal(
             0.0, p["sigma"], levels.size)
     errors = np.asarray(errors, dtype=np.float64)
-    tracks = to_polar(env)
+    tracks = env.polar
     idx = np.argmin(np.abs(tracks.amplitude[:, None] - levels[None, :]), axis=1)
     amp = tracks.amplitude * (1.0 + errors[idx])
     out = np.maximum(amp, 0.0) * np.exp(1j * tracks.phase)
@@ -370,6 +370,7 @@ def _check_state_errors(p: dict) -> None:
 _SEED = Param("int", "[0, inf)", default=None)
 _BITS = Param("int", "[1, 32]", default=None)
 _ZERO = Param("number", default=0.0)
+_DELAY = replace(_ZERO, delay=True)
 _FULL_SCALE = Param("number", "(0, inf)", default=1.0)
 _CUTOFF = Param("number", "(0, inf)", below=lambda fs: fs / 2.0)
 _CUTOFF_OR_NONE = replace(_CUTOFF, default=None)
@@ -400,10 +401,10 @@ STAGES: dict[str, Stage] = {
         lambda env, p, ctx: imp.onoff_leakage(env, p["off_ratio_db"],
                                               _gate_mask(env, ctx)),
         "iq_lo", {"off_ratio_db": Param("number", "[0, inf]")}),
-    "path_skew": Stage("path_skew", "bw", {"tau_i": _ZERO, "tau_q": _ZERO}),
+    "path_skew": Stage("path_skew", "bw", {"tau_i": _DELAY, "tau_q": _DELAY}),
     "iq_paths": Stage(_apply_iq_paths, None, {
         "bits": _BITS, "full_scale": _FULL_SCALE,
-        "cutoff_hz": _CUTOFF_OR_NONE, "tau_i": _ZERO, "tau_q": _ZERO}),
+        "cutoff_hz": _CUTOFF_OR_NONE, "tau_i": _DELAY, "tau_q": _DELAY}),
     "polar_paths": Stage(_apply_polar_paths, None, {
         "am_bits": _BITS, "am_cutoff_hz": _CUTOFF_OR_NONE, "tau_a": _ZERO,
         "am_full_scale": Param("number", "(0, inf)", default=None),

@@ -9,6 +9,7 @@ represented explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,12 @@ class ComplexEnvelope:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.samples.size) / self.sample_rate
+
+    @cached_property
+    def polar(self) -> PolarTracks:
+        """``to_polar`` of this record, split on first use and then kept:
+        the record is immutable, so every stage that reads it shares one."""
+        return to_polar(self)
 
 
 @dataclass(frozen=True)

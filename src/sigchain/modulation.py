@@ -23,6 +23,7 @@ __all__ = [
     "map_bits",
     "shape_filter",
     "shape_symbols",
+    "shaped_duration",
     "gate_envelope",
     "gate_envelope_unit_area",
     "with_peak",
@@ -348,6 +349,16 @@ def shape_symbols(stream: SymbolStream, shape: PulseShape) -> ComplexEnvelope:
         up[::sps] = stream.symbols
         samples = np.convolve(up, taps)
     return ComplexEnvelope(samples, sps / stream.symbol_period)
+
+
+def shaped_duration(n_symbols: int, shape: PulseShape,
+                    symbol_period: float) -> float:
+    """``duration`` of the record ``shape_symbols`` makes from ``n_symbols``
+    symbols at ``symbol_period``: one period per symbol plus the filter's
+    tails, in samples, over the record's sample rate."""
+    sps = shape.samples_per_symbol
+    tails = 0 if shape.kind == "rect" else 2 * (shape.span_symbols * sps // 2)
+    return (n_symbols * sps + tails) / (sps / symbol_period)
 
 
 def _gaussian_params(spec: GateEnvelopeSpec) -> tuple[float, float]:

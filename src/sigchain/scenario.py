@@ -356,6 +356,19 @@ def _check_samples(n_samples: float, path: str) -> None:
            f"samples, more than the budget of {MAX_SAMPLES}")
 
 
+def _check_delays(chain: TxChain | None, duration: float) -> None:
+    """Delay parameters against the record's ``duration`` in seconds, which
+    a hold keeps: their magnitude must stay below a quarter of it."""
+    for i, spec in enumerate(chain.stages if chain is not None else ()):
+        for key, par in STAGES[spec.kind].params.items():
+            v = spec.params.get(key)
+            if par.delay and v is not None and not abs(v) < duration / 4.0:
+                raise ConfigError(
+                    f"scenario.chain.stages.{i}.params.{key}: |{key}| must "
+                    f"stay below a quarter of the {duration:g} s record, "
+                    f"got {v!r}")
+
+
 def plan_scenario(raw) -> dict:
     """Validate a scenario config and build the objects it describes."""
     d = _want_dict(raw, "scenario")
@@ -384,6 +397,9 @@ def plan_scenario(raw) -> dict:
         _check(n_symbols >= 16, "scenario.comm.n_symbols", "must be >= 16")
         _check_samples(n_symbols * plan["pulse"].samples_per_symbol * hold,
                        "scenario.comm.n_symbols")
+        plan["symbol_period"] = plan["pulse"].samples_per_symbol / fs
+        _check_delays(chain, mod.shaped_duration(n_symbols, plan["pulse"],
+                                                 plan["symbol_period"]))
         plan["n_symbols"] = n_symbols
         plan["bit_seed"] = _get(c, "bit_seed", "scenario.comm", "int")
         plan["timing_search"] = _get(c, "timing_search", "scenario.comm",
@@ -423,6 +439,7 @@ def plan_scenario(raw) -> dict:
         n_samples = plan["envelope"].duration_s * fs * hold
         _check_samples(n_samples, "scenario.qubit.envelope.duration_s")
         _check_samples(n_samples * substeps, "scenario.qubit.substeps")
+        _check_delays(chain, round(plan["envelope"].duration_s * fs) / fs)
         plan["substeps"] = substeps
         plan["outputs"] = _parse_outputs(q, "scenario.qubit", QUBIT_OUTPUTS)
         if "bloch" in plan["outputs"]:
@@ -432,16 +449,28 @@ def plan_scenario(raw) -> dict:
 
 
 # --------------------------------------------------------------- compute
+#
+# A run has two stages.  The input stage makes what the chain is fed: for
+# comm the bits, symbol stream and clean waveform, for qubit the gate pulse.
+# The chain-plus-score stage runs the chain on it and scores the result.
+# Nothing in the input depends on the chain, and every piece of it is
+# read-only, so a sweep over chain parameters makes it once and shares it.
 
-def _compute_comm(plan: dict) -> tuple[dict, dict]:
+def _comm_input(plan: dict) -> tuple:
     const = plan["constellation"]
-    shape = plan["pulse"]
-    fs = plan["sample_rate"]
-    symbol_period = shape.samples_per_symbol / fs
     rng = np.random.default_rng(plan["bit_seed"])
     bits = rng.integers(0, 2, size=plan["n_symbols"] * const.bits_per_symbol)
-    stream, clean = synth_comm_waveform(bits, const, shape,
-                                        symbol_period=symbol_period)
+    bits.setflags(write=False)
+    stream, clean = synth_comm_waveform(bits, const, plan["pulse"],
+                                        symbol_period=plan["symbol_period"])
+    return bits, stream, clean
+
+
+def _compute_comm(plan: dict, made: tuple) -> tuple[dict, dict]:
+    const = plan["constellation"]
+    shape = plan["pulse"]
+    bits, stream, clean = made
+    symbol_period = plan["symbol_period"]
     env = clean if plan["chain"] is None else run_chain(plan["chain"], clean)
     scorer = met.LinkScorer(stream, const, shape, plan["timing_search"])
     rx, ref, report = scorer(env)
@@ -485,16 +514,17 @@ def _compute_comm(plan: dict) -> tuple[dict, dict]:
     return summary, artifacts
 
 
-def _compute_qubit(plan: dict) -> tuple[dict, dict]:
+def _qubit_input(plan: dict):
+    return synth_qubit_pulse(
+        None, plan["envelope"], plan["sample_rate"],
+        rotation_angle=(None if plan["envelope"].peak_amplitude is not None
+                        else plan["rotation_angle"]),
+        axis_phase=plan["axis_phase"], drive_gain=plan["model"].drive_gain)
+
+
+def _compute_qubit(plan: dict, pulse) -> tuple[dict, dict]:
     model = plan["model"]
-    env = synth_qubit_pulse(plan["chain"], plan["envelope"],
-                            plan["sample_rate"],
-                            rotation_angle=(
-                                None
-                                if plan["envelope"].peak_amplitude is not None
-                                else plan["rotation_angle"]),
-                            axis_phase=plan["axis_phase"],
-                            drive_gain=model.drive_gain)
+    env = pulse if plan["chain"] is None else run_chain(plan["chain"], pulse)
     u = qb.propagate(model, env, substeps=plan["substeps"])
     target = qb.target_unitary(qb.GateSpec(plan["rotation_angle"],
                                            plan["axis_phase"]))
@@ -515,12 +545,18 @@ def _compute_qubit(plan: dict) -> tuple[dict, dict]:
     return summary, artifacts
 
 
-def _compute(raw: dict) -> tuple[dict, dict]:
+# mode -> (input stage, chain-plus-score stage)
+_MODES = {"comm": (_comm_input, _compute_comm),
+          "qubit": (_qubit_input, _compute_qubit)}
+
+
+def _compute(raw: dict, made=None) -> tuple[dict, dict]:
+    """Plan, make the input (unless ``made`` is given: the input stage's
+    result for a plan that differs from this one only in its chain), then
+    run the chain and score."""
     plan = plan_scenario(raw)
-    if plan["mode"] == "comm":
-        summary, artifacts = _compute_comm(plan)
-    else:
-        summary, artifacts = _compute_qubit(plan)
+    make, score = _MODES[plan["mode"]]
+    summary, artifacts = score(plan, make(plan) if made is None else made)
     summary = {"name": plan["name"], "mode": plan["mode"], **summary}
     return summary, artifacts
 
@@ -578,7 +614,10 @@ def _sweep_columns(mode: str) -> tuple:
 def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
     """Run a one- or two-axis parameter sweep; failures become FAILED rows.
 
-    When any point fails, ``failures.json`` beside ``sweep.csv`` lists each
+    Each point is planned and checked on its own config.  When every swept
+    path lies under ``chain.``, the points share one input (bits, symbols
+    and clean waveform, or gate pulse), made once from the base.  When any
+    point fails, ``failures.json`` beside ``sweep.csv`` lists each
     failed point's ``{path: value}`` map with its error message."""
     d = _want_dict(raw, "sweep-file")
     _no_extras(d, ("base", "sweep"), "sweep-file")
@@ -603,12 +642,21 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
     grid = [(a,) for a in values[0]] if len(paths) == 1 else \
         [(a, b) for a in values[0] for b in values[1]]
 
+    made = None
+    if all(p.startswith("chain.") for p in paths):
+        # Every point feeds its chain the base's input: make it once.  If
+        # that fails, each point makes its own and fails with its own row.
+        try:
+            made = _MODES[base_plan["mode"]][0](base_plan)
+        except Exception:  # noqa: BLE001
+            log.debug("shared sweep input failed", exc_info=True)
+
     def one(point):
         cfg = copy.deepcopy(base)
         for p, v in zip(paths, point):
             _set_path(cfg, p, v)
         try:
-            summary, _ = _compute(cfg)
+            summary, _ = _compute(cfg, made)
             return point, summary, None
         except Exception as e:  # noqa: BLE001  one bad point must not end the sweep
             log.debug("sweep point %s traceback", point, exc_info=True)
@@ -713,6 +761,7 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
             tone = _get(r, "tone_freq", path, "number")
         n_samples = _get(r, "n_samples", path, "int", required=False,
                          default=4096)
+        _check(n_samples >= 8, f"{path}.n_samples", "must be at least 8")
         _check_samples(n_samples * hold, f"{path}.n_samples")
         corrected = cal.iq_cal(chain, fs, tone_freq=tone, n_samples=n_samples)
         stage = corrected.stages[0]
@@ -733,6 +782,10 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
         symbol_period = _get(r, "symbol_period", path, "number")
         n_symbols = _get(r, "n_symbols", path, "int", required=False,
                          default=96)
+        edge = cal.ALIGN_SPAN_SYMBOLS
+        _check(n_symbols > 2 * edge, f"{path}.n_symbols",
+               f"must be above {2 * edge}: the first and last {edge} "
+               "symbols are not scored")
         _check_samples(n_symbols * symbol_period * fs * hold,
                        f"{path}.n_symbols")
         corrected, delay, scores = cal.polar_delay_align(
@@ -746,15 +799,20 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
                        "hold_samples"), path)
         _check(chain is not None, "calibration.chain", "dpd_fit needs a "
                "chain")
+        order = _get(r, "order", path, "int", required=False, default=5)
+        _check(order in (3, 5, 7), f"{path}.order", "must be 3, 5 or 7")
         n_levels = _get(r, "n_levels", path, "int", required=False,
                         default=32)
+        _check(n_levels >= order + 2, f"{path}.n_levels",
+               f"must be at least order + 2 = {order + 2}")
         hold_samples = _get(r, "hold_samples", path, "int", required=False,
                             default=64)
+        _check(hold_samples * hold >= 4, f"{path}.hold_samples",
+               "must hold each level for at least 4 samples after the "
+               "chain's hold")
         _check_samples(n_levels * hold_samples * hold, f"{path}.n_levels")
         corrected, gain_poly, phase_poly = cal.dpd_fit(
-            chain, fs,
-            order=_get(r, "order", path, "int", required=False, default=5),
-            n_levels=n_levels,
+            chain, fs, order=order, n_levels=n_levels,
             full_scale=_get(r, "full_scale", path, "number", required=False,
                             default=1.0),
             hold_samples=hold_samples)
@@ -769,12 +827,18 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
                           default=256)
         off_samples = _get(r, "off_samples", path, "int", required=False,
                            default=256)
+        guard_samples = _get(r, "guard_samples", path, "int", required=False,
+                             default=8)
+        _check(on_samples >= 1, f"{path}.on_samples", "must be at least 1")
+        _check(guard_samples >= 0, f"{path}.guard_samples",
+               "must be nonnegative")
+        _check(off_samples > guard_samples + 8, f"{path}.off_samples",
+               "must exceed guard_samples + 8")
         _check_samples((on_samples + off_samples) * hold,
                        f"{path}.on_samples")
         corrected, level = cal.leakage_cancel(
             chain, fs, on_samples=on_samples, off_samples=off_samples,
-            guard_samples=_get(r, "guard_samples", path, "int",
-                               required=False, default=8))
+            guard_samples=guard_samples)
         report = {"routine": kind, "off_level": level}
 
     dest = Path(out_dir) / name

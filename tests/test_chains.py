@@ -91,6 +91,49 @@ class TestChainPlumbing:
             assert isinstance(spec.params, dict)
 
 
+class TestSharedInput:
+    """A chain's input may be shared (a sweep feeds one record to every
+    point), so nothing may write into it or into its memoized polar split."""
+
+    @pytest.mark.parametrize("scribble", [
+        lambda env: env.samples.__setitem__(0, 0.0),
+        lambda env: env.polar.amplitude.__setitem__(0, 0.0),
+        lambda env: env.polar.phase.__iadd__(1.0),
+    ], ids=["samples", "amplitude", "phase"])
+    def test_a_stage_writing_its_input_raises(self, scribble, monkeypatch):
+        def apply(env, p, ctx):
+            scribble(env)
+            return env
+
+        monkeypatch.setitem(ch.STAGES, "scribble", ch.Stage(apply, None, {}))
+        env = _qpsk_waveform(32)
+        before = env.samples.copy()
+        chain = ch.TxChain("custom", (ch.StageSpec("scribble"),))
+        with pytest.raises(ValueError, match="read-only"):
+            ch.run_chain(chain, env)
+        assert np.array_equal(env.samples, before)
+
+    def test_polar_stages_on_one_envelope_split_it_once(self, monkeypatch):
+        import sigchain.envelope as envelope
+
+        calls = []
+        split = envelope.to_polar
+
+        def counted(env):
+            calls.append(env)
+            return split(env)
+
+        monkeypatch.setattr(envelope, "to_polar", counted)
+        env = _qpsk_waveform(64)
+        polar = ch.polar_chain(am_cutoff_hz=5e7, tau_p=1e-9).stages[0]
+        for spec in (polar, ch.StageSpec("rise_fall", {"cutoff_hz": 5e7}),
+                     ch.StageSpec("harmonic_multiply", {"factor": 2}),
+                     ch.StageSpec("state_errors", {"levels": [1.0],
+                                                   "errors": [0.1]})):
+            ch.apply_stage(env, spec)
+        assert calls == [env]
+
+
 class TestCartesian:
     def test_builder_omits_identity_stages(self):
         assert ch.cartesian_chain().stages == ()

@@ -86,6 +86,23 @@ class TestPolar:
         with pytest.raises(ValueError):
             PolarTracks(np.array([1.0, -0.1]), np.zeros(2), 1.0)
 
+    def test_memo_equals_to_polar_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=300) + 1j * rng.normal(size=300)
+        x[:5] = x[100:140] = 0.0   # leading and inner gaps carry the phase
+        env = ComplexEnvelope(x, 1e9)
+        direct = to_polar(env)
+        assert env.polar is env.polar
+        assert np.array_equal(env.polar.amplitude, direct.amplitude)
+        assert np.array_equal(env.polar.phase, direct.phase)
+        assert env.polar.sample_rate == direct.sample_rate
+
+    def test_samples_and_tracks_are_read_only(self):
+        env = tone(1e6, 1e9, 64)
+        for arr in (env.samples, env.polar.amplitude, env.polar.phase):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
 
 class TestFractionalDelay:
     def test_integer_delay_is_exact_shift(self):

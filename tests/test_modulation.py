@@ -14,6 +14,7 @@ from sigchain.modulation import (
     map_bits,
     shape_filter,
     shape_symbols,
+    shaped_duration,
 )
 
 
@@ -225,6 +226,17 @@ class TestShapeSymbols:
         stream = map_bits(np.array([], dtype=int), c)
         with pytest.raises(ValueError):
             shape_symbols(stream, PulseShape("rect"))
+
+    @pytest.mark.parametrize("kind", ["rect", "sinc", "raised_cosine",
+                                      "root_raised_cosine", "gaussian"])
+    @pytest.mark.parametrize("span, sps", [(8, 8), (5, 7), (16, 32)])
+    def test_shaped_duration_is_the_records(self, kind, span, sps):
+        c = build_constellation("m_psk", m=4)
+        period = sps / 8.0e9
+        stream = map_bits(np.zeros(2 * 21, dtype=int), c, symbol_period=period)
+        shape = PulseShape(kind, span_symbols=span, samples_per_symbol=sps)
+        env = shape_symbols(stream, shape)
+        assert shaped_duration(21, shape, period) == env.duration
 
 
 class TestGateEnvelope:

@@ -1,4 +1,5 @@
 """Scenario files, deterministic emitters, sweeps, and the CLI."""
+import copy
 import csv
 import json
 import logging
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +283,33 @@ class TestValidation:
         with pytest.raises(scn.ConfigError, match=re.escape(where)):
             scn.plan_scenario(cfg)
 
+    @pytest.mark.parametrize("make, kind, key", [
+        (lambda: qpsk_config(n_symbols=32, outputs=()), "path_skew", "tau_i"),
+        (lambda: qpsk_config(n_symbols=32, outputs=()), "iq_paths", "tau_q"),
+        (lambda: pi_config(outputs=()), "path_skew", "tau_q"),
+        (lambda: pi_config(outputs=()), "iq_paths", "tau_i"),
+    ], ids=["comm-skew", "comm-iq-paths", "qubit-skew", "qubit-iq-paths"])
+    def test_delay_bound_is_a_quarter_of_the_record(self, make, kind, key,
+                                                    tmp_path, capsys):
+        cfg = make()
+        plan = scn.plan_scenario(cfg)
+        make_input, _ = scn._MODES[plan["mode"]]
+        made = make_input(plan)
+        bound = (made[2] if plan["mode"] == "comm" else made).duration / 4.0
+        # a hold keeps the duration, and the bound names the stage's index
+        cfg["chain"] = {"stages": [
+            {"kind": "rfdac_core", "params": {"bits": 16, "hold_factor": 2}},
+            {"kind": kind, "params": {key: -math.nextafter(bound, 0.0)}}]}
+        scn.run_scenario(cfg, tmp_path / "below")
+        cfg["chain"]["stages"][1]["params"][key] = -bound
+        p = tmp_path / "at.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", str(p), "--out-dir",
+                     str(tmp_path / "at")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: scenario.chain.stages.1.params.{key}:" in err
+        assert not (tmp_path / "at").exists()
+
     def test_load_scenario_rejects_bad_json(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -475,6 +504,153 @@ class TestSweep:
         cfg["sweep"]["paths"] = ["chain.stages.9.params.cutoff_hz"]
         with pytest.raises(scn.ConfigError, match="bad index"):
             scn.run_sweep(cfg, tmp_path)
+
+
+def _oracle_sweep(raw: dict, out_dir, threads: int) -> Path:
+    """``run_sweep`` as it was before points shared their input: each point
+    plans, synthesizes and scores its own config."""
+    base, sw = raw["base"], raw["sweep"]
+    paths, values = sw["paths"], sw["values"]
+    grid = [(a,) for a in values[0]] if len(paths) == 1 else \
+        [(a, b) for a in values[0] for b in values[1]]
+
+    def one(point):
+        cfg = copy.deepcopy(base)
+        for p, v in zip(paths, point):
+            scn._set_path(cfg, p, v)
+        try:
+            summary, _ = scn._compute(cfg)
+            return point, summary, None
+        except Exception as e:  # noqa: BLE001
+            return point, None, str(e)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(one, grid))
+    cols = scn._sweep_columns(scn.plan_scenario(base)["mode"])
+    failures = [{"point": dict(zip(paths, point)), "error": err}
+                for point, summary, err in results if summary is None]
+    metric_cols = [["FAILED" if s is None else
+                    (math.nan if s.get(c) is None else s[c])
+                    for _, s, _ in results] for c in cols]
+    dest = Path(out_dir) / base["name"]
+    dest.mkdir(parents=True, exist_ok=True)
+    target = dest / "sweep.csv"
+    target.write_text(scn._csv(",".join(list(paths) + list(cols)),
+                               *zip(*grid), *metric_cols))
+    if failures:
+        (dest / "failures.json").write_text(scn.emit_json(failures))
+    return target
+
+
+def _polar_swept(n_symbols=48):
+    chain = {"architecture": "polar", "stages": [
+        {"kind": "polar_paths", "params": {"am_cutoff_hz": 3.0e9,
+                                           "pm_cutoff_hz": 3.0e9}},
+        {"kind": "bandwidth_limit", "params": {"cutoff_hz": 3.0e9}}]}
+    return qpsk_config(name="shared", n_symbols=n_symbols, outputs=(),
+                       chain=chain)
+
+
+def _qubit_swept(duration_s=6.4e-8):
+    cfg = pi_config(name="shared-q", outputs=())
+    cfg["qubit"]["envelope"]["duration_s"] = duration_s
+    cfg["chain"] = {"stages": [
+        {"kind": "amplitude_error", "params": {"eps_a": 0.0}},
+        {"kind": "bandwidth_limit", "params": {"cutoff_hz": 2.0e8}}]}
+    return cfg
+
+
+SWEEPS = {
+    "comm-chain-2d": {
+        "base": _polar_swept(),
+        "sweep": {"paths": ["chain.stages.0.params.tau_p",
+                            "chain.stages.1.params.cutoff_hz"],
+                  "values": [[0.0, 5.0e-11, 1.5e-10], [3.0e9, 1.0e9]]}},
+    "qubit-chain": {
+        "base": _qubit_swept(),
+        "sweep": {"paths": ["chain.stages.0.params.eps_a"],
+                  "values": [[0.0, 0.02, -0.05]]}},
+    "comm-symbols-and-chain": {
+        "base": _polar_swept(),
+        "sweep": {"paths": ["comm.n_symbols",
+                            "chain.stages.0.params.tau_p"],
+                  "values": [[32, 40], [0.0, 1.0e-10]]}},
+    "points-fail-to-parse": {
+        "base": qpsk_config(name="holds", n_symbols=32, outputs=(), chain={
+            "stages": [{"kind": "rfdac_core",
+                        "params": {"bits": 10, "hold_factor": 1}}]}),
+        "sweep": {"paths": ["chain.stages.0.params.hold_factor"],
+                  "values": [[1, "2", 3, 10**6]]}},
+    # the gate spans 32 samples: the input fails at run time, every point
+    "input-fails": {
+        "base": _qubit_swept(duration_s=3.2e-8),
+        "sweep": {"paths": ["chain.stages.0.params.eps_a"],
+                  "values": [[0.0, 0.02]]}},
+}
+
+
+class TestSharedSweepInput:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_matches_per_point_synthesis(self, name, threads, tmp_path):
+        cfg = SWEEPS[name]
+        got = scn.run_sweep(copy.deepcopy(cfg), tmp_path / "got",
+                            threads=threads).parent
+        want = _oracle_sweep(cfg, tmp_path / "want", threads).parent
+        for fname in ("sweep.csv", "failures.json"):
+            assert (got / fname).exists() == (want / fname).exists()
+            if (want / fname).exists():
+                assert (got / fname).read_bytes() == \
+                    (want / fname).read_bytes()
+        rows = (got / "sweep.csv").read_text().splitlines()[1:]
+        failed = sum("FAILED" in r for r in rows)
+        assert failed == {"points-fail-to-parse": 2,
+                          "input-fails": len(rows)}.get(name, 0)
+
+    @pytest.mark.parametrize("name, calls", [
+        ("comm-chain-2d", 1), ("comm-symbols-and-chain", 4)])
+    def test_chain_only_sweep_shapes_once(self, name, calls, tmp_path,
+                                          monkeypatch):
+        from sigchain import modulation as mod
+
+        seen = []
+        shape = mod.shape_symbols
+
+        def counted(stream, pulse):
+            seen.append(len(stream))
+            return shape(stream, pulse)
+
+        monkeypatch.setattr(mod, "shape_symbols", counted)
+        scn.run_sweep(copy.deepcopy(SWEEPS[name]), tmp_path, threads=2)
+        assert len(seen) == calls
+
+    def test_many_threads_share_one_input(self, tmp_path):
+        # more workers than cores, switching often: the shared record and
+        # its memoized polar split must give every point what one thread does
+        cfg = SWEEPS["comm-chain-2d"]
+        want = scn.run_sweep(copy.deepcopy(cfg), tmp_path / "one").read_bytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in range(3):
+                got = scn.run_sweep(copy.deepcopy(cfg), tmp_path / str(k),
+                                    threads=6)
+                assert got.read_bytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cfg", [_polar_swept(), _qubit_swept()],
+                             ids=["comm", "qubit"])
+    def test_shared_input_is_read_only(self, cfg):
+        plan = scn.plan_scenario(cfg)
+        made = scn._MODES[plan["mode"]][0](plan)
+        if plan["mode"] == "comm":
+            bits, stream, clean = made
+            arrays = (bits, stream.symbols, clean.samples)
+        else:
+            arrays = (made.samples,)
+        for arr in arrays:
+            assert not arr.flags.writeable
 
 
 def rabi_cal_config(scales=None):
@@ -704,10 +880,34 @@ class TestCli:
          "calibration.routine.n_symbols: asks for"),
         (probe_cal_config("leakage_cancel", on_samples=2**24),
          "calibration.routine.on_samples: asks for"),
+        (align_cal_config(n_symbols=0),
+         "calibration.routine.n_symbols: must be above 16"),
+        (align_cal_config(n_symbols=16),
+         "calibration.routine.n_symbols: must be above 16"),
+        (probe_cal_config("iq_cal", n_samples=-5),
+         "calibration.routine.n_samples: must be at least 8"),
+        (probe_cal_config("dpd_fit", hold_samples=0),
+         "calibration.routine.hold_samples: must hold each level"),
+        (probe_cal_config("dpd_fit", hold_factor=2, hold_samples=1),
+         "calibration.routine.hold_samples: must hold each level"),
+        (probe_cal_config("dpd_fit", n_levels=0),
+         "calibration.routine.n_levels: must be at least order + 2 = 7"),
+        (probe_cal_config("dpd_fit", order=4),
+         "calibration.routine.order: must be 3, 5 or 7"),
+        (probe_cal_config("leakage_cancel", on_samples=-300),
+         "calibration.routine.on_samples: must be at least 1"),
+        (probe_cal_config("leakage_cancel", guard_samples=-4),
+         "calibration.routine.guard_samples: must be nonnegative"),
+        (probe_cal_config("leakage_cancel", off_samples=16),
+         "calibration.routine.off_samples: must exceed guard_samples + 8"),
     ], ids=["scale-str", "scale-bool", "scales-not-increasing",
             "too-few-scales", "window-zero", "step-negative",
             "no-polar-paths", "iq-samples", "iq-samples-held",
-            "dpd-staircase", "align-symbols", "leakage-burst"])
+            "dpd-staircase", "align-symbols", "leakage-burst",
+            "align-no-symbols", "align-all-edge", "iq-negative",
+            "dpd-no-hold", "dpd-hold-held", "dpd-no-levels", "dpd-order",
+            "leakage-negative-burst", "leakage-negative-guard",
+            "leakage-short-gap"])
     def test_calibration_input_exit_two_before_compute(
             self, cfg, where, tmp_path, capsys, monkeypatch):
         from sigchain import calibration as cal
@@ -722,6 +922,22 @@ class TestCli:
         assert main(["calibrate", str(p), "--out-dir",
                      str(tmp_path / "out")]) == 2
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", [
+        align_cal_config(n_symbols=17),
+        probe_cal_config("iq_cal", n_samples=8),
+        probe_cal_config("dpd_fit", hold_samples=4),
+        probe_cal_config("dpd_fit", hold_factor=2, hold_samples=2),
+        probe_cal_config("dpd_fit", n_levels=7),
+        probe_cal_config("leakage_cancel", on_samples=1, guard_samples=0,
+                         off_samples=9),
+    ], ids=["align", "iq", "dpd-hold", "dpd-hold-held", "dpd-levels",
+            "leakage"])
+    def test_smallest_calibration_probe_runs(self, cfg, tmp_path):
+        p = tmp_path / "cal.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["calibrate", str(p), "--out-dir",
+                     str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("scenario, stage, params, where", [
         ("qam16_budget", 0, {"eps_a": "0.02"}, "stages.0.params.eps_a"),
