@@ -146,6 +146,22 @@ def rabi_amplitude_cal(model, envelope_spec, sample_rate: float,
     return AmplitudeLut(lut_codes, lut_theta, theta_raw, residual)
 
 
+def iq_tone_bin(sample_rate: float, n_samples: int,
+                tone_freq: float | None = None) -> int:
+    """FFT bin of the ``iq_cal`` probe tone: the bin nearest ``tone_freq``,
+    or ``n_samples // 8`` when no tone is given.  Raises ValueError unless
+    the bin lies strictly inside (0, n_samples // 2)."""
+    if tone_freq is None:
+        k = n_samples // 8
+    else:
+        pos = tone_freq * n_samples / sample_rate
+        k = int(round(pos)) if math.isfinite(pos) else 0
+    if not 0 < k < n_samples // 2:
+        raise ValueError("tone must land strictly inside the first Nyquist "
+                         "zone on an analysis bin")
+    return k
+
+
 def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
            n_samples: int = 4096) -> TxChain:
     """Prepend the exact inverse of the chain's quadrature error.
@@ -154,13 +170,7 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
     the static offset into three FFT bins.  The correction solves the
     2x2 mixing exactly, so a second pass measures identity.
     """
-    if tone_freq is None:
-        k = n_samples // 8
-    else:
-        k = int(round(tone_freq * n_samples / sample_rate))
-    if not 0 < k < n_samples // 2:
-        raise ValueError("tone must land strictly inside the first Nyquist "
-                         "zone on an analysis bin")
+    k = iq_tone_bin(sample_rate, n_samples, tone_freq)
     t = np.arange(n_samples)
     probe = ComplexEnvelope(np.exp(2j * np.pi * k * t / n_samples),
                             sample_rate)
@@ -185,6 +195,36 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
     return prepend_stage(chain, stage)
 
 
+def align_probe_shape(symbol_period: float,
+                      sample_rate: float) -> mod.PulseShape:
+    """Pulse of the ``polar_delay_align`` probe.  Raises ValueError unless
+    ``symbol_period`` spans a whole number of samples (within 1e-6), at
+    least 4."""
+    sps = symbol_period * sample_rate
+    if not math.isfinite(sps) or abs(sps - round(sps)) > 1e-6 \
+            or round(sps) < 4:
+        raise ValueError("symbol_period must span an integer number of "
+                         "samples, at least 4")
+    return mod.PulseShape("raised_cosine", span_symbols=ALIGN_SPAN_SYMBOLS,
+                          samples_per_symbol=int(round(sps)))
+
+
+def align_candidates(window_s: float, step_s: float,
+                     duration: float) -> np.ndarray:
+    """Trim delays ``polar_delay_align`` scores, from ``-window_s`` to
+    ``window_s`` in steps of ``step_s``.  Each is removed from a probe
+    record ``duration`` seconds long, so raises ValueError unless every
+    candidate keeps |tau| < duration / 4."""
+    if window_s <= 0.0 or step_s <= 0.0:
+        raise ValueError("window_s and step_s must be positive")
+    candidates = np.arange(-window_s, window_s + 0.5 * step_s, step_s)
+    widest = float(np.abs(candidates).max())
+    if not widest < duration / 4.0:
+        raise ValueError(f"trim delay candidate {widest:g} s must stay below "
+                         f"a quarter of the {duration:g} s probe record")
+    return candidates
+
+
 def polar_delay_align(chain: TxChain, sample_rate: float,
                       symbol_period: float, window_s: float, step_s: float,
                       n_symbols: int = 96, seed: int = 7):
@@ -197,19 +237,13 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
     best candidate landing on either end of the grid raises, since the
     true optimum may sit outside the window.
     """
-    if window_s <= 0.0 or step_s <= 0.0:
-        raise ValueError("window_s and step_s must be positive")
-    sps = symbol_period * sample_rate
-    if abs(sps - round(sps)) > 1e-6 or round(sps) < 4:
-        raise ValueError("symbol_period must span an integer number of "
-                         "samples, at least 4")
+    shape = align_probe_shape(symbol_period, sample_rate)
+    candidates = align_candidates(window_s, step_s, mod.shaped_duration(
+        n_symbols, shape, symbol_period))
     const = mod.build_constellation("m_psk", m=4)
-    shape = mod.PulseShape("raised_cosine", span_symbols=ALIGN_SPAN_SYMBOLS,
-                           samples_per_symbol=int(round(sps)))
     bits = np.random.default_rng(seed).integers(
         0, 2, size=n_symbols * const.bits_per_symbol)
 
-    candidates = np.arange(-window_s, window_s + 0.5 * step_s, step_s)
     stream, probe = synth_comm_waveform(bits, const, shape,
                                         symbol_period=symbol_period)
     outputs = run_chain_per_trim(chain, probe, candidates.tolist())

@@ -32,6 +32,10 @@ __all__ = [
 # are edge-contaminated after a fractional delay and must be excluded from
 # metric windows.
 DELAY_KERNEL_HALF = 8
+# Output samples per pass of the per-sample Farrow bank (``_samples_at``):
+# its branch outputs and window gather are this many columns, whatever the
+# record length.
+_FARROW_BLOCK = 4096
 # Each tap is a polynomial of this order in the fraction (fit error 2.5e-12).
 _FARROW_ORDER = 12
 # The taps reproduce records that are polynomials up to this degree exactly.
@@ -240,20 +244,32 @@ def _interp_kernels(fracs: np.ndarray) -> np.ndarray:
 def _samples_at(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Interpolate ``x`` at the positions ``k + offsets[k]``, one per sample.
 
-    The Farrow structure: one 16-tap FIR per row of the coefficient table
-    runs over the zero-padded record, and each output combines the branch
-    outputs at its own integer position by Horner's rule in its own
-    fraction.  Equal to gathering an ``_interp_kernels`` row per sample, at
-    a fraction of the cost.  Content from beyond the record is zero.
+    The Farrow structure: one 16-tap FIR per row of the coefficient table,
+    and each output combines those branch outputs at its own integer
+    position by Horner's rule in its own fraction.  Equal to gathering an
+    ``_interp_kernels`` row per sample, at a fraction of the cost.  Content
+    from beyond the record is zero.
+
+    The bank runs over blocks of ``_FARROW_BLOCK`` output samples: each
+    block gathers the 16-sample window at every output's integer position,
+    filters it through all 13 branches in one product with the table and
+    applies Horner into its slice of the output.  Whole-record arrays are
+    only the zero-padded copy of ``x``, the integer and fractional parts of
+    ``offsets`` and the output; the rest of the working memory is bounded by
+    the block, whatever the record length or the spread of the offsets.
     """
     base = np.floor(offsets).astype(np.int64)
     frac = offsets - base
     pad = DELAY_KERNEL_HALF + int(np.abs(base).max())
     windows = np.lib.stride_tricks.sliding_window_view(
         np.pad(x, pad), 2 * DELAY_KERNEL_HALF)
-    branches = _FARROW @ windows.T
-    at = np.arange(x.size) + base + (pad - DELAY_KERNEL_HALF + 1)
-    return _horner(branches.take(at, axis=1), frac)
+    base += pad - DELAY_KERNEL_HALF + 1    # window row of output k: base[k] + k
+    out = np.empty(x.size, dtype=np.result_type(x, frac))
+    for lo in range(0, x.size, _FARROW_BLOCK):
+        hi = min(lo + _FARROW_BLOCK, x.size)
+        rows = windows[np.arange(lo, hi) + base[lo:hi]]
+        out[lo:hi] = _horner(_FARROW @ rows.T, frac[lo:hi])
+    return out
 
 
 def _delayed_samples(x: np.ndarray, delay_samples: float) -> np.ndarray:

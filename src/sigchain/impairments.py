@@ -212,9 +212,11 @@ def sample_jitter(env: ComplexEnvelope, sigma_s: float, seed: int) -> ComplexEnv
     re-interpolated at t_k + delta_k, delta_k ~ N(0, sigma_s), i.i.d.
 
     The re-interpolation runs the fractional-delay interpolator's Farrow
-    table as a filter bank: one 16-tap FIR per polynomial order over the
-    record, combined per sample by Horner's rule in that sample's fraction.
-    It matches delaying each sample with its own ``_interp_kernels`` row.
+    table as a filter bank: one 16-tap FIR per polynomial order, combined
+    per sample by Horner's rule in that sample's fraction.  It matches
+    delaying each sample with its own ``_interp_kernels`` row.  The bank
+    runs over fixed blocks of output samples, so its working memory past
+    the record and its offsets is bounded by the block, not the record.
     Requires sigma_s < 0.1 / sample_rate so offsets stay deep inside one
     sample, the small-jitter regime this model describes.
     """

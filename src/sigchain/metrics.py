@@ -348,6 +348,10 @@ def eye_metrics(env: ComplexEnvelope, symbol_period: float,
     return EyeReport(float(gaps[center]), float(width), opt / sps, levels)
 
 
+# Welch segments transformed at once: bounds the spectrum's working memory
+_WELCH_FRAMES = 16
+
+
 def psd_welch(env: ComplexEnvelope, nperseg: int = 1024) -> Spectrum:
     """Two-sided Welch power spectral density, centered on zero frequency.
 
@@ -362,8 +366,19 @@ def psd_welch(env: ComplexEnvelope, nperseg: int = 1024) -> Spectrum:
     w = _periodic_hann(nperseg)
     power = np.sum(w * w)
     segs = np.lib.stride_tricks.sliding_window_view(env.samples, nperseg)
-    spec = np.fft.fft(segs[::nperseg - nperseg // 2] * w, axis=1)
-    psd = np.mean(spec.real ** 2 + spec.imag ** 2, axis=0) / (fs * power)
+    segs = segs[::nperseg - nperseg // 2]
+    # transform _WELCH_FRAMES segments at a time; carrying the running sum
+    # into each block's first row adds the segments in order, so the mean
+    # is bit-identical to one whole-record reduction
+    total = None
+    for lo in range(0, len(segs), _WELCH_FRAMES):
+        spec = np.fft.fft(segs[lo:lo + _WELCH_FRAMES] * w, axis=1)
+        p = np.square(spec.real)
+        p += np.square(spec.imag)
+        if total is not None:
+            p[0] += total
+        total = np.add.reduce(p, axis=0)
+    psd = total / len(segs) / (fs * power)
     freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, 1.0 / fs))
     enbw = fs * power / np.sum(w) ** 2
     return Spectrum(freqs, np.fft.fftshift(psd), float(enbw))

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
+# Fewest samples a gate envelope may span
+MIN_GATE_SAMPLES = 64
 
 
 def _gray(n: int) -> int:
@@ -382,15 +384,15 @@ def gate_envelope_unit_area(spec: GateEnvelopeSpec) -> float:
 def gate_envelope(spec: GateEnvelopeSpec, sample_rate: float) -> ComplexEnvelope:
     """Sample a gate envelope at midpoint instants over [0, duration].
 
-    Requires duration_s * sample_rate >= 64 so a gate is never
-    under-resolved.  With DRAG enabled the imaginary quadrature is the scaled
-    analytic derivative of the real amplitude shape.
+    Requires round(duration_s * sample_rate) >= MIN_GATE_SAMPLES so a gate
+    is never under-resolved.  With DRAG enabled the imaginary quadrature is
+    the scaled analytic derivative of the real amplitude shape.
     """
     if spec.peak_amplitude is None:
         raise ValueError("peak_amplitude unset; synthesize via a gate target")
     n = round(spec.duration_s * sample_rate)
-    if n < 64:
-        raise ValueError("gate must span at least 64 samples")
+    if n < MIN_GATE_SAMPLES:
+        raise ValueError(f"gate must span at least {MIN_GATE_SAMPLES} samples")
     t = (np.arange(n) + 0.5) / sample_rate
     tc = spec.duration_s / 2.0
     peak = spec.peak_amplitude

@@ -369,6 +369,16 @@ def _check_delays(chain: TxChain | None, duration: float) -> None:
                     f"got {v!r}")
 
 
+def _check_gate(spec: mod.GateEnvelopeSpec, fs: float, path: str) -> None:
+    """A gate must span ``MIN_GATE_SAMPLES`` at rate ``fs``, counted as
+    ``gate_envelope`` counts.  Check the sample budget first, so the count
+    is finite."""
+    n = round(spec.duration_s * fs)
+    _check(n >= mod.MIN_GATE_SAMPLES, f"{path}.duration_s",
+           f"the gate spans {n} samples at {fs:g} Hz, fewer than "
+           f"{mod.MIN_GATE_SAMPLES}")
+
+
 def plan_scenario(raw) -> dict:
     """Validate a scenario config and build the objects it describes."""
     d = _want_dict(raw, "scenario")
@@ -439,6 +449,7 @@ def plan_scenario(raw) -> dict:
         n_samples = plan["envelope"].duration_s * fs * hold
         _check_samples(n_samples, "scenario.qubit.envelope.duration_s")
         _check_samples(n_samples * substeps, "scenario.qubit.substeps")
+        _check_gate(plan["envelope"], fs, "scenario.qubit.envelope")
         _check_delays(chain, round(plan["envelope"].duration_s * fs) / fs)
         plan["substeps"] = substeps
         plan["outputs"] = _parse_outputs(q, "scenario.qubit", QUBIT_OUTPUTS)
@@ -734,6 +745,9 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
                                    f"{path}.model")
         envelope = _parse_gate_envelope(_get(r, "envelope", path, "dict"),
                                         f"{path}.envelope")
+        _check_samples(envelope.duration_s * fs * hold,
+                       f"{path}.envelope.duration_s")
+        _check_gate(envelope, fs, f"{path}.envelope")
         scales = _get(r, "scales", path, "list")
         for k, v in enumerate(scales):
             _check(isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -763,6 +777,10 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
                          default=4096)
         _check(n_samples >= 8, f"{path}.n_samples", "must be at least 8")
         _check_samples(n_samples * hold, f"{path}.n_samples")
+        try:
+            cal.iq_tone_bin(fs, n_samples, tone)
+        except ValueError as e:
+            raise ConfigError(f"{path}.tone_freq: {e}") from None
         corrected = cal.iq_cal(chain, fs, tone_freq=tone, n_samples=n_samples)
         stage = corrected.stages[0]
         report = {"routine": kind, "matrix": stage.params["matrix"],
@@ -780,6 +798,10 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
         step_s = _get(r, "step_s", path, "number")
         _check(step_s > 0.0, f"{path}.step_s", "must be positive")
         symbol_period = _get(r, "symbol_period", path, "number")
+        try:
+            shape = cal.align_probe_shape(symbol_period, fs)
+        except ValueError as e:
+            raise ConfigError(f"{path}.symbol_period: {e}") from None
         n_symbols = _get(r, "n_symbols", path, "int", required=False,
                          default=96)
         edge = cal.ALIGN_SPAN_SYMBOLS
@@ -788,6 +810,11 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
                "symbols are not scored")
         _check_samples(n_symbols * symbol_period * fs * hold,
                        f"{path}.n_symbols")
+        try:
+            cal.align_candidates(window_s, step_s, mod.shaped_duration(
+                n_symbols, shape, symbol_period))
+        except ValueError as e:
+            raise ConfigError(f"{path}.window_s: {e}") from None
         corrected, delay, scores = cal.polar_delay_align(
             chain, fs, symbol_period=symbol_period, window_s=window_s,
             step_s=step_s, n_symbols=n_symbols,

@@ -194,6 +194,17 @@ class TestIqCal:
         with pytest.raises(ValueError, match="Nyquist"):
             cal.iq_cal(self.CHAIN, FS, tone_freq=0.6 * FS)
 
+    @pytest.mark.parametrize("k, ok", [(-1, False), (0, False), (1, True),
+                                       (31, True), (32, False)])
+    def test_tone_bin_strictly_inside_first_zone(self, k, ok):
+        # the rule run_calibration applies at parse time
+        if ok:
+            assert cal.iq_tone_bin(FS, 64, k * FS / 64) == k
+        else:
+            with pytest.raises(ValueError, match="Nyquist"):
+                cal.iq_tone_bin(FS, 64, k * FS / 64)
+        assert cal.iq_tone_bin(FS, 64) == 8
+
 
 def _align_scores_per_candidate(chain, fs, symbol_period, window_s, step_s,
                                 n_symbols=96, seed=7):
@@ -264,6 +275,26 @@ class TestPolarDelayAlign:
         with pytest.raises(cal.CalibrationError, match="boundary"):
             cal.polar_delay_align(chain, 8e9, symbol_period=1e-9,
                                   window_s=500e-12, step_s=50e-12)
+
+    def test_window_edge_is_the_delay_check_edge(self):
+        # the grid's widest candidate is held to the same quarter of the
+        # probe record that fractional_delay enforces when it is removed
+        shape = cal.align_probe_shape(1e-9, 8e9)
+        _, probe = synth_comm_waveform(
+            np.zeros(96, dtype=np.int64), mod.build_constellation("m_psk", m=4),
+            shape, symbol_period=1e-9)
+        duration = mod.shaped_duration(48, shape, 1e-9)
+        assert probe.duration == duration
+        quarter = duration / 4.0
+        with pytest.raises(ValueError, match="quarter"):
+            cal.align_candidates(quarter, quarter / 4.0, duration)
+        with pytest.raises(ValueError, match="quarter"):
+            fractional_delay(probe, -quarter)
+        below = float(np.nextafter(quarter, 0.0))
+        grid = cal.align_candidates(below, below / 4.0, duration)
+        assert grid.size == 9 and np.abs(grid).max() == below
+        for tau in grid:
+            fractional_delay(probe, -float(tau))
 
     def test_validation(self):
         chain = polar_chain(tau_p=100e-12)

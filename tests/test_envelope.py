@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigchain.envelope import (
+    _FARROW,
+    _FARROW_BLOCK,
     DELAY_KERNEL_HALF,
     ComplexEnvelope,
     PolarTracks,
     Spectrum,
+    _horner,
     _interp_kernels,
+    _samples_at,
     fractional_delay,
     from_polar,
     make_envelope,
@@ -180,6 +184,45 @@ class TestFractionalDelay:
                 expect = env.samples * np.exp(-2j * np.pi * f * frac)
                 assert np.max(np.abs(out[guard:-guard]
                                      - expect[guard:-guard])) <= bound
+
+
+def _samples_at_whole_record(x, offsets):
+    """The Farrow bank over the whole record at once: every branch output at
+    every position, then one gather.  The oracle for the blocked kernel."""
+    base = np.floor(offsets).astype(np.int64)
+    frac = offsets - base
+    pad = DELAY_KERNEL_HALF + int(np.abs(base).max())
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(x, pad), 2 * DELAY_KERNEL_HALF)
+    branches = _FARROW @ windows.T
+    at = np.arange(x.size) + base + (pad - DELAY_KERNEL_HALF + 1)
+    return _horner(branches.take(at, axis=1), frac)
+
+
+class TestSamplesAt:
+    # Per-block products take other BLAS paths than one whole-record
+    # product (a one-column tail goes to gemv), so sums may round apart.
+    TOL = 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 17, _FARROW_BLOCK - 1, _FARROW_BLOCK,
+                                   _FARROW_BLOCK + 1, 3 * _FARROW_BLOCK + 1,
+                                   65_656])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    @pytest.mark.parametrize("offsets", ["int-1", "int0", "int+3", "jitter"])
+    def test_blocked_bank_matches_whole_record(self, n, dtype, offsets):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        if dtype is np.complex128:
+            x = x + 1j * rng.normal(size=n)
+        if offsets == "jitter":   # sample_jitter: sigma below a tenth sample
+            d = rng.normal(0.0, 0.05, n)
+        else:
+            d = int(offsets[3:]) + rng.random(n)
+        got = _samples_at(x, d)
+        want = _samples_at_whole_record(x, d)
+        assert got.dtype == want.dtype and got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= self.TOL * np.max(np.abs(x))
+        assert got.tobytes() == _samples_at(x, d).tobytes()
 
 
 class TestWindowedFft:

@@ -1,0 +1,131 @@
+"""Working-memory guard: no stage or link metric holds more than a few
+copies of its record at once.
+
+Every stage kind in ``chains.STAGES`` runs through ``apply_stage`` on a
+2**16-sample record with ``tracemalloc`` on; its peak allocation must stay
+within ``BOUND`` times the bytes of its input plus its output.  The same
+bound holds for ``to_polar`` and the link metrics a scenario runs.  A kernel
+that materializes a per-sample filter bank over the whole record (about 30
+input records for the Farrow bank of ``sample_jitter``) fails here.
+"""
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sigchain import chains as ch
+from sigchain import metrics as met
+from sigchain import modulation as mod
+from sigchain.envelope import ComplexEnvelope, to_polar
+
+BOUND = 4.0
+FS = 8.0e9
+SHAPE = mod.PulseShape("root_raised_cosine", rolloff=0.35, span_symbols=16,
+                       samples_per_symbol=8)
+SYMBOL_PERIOD = SHAPE.samples_per_symbol / FS
+CONST = mod.build_constellation("square_qam", m=16)
+
+# One valid parameter set per stage kind, at the record's sample rate FS.
+PARAMS = {
+    "amplitude_error": {"eps_a": 0.02},
+    "static_phase_error": {"phi_e": 0.015},
+    "phase_noise": {"rate": 100.0, "seed": 1},
+    "iq_imbalance": {"gain_mismatch": 0.03, "quad_skew": 0.02},
+    "lo_feedthrough": {"offset": 0.004 + 0.003j},
+    "bandwidth_limit": {"cutoff_hz": 1.6e9},
+    "quantize": {"bits": 8, "full_scale": 2.0},
+    "sample_jitter": {"sigma_s": 3.0e-12, "seed": 1},
+    "am_ampm": {"gain_poly": [1.0, -0.03], "phase_poly": [0.0, 0.0, 0.02]},
+    "dpd": {"gain_poly": [1.0, 0.03], "phase_poly": [0.0, 0.0, -0.02]},
+    "onoff_leakage": {"off_ratio_db": 50.0},
+    "path_skew": {"tau_i": 1.3e-10, "tau_q": -7.0e-11},
+    "iq_paths": {"bits": 10, "full_scale": 2.0, "cutoff_hz": 1.6e9,
+                 "tau_i": 1.3e-10, "tau_q": 0.0},
+    "polar_paths": {"am_bits": 8, "am_cutoff_hz": 3.0e9, "tau_a": 1.0e-10,
+                    "pm_bits": 10, "pm_cutoff_hz": 3.0e9, "tau_p": 6.0e-11,
+                    "comp_delay_s": 0.0},
+    "rfdac_core": {"bits": 10, "full_scale": 2.0, "hold_factor": 2,
+                   "mismatch_sigma": 0.01, "seed": 1, "trim_bits": 4},
+    "harmonic_multiply": {"factor": 2},
+    "rise_fall": {"cutoff_hz": 1.6e9},
+    "spur_inject": {"offset_hz": 1.0e8, "level_dbc": -40.0},
+    "state_errors": {"levels": [0.5, 1.0, 1.5], "sigma": 0.01, "seed": 1},
+    "iq_correction": {"matrix": [[1.01, 0.02], [0.0, 0.99]],
+                      "offset": 0.001},
+    "gated_offset": {"offset": 0.001},
+}
+
+
+def _record(n: int) -> ComplexEnvelope:
+    """A shaped 16-QAM record of exactly ``n`` samples at FS."""
+    tails = SHAPE.span_symbols * SHAPE.samples_per_symbol
+    n_symbols = (n - tails) // SHAPE.samples_per_symbol
+    bits = np.random.default_rng(3).integers(
+        0, 2, n_symbols * CONST.bits_per_symbol)
+    env = mod.shape_symbols(mod.map_bits(bits, CONST, SYMBOL_PERIOD), SHAPE)
+    assert len(env) == n
+    return env
+
+
+def _nbytes(out) -> int:
+    """Bytes of the arrays a result holds."""
+    if isinstance(out, np.ndarray):
+        return out.nbytes
+    if dataclasses.is_dataclass(out):
+        return sum(_nbytes(getattr(out, f.name))
+                   for f in dataclasses.fields(out))
+    return 0
+
+
+def _peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it had allocated at once."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _assert_bounded(fn, env, *args):
+    out, peak = _peak(fn, env, *args)
+    budget = BOUND * (env.samples.nbytes + _nbytes(out))
+    assert peak <= budget, (
+        f"peak {peak / 2**20:.1f} MiB is {peak / budget * BOUND:.1f}x input "
+        f"plus output, above {BOUND:g}x")
+
+
+@pytest.fixture(scope="module")
+def record():
+    return _record(1 << 16)
+
+
+def test_every_stage_kind_has_parameters():
+    assert set(PARAMS) == set(ch.STAGES)
+
+
+@pytest.mark.parametrize("kind", sorted(ch.STAGES))
+def test_stage_working_memory(kind, record):
+    spec = ch.StageSpec(kind, PARAMS[kind])
+    # a fresh record each time: stages memoize the polar split on it
+    env = ComplexEnvelope(record.samples, record.sample_rate)
+    _assert_bounded(ch.apply_stage, env, spec)
+
+
+@pytest.mark.parametrize("metric, args", [
+    (to_polar, ()),
+    (met.demodulate, (CONST, SHAPE, SYMBOL_PERIOD)),
+    (met.eye_metrics, (SYMBOL_PERIOD, 4)),
+    (met.psd_welch, (1024,)),
+], ids=["to_polar", "demodulate", "eye_metrics", "psd_welch"])
+def test_metric_working_memory(metric, args, record):
+    _assert_bounded(metric, record, *args)
+
+
+def test_sample_jitter_long_record():
+    # a whole-record Farrow bank would need about 474 MB here
+    env = _record(1 << 20)
+    spec = ch.StageSpec("sample_jitter", PARAMS["sample_jitter"])
+    _assert_bounded(ch.apply_stage, env, spec)

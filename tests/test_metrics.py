@@ -12,7 +12,7 @@ from sigchain import chains as ch
 from sigchain import impairments as imp
 from sigchain import metrics as met
 from sigchain import modulation as mod
-from sigchain.envelope import ComplexEnvelope, fractional_delay
+from sigchain.envelope import ComplexEnvelope, _periodic_hann, fractional_delay
 
 
 def _loopback(kind: str, n_sym: int = 200, sps: int = 8, seed: int = 0,
@@ -463,6 +463,23 @@ class TestPsdWelchOracle:
         w = signal.get_window("hann", m)
         enbw = fs * np.sum(w ** 2) / np.sum(w) ** 2
         assert spec.resolution_bw == pytest.approx(enbw, rel=1e-12)
+
+
+    @pytest.mark.parametrize("n_segments", [15, 16, 17, 33, 127])
+    def test_blocks_match_one_whole_record_mean(self, n_segments):
+        # segments are transformed in blocks; the mean must not move a bit
+        nperseg, fs = 64, 3.7e6
+        n = (n_segments + 1) * nperseg // 2
+        rng = np.random.default_rng(n_segments)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w = _periodic_hann(nperseg)
+        segs = np.lib.stride_tricks.sliding_window_view(x, nperseg)
+        spec = np.fft.fft(segs[::nperseg // 2] * w, axis=1)
+        assert len(spec) == n_segments
+        psd = np.mean(spec.real ** 2 + spec.imag ** 2, axis=0) \
+            / (fs * np.sum(w * w))
+        got = met.psd_welch(ComplexEnvelope(x, fs), nperseg=nperseg)
+        assert np.array_equal(got.psd, np.fft.fftshift(psd))
 
 
 class TestSpectra:

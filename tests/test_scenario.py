@@ -581,9 +581,10 @@ SWEEPS = {
                         "params": {"bits": 10, "hold_factor": 1}}]}),
         "sweep": {"paths": ["chain.stages.0.params.hold_factor"],
                   "values": [[1, "2", 3, 10**6]]}},
-    # the gate spans 32 samples: the input fails at run time, every point
+    # the test makes the input stage raise: the shared input and every
+    # point's own input fail at run time
     "input-fails": {
-        "base": _qubit_swept(duration_s=3.2e-8),
+        "base": _qubit_swept(),
         "sweep": {"paths": ["chain.stages.0.params.eps_a"],
                   "values": [[0.0, 0.02]]}},
 }
@@ -592,8 +593,15 @@ SWEEPS = {
 class TestSharedSweepInput:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", sorted(SWEEPS))
-    def test_matches_per_point_synthesis(self, name, threads, tmp_path):
+    def test_matches_per_point_synthesis(self, name, threads, tmp_path,
+                                         monkeypatch):
         cfg = SWEEPS[name]
+        if name == "input-fails":
+            def fail(plan):
+                raise RuntimeError("input stage failed")
+
+            monkeypatch.setitem(scn._MODES, "qubit",
+                                (fail, scn._MODES["qubit"][1]))
         got = scn.run_sweep(copy.deepcopy(cfg), tmp_path / "got",
                             threads=threads).parent
         want = _oracle_sweep(cfg, tmp_path / "want", threads).parent
@@ -688,6 +696,28 @@ def probe_cal_config(kind, hold_factor=1, **routine):
             "bits": 12, "hold_factor": hold_factor}}]},
         "routine": {"kind": kind, **routine},
     }
+
+
+def _rabi_gate(duration_s):
+    cfg = rabi_cal_config()
+    cfg["routine"]["envelope"]["duration_s"] = duration_s
+    return cfg
+
+
+def _align_window(n_symbols, at_edge):
+    """An alignment whose widest candidates are +- a quarter of the probe
+    record, or the float just below that quarter, in nine steps."""
+    from sigchain import calibration as cal
+    from sigchain import modulation as mod
+
+    cfg = align_cal_config(n_symbols=n_symbols)
+    r = cfg["routine"]
+    quarter = mod.shaped_duration(n_symbols, cal.align_probe_shape(
+        r["symbol_period"], cfg["sample_rate"]), r["symbol_period"]) / 4.0
+    r["window_s"] = (quarter if at_edge else
+                     float(np.nextafter(quarter, 0.0)))
+    r["step_s"] = r["window_s"] / 4.0
+    return cfg
 
 
 def _no_polar_paths(cfg):
@@ -816,6 +846,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and str(p) in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("duration_s, code", [(6.3e-8, 2), (6.4e-8, 0)])
+    def test_gate_length_checked_at_parse(self, command, duration_s, code,
+                                          tmp_path, capsys, monkeypatch):
+        # 63 samples at 1 GHz is one short of a gate; a chain-only sweep
+        # on such a base fails as a whole, not point by point
+        base = _qubit_swept(duration_s=duration_s)
+        cfg = base if command == "simulate" else {"base": base, "sweep": {
+            "paths": ["chain.stages.0.params.eps_a"],
+            "values": [[0.0, 0.02]]}}
+        if code:
+            def compute(plan):
+                raise AssertionError("compute started")
+
+            monkeypatch.setitem(scn._MODES, "qubit",
+                                (compute, scn._MODES["qubit"][1]))
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert main([command, str(p), "--out-dir",
+                     str(tmp_path / "out")]) == code
+        if code:
+            assert ("config error: scenario.qubit.envelope.duration_s: the "
+                    "gate spans 63 samples") in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path)]) == 2
@@ -900,6 +955,26 @@ class TestCli:
          "calibration.routine.guard_samples: must be nonnegative"),
         (probe_cal_config("leakage_cancel", off_samples=16),
          "calibration.routine.off_samples: must exceed guard_samples + 8"),
+        (_rabi_gate(63e-9),
+         "calibration.routine.envelope.duration_s: the gate spans 63"),
+        (_rabi_gate(1e300),
+         "calibration.routine.envelope.duration_s: asks for"),
+        (align_cal_config(symbol_period=1.05e-9),
+         "calibration.routine.symbol_period: symbol_period must span"),
+        (align_cal_config(symbol_period=3.75e-10),
+         "calibration.routine.symbol_period: symbol_period must span"),
+        (align_cal_config(n_symbols=17, window_s=7e-9, step_s=1e-9),
+         "calibration.routine.window_s: trim delay candidate 7e-09 s"),
+        (_align_window(48, at_edge=True),
+         "calibration.routine.window_s: trim delay candidate"),
+        (probe_cal_config("iq_cal", n_samples=64, tone_freq=3e9),
+         "calibration.routine.tone_freq: tone must land strictly inside"),
+        (probe_cal_config("iq_cal", n_samples=64, tone_freq=2e9),
+         "calibration.routine.tone_freq: tone must land strictly inside"),
+        (probe_cal_config("iq_cal", n_samples=64, tone_freq=0.0),
+         "calibration.routine.tone_freq: tone must land strictly inside"),
+        (probe_cal_config("iq_cal", n_samples=64, tone_freq=-6.25e7),
+         "calibration.routine.tone_freq: tone must land strictly inside"),
     ], ids=["scale-str", "scale-bool", "scales-not-increasing",
             "too-few-scales", "window-zero", "step-negative",
             "no-polar-paths", "iq-samples", "iq-samples-held",
@@ -907,7 +982,10 @@ class TestCli:
             "align-no-symbols", "align-all-edge", "iq-negative",
             "dpd-no-hold", "dpd-hold-held", "dpd-no-levels", "dpd-order",
             "leakage-negative-burst", "leakage-negative-guard",
-            "leakage-short-gap"])
+            "leakage-short-gap", "rabi-gate-63", "rabi-gate-huge",
+            "align-period-fraction", "align-period-3", "align-window-past",
+            "align-window-at-edge", "iq-tone-past-nyquist", "iq-tone-at-half",
+            "iq-tone-dc", "iq-tone-negative"])
     def test_calibration_input_exit_two_before_compute(
             self, cfg, where, tmp_path, capsys, monkeypatch):
         from sigchain import calibration as cal
@@ -931,8 +1009,15 @@ class TestCli:
         probe_cal_config("dpd_fit", n_levels=7),
         probe_cal_config("leakage_cancel", on_samples=1, guard_samples=0,
                          off_samples=9),
+        _rabi_gate(64e-9),
+        align_cal_config(symbol_period=5e-10),
+        align_cal_config(n_symbols=17, window_s=6e-9, step_s=1e-9),
+        _align_window(48, at_edge=False),
+        probe_cal_config("iq_cal", n_samples=64, tone_freq=6.25e7),
+        probe_cal_config("iq_cal", n_samples=64, tone_freq=1.9375e9),
     ], ids=["align", "iq", "dpd-hold", "dpd-hold-held", "dpd-levels",
-            "leakage"])
+            "leakage", "rabi-gate-64", "align-period-4", "align-window",
+            "align-window-below-edge", "iq-tone-bin-1", "iq-tone-bin-31"])
     def test_smallest_calibration_probe_runs(self, cfg, tmp_path):
         p = tmp_path / "cal.json"
         p.write_text(json.dumps(cfg))
