@@ -5,24 +5,32 @@ distortion it cares about, and returns a new chain with a correction stage
 attached.  All of them are meant to be idempotent: running a calibration on
 an already-corrected chain should produce a correction close to identity.
 Routines raise CalibrationError instead of returning a bad correction when
-the measurement says the model does not apply.
+the measurement says the model does not apply, and InputError before any
+compute when an argument breaks a rule of ``ROUTINES``, the input contracts.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from sigchain import modulation as mod
-from sigchain.chains import (StageSpec, TxChain, append_stage, prepend_stage,
-                             run_chain, run_chain_per_trim,
-                             synth_comm_waveform, with_stage_param)
+from sigchain import qubit as qb
+from sigchain.chains import (InputError, StageSpec, TxChain, _real,
+                             append_stage, check_budget, check_gate,
+                             prepend_stage, rate_factor, require, run_chain,
+                             run_chain_per_trim, synth_comm_waveform,
+                             with_stage_param)
 from sigchain.envelope import ComplexEnvelope, fractional_delay
 from sigchain.metrics import LinkScorer
 
 __all__ = [
     "CalibrationError",
+    "InputError",
+    "ROUTINES",
     "AmplitudeLut",
     "rabi_amplitude_cal",
     "iq_cal",
@@ -114,14 +122,10 @@ def rabi_amplitude_cal(model, envelope_spec, sample_rate: float,
     inherit the flat top of the sine.  A nonmonotone angle map beyond
     ``residual_tol`` radians means the inversion is untrustworthy.
     """
-    from sigchain.qubit import rabi_protocol
-
+    _rabi_rules(envelope_spec, sample_rate, scales, chain)
     codes = np.asarray(scales, dtype=np.float64)
-    if codes.size < 5:
-        raise ValueError("need at least 5 sweep points")
-    if np.any(np.diff(codes) <= 0.0):
-        raise ValueError("scales must be strictly increasing")
-    p1 = rabi_protocol(model, envelope_spec, sample_rate, codes, chain=chain)
+    p1 = qb.rabi_protocol(model, envelope_spec, sample_rate, codes,
+                          chain=chain)
 
     peak = int(np.argmax(p1))
     if p1[peak] < saturation:
@@ -146,19 +150,29 @@ def rabi_amplitude_cal(model, envelope_spec, sample_rate: float,
     return AmplitudeLut(lut_codes, lut_theta, theta_raw, residual)
 
 
+def _rabi_rules(envelope_spec, sample_rate, scales, chain, **_) -> None:
+    check_gate(envelope_spec, sample_rate, rate_factor(chain),
+               "envelope_spec.duration_s")
+    for k, v in enumerate(scales):
+        require(_real(v) and math.isfinite(v), f"scales.{k}",
+                f"expected finite number, got {v!r}")
+    require(len(scales) >= 5, "scales", "need at least 5 sweep points")
+    require(all(lo < hi for lo, hi in zip(scales, scales[1:])), "scales",
+            "must be strictly increasing")
+
+
 def iq_tone_bin(sample_rate: float, n_samples: int,
                 tone_freq: float | None = None) -> int:
     """FFT bin of the ``iq_cal`` probe tone: the bin nearest ``tone_freq``,
-    or ``n_samples // 8`` when no tone is given.  Raises ValueError unless
+    or ``n_samples // 8`` when no tone is given.  Raises InputError unless
     the bin lies strictly inside (0, n_samples // 2)."""
     if tone_freq is None:
         k = n_samples // 8
     else:
         pos = tone_freq * n_samples / sample_rate
         k = int(round(pos)) if math.isfinite(pos) else 0
-    if not 0 < k < n_samples // 2:
-        raise ValueError("tone must land strictly inside the first Nyquist "
-                         "zone on an analysis bin")
+    require(0 < k < n_samples // 2, "tone_freq", "tone must land strictly "
+            "inside the first Nyquist zone on an analysis bin")
     return k
 
 
@@ -170,6 +184,7 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
     the static offset into three FFT bins.  The correction solves the
     2x2 mixing exactly, so a second pass measures identity.
     """
+    _iq_rules(chain, sample_rate, tone_freq, n_samples)
     k = iq_tone_bin(sample_rate, n_samples, tone_freq)
     t = np.arange(n_samples)
     probe = ComplexEnvelope(np.exp(2j * np.pi * k * t / n_samples),
@@ -195,16 +210,22 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
     return prepend_stage(chain, stage)
 
 
+def _iq_rules(chain, sample_rate, tone_freq, n_samples) -> None:
+    require(chain is not None, "chain", "iq_cal needs a chain")
+    require(n_samples >= 8, "n_samples", "must be at least 8")
+    check_budget(n_samples * rate_factor(chain), "n_samples")
+    iq_tone_bin(sample_rate, n_samples, tone_freq)
+
+
 def align_probe_shape(symbol_period: float,
                       sample_rate: float) -> mod.PulseShape:
-    """Pulse of the ``polar_delay_align`` probe.  Raises ValueError unless
+    """Pulse of the ``polar_delay_align`` probe.  Raises InputError unless
     ``symbol_period`` spans a whole number of samples (within 1e-6), at
     least 4."""
     sps = symbol_period * sample_rate
-    if not math.isfinite(sps) or abs(sps - round(sps)) > 1e-6 \
-            or round(sps) < 4:
-        raise ValueError("symbol_period must span an integer number of "
-                         "samples, at least 4")
+    require(math.isfinite(sps) and abs(sps - round(sps)) <= 1e-6
+            and round(sps) >= 4, "symbol_period", "symbol_period must span an "
+            "integer number of samples, at least 4")
     return mod.PulseShape("raised_cosine", span_symbols=ALIGN_SPAN_SYMBOLS,
                           samples_per_symbol=int(round(sps)))
 
@@ -212,16 +233,14 @@ def align_probe_shape(symbol_period: float,
 def align_candidates(window_s: float, step_s: float,
                      duration: float) -> np.ndarray:
     """Trim delays ``polar_delay_align`` scores, from ``-window_s`` to
-    ``window_s`` in steps of ``step_s``.  Each is removed from a probe
-    record ``duration`` seconds long, so raises ValueError unless every
-    candidate keeps |tau| < duration / 4."""
-    if window_s <= 0.0 or step_s <= 0.0:
-        raise ValueError("window_s and step_s must be positive")
+    ``window_s`` in steps of ``step_s`` (both positive).  Each is removed
+    from a probe record ``duration`` seconds long, so raises InputError
+    unless every candidate keeps |tau| < duration / 4."""
     candidates = np.arange(-window_s, window_s + 0.5 * step_s, step_s)
     widest = float(np.abs(candidates).max())
-    if not widest < duration / 4.0:
-        raise ValueError(f"trim delay candidate {widest:g} s must stay below "
-                         f"a quarter of the {duration:g} s probe record")
+    require(widest < duration / 4.0, "window_s", f"trim delay candidate "
+            f"{widest:g} s must stay below a quarter of the {duration:g} s "
+            "probe record")
     return candidates
 
 
@@ -237,6 +256,8 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
     best candidate landing on either end of the grid raises, since the
     true optimum may sit outside the window.
     """
+    _align_rules(chain, sample_rate, symbol_period, window_s, step_s,
+                 n_symbols)
     shape = align_probe_shape(symbol_period, sample_rate)
     candidates = align_candidates(window_s, step_s, mod.shaped_duration(
         n_symbols, shape, symbol_period))
@@ -262,6 +283,29 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
     return aligned, best_delay, scores
 
 
+def _align_rules(chain, sample_rate, symbol_period, window_s, step_s,
+                 n_symbols, **_) -> None:
+    require(chain is not None, "chain", "polar_delay_align needs a chain")
+    require(any(st.kind == "polar_paths" for st in chain.stages),
+            "chain.stages", "polar_delay_align needs a 'polar_paths' stage")
+    require(window_s > 0.0, "window_s", "must be positive")
+    require(step_s > 0.0, "step_s", "must be positive")
+    shape = align_probe_shape(symbol_period, sample_rate)
+    edge = ALIGN_SPAN_SYMBOLS
+    require(n_symbols > 2 * edge, "n_symbols", f"must be above {2 * edge}: "
+            f"the first and last {edge} symbols are not scored")
+    hold = rate_factor(chain)
+    check_budget(n_symbols * symbol_period * sample_rate * hold, "n_symbols")
+    duration = mod.shaped_duration(n_symbols, shape, symbol_period)
+    # the chain runs once per candidate: count them as np.arange will
+    span = (window_s + 0.5 * step_s + window_s) / step_s
+    n_cand = math.ceil(span) if math.isfinite(span) else span
+    n_probe = round(duration * sample_rate)
+    check_budget(n_cand * n_probe * hold, "step_s", f"a grid of {n_cand} "
+                 f"trim delay candidates over the {n_probe}-sample probe ")
+    align_candidates(window_s, step_s, duration)
+
+
 def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
             n_levels: int = 32, full_scale: float = 1.0,
             hold_samples: int = 64):
@@ -277,10 +321,7 @@ def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
     predistorter can undo a fold, and full_scale outputs the chain cannot
     reach have no preimage.
     """
-    if order not in (3, 5, 7):
-        raise ValueError("order must be 3, 5, or 7")
-    if n_levels < order + 2:
-        raise ValueError("need more staircase levels than fit coefficients")
+    _dpd_rules(chain, order, n_levels, hold_samples)
     levels = full_scale * np.arange(1, n_levels + 1) / n_levels
     probe = ComplexEnvelope(
         np.repeat(levels, hold_samples).astype(np.complex128), sample_rate)
@@ -326,6 +367,17 @@ def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
     return prepend_stage(chain, stage), gain_poly, phase_poly
 
 
+def _dpd_rules(chain, order, n_levels, hold_samples, **_) -> None:
+    require(chain is not None, "chain", "dpd_fit needs a chain")
+    require(order in (3, 5, 7), "order", "must be 3, 5 or 7")
+    require(n_levels >= order + 2, "n_levels",
+            f"must be at least order + 2 = {order + 2}")
+    hold = rate_factor(chain)
+    require(hold_samples * hold >= 4, "hold_samples", "must hold each level "
+            "for at least 4 samples after the chain's hold")
+    check_budget(n_levels * hold_samples * hold, "n_levels")
+
+
 def leakage_cancel(chain: TxChain, sample_rate: float,
                    on_samples: int = 256, off_samples: int = 256,
                    guard_samples: int = 8):
@@ -337,8 +389,7 @@ def leakage_cancel(chain: TxChain, sample_rate: float,
     wobbles by more than 10 percent of itself is not static, so it raises
     rather than baking a wrong constant into the chain.
     """
-    if off_samples <= guard_samples + 8:
-        raise ValueError("off window too short for the settling guard")
+    _leakage_rules(chain, on_samples, off_samples, guard_samples)
     probe = ComplexEnvelope(
         np.concatenate([np.ones(on_samples), np.zeros(off_samples)])
         .astype(np.complex128), sample_rate)
@@ -356,3 +407,64 @@ def leakage_cancel(chain: TxChain, sample_rate: float,
                                "offset cannot cancel it")
     stage = StageSpec("gated_offset", {"offset": -level})
     return append_stage(chain, stage), level
+
+
+def _leakage_rules(chain, on_samples, off_samples, guard_samples,
+                   **_) -> None:
+    require(chain is not None, "chain", "leakage_cancel needs a chain")
+    require(on_samples >= 1, "on_samples", "must be at least 1")
+    require(guard_samples >= 0, "guard_samples", "must be nonnegative")
+    require(off_samples > guard_samples + 8, "off_samples", "must exceed "
+            "guard_samples + 8: the off window must outlast the guard")
+    check_budget((on_samples + off_samples) * rate_factor(chain),
+                 "on_samples")
+
+
+# --------------------------------------------------------------- registry
+
+class Routine(NamedTuple):
+    """A routine's input contract.  ``keys``: each parameter but chain and
+    sample_rate, to its JSON kind or record class; ``config``: a config key
+    that differs from its parameter; ``rule``: raises InputError, given the
+    arguments by name; ``report``: the result to (corrected chain or None,
+    report fields); ``defaults``: from the routine's signature."""
+
+    keys: dict
+    rule: Callable
+    report: Callable
+    defaults: dict
+    config: dict
+
+
+def _row(routine, keys: dict, rule, report, **config) -> tuple:
+    params = inspect.signature(routine).parameters.values()
+    defaults = {p.name: p.default for p in params
+                if p.name in keys and p.default is not p.empty}
+    return routine.__name__, Routine(keys, rule, report, defaults, config)
+
+
+# Every routine, described once.  Callers look the routine itself up by
+# name, so a rebound ``calibration.<name>`` is the one called.
+ROUTINES: dict[str, Routine] = dict([
+    _row(rabi_amplitude_cal,
+         {"model": qb.QubitModel, "envelope_spec": mod.GateEnvelopeSpec,
+          "scales": "list", "residual_tol": "number", "saturation": "number"},
+         _rabi_rules,
+         lambda lut: (None, {**vars(lut), "pi_code": lut.pi_code}),
+         envelope_spec="envelope"),
+    _row(iq_cal, {"tone_freq": "number", "n_samples": "int"}, _iq_rules,
+         lambda chain: (chain, dict(chain.stages[0].params))),
+    _row(polar_delay_align,
+         {"symbol_period": "number", "window_s": "number",
+          "step_s": "number", "n_symbols": "int", "seed": "int"},
+         _align_rules,
+         lambda out: (out[0], {"best_delay_s": out[1],
+                               "evm_per_candidate": out[2]})),
+    _row(dpd_fit,
+         {"order": "int", "n_levels": "int", "full_scale": "number",
+          "hold_samples": "int"}, _dpd_rules,
+         lambda out: (out[0], {"gain_poly": out[1], "phase_poly": out[2]})),
+    _row(leakage_cancel,
+         {"on_samples": "int", "off_samples": "int", "guard_samples": "int"},
+         _leakage_rules, lambda out: (out[0], {"off_level": out[1]})),
+])

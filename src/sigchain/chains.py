@@ -33,6 +33,7 @@ from sigchain.envelope import (
 )
 
 __all__ = [
+    "InputError",
     "ParamError",
     "StageSpec",
     "TxChain",
@@ -53,6 +54,22 @@ __all__ = [
 
 HARMONIC_FACTORS = (2, 3, 4)
 ARCHITECTURES = ("cartesian", "polar", "rfdac", "harmonic", "custom")
+MAX_SAMPLES = 1 << 24     # largest record a scenario or probe may ask for
+
+
+class InputError(ValueError):
+    """An argument breaks a rule: ``key`` names it (dotted into a record or
+    list, such as ``scales.2``) and ``problem`` says what is wrong."""
+
+    def __init__(self, key: str, problem: str) -> None:
+        super().__init__(f"{key}: {problem}")
+        self.key, self.problem = key, problem
+
+
+def require(cond: bool, key: str, problem: str) -> None:
+    """Raise InputError at ``key`` unless ``cond``."""
+    if not cond:
+        raise InputError(key, problem)
 
 
 class ParamError(ValueError):
@@ -487,6 +504,31 @@ def with_stage_param(chain: TxChain, kind: str, **updates) -> TxChain:
     k = _stage_index(chain, kind)
     stages[k] = StageSpec(kind, {**stages[k].params, **updates})
     return TxChain(chain.architecture, tuple(stages))
+
+
+def rate_factor(chain: TxChain | None) -> int:
+    """Output samples per input sample: the product of the hold factors."""
+    return math.prod(spec.params.get("hold_factor") or 1
+                     for spec in (chain.stages if chain is not None else ()))
+
+
+def check_budget(n_samples: float, key: str, what: str = "") -> None:
+    """Raise InputError at ``key``, its message opened by ``what``, unless a
+    record of ``n_samples`` samples fits ``MAX_SAMPLES``."""
+    require(n_samples <= MAX_SAMPLES, key, f"{what}asks for "
+            f"{n_samples:.4g} samples, more than the budget of {MAX_SAMPLES}")
+
+
+def check_gate(spec: mod.GateEnvelopeSpec, sample_rate: float, hold: float,
+               key: str) -> int:
+    """Samples the gate spans, ``round(duration_s * sample_rate)``.  Raises
+    InputError at ``key`` unless the gate, held ``hold`` times, fits the
+    budget, and it spans at least ``MIN_GATE_SAMPLES``."""
+    check_budget(spec.duration_s * sample_rate * hold, key)
+    n = round(spec.duration_s * sample_rate)
+    require(n >= mod.MIN_GATE_SAMPLES, key, f"the gate spans {n} samples at "
+            f"{sample_rate:g} Hz, fewer than {mod.MIN_GATE_SAMPLES}")
+    return n
 
 
 def prepend_stage(chain: TxChain, spec: StageSpec) -> TxChain:

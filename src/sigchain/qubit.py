@@ -38,7 +38,6 @@ __all__ = [
     "leakage_population",
     "bloch_trajectory",
     "rabi_protocol",
-    "phase_coherency_protocol",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -331,25 +330,3 @@ def rabi_protocol(model: QubitModel, envelope_spec, sample_rate: float,
                           sample_rate)
         for scale in scales))
     return np.abs(u[:, 1, 0]) ** 2
-
-
-def phase_coherency_protocol(model: QubitModel, envelope_spec,
-                             sample_rate: float, theta_a: float,
-                             phi_b_values, chain=None) -> np.ndarray:
-    """Two-pulse axis-coherency check.
-
-    Pulse A rotates by theta_a about x, pulse B by pi about an axis at each
-    phi_b; ideal hardware returns ground population sin^2(theta_a / 2)
-    independent of phi_b, so any phi_b ripple measures inter-pulse phase
-    error injected by the chain.
-    """
-    env_a = synth_qubit_pulse(chain, envelope_spec, sample_rate,
-                              rotation_angle=theta_a, axis_phase=0.0,
-                              drive_gain=model.drive_gain)
-    u_b = _propagate_each(model, (
-        synth_qubit_pulse(chain, envelope_spec, sample_rate,
-                          rotation_angle=math.pi, axis_phase=float(phi_b),
-                          drive_gain=model.drive_gain)
-        for phi_b in phi_b_values))
-    u = u_b @ propagate(model, env_a)
-    return np.abs(u[:, 0, 0]) ** 2

@@ -11,6 +11,7 @@ byte.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import logging
 import math
@@ -25,9 +26,11 @@ from sigchain import calibration as cal
 from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import qubit as qb
-from sigchain.chains import (ARCHITECTURES, STAGES, ParamError, StageSpec,
-                             TxChain, _real, run_chain, synth_comm_waveform,
-                             synth_qubit_pulse)
+from sigchain.calibration import ROUTINES
+from sigchain.chains import (ARCHITECTURES, MAX_SAMPLES, STAGES, InputError,
+                             ParamError, StageSpec, TxChain, _real,
+                             check_budget, check_gate, rate_factor, run_chain,
+                             synth_comm_waveform, synth_qubit_pulse)
 
 __all__ = [
     "ConfigError",
@@ -46,9 +49,6 @@ log = logging.getLogger("sigchain")
 
 COMM_OUTPUTS = ("constellation", "psd", "eye", "budget")
 QUBIT_OUTPUTS = ("bloch",)
-ROUTINES = ("rabi_amplitude_cal", "iq_cal", "polar_delay_align", "dpd_fit",
-            "leakage_cancel")
-MAX_SAMPLES = 1 << 24     # largest record a scenario may ask for, in samples
 
 
 class ConfigError(ValueError):
@@ -172,12 +172,8 @@ def _check(cond: bool, path: str, msg: str) -> None:
 
 
 def _typename(v) -> str:
-    return type(v).__name__
-
-
-def _want_dict(v, path: str) -> dict:
-    _check(isinstance(v, dict), path, f"expected object, got {_typename(v)}")
-    return v
+    # a float is named by its value, since only a nonfinite one is wrong
+    return repr(v) if isinstance(v, float) else type(v).__name__
 
 
 def _no_extras(d: dict, allowed, path: str) -> None:
@@ -185,8 +181,10 @@ def _no_extras(d: dict, allowed, path: str) -> None:
     _check(not extras, path, f"unknown key {extras[0]!r}" if extras else "")
 
 
-# JSON value kinds: (test, the name messages use)
-_KINDS = {"number": (_real, "number"),
+# JSON value kinds: (test, the name messages use).  ``json`` reads Infinity
+# and NaN, so a number must also be finite.
+_KINDS = {"number": (lambda v: _real(v) and math.isfinite(v),
+                     "finite number"),
           "int": (lambda v: _real(v) and isinstance(v, int), "integer"),
           "str": (lambda v: isinstance(v, str), "string"),
           "bool": (lambda v: isinstance(v, bool), "boolean"),
@@ -194,21 +192,64 @@ _KINDS = {"number": (_real, "number"),
           "dict": (lambda v: isinstance(v, dict), "object")}
 
 
-def _get(d: dict, key: str, path: str, kind: str, required: bool = True,
-         default=None):
+def _value(v, kind, path: str):
+    """``v`` checked as a JSON kind, or read as the record class ``kind``."""
+    if isinstance(kind, type):
+        return _parse_record(kind, v, path)
+    test, name = _KINDS[kind]
+    _check(test(v), path, f"expected {name}, got {_typename(v)}")
+    return float(v) if kind == "number" else v
+
+
+def _get(d: dict, key: str, path: str, kind: str | type,
+         required: bool = True, default=None):
     if key not in d:
         _check(not required, path, f"missing required key {key!r}")
         return default
-    v = d[key]
-    test, name = _KINDS[kind]
-    _check(test(v), f"{path}.{key}", f"expected {name}, got {_typename(v)}")
-    return float(v) if kind == "number" else v
+    return _value(d[key], kind, f"{path}.{key}")
+
+
+def _read(d: dict, kinds: dict, optional, path: str,
+          config: dict | None = None) -> dict:
+    """The checked arguments section ``d`` gives for ``kinds`` (name ->
+    kind), each under key ``config.get(name, name)``.  A name not in
+    ``optional`` is required; a key set to null counts as absent."""
+    config = config or {}
+    _no_extras(d, [config.get(name, name) for name in kinds], path)
+    args = {}
+    for name, kind in kinds.items():
+        key = config.get(name, name)
+        if d.get(key) is not None:
+            args[name] = _value(d[key], kind, f"{path}.{key}")
+        else:
+            _check(name in optional, path, f"missing required key {key!r}")
+    return args
+
+
+# A record field's JSON kind, from its annotation (str, int and bool name it)
+_ANNOTATED = {"float": "number", "float | None": "number"}
+# Absent record fields that are not their default: a gate peak is solved
+# from the rotation angle
+_ABSENT = {mod.GateEnvelopeSpec: {"peak_amplitude": None}}
+
+
+def _parse_record(cls, obj, path: str):
+    """The record ``cls`` an object describes; its defaults fill the rest."""
+    fields = dataclasses.fields(cls)
+    args = _read(_value(obj, "dict", path),
+                 {f.name: _ANNOTATED.get(f.type, f.type) for f in fields},
+                 [f.name for f in fields
+                  if f.default is not dataclasses.MISSING], path)
+    try:
+        return cls(**{**_ABSENT.get(cls, {}), **args})
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def _parse_stage(obj, path: str, fs: float) -> tuple[StageSpec, float]:
     """A stage checked against its schema at the sample rate ``fs`` it sees,
     and its output rate.  Complex parameters may be [re, im] pairs."""
-    d = _want_dict(obj, path)
+    d = _value(obj, "dict", path)
     _no_extras(d, ("kind", "params"), path)
     kind = _get(d, "kind", path, "str")
     params = dict(_get(d, "params", path, "dict", required=False,
@@ -231,11 +272,11 @@ def _parse_stage(obj, path: str, fs: float) -> tuple[StageSpec, float]:
     return spec, fs * (params.get("hold_factor") or 1)
 
 
-def _parse_chain(obj, path: str, fs: float) -> tuple[TxChain | None, float]:
-    """The chain at input sample rate ``fs``, and its sample rate factor."""
+def _parse_chain(obj, path: str, fs: float) -> TxChain | None:
+    """The chain, checked at input sample rate ``fs``."""
     if obj is None:
-        return None, 1.0
-    d = _want_dict(obj, path)
+        return None
+    d = _value(obj, "dict", path)
     _no_extras(d, ("architecture", "stages"), path)
     arch = _get(d, "architecture", path, "str", required=False,
                 default="custom")
@@ -245,84 +286,27 @@ def _parse_chain(obj, path: str, fs: float) -> tuple[TxChain | None, float]:
     for i, s in enumerate(_get(d, "stages", path, "list")):
         spec, rate = _parse_stage(s, f"{path}.stages.{i}", rate)
         specs.append(spec)
-    return TxChain(arch, tuple(specs)), rate / fs
+    return TxChain(arch, tuple(specs))
 
 
 def _parse_constellation(obj, path: str):
-    d = _want_dict(obj, path)
+    d = _value(obj, "dict", path)
     scheme = _get(d, "scheme", path, "str")
     kwargs = {k: v for k, v in d.items() if k != "scheme"}
     try:
         return mod.build_constellation(scheme, **kwargs)
     except KeyError as e:
         raise ConfigError(f"{path}: missing parameter {e}") from None
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
-def _parse_pulse(obj, path: str) -> mod.PulseShape:
-    d = _want_dict(obj, path)
-    _no_extras(d, ("kind", "rolloff", "span_symbols", "samples_per_symbol"),
-               path)
-    try:
-        return mod.PulseShape(
-            kind=_get(d, "kind", path, "str"),
-            rolloff=_get(d, "rolloff", path, "number", required=False,
-                         default=0.35),
-            span_symbols=_get(d, "span_symbols", path, "int",
-                              required=False, default=16),
-            samples_per_symbol=_get(d, "samples_per_symbol", path, "int",
-                                    required=False, default=32))
-    except ValueError as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"{path}: {e}") from None
 
 
 def _parse_outputs(d: dict, path: str, allowed) -> tuple:
     outputs = _get(d, "outputs", path, "list", required=False, default=[])
     for i, v in enumerate(outputs):
-        _check(isinstance(v, str), f"{path}.outputs.{i}",
-               f"expected string, got {_typename(v)}")
-        _check(v in allowed, f"{path}.outputs.{i}",
-               f"expected one of {allowed}, got {v!r}")
+        _check(_value(v, "str", f"{path}.outputs.{i}") in allowed,
+               f"{path}.outputs.{i}", f"expected one of {allowed}, got {v!r}")
     return tuple(outputs)
-
-
-def _parse_gate_envelope(obj, path: str) -> mod.GateEnvelopeSpec:
-    d = _want_dict(obj, path)
-    _no_extras(d, ("shape", "duration_s", "peak_amplitude", "sigma_fraction",
-                   "drag_enabled", "drag_coefficient_s"), path)
-    peak = d.get("peak_amplitude", None)
-    if peak is not None:
-        peak = _get(d, "peak_amplitude", path, "number")
-    try:
-        return mod.GateEnvelopeSpec(
-            shape=_get(d, "shape", path, "str"),
-            duration_s=_get(d, "duration_s", path, "number"),
-            peak_amplitude=peak,
-            sigma_fraction=_get(d, "sigma_fraction", path, "number",
-                                required=False, default=0.25),
-            drag_enabled=_get(d, "drag_enabled", path, "bool",
-                              required=False, default=False),
-            drag_coefficient_s=_get(d, "drag_coefficient_s", path, "number",
-                                    required=False, default=0.0))
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
-def _parse_qubit_model(obj, path: str) -> qb.QubitModel:
-    d = _want_dict(obj, path)
-    _no_extras(d, ("levels", "drive_gain", "detuning", "anharmonicity"),
-               path)
-    try:
-        return qb.QubitModel(
-            drive_gain=_get(d, "drive_gain", path, "number"),
-            detuning=_get(d, "detuning", path, "number", required=False,
-                          default=0.0),
-            levels=_get(d, "levels", path, "int", required=False, default=2),
-            anharmonicity=_get(d, "anharmonicity", path, "number",
-                               required=False, default=0.0))
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
 
 
 def read_config(source):
@@ -351,9 +335,12 @@ def _check_name(d: dict, path: str) -> str:
     return name
 
 
-def _check_samples(n_samples: float, path: str) -> None:
-    _check(n_samples <= MAX_SAMPLES, path, f"asks for {n_samples:.4g} "
-           f"samples, more than the budget of {MAX_SAMPLES}")
+def _checked(check, *args):
+    """``check(*args)``, its InputError (keyed by a path) a config error."""
+    try:
+        return check(*args)
+    except InputError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _check_delays(chain: TxChain | None, duration: float) -> None:
@@ -369,19 +356,9 @@ def _check_delays(chain: TxChain | None, duration: float) -> None:
                     f"got {v!r}")
 
 
-def _check_gate(spec: mod.GateEnvelopeSpec, fs: float, path: str) -> None:
-    """A gate must span ``MIN_GATE_SAMPLES`` at rate ``fs``, counted as
-    ``gate_envelope`` counts.  Check the sample budget first, so the count
-    is finite."""
-    n = round(spec.duration_s * fs)
-    _check(n >= mod.MIN_GATE_SAMPLES, f"{path}.duration_s",
-           f"the gate spans {n} samples at {fs:g} Hz, fewer than "
-           f"{mod.MIN_GATE_SAMPLES}")
-
-
 def plan_scenario(raw) -> dict:
     """Validate a scenario config and build the objects it describes."""
-    d = _want_dict(raw, "scenario")
+    d = _value(raw, "dict", "scenario")
     _no_extras(d, ("name", "mode", "sample_rate", "chain", "comm", "qubit"),
                "scenario")
     name = _check_name(d, "scenario")
@@ -390,7 +367,8 @@ def plan_scenario(raw) -> dict:
            f"expected 'comm' or 'qubit', got {mode!r}")
     fs = _get(d, "sample_rate", "scenario", "number")
     _check(fs > 0.0, "scenario.sample_rate", "must be positive")
-    chain, hold = _parse_chain(d.get("chain"), "scenario.chain", fs)
+    chain = _parse_chain(d.get("chain"), "scenario.chain", fs)
+    hold = rate_factor(chain)
     plan = {"name": name, "mode": mode, "sample_rate": fs, "chain": chain}
 
     if mode == "comm":
@@ -401,12 +379,11 @@ def plan_scenario(raw) -> dict:
         plan["constellation"] = _parse_constellation(
             _get(c, "constellation", "scenario.comm", "dict"),
             "scenario.comm.constellation")
-        plan["pulse"] = _parse_pulse(
-            _get(c, "pulse", "scenario.comm", "dict"), "scenario.comm.pulse")
+        plan["pulse"] = _get(c, "pulse", "scenario.comm", mod.PulseShape)
         n_symbols = _get(c, "n_symbols", "scenario.comm", "int")
         _check(n_symbols >= 16, "scenario.comm.n_symbols", "must be >= 16")
-        _check_samples(n_symbols * plan["pulse"].samples_per_symbol * hold,
-                       "scenario.comm.n_symbols")
+        _checked(check_budget, n_symbols * plan["pulse"].samples_per_symbol
+                 * hold, "scenario.comm.n_symbols")
         plan["symbol_period"] = plan["pulse"].samples_per_symbol / fs
         _check_delays(chain, mod.shaped_duration(n_symbols, plan["pulse"],
                                                  plan["symbol_period"]))
@@ -429,28 +406,18 @@ def plan_scenario(raw) -> dict:
         q = _get(d, "qubit", "scenario", "dict")
         _no_extras(q, ("model", "envelope", "gate", "substeps", "outputs"),
                    "scenario.qubit")
-        plan["model"] = _parse_qubit_model(
-            _get(q, "model", "scenario.qubit", "dict"),
-            "scenario.qubit.model")
-        plan["envelope"] = _parse_gate_envelope(
-            _get(q, "envelope", "scenario.qubit", "dict"),
-            "scenario.qubit.envelope")
-        g = _get(q, "gate", "scenario.qubit", "dict")
-        _no_extras(g, ("rotation_angle", "axis_phase"), "scenario.qubit.gate")
-        angle = _get(g, "rotation_angle", "scenario.qubit.gate", "number")
-        _check(0.0 < angle <= 2.0 * math.pi, "scenario.qubit.gate"
-               ".rotation_angle", "must lie in (0, two half turns]")
-        plan["rotation_angle"] = angle
-        plan["axis_phase"] = _get(g, "axis_phase", "scenario.qubit.gate",
-                                  "number", required=False, default=0.0)
+        plan["model"] = _get(q, "model", "scenario.qubit", qb.QubitModel)
+        plan["envelope"] = _get(q, "envelope", "scenario.qubit",
+                                mod.GateEnvelopeSpec)
+        plan["gate"] = _get(q, "gate", "scenario.qubit", qb.GateSpec)
         substeps = _get(q, "substeps", "scenario.qubit", "int",
                         required=False, default=1)
         _check(substeps >= 1, "scenario.qubit.substeps", "must be >= 1")
-        n_samples = plan["envelope"].duration_s * fs * hold
-        _check_samples(n_samples, "scenario.qubit.envelope.duration_s")
-        _check_samples(n_samples * substeps, "scenario.qubit.substeps")
-        _check_gate(plan["envelope"], fs, "scenario.qubit.envelope")
-        _check_delays(chain, round(plan["envelope"].duration_s * fs) / fs)
+        n_gate = _checked(check_gate, plan["envelope"], fs, hold,
+                          "scenario.qubit.envelope.duration_s")
+        _checked(check_budget, plan["envelope"].duration_s * fs * hold
+                 * substeps, "scenario.qubit.substeps")
+        _check_delays(chain, n_gate / fs)
         plan["substeps"] = substeps
         plan["outputs"] = _parse_outputs(q, "scenario.qubit", QUBIT_OUTPUTS)
         if "bloch" in plan["outputs"]:
@@ -529,16 +496,16 @@ def _qubit_input(plan: dict):
     return synth_qubit_pulse(
         None, plan["envelope"], plan["sample_rate"],
         rotation_angle=(None if plan["envelope"].peak_amplitude is not None
-                        else plan["rotation_angle"]),
-        axis_phase=plan["axis_phase"], drive_gain=plan["model"].drive_gain)
+                        else plan["gate"].rotation_angle),
+        axis_phase=plan["gate"].axis_phase,
+        drive_gain=plan["model"].drive_gain)
 
 
 def _compute_qubit(plan: dict, pulse) -> tuple[dict, dict]:
     model = plan["model"]
     env = pulse if plan["chain"] is None else run_chain(plan["chain"], pulse)
     u = qb.propagate(model, env, substeps=plan["substeps"])
-    target = qb.target_unitary(qb.GateSpec(plan["rotation_angle"],
-                                           plan["axis_phase"]))
+    target = qb.target_unitary(plan["gate"])
     report = qb.average_gate_fidelity(u, target)
     summary = {"fidelity": report.fidelity,
                "infidelity": report.infidelity,
@@ -546,7 +513,7 @@ def _compute_qubit(plan: dict, pulse) -> tuple[dict, dict]:
                "phase_error": report.phase_error,
                "leakage": report.leakage,
                "pulse_area": qb.pulse_area(env, model.drive_gain),
-               "rotation_angle": plan["rotation_angle"]}
+               "rotation_angle": plan["gate"].rotation_angle}
     artifacts = {}
     if "bloch" in plan["outputs"]:
         times, pts = qb.bloch_trajectory(model, env,
@@ -630,13 +597,11 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
     and clean waveform, or gate pulse), made once from the base.  When any
     point fails, ``failures.json`` beside ``sweep.csv`` lists each
     failed point's ``{path: value}`` map with its error message."""
-    d = _want_dict(raw, "sweep-file")
-    _no_extras(d, ("base", "sweep"), "sweep-file")
-    base = _get(d, "base", "sweep-file", "dict")
-    sw = _get(d, "sweep", "sweep-file", "dict")
-    _no_extras(sw, ("paths", "values"), "sweep-file.sweep")
-    paths = _get(sw, "paths", "sweep-file.sweep", "list")
-    values = _get(sw, "values", "sweep-file.sweep", "list")
+    d = _read(_value(raw, "dict", "sweep-file"),
+              {"base": "dict", "sweep": "dict"}, (), "sweep-file")
+    sw = _read(d["sweep"], {"paths": "list", "values": "list"}, (),
+               "sweep-file.sweep")
+    base, paths, values = d["base"], sw["paths"], sw["values"]
     _check(1 <= len(paths) <= 2, "sweep-file.sweep.paths",
            "need one or two sweep paths")
     _check(len(values) == len(paths), "sweep-file.sweep.values",
@@ -717,160 +682,40 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
     that modify the chain, corrected_chain.json.  ``procedure`` (the CLI
     --procedure flag) selects the routine when the config leaves "kind"
     out, and must agree with it when both are given."""
-    d = _want_dict(raw, "calibration")
+    d = _value(raw, "dict", "calibration")
     _no_extras(d, ("name", "sample_rate", "chain", "routine"), "calibration")
     name = _check_name(d, "calibration")
     fs = _get(d, "sample_rate", "calibration", "number")
     _check(fs > 0.0, "calibration.sample_rate", "must be positive")
-    chain, hold = _parse_chain(d.get("chain"), "calibration.chain", fs)
-    r = dict(_get(d, "routine", "calibration", "dict", required=False,
-                  default={}))
+    chain = _parse_chain(d.get("chain"), "calibration.chain", fs)
+    r = _get(d, "routine", "calibration", "dict", required=False, default={})
     kind = _get(r, "kind", "calibration.routine", "str", required=False)
     if procedure is not None:
         _check(kind is None or kind == procedure, "calibration.routine.kind",
                f"config says {kind!r} but --procedure says {procedure!r}")
         kind = procedure
-        r["kind"] = kind
     _check(kind is not None, "calibration.routine",
            "missing required key 'kind' (or pass --procedure)")
     _check(kind in ROUTINES, "calibration.routine.kind",
-           f"expected one of {ROUTINES}, got {kind!r}")
+           f"expected one of {tuple(ROUTINES)}, got {kind!r}")
     path = "calibration.routine"
-
-    corrected = None
-    if kind == "rabi_amplitude_cal":
-        _no_extras(r, ("kind", "model", "envelope", "scales",
-                       "residual_tol", "saturation"), path)
-        model = _parse_qubit_model(_get(r, "model", path, "dict"),
-                                   f"{path}.model")
-        envelope = _parse_gate_envelope(_get(r, "envelope", path, "dict"),
-                                        f"{path}.envelope")
-        _check_samples(envelope.duration_s * fs * hold,
-                       f"{path}.envelope.duration_s")
-        _check_gate(envelope, fs, f"{path}.envelope")
-        scales = _get(r, "scales", path, "list")
-        for k, v in enumerate(scales):
-            _check(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and math.isfinite(v), f"{path}.scales.{k}",
-                   f"expected finite number, got {v!r}")
-        _check(len(scales) >= 5, f"{path}.scales",
-               "need at least 5 sweep points")
-        _check(all(lo < hi for lo, hi in zip(scales, scales[1:])),
-               f"{path}.scales", "must be strictly increasing")
-        lut = cal.rabi_amplitude_cal(
-            model, envelope, fs, scales, chain=chain,
-            residual_tol=_get(r, "residual_tol", path, "number",
-                              required=False, default=0.15),
-            saturation=_get(r, "saturation", path, "number",
-                            required=False, default=0.995))
-        report = {"routine": kind, "pi_code": lut.pi_code,
-                  "codes": lut.codes, "theta": lut.theta,
-                  "theta_raw": lut.theta_raw, "residual": lut.residual}
-    elif kind == "iq_cal":
-        _no_extras(r, ("kind", "tone_freq", "n_samples"), path)
-        _check(chain is not None, "calibration.chain",
-               "iq_cal needs a chain")
-        tone = r.get("tone_freq")
-        if tone is not None:
-            tone = _get(r, "tone_freq", path, "number")
-        n_samples = _get(r, "n_samples", path, "int", required=False,
-                         default=4096)
-        _check(n_samples >= 8, f"{path}.n_samples", "must be at least 8")
-        _check_samples(n_samples * hold, f"{path}.n_samples")
-        try:
-            cal.iq_tone_bin(fs, n_samples, tone)
-        except ValueError as e:
-            raise ConfigError(f"{path}.tone_freq: {e}") from None
-        corrected = cal.iq_cal(chain, fs, tone_freq=tone, n_samples=n_samples)
-        stage = corrected.stages[0]
-        report = {"routine": kind, "matrix": stage.params["matrix"],
-                  "offset": stage.params["offset"]}
-    elif kind == "polar_delay_align":
-        _no_extras(r, ("kind", "symbol_period", "window_s", "step_s",
-                       "n_symbols", "seed"), path)
-        _check(chain is not None, "calibration.chain",
-               "polar_delay_align needs a chain")
-        _check(any(st.kind == "polar_paths" for st in chain.stages),
-               "calibration.chain.stages",
-               "polar_delay_align needs a 'polar_paths' stage")
-        window_s = _get(r, "window_s", path, "number")
-        _check(window_s > 0.0, f"{path}.window_s", "must be positive")
-        step_s = _get(r, "step_s", path, "number")
-        _check(step_s > 0.0, f"{path}.step_s", "must be positive")
-        symbol_period = _get(r, "symbol_period", path, "number")
-        try:
-            shape = cal.align_probe_shape(symbol_period, fs)
-        except ValueError as e:
-            raise ConfigError(f"{path}.symbol_period: {e}") from None
-        n_symbols = _get(r, "n_symbols", path, "int", required=False,
-                         default=96)
-        edge = cal.ALIGN_SPAN_SYMBOLS
-        _check(n_symbols > 2 * edge, f"{path}.n_symbols",
-               f"must be above {2 * edge}: the first and last {edge} "
-               "symbols are not scored")
-        _check_samples(n_symbols * symbol_period * fs * hold,
-                       f"{path}.n_symbols")
-        try:
-            cal.align_candidates(window_s, step_s, mod.shaped_duration(
-                n_symbols, shape, symbol_period))
-        except ValueError as e:
-            raise ConfigError(f"{path}.window_s: {e}") from None
-        corrected, delay, scores = cal.polar_delay_align(
-            chain, fs, symbol_period=symbol_period, window_s=window_s,
-            step_s=step_s, n_symbols=n_symbols,
-            seed=_get(r, "seed", path, "int", required=False, default=7))
-        report = {"routine": kind, "best_delay_s": delay,
-                  "evm_per_candidate": scores}
-    elif kind == "dpd_fit":
-        _no_extras(r, ("kind", "order", "n_levels", "full_scale",
-                       "hold_samples"), path)
-        _check(chain is not None, "calibration.chain", "dpd_fit needs a "
-               "chain")
-        order = _get(r, "order", path, "int", required=False, default=5)
-        _check(order in (3, 5, 7), f"{path}.order", "must be 3, 5 or 7")
-        n_levels = _get(r, "n_levels", path, "int", required=False,
-                        default=32)
-        _check(n_levels >= order + 2, f"{path}.n_levels",
-               f"must be at least order + 2 = {order + 2}")
-        hold_samples = _get(r, "hold_samples", path, "int", required=False,
-                            default=64)
-        _check(hold_samples * hold >= 4, f"{path}.hold_samples",
-               "must hold each level for at least 4 samples after the "
-               "chain's hold")
-        _check_samples(n_levels * hold_samples * hold, f"{path}.n_levels")
-        corrected, gain_poly, phase_poly = cal.dpd_fit(
-            chain, fs, order=order, n_levels=n_levels,
-            full_scale=_get(r, "full_scale", path, "number", required=False,
-                            default=1.0),
-            hold_samples=hold_samples)
-        report = {"routine": kind, "gain_poly": gain_poly,
-                  "phase_poly": phase_poly}
-    else:
-        _no_extras(r, ("kind", "on_samples", "off_samples", "guard_samples"),
-                   path)
-        _check(chain is not None, "calibration.chain",
-               "leakage_cancel needs a chain")
-        on_samples = _get(r, "on_samples", path, "int", required=False,
-                          default=256)
-        off_samples = _get(r, "off_samples", path, "int", required=False,
-                           default=256)
-        guard_samples = _get(r, "guard_samples", path, "int", required=False,
-                             default=8)
-        _check(on_samples >= 1, f"{path}.on_samples", "must be at least 1")
-        _check(guard_samples >= 0, f"{path}.guard_samples",
-               "must be nonnegative")
-        _check(off_samples > guard_samples + 8, f"{path}.off_samples",
-               "must exceed guard_samples + 8")
-        _check_samples((on_samples + off_samples) * hold,
-                       f"{path}.on_samples")
-        corrected, level = cal.leakage_cancel(
-            chain, fs, on_samples=on_samples, off_samples=off_samples,
-            guard_samples=guard_samples)
-        report = {"routine": kind, "off_level": level}
+    row = ROUTINES[kind]
+    given = {k: v for k, v in r.items() if k != "kind"}
+    args = {**row.defaults, **_read(given, row.keys, row.defaults, path,
+                                    row.config),
+            "chain": chain, "sample_rate": fs}
+    try:
+        row.rule(**args)
+    except InputError as e:
+        head, dot, rest = e.key.partition(".")
+        where = "calibration" if head == "chain" else path
+        raise ConfigError(f"{where}.{row.config.get(head, head)}{dot}{rest}: "
+                          f"{e.problem}") from None
+    corrected, fields = row.report(getattr(cal, kind)(**args))
 
     dest = Path(out_dir) / name
     dest.mkdir(parents=True, exist_ok=True)
-    report = {"name": name, **report}
+    report = {"name": name, "routine": kind, **fields}
     write_text_atomic(dest / "report.json", emit_json(report))
     if corrected is not None:
         write_text_atomic(dest / "corrected_chain.json",

@@ -1,7 +1,9 @@
 """README claims checked against the code.
 
 The README's code blocks are run by ``test_scenario.TestReadme``; these
-tests hold its impairment catalog to the stage registry."""
+tests hold its impairment catalog to the stage registry and its calibration
+table to the routine registry."""
+import json
 import re
 from pathlib import Path
 
@@ -33,3 +35,19 @@ def test_architecture_list_matches_the_code():
     line = re.search(r"`architecture` is one of (.*?)\.\n",
                      _section("Scenario files"), flags=re.S).group(1)
     assert tuple(re.findall(r"`(\w+)`", line)) == ARCHITECTURES
+
+
+def test_calibration_table_matches_the_routines():
+    from sigchain.calibration import ROUTINES
+
+    table, routine = {}, None
+    for name, key, default in re.findall(
+            r"^\| (?:`(\w+)` )?\| `(\w+)` \| ([^|]*?) \|",
+            _section("Calibration routines"), flags=re.M):
+        routine = name or routine
+        table.setdefault(routine, {})[key] = default
+    assert table == {
+        name: {row.config.get(p, p): (json.dumps(row.defaults[p])
+                                      if p in row.defaults else "required")
+               for p in row.keys}
+        for name, row in ROUTINES.items()}

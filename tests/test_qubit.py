@@ -132,18 +132,6 @@ def _ref_rabi(model, spec, fs, scales, chain):
     return p1
 
 
-def _ref_phase_coherency(model, spec, fs, theta_a, phi_b_values, chain):
-    p0 = np.empty(len(phi_b_values))
-    u_a = _ref_propagate(model, synth_qubit_pulse(
-        chain, spec, fs, rotation_angle=theta_a, drive_gain=model.drive_gain))
-    for k, phi_b in enumerate(phi_b_values):
-        env_b = synth_qubit_pulse(chain, spec, fs, rotation_angle=math.pi,
-                                  axis_phase=float(phi_b),
-                                  drive_gain=model.drive_gain)
-        p0[k] = abs((_ref_propagate(model, env_b) @ u_a)[0, 0]) ** 2
-    return p0
-
-
 # the drive of the benchmark's qubit gate: a 16 ns Gaussian at 64 GS/s
 # through a four-stage Cartesian chain
 GATE_FS = 6.4e10
@@ -481,44 +469,6 @@ class TestProtocols:
         expect = np.sin(scales * math.pi / 2.0) ** 2
         assert np.max(np.abs(p1 - expect)) < 1e-9
 
-    def test_phase_coherency_ideal_is_flat(self):
-        tau = 64e-9
-        g = TWO_PI * 10e6
-        model = qb.QubitModel(drive_gain=g)
-        spec = mod.GateEnvelopeSpec("rect", tau, peak_amplitude=None)
-        phi = np.linspace(0.0, TWO_PI, 13)
-        for theta_a in (math.pi / 3, math.pi / 2, math.pi):
-            p0 = qb.phase_coherency_protocol(model, spec, 1e9, theta_a, phi)
-            ideal = math.sin(theta_a / 2.0) ** 2
-            assert np.max(np.abs(p0 - ideal)) < 1e-9
-            assert p0.max() - p0.min() < 1e-12
-
-    def test_phase_coherency_matches_matrix_oracle(self):
-        tau = 64e-9
-        g = TWO_PI * 10e6
-        model = qb.QubitModel(drive_gain=g)
-        spec = mod.GateEnvelopeSpec("rect", tau, peak_amplitude=None)
-        theta_a = 1.2
-        phi = np.array([0.3, 1.7, 4.4])
-        p0 = qb.phase_coherency_protocol(model, spec, 1e9, theta_a, phi)
-        for k, ph in enumerate(phi):
-            u = qb.target_unitary(qb.GateSpec(math.pi, ph)) \
-                @ qb.target_unitary(qb.GateSpec(theta_a))
-            assert p0[k] == pytest.approx(abs(u[0, 0]) ** 2, abs=1e-9)
-
-    def test_phase_coherency_exposes_iq_imbalance(self):
-        from sigchain.chains import cartesian_chain
-
-        tau = 64e-9
-        g = TWO_PI * 10e6
-        model = qb.QubitModel(drive_gain=g)
-        spec = mod.GateEnvelopeSpec("rect", tau, peak_amplitude=None)
-        chain = cartesian_chain(gain_mismatch=0.1)
-        phi = np.linspace(0.0, TWO_PI, 17)
-        p0 = qb.phase_coherency_protocol(model, spec, 1e9, math.pi / 2, phi,
-                                         chain=chain)
-        assert p0.max() - p0.min() > 1e-3
-
 
 class TestBloch:
     def test_half_turn_and_quarter_turn_endpoints(self):
@@ -588,15 +538,6 @@ class TestBatchedKernel:
         spec = mod.with_peak(_gate_spec(), 1.0)
         p1 = qb.rabi_protocol(model, spec, GATE_FS, [], chain=GATE_CHAIN)
         assert p1.shape == (0,)
-
-    def test_phase_coherency_protocol(self):
-        model = qb.QubitModel(drive_gain=GATE_GAIN, detuning=TWO_PI * 2e6)
-        phi = np.linspace(0.0, TWO_PI, 21)
-        p0 = qb.phase_coherency_protocol(model, _gate_spec(), GATE_FS, 1.1,
-                                         phi, chain=GATE_CHAIN)
-        ref = _ref_phase_coherency(model, _gate_spec(), GATE_FS, 1.1, phi,
-                                   GATE_CHAIN)
-        assert np.max(np.abs(p0 - ref)) <= 1e-12
 
     def test_bloch_scan_matches_sequential_loop(self):
         model = qb.QubitModel(drive_gain=GATE_GAIN)
