@@ -521,14 +521,14 @@ def check_budget(n_samples: float, key: str, what: str = "") -> None:
 
 def check_gate(spec: mod.GateEnvelopeSpec, sample_rate: float, hold: float,
                key: str) -> int:
-    """Samples the gate spans, ``round(duration_s * sample_rate)``.  Raises
+    """Samples the gate spans, ``modulation.gate_samples``.  Raises
     InputError at ``key`` unless the gate, held ``hold`` times, fits the
-    budget, and it spans at least ``MIN_GATE_SAMPLES``."""
+    budget, and ``gate_samples`` accepts it."""
     check_budget(spec.duration_s * sample_rate * hold, key)
-    n = round(spec.duration_s * sample_rate)
-    require(n >= mod.MIN_GATE_SAMPLES, key, f"the gate spans {n} samples at "
-            f"{sample_rate:g} Hz, fewer than {mod.MIN_GATE_SAMPLES}")
-    return n
+    try:
+        return mod.gate_samples(spec.duration_s, sample_rate)
+    except ValueError as e:
+        raise InputError(key, str(e)) from None
 
 
 def prepend_stage(chain: TxChain, spec: StageSpec) -> TxChain:

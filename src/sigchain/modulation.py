@@ -8,6 +8,7 @@ Nyquist pulse shaping; qubit drives come from parametric gate envelopes
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "shape_filter",
     "shape_symbols",
     "shaped_duration",
+    "gate_samples",
     "gate_envelope",
     "gate_envelope_unit_area",
     "with_peak",
@@ -203,7 +205,7 @@ def build_constellation(scheme: str, **params) -> Constellation:
                      with equally spaced phases; ring bits are the label MSBs.
     """
     if scheme == "m_ask":
-        m = int(params["m"])
+        m = operator.index(params["m"])
         if not _is_pow2(m) or m < 2:
             raise ValueError("m_ask requires m a power of two, m >= 2")
         pts = np.empty(m, dtype=np.complex128)
@@ -211,13 +213,13 @@ def build_constellation(scheme: str, **params) -> Constellation:
             pts[_gray(k)] = k / (m - 1)
         bits = m.bit_length() - 1
     elif scheme == "m_psk":
-        m = int(params["m"])
+        m = operator.index(params["m"])
         if not _is_pow2(m) or m < 2:
             raise ValueError("m_psk requires m a power of two, m >= 2")
         pts = _psk_points(m)
         bits = m.bit_length() - 1
     elif scheme == "square_qam":
-        m = int(params["m"])
+        m = operator.index(params["m"])
         side = math.isqrt(m)
         if not _is_pow2(m) or side * side != m or not _is_pow2(side) or side < 2:
             raise ValueError("square_qam requires m in {4, 16, 64, 256, ...}")
@@ -244,7 +246,8 @@ def build_constellation(scheme: str, **params) -> Constellation:
                 pts[label] += ratios[path] * qpsk[pair]
         bits = 2 * n_paths
     elif scheme == "star_qam":
-        rings, phases = int(params["rings"]), int(params["phases"])
+        rings = operator.index(params["rings"])
+        phases = operator.index(params["phases"])
         if not (_is_pow2(rings) and _is_pow2(phases)) or rings * phases < 2:
             raise ValueError("star_qam requires power-of-two ring/phase counts")
         ring_amp = 2.0 ** np.arange(rings)
@@ -381,18 +384,27 @@ def gate_envelope_unit_area(spec: GateEnvelopeSpec) -> float:
     return sigma * math.sqrt(2.0 * np.pi) * math.erf(z / math.sqrt(2.0)) - tau * baseline
 
 
+def gate_samples(duration_s: float, sample_rate: float) -> int:
+    """Samples a gate of ``duration_s`` spans at ``sample_rate``,
+    ``round(duration_s * sample_rate)``.  Raises ValueError when that is
+    fewer than ``MIN_GATE_SAMPLES``, so a gate is never under-resolved."""
+    n = round(duration_s * sample_rate)
+    if n < MIN_GATE_SAMPLES:
+        raise ValueError(f"the gate spans {n} samples at {sample_rate:g} Hz, "
+                         f"fewer than {MIN_GATE_SAMPLES}")
+    return n
+
+
 def gate_envelope(spec: GateEnvelopeSpec, sample_rate: float) -> ComplexEnvelope:
     """Sample a gate envelope at midpoint instants over [0, duration].
 
-    Requires round(duration_s * sample_rate) >= MIN_GATE_SAMPLES so a gate
-    is never under-resolved.  With DRAG enabled the imaginary quadrature is
-    the scaled analytic derivative of the real amplitude shape.
+    The gate must span ``gate_samples`` samples.  With DRAG enabled the
+    imaginary quadrature is the scaled analytic derivative of the real
+    amplitude shape.
     """
     if spec.peak_amplitude is None:
         raise ValueError("peak_amplitude unset; synthesize via a gate target")
-    n = round(spec.duration_s * sample_rate)
-    if n < MIN_GATE_SAMPLES:
-        raise ValueError(f"gate must span at least {MIN_GATE_SAMPLES} samples")
+    n = gate_samples(spec.duration_s, sample_rate)
     t = (np.arange(n) + 0.5) / sample_rate
     tc = spec.duration_s / 2.0
     peak = spec.peak_amplitude

@@ -6,8 +6,7 @@ rotating-wave approximation, so the baseband envelope is the whole story:
 its magnitude sets the instantaneous Rabi rate, its phase sets the rotation
 axis in the equatorial plane.  Propagation is piecewise constant over the
 sample grid (samples are interval-center values); ``substeps`` refines each
-interval by linear interpolation and ``propagate_converged`` doubles the
-refinement until the propagator stops moving.
+interval by linear interpolation.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ __all__ = [
     "SIGMA_Z",
     "target_unitary",
     "propagate",
-    "propagate_converged",
     "pulse_area",
     "axis_angle",
     "average_gate_fidelity",
@@ -197,21 +195,6 @@ def propagate(model: QubitModel, env: ComplexEnvelope,
               substeps: int = 1) -> np.ndarray:
     """Total propagator for a drive record (time-ordered product)."""
     return _propagators(model, *_drive(env, substeps))
-
-
-def propagate_converged(model: QubitModel, env: ComplexEnvelope,
-                        tol: float = 1e-10,
-                        max_doublings: int = 12) -> np.ndarray:
-    """Refine substeps by doubling until the propagator stops changing."""
-    substeps = 1
-    coarse = propagate(model, env, substeps)
-    for _ in range(max_doublings):
-        substeps *= 2
-        fine = propagate(model, env, substeps)
-        if np.max(np.abs(fine - coarse)) < tol:
-            return fine
-        coarse = fine
-    raise RuntimeError(f"propagator did not converge to {tol:g}")
 
 
 def pulse_area(env: ComplexEnvelope, drive_gain: float) -> float:

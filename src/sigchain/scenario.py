@@ -49,6 +49,8 @@ log = logging.getLogger("sigchain")
 
 COMM_OUTPUTS = ("constellation", "psd", "eye", "budget")
 QUBIT_OUTPUTS = ("bloch",)
+# Symbol periods eye.csv holds at most; eye_metrics still scores them all
+EYE_TRACES = 256
 
 
 class ConfigError(ValueError):
@@ -141,15 +143,21 @@ def _csv(header: str, *columns) -> str:
     A float ndarray column goes through one C-level ``%.17g`` pass per block
     of ``_CSV_BLOCK`` rows; any other column is formatted cell by cell:
     strings as they are, integers in decimal, floats as ``%.17g`` and lists,
-    objects and null as compact JSON.  ``%.17g`` spells nan and infinities
-    ``nan``, ``inf`` and ``-inf``.  A cell holding a comma, quote or line
-    break is quoted per RFC 4180.
+    objects and null as compact JSON.  Another ndarray column formats each
+    distinct value once.  ``%.17g`` spells nan and infinities ``nan``,
+    ``inf`` and ``-inf``.  A cell holding a comma, quote or line break is
+    quoted per RFC 4180.
     """
     cols, fmts = [], []
     for c in columns:
         if isinstance(c, np.ndarray) and c.dtype.kind == "f":
             cols.append(c)
             fmts.append("%.17g")
+        elif isinstance(c, np.ndarray) and c.dtype.kind != "O":
+            values, index = np.unique(c, return_inverse=True)
+            texts = np.array([_csv_cell(v) for v in values], dtype=object)
+            cols.append(texts[index])
+            fmts.append("%s")
         else:
             cols.append([_csv_cell(v) for v in c])
             fmts.append("%s")
@@ -289,14 +297,21 @@ def _parse_chain(obj, path: str, fs: float) -> TxChain | None:
     return TxChain(arch, tuple(specs))
 
 
+# Each constellation scheme's keys and their JSON kinds
+_SCHEMES = {"m_ask": {"m": "int"}, "m_psk": {"m": "int"},
+            "square_qam": {"m": "int"}, "qpsk_sum": {"ratios": "list"},
+            "star_qam": {"rings": "int", "phases": "int"}}
+
+
 def _parse_constellation(obj, path: str):
     d = _value(obj, "dict", path)
     scheme = _get(d, "scheme", path, "str")
-    kwargs = {k: v for k, v in d.items() if k != "scheme"}
+    _check(scheme in _SCHEMES, f"{path}.scheme",
+           f"expected one of {tuple(_SCHEMES)}, got {scheme!r}")
+    kwargs = _read({k: v for k, v in d.items() if k != "scheme"},
+                   _SCHEMES[scheme], (), path)
     try:
         return mod.build_constellation(scheme, **kwargs)
-    except KeyError as e:
-        raise ConfigError(f"{path}: missing parameter {e}") from None
     except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"{path}: {e}") from None
 
@@ -477,9 +492,14 @@ def _compute_comm(plan: dict, made: tuple) -> tuple[dict, dict]:
                               eye.sample_instant_fraction}
         sps = int(round(symbol_period * env.sample_rate))
         instant = int(round(eye.sample_instant_fraction * sps))
-        offs = (np.arange(len(env)) - instant + sps // 2) % sps
+        # whole periods past the pulse tails at either end, EYE_TRACES at most
+        skip = shape.span_symbols
+        keep = min(EYE_TRACES, max(0, len(env) // sps - 2 * skip))
+        lo, hi = skip * sps, (skip + keep) * sps
+        offs = (np.arange(lo, hi) - instant + sps // 2) % sps
         artifacts["eye.csv"] = _csv("t_frac,i,q", offs / sps,
-                                    env.samples.real, env.samples.imag)
+                                    env.samples.real[lo:hi],
+                                    env.samples.imag[lo:hi])
     if "budget" in plan["outputs"]:
         budget = met.evm_budget(scorer, clean, plan["chain"], report)
         summary["budget"] = {"terms": dict(budget.terms),
@@ -518,8 +538,10 @@ def _compute_qubit(plan: dict, pulse) -> tuple[dict, dict]:
     if "bloch" in plan["outputs"]:
         times, pts = qb.bloch_trajectory(model, env,
                                          substeps=plan["substeps"])
-        artifacts["bloch.csv"] = _csv("t,x,y,z", times, pts[:, 0], pts[:, 1],
-                                      pts[:, 2])
+        # the drive sample instants; the last of them is the gate's end
+        at = slice(None, None, plan["substeps"])
+        artifacts["bloch.csv"] = _csv("t,x,y,z", times[at], pts[at, 0],
+                                      pts[at, 1], pts[at, 2])
     return summary, artifacts
 
 

@@ -119,6 +119,16 @@ class TestConstellations:
             with pytest.raises(ValueError):
                 build_constellation(scheme, **params)
 
+    def test_fractional_sizes_rejected(self):
+        for scheme, params in [
+            ("m_psk", {"m": 4.5}),
+            ("square_qam", {"m": 16.0}),
+            ("star_qam", {"rings": 2, "phases": 4.5}),
+        ]:
+            with pytest.raises(TypeError):
+                build_constellation(scheme, **params)
+        assert len(build_constellation("m_psk", m=np.int64(8))) == 8
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             build_constellation("apsk", m=16)

@@ -258,24 +258,6 @@ class TestPropagation:
         e16 = np.max(np.abs(qb.propagate(model, env, substeps=16) - ref))
         assert e4 < e1 and e16 < e4
 
-    def test_propagate_converged_is_stable(self):
-        fs = 1e9
-        g = TWO_PI * 40e6
-        spec = mod.GateEnvelopeSpec("gaussian", 64e-9)
-        env = mod.gate_envelope(spec, fs)
-        model = qb.QubitModel(drive_gain=g, detuning=TWO_PI * 6e6)
-        u = qb.propagate_converged(model, env, tol=1e-8)
-        ref = qb.propagate(model, env, substeps=2048)
-        assert np.max(np.abs(u - ref)) < 1e-8
-
-    def test_propagate_converged_can_give_up(self):
-        fs = 0.25e9
-        env = mod.gate_envelope(mod.GateEnvelopeSpec("cosine", 256e-9), fs)
-        model = qb.QubitModel(drive_gain=TWO_PI * 40e6,
-                              detuning=TWO_PI * 8e6)
-        with pytest.raises(RuntimeError, match="converge"):
-            qb.propagate_converged(model, env, tol=1e-15, max_doublings=2)
-
     def test_pulse_area_rect(self):
         env = _rect_env(0.5, 64e-9, 1e9)
         assert qb.pulse_area(env, 2.0) == pytest.approx(64e-9, rel=1e-12)

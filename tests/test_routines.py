@@ -215,5 +215,5 @@ def test_nonfinite_constellation_size_is_a_config_error(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     assert main(["simulate", str(p), "--out-dir", str(tmp_path / "out")]) == 2
-    assert "config error: scenario.comm.constellation: cannot convert" \
-        in capsys.readouterr().err
+    assert ("config error: scenario.comm.constellation.m: expected integer, "
+            "got inf") in capsys.readouterr().err

@@ -14,7 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sigchain import metrics as met
+from sigchain import modulation as mod
+from sigchain import qubit as qb
 from sigchain import scenario as scn
+from sigchain.chains import run_chain, synth_qubit_pulse
 from sigchain.cli import main
 
 
@@ -149,6 +153,14 @@ class TestCsv:
         assert [json.loads(r[0]) for r in rows[1:4]] == [
             [0.5, 1], {"a": "b"}, None]
         assert rows[4][0] == 'say "hi"'
+
+    def test_string_array_matches_per_cell_path(self):
+        # an ndarray column formats each distinct value once; the text must
+        # be the per-cell text, quoting included
+        labels = ["0110", "a,b", 'say "hi"', "line\nbreak", "0110", "a,b"]
+        got = scn._csv("s,x", np.array(labels), np.arange(6.0))
+        assert got == scn._csv("s,x", labels, np.arange(6.0))
+        assert got.splitlines()[2] == '"a,b",1'
 
 
 class TestValidation:
@@ -321,6 +333,31 @@ class TestValidation:
             scn.load_scenario(tmp_path / "absent.json")
 
 
+def _full_eye_csv(env, symbol_period, instant_fraction):
+    """eye.csv as written before the EYE_TRACES cap: every sample."""
+    sps = int(round(symbol_period * env.sample_rate))
+    instant = int(round(instant_fraction * sps))
+    offs = (np.arange(len(env)) - instant + sps // 2) % sps
+    return scn._csv("t_frac,i,q", offs / sps, env.samples.real,
+                    env.samples.imag)
+
+
+def _eye_case(case):
+    if case == "harmonic_ask":
+        return scn.read_config(scn.bundled_scenario_path("harmonic_ask"))
+    cfg = qpsk_config(n_symbols=64 if case == "short_record" else 300,
+                      outputs=("eye",))
+    if case == "rect":
+        cfg["comm"]["n_symbols"] = 64
+        cfg["comm"]["constellation"] = {"scheme": "m_ask", "m": 2}
+        cfg["comm"]["pulse"] = {"kind": "rect", "span_symbols": 4,
+                                "samples_per_symbol": 8}
+    if case == "hold_factor":
+        cfg["chain"] = {"stages": [{"kind": "rfdac_core", "params": {
+            "bits": 16, "hold_factor": 2}}]}
+    return cfg
+
+
 class TestRunScenario:
     def test_comm_outputs(self, tmp_path):
         summary = scn.run_scenario(qpsk_config(), tmp_path)
@@ -349,11 +386,19 @@ class TestRunScenario:
     def test_reruns_are_byte_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        scn.run_scenario(qpsk_config(), a)
-        scn.run_scenario(qpsk_config(), b)
-        for fname in ("metrics.json", "constellation.csv", "psd.csv"):
+        comm = qpsk_config(outputs=("constellation", "psd", "eye"))
+        qubit = pi_config()
+        qubit["qubit"]["substeps"] = 4
+        for out in (a, b):
+            scn.run_scenario(comm, out)
+            scn.run_scenario(qubit, out)
+        for fname in ("metrics.json", "constellation.csv", "psd.csv",
+                      "eye.csv"):
             assert (a / "smoke" / fname).read_bytes() == \
                 (b / "smoke" / fname).read_bytes()
+        for fname in ("metrics.json", "bloch.csv"):
+            assert (a / "pi-smoke" / fname).read_bytes() == \
+                (b / "pi-smoke" / fname).read_bytes()
 
     def test_eye_output(self, tmp_path):
         cfg = qpsk_config(outputs=("eye",))
@@ -364,6 +409,48 @@ class TestRunScenario:
         assert summary["eye"]["height"] > 0.0
         lines = (tmp_path / "smoke" / "eye.csv").read_text().splitlines()
         assert lines[0] == "t_frac,i,q"
+
+    @pytest.mark.parametrize("case, rows", [
+        ("root_raised_cosine", 256 * 8),     # 292 steady periods, capped
+        ("short_record", 56 * 8),            # 64 + 8 - 2 * 8 periods
+        ("rect", 56 * 8),                    # 64 - 2 * 4 periods
+        ("hold_factor", 256 * 16),           # the chain doubles the rate
+        ("harmonic_ask", 248 * 16),          # 256 - 2 * 4 periods
+    ])
+    def test_eye_rows_are_the_full_record_rows_past_the_tails(self, case,
+                                                              rows):
+        cfg = _eye_case(case)
+        summary, artifacts = scn._compute(cfg)
+        plan = scn.plan_scenario(cfg)
+        _, _, clean = scn._comm_input(plan)
+        env = clean if plan["chain"] is None else \
+            run_chain(plan["chain"], clean)
+        full = _full_eye_csv(env, plan["symbol_period"],
+                             summary["eye"]["sample_instant_fraction"])
+        full = full.splitlines(keepends=True)
+        lines = artifacts["eye.csv"].splitlines(keepends=True)
+        assert len(lines) == 1 + rows
+        sps = round(plan["symbol_period"] * env.sample_rate)
+        lo = 1 + plan["pulse"].span_symbols * sps
+        assert lines == full[:1] + full[lo:lo + rows]
+        # the eye is still scored on the whole record
+        eye = met.eye_metrics(env, plan["symbol_period"],
+                              n_levels=plan["eye_levels"])
+        assert summary["eye"]["height"] == eye.eye_height
+
+    def test_bloch_rows_are_the_drive_sample_instants(self, tmp_path):
+        cfg = pi_config()
+        cfg["qubit"]["substeps"] = 16
+        scn.run_scenario(cfg, tmp_path)
+        lines = (tmp_path / "pi-smoke" / "bloch.csv").read_text().splitlines()
+        plan = scn.plan_scenario(cfg)
+        times, pts = qb.bloch_trajectory(plan["model"],
+                                         scn._qubit_input(plan), substeps=16)
+        full = scn._csv("t,x,y,z", times, *pts.T).splitlines()
+        assert len(full) == 1 + 64 * 16 + 1
+        assert len(lines) == 1 + 64 + 1
+        assert lines == full[:1] + full[1::16]
+        assert abs(float(lines[-1].split(",")[3]) + 1.0) < 1e-9
 
     def test_budget_output(self, tmp_path):
         chain = {"architecture": "cartesian", "stages": [
@@ -870,6 +957,54 @@ class TestCli:
             assert ("config error: scenario.qubit.envelope.duration_s: the "
                     "gate spans 63 samples") in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    def test_short_gate_has_one_text(self, tmp_path, capsys):
+        cfg = pi_config(outputs=())
+        cfg["qubit"]["envelope"]["duration_s"] = 6.3e-8
+        gate_text = "the gate spans 63 samples at 1e+09 Hz, fewer than 64"
+        with pytest.raises(ValueError) as lib:
+            synth_qubit_pulse(None, mod.GateEnvelopeSpec("rect", 6.3e-8),
+                              1.0e9)
+        assert str(lib.value) == gate_text
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", str(p), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert ("config error: scenario.qubit.envelope.duration_s: "
+                f"{gate_text}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme, key, value, code", [
+        ("m_psk", "m", 4, 0), ("m_psk", "m", 4.5, 2), ("m_psk", "m", True, 2),
+        ("m_ask", "m", 4.0, 2), ("square_qam", "m", 16.5, 2),
+        ("star_qam", "rings", 2.5, 2)])
+    def test_constellation_sizes_are_integers(self, scheme, key, value,
+                                              code, tmp_path, capsys):
+        cfg = qpsk_config()
+        cfg["comm"]["constellation"] = {"scheme": scheme, "rings": 2,
+                                        "phases": 4} if key == "rings" \
+            else {"scheme": scheme}
+        cfg["comm"]["constellation"][key] = value
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", str(p), "--out-dir", str(out)]) == code
+        if code:
+            assert (f"config error: scenario.comm.constellation.{key}: "
+                    "expected integer") in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert (out / "smoke" / "metrics.json").exists()
+
+    def test_constellation_keys_are_checked(self, tmp_path):
+        cfg = qpsk_config()
+        cfg["comm"]["constellation"]["rings"] = 2
+        with pytest.raises(scn.ConfigError, match=(
+                r"scenario\.comm\.constellation: unknown key 'rings'")):
+            scn.plan_scenario(cfg)
+        cfg["comm"]["constellation"] = {"scheme": "hex"}
+        with pytest.raises(scn.ConfigError, match=(
+                r"scenario\.comm\.constellation\.scheme: expected one of")):
+            scn.plan_scenario(cfg)
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json"),
