@@ -31,6 +31,7 @@ from sigchain.envelope import (
     delay_real_track,
     from_polar,
 )
+from sigchain.modulation import InputError, require
 
 __all__ = [
     "InputError",
@@ -55,21 +56,6 @@ __all__ = [
 HARMONIC_FACTORS = (2, 3, 4)
 ARCHITECTURES = ("cartesian", "polar", "rfdac", "harmonic", "custom")
 MAX_SAMPLES = 1 << 24     # largest record a scenario or probe may ask for
-
-
-class InputError(ValueError):
-    """An argument breaks a rule: ``key`` names it (dotted into a record or
-    list, such as ``scales.2``) and ``problem`` says what is wrong."""
-
-    def __init__(self, key: str, problem: str) -> None:
-        super().__init__(f"{key}: {problem}")
-        self.key, self.problem = key, problem
-
-
-def require(cond: bool, key: str, problem: str) -> None:
-    """Raise InputError at ``key`` unless ``cond``."""
-    if not cond:
-        raise InputError(key, problem)
 
 
 class ParamError(ValueError):

@@ -70,15 +70,7 @@ def _cmd_simulate(args) -> int:
     raw = scn.load_scenario(_resolve(args.scenario))
     summary = scn.run_scenario(raw, args.out_dir)
     dest = Path(args.out_dir) / summary["name"]
-    if summary["mode"] == "comm":
-        print(f"{summary['name']}: evm_rms={summary['evm_rms']:.6g} "
-              f"({summary['evm_db']:.2f} dB) over "
-              f"{summary['num_symbols']} symbols -> {dest}")
-    else:
-        leak = summary.get("leakage")
-        tail = f" leakage={leak:.3g}" if leak is not None else ""
-        print(f"{summary['name']}: infidelity={summary['infidelity']:.6g}"
-              f"{tail} -> {dest}")
+    print(f"{scn._MODES[summary['mode']].line(summary)} -> {dest}")
     return 0
 
 

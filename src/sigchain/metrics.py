@@ -289,6 +289,11 @@ def _identity_gaps(traces: np.ndarray, n_levels: int):
     return np.min(lows[1:] - highs[:-1], axis=0), classes
 
 
+def check_eye_levels(n_levels: int, key: str = "n_levels") -> None:
+    """Raise InputError at ``key`` unless ``n_levels`` is at least 1."""
+    mod.require(n_levels >= 1, key, "an eye needs at least 1 level")
+
+
 def eye_metrics(env: ComplexEnvelope, symbol_period: float,
                 n_levels: int = 2) -> EyeReport:
     """Eye opening of the in-phase rail.
@@ -303,6 +308,7 @@ def eye_metrics(env: ComplexEnvelope, symbol_period: float,
     values, so every class is one contiguous run, and the winning phase's
     traces, gaps and classes are kept rather than recomputed.
     """
+    check_eye_levels(n_levels)
     sps_f = symbol_period * env.sample_rate
     sps = int(round(sps_f))
     if sps < 4 or abs(sps_f - sps) > 1e-6:

@@ -34,6 +34,23 @@ __all__ = [
 _NORM_TOL = 1e-12
 # Fewest samples a gate envelope may span
 MIN_GATE_SAMPLES = 64
+# Most points a constellation may hold; its distinctness check is O(m^2)
+MAX_POINTS = 4096
+
+
+class InputError(ValueError):
+    """An argument breaks a rule: ``key`` names it (dotted into a record or
+    list, such as ``scales.2``) and ``problem`` says what is wrong."""
+
+    def __init__(self, key: str, problem: str) -> None:
+        super().__init__(f"{key}: {problem}")
+        self.key, self.problem = key, problem
+
+
+def require(cond: bool, key: str, problem: str) -> None:
+    """Raise InputError at ``key`` unless ``cond``."""
+    if not cond:
+        raise InputError(key, problem)
 
 
 def _gray(n: int) -> int:
@@ -46,10 +63,6 @@ def _gray_inverse(g: int) -> int:
         n ^= g
         g >>= 1
     return n
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -118,20 +131,13 @@ class PulseShape:
     samples_per_symbol: int = 32
 
     def __post_init__(self) -> None:
-        if self.kind not in (
-            "rect",
-            "sinc",
-            "raised_cosine",
-            "root_raised_cosine",
-            "gaussian",
-        ):
-            raise ValueError(f"unknown pulse shape {self.kind!r}")
-        if not 0.0 <= self.rolloff <= 1.0:
-            raise ValueError("rolloff must lie in [0, 1]")
-        if self.span_symbols < 4:
-            raise ValueError("span_symbols must be at least 4")
-        if self.samples_per_symbol < 4:
-            raise ValueError("samples_per_symbol must be at least 4")
+        require(self.kind in ("rect", "sinc", "raised_cosine",
+                              "root_raised_cosine", "gaussian"),
+                "kind", f"unknown pulse shape {self.kind!r}")
+        require(0.0 <= self.rolloff <= 1.0, "rolloff", "must lie in [0, 1]")
+        require(self.span_symbols >= 4, "span_symbols", "must be at least 4")
+        require(self.samples_per_symbol >= 4, "samples_per_symbol",
+                "must be at least 4")
 
 
 @dataclass(frozen=True)
@@ -156,23 +162,13 @@ class GateEnvelopeSpec:
     drag_coefficient_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.shape not in ("rect", "gaussian", "cosine"):
-            raise ValueError(f"unknown gate envelope shape {self.shape!r}")
-        if not self.duration_s > 0.0:
-            raise ValueError("duration_s must be positive")
-        if self.peak_amplitude is not None and self.peak_amplitude < 0.0:
-            raise ValueError("peak_amplitude must be nonnegative")
-        if not 0.0 < self.sigma_fraction <= 1.0:
-            raise ValueError("sigma_fraction must lie in (0, 1]")
-
-
-def _psk_points(m: int) -> np.ndarray:
-    """Unit-RMS m-PSK ring; quadrature offset for m >= 4 puts QPSK on diagonals."""
-    offset = np.pi / m if m >= 4 else 0.0
-    pts = np.empty(m, dtype=np.complex128)
-    for k in range(m):
-        pts[_gray(k)] = np.exp(1j * (2.0 * np.pi * k / m + offset))
-    return pts
+        require(self.shape in ("rect", "gaussian", "cosine"), "shape",
+                f"unknown gate envelope shape {self.shape!r}")
+        require(self.duration_s > 0.0, "duration_s", "must be positive")
+        require(self.peak_amplitude is None or self.peak_amplitude >= 0.0,
+                "peak_amplitude", "must be nonnegative")
+        require(0.0 < self.sigma_fraction <= 1.0, "sigma_fraction",
+                "must lie in (0, 1]")
 
 
 def _normalize(points: np.ndarray) -> np.ndarray:
@@ -189,84 +185,104 @@ def _check_distinct(points: np.ndarray, scheme: str) -> None:
             raise ValueError(f"degenerate {scheme} constellation: coincident points")
 
 
+def _count(n: int, key: str, least: int = 2) -> int:
+    """``n`` as an int, a power of two from ``least`` to ``MAX_POINTS``."""
+    n = operator.index(n)
+    require(n >= least and n & (n - 1) == 0, key,
+            f"must be a power of two, at least {least}")
+    require(n <= MAX_POINTS, key, f"asks for {n} points, more than "
+            f"{MAX_POINTS}")
+    return n
+
+
+def _m_ask(m: int) -> np.ndarray:
+    """m unipolar amplitude levels (includes on-off keying)."""
+    m = _count(m, "m")
+    pts = np.empty(m, dtype=np.complex128)
+    for k in range(m):
+        pts[_gray(k)] = k / (m - 1)
+    return pts
+
+
+def _m_psk(m: int) -> np.ndarray:
+    """m phase states on the unit circle; a quadrature offset for m >= 4
+    puts QPSK on the diagonals."""
+    m = _count(m, "m")
+    offset = np.pi / m if m >= 4 else 0.0
+    pts = np.empty(m, dtype=np.complex128)
+    for k in range(m):
+        pts[_gray(k)] = np.exp(1j * (2.0 * np.pi * k / m + offset))
+    return pts
+
+
+def _square_qam(m: int) -> np.ndarray:
+    """Independent Gray-coded amplitude levels on I (label MSBs) and Q
+    (label LSBs); m must be a square power of 4."""
+    m = _count(m, "m")
+    side = math.isqrt(m)
+    require(side * side == m, "m", "must be in {4, 16, 64, 256, ...}")
+    half = (m.bit_length() - 1) // 2
+    pts = np.empty(m, dtype=np.complex128)
+    for label in range(m):
+        i_lab, q_lab = label >> half, label & (side - 1)
+        i_level = 2 * _gray_inverse(i_lab) - (side - 1)
+        q_level = 2 * _gray_inverse(q_lab) - (side - 1)
+        pts[label] = i_level + 1j * q_level
+    return pts
+
+
+def _qpsk_sum(ratios: list[float]) -> np.ndarray:
+    """Superposition of one QPSK point per entry of ``ratios``, scaled by
+    that ratio; the label's MSB pair drives the largest-amplitude path."""
+    n_paths, m = len(ratios), 4**len(ratios)
+    require(4 <= m <= MAX_POINTS, "ratios", f"asks for 4^{n_paths} points, "
+            f"where 4 to {MAX_POINTS} are allowed")
+    for i, r in enumerate(ratios):
+        require(0.0 < r < math.inf, f"ratios.{i}",
+                "qpsk_sum requires positive finite path ratios")
+    ratios = sorted((float(r) for r in ratios), reverse=True)
+    qpsk = _m_psk(4)
+    pts = np.zeros(m, dtype=np.complex128)
+    for label in range(m):
+        for path in range(n_paths):
+            pair = (label >> (2 * (n_paths - 1 - path))) & 0b11
+            pts[label] += ratios[path] * qpsk[pair]
+    return pts
+
+
+def _star_qam(rings: int, phases: int) -> np.ndarray:
+    """Concentric rings in geometric ratio 2 crossed with equally spaced
+    phases; ring bits are the label MSBs."""
+    rings, phases = _count(rings, "rings", 1), _count(phases, "phases", 1)
+    m = _count(rings * phases, "phases")
+    ring_amp = 2.0 ** np.arange(rings)
+    offset = np.pi / phases if phases >= 4 else 0.0
+    angles = 2.0 * np.pi * np.arange(phases) / phases + offset
+    phase_bits = phases.bit_length() - 1
+    pts = np.empty(m, dtype=np.complex128)
+    for label in range(m):
+        r_lab, p_lab = label >> phase_bits, label & (phases - 1)
+        r, p = _gray_inverse(r_lab), _gray_inverse(p_lab)
+        pts[label] = ring_amp[r] * np.exp(1j * angles[p])
+    return pts
+
+
+# Each constellation scheme's builder.  Its keyword parameters are the
+# scheme's keys; it returns the label-indexed points before normalization,
+# and raises InputError at a key (at most ``MAX_POINTS`` points, checked
+# before any is built).
+SCHEMES = {"m_ask": _m_ask, "m_psk": _m_psk, "square_qam": _square_qam,
+           "qpsk_sum": _qpsk_sum, "star_qam": _star_qam}
+
+
 def build_constellation(scheme: str, **params) -> Constellation:
-    """Construct a named constellation, Gray-labeled and unit-RMS.
-
-    Schemes
-    -------
-    m_ask(m):        m unipolar amplitude levels (includes on-off keying).
-    m_psk(m):        m phase states on the unit circle.
-    square_qam(m):   independent Gray-coded amplitude levels on I (label
-                     MSBs) and Q (label LSBs); m must be a square power of 4.
-    qpsk_sum(ratios): superposition of one QPSK point per entry of ``ratios``,
-                     scaled by that ratio; the label's MSB pair drives the
-                     largest-amplitude path.
-    star_qam(rings, phases): concentric rings in geometric ratio 2 crossed
-                     with equally spaced phases; ring bits are the label MSBs.
-    """
-    if scheme == "m_ask":
-        m = operator.index(params["m"])
-        if not _is_pow2(m) or m < 2:
-            raise ValueError("m_ask requires m a power of two, m >= 2")
-        pts = np.empty(m, dtype=np.complex128)
-        for k in range(m):
-            pts[_gray(k)] = k / (m - 1)
-        bits = m.bit_length() - 1
-    elif scheme == "m_psk":
-        m = operator.index(params["m"])
-        if not _is_pow2(m) or m < 2:
-            raise ValueError("m_psk requires m a power of two, m >= 2")
-        pts = _psk_points(m)
-        bits = m.bit_length() - 1
-    elif scheme == "square_qam":
-        m = operator.index(params["m"])
-        side = math.isqrt(m)
-        if not _is_pow2(m) or side * side != m or not _is_pow2(side) or side < 2:
-            raise ValueError("square_qam requires m in {4, 16, 64, 256, ...}")
-        half = (m.bit_length() - 1) // 2
-        pts = np.empty(m, dtype=np.complex128)
-        for label in range(m):
-            i_lab, q_lab = label >> half, label & (side - 1)
-            i_level = 2 * _gray_inverse(i_lab) - (side - 1)
-            q_level = 2 * _gray_inverse(q_lab) - (side - 1)
-            pts[label] = i_level + 1j * q_level
-        bits = m.bit_length() - 1
-    elif scheme == "qpsk_sum":
-        ratios = [float(r) for r in params["ratios"]]
-        if not ratios or any(r <= 0.0 for r in ratios):
-            raise ValueError("qpsk_sum requires positive path ratios")
-        ratios = sorted(ratios, reverse=True)
-        qpsk = _psk_points(4)
-        n_paths = len(ratios)
-        m = 4**n_paths
-        pts = np.zeros(m, dtype=np.complex128)
-        for label in range(m):
-            for path in range(n_paths):
-                pair = (label >> (2 * (n_paths - 1 - path))) & 0b11
-                pts[label] += ratios[path] * qpsk[pair]
-        bits = 2 * n_paths
-    elif scheme == "star_qam":
-        rings = operator.index(params["rings"])
-        phases = operator.index(params["phases"])
-        if not (_is_pow2(rings) and _is_pow2(phases)) or rings * phases < 2:
-            raise ValueError("star_qam requires power-of-two ring/phase counts")
-        ring_amp = 2.0 ** np.arange(rings)
-        offset = np.pi / phases if phases >= 4 else 0.0
-        angles = 2.0 * np.pi * np.arange(phases) / phases + offset
-        phase_bits = phases.bit_length() - 1
-        m = rings * phases
-        pts = np.empty(m, dtype=np.complex128)
-        for label in range(m):
-            r_lab, p_lab = label >> phase_bits, label & (phases - 1)
-            r, p = _gray_inverse(r_lab), _gray_inverse(p_lab)
-            pts[label] = ring_amp[r] * np.exp(1j * angles[p])
-        bits = m.bit_length() - 1
-    else:
+    """Construct the constellation ``SCHEMES[scheme](**params)`` describes,
+    Gray-labeled and unit-RMS."""
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown constellation scheme {scheme!r}")
-
-    pts = _normalize(pts)
+    pts = _normalize(SCHEMES[scheme](**params))
     _check_distinct(pts, scheme)
-    return Constellation(pts, bits, scheme)
+    return Constellation(pts, pts.size.bit_length() - 1, scheme)
 
 
 def map_bits(bits, constellation: Constellation, symbol_period: float = 1.0) -> SymbolStream:

@@ -58,12 +58,11 @@ class QubitModel:
     anharmonicity: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.levels not in (2, 3):
-            raise ValueError("levels must be 2 or 3")
-        if not self.drive_gain > 0.0:
-            raise ValueError("drive_gain must be positive")
-        if self.levels == 3 and not self.anharmonicity < 0.0:
-            raise ValueError("a three-level model needs anharmonicity < 0")
+        mod.require(self.levels in (2, 3), "levels", "must be 2 or 3")
+        mod.require(self.drive_gain > 0.0, "drive_gain", "must be positive")
+        mod.require(self.levels == 2 or self.anharmonicity < 0.0,
+                    "anharmonicity", "a three-level model needs anharmonicity "
+                    "< 0")
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,8 @@ class GateSpec:
     axis_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rotation_angle <= 2.0 * math.pi:
-            raise ValueError("rotation_angle must lie in (0, 2*pi]")
+        mod.require(0.0 < self.rotation_angle <= 2.0 * math.pi,
+                    "rotation_angle", "must lie in (0, 2*pi]")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ byte.
 from __future__ import annotations
 
 import copy
-import dataclasses
+import functools
+import inspect
 import json
 import logging
 import math
@@ -19,6 +20,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,10 +29,11 @@ from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain.calibration import ROUTINES
-from sigchain.chains import (ARCHITECTURES, MAX_SAMPLES, STAGES, InputError,
-                             ParamError, StageSpec, TxChain, _real,
-                             check_budget, check_gate, rate_factor, run_chain,
+from sigchain.chains import (ARCHITECTURES, MAX_SAMPLES, STAGES, ParamError,
+                             StageSpec, TxChain, _real, check_budget,
+                             check_gate, rate_factor, run_chain,
                              synth_comm_waveform, synth_qubit_pulse)
+from sigchain.modulation import InputError, require
 
 __all__ = [
     "ConfigError",
@@ -47,8 +50,6 @@ __all__ = [
 
 log = logging.getLogger("sigchain")
 
-COMM_OUTPUTS = ("constellation", "psd", "eye", "budget")
-QUBIT_OUTPUTS = ("bloch",)
 # Symbol periods eye.csv holds at most; eye_metrics still scores them all
 EYE_TRACES = 256
 
@@ -201,19 +202,28 @@ _KINDS = {"number": (lambda v: _real(v) and math.isfinite(v),
 
 
 def _value(v, kind, path: str):
-    """``v`` checked as a JSON kind, or read as the record class ``kind``."""
+    """``v`` checked as a JSON kind, as one of a tuple of values, or for
+    ``[kind]`` as an array of ``kind`` (read as a tuple); or read as the
+    record class ``kind``, a constellation from its scheme."""
+    if kind is mod.Constellation:
+        return _parse_constellation(v, path)
     if isinstance(kind, type):
         return _parse_record(kind, v, path)
+    if isinstance(kind, list):
+        return tuple(_value(x, kind[0], f"{path}.{i}")
+                     for i, x in enumerate(_value(v, "list", path)))
+    if isinstance(kind, tuple):
+        _check(v in kind, path, f"expected one of {kind}, got {v!r}")
+        return v
     test, name = _KINDS[kind]
     _check(test(v), path, f"expected {name}, got {_typename(v)}")
     return float(v) if kind == "number" else v
 
 
-def _get(d: dict, key: str, path: str, kind: str | type,
-         required: bool = True, default=None):
-    if key not in d:
+def _get(d: dict, key: str, path: str, kind, required: bool = True):
+    if d.get(key) is None:
         _check(not required, path, f"missing required key {key!r}")
-        return default
+        return None
     return _value(d[key], kind, f"{path}.{key}")
 
 
@@ -234,34 +244,47 @@ def _read(d: dict, kinds: dict, optional, path: str,
     return args
 
 
-# A record field's JSON kind, from its annotation (str, int and bool name it)
-_ANNOTATED = {"float": "number", "float | None": "number"}
+def _keyed(e: InputError, section: str, top: str = "",
+           config: dict | None = None) -> ConfigError:
+    """``e`` as a config error at its key within ``section``: a key under
+    ``chain.`` lies in ``top``, and ``config`` spells a key's config name."""
+    head, dot, rest = e.key.partition(".")
+    where = top if head == "chain" and top else section
+    return ConfigError(f"{where}.{(config or {}).get(head, head)}{dot}{rest}: "
+                       f"{e.problem}")
+
+
+# A parameter's JSON kind, from its annotation (str, int and bool name it)
+_ANNOTATED = {"float": "number", "float | None": "number",
+              "list[float]": ["number"]}
 # Absent record fields that are not their default: a gate peak is solved
 # from the rotation angle
 _ABSENT = {mod.GateEnvelopeSpec: {"peak_amplitude": None}}
 
 
+@functools.cache
+def _signature(fn) -> tuple[dict, dict]:
+    """``fn``'s parameters to their kinds, and to their defaults if any."""
+    ps = inspect.signature(fn).parameters.values()
+    return ({p.name: _ANNOTATED.get(p.annotation, p.annotation) for p in ps},
+            {p.name: p.default for p in ps if p.default is not p.empty})
+
+
 def _parse_record(cls, obj, path: str):
     """The record ``cls`` an object describes; its defaults fill the rest."""
-    fields = dataclasses.fields(cls)
-    args = _read(_value(obj, "dict", path),
-                 {f.name: _ANNOTATED.get(f.type, f.type) for f in fields},
-                 [f.name for f in fields
-                  if f.default is not dataclasses.MISSING], path)
+    args = _read(_value(obj, "dict", path), *_signature(cls), path)
     try:
         return cls(**{**_ABSENT.get(cls, {}), **args})
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
+    except InputError as e:
+        raise _keyed(e, path) from None
 
 
 def _parse_stage(obj, path: str, fs: float) -> tuple[StageSpec, float]:
     """A stage checked against its schema at the sample rate ``fs`` it sees,
     and its output rate.  Complex parameters may be [re, im] pairs."""
-    d = _value(obj, "dict", path)
-    _no_extras(d, ("kind", "params"), path)
-    kind = _get(d, "kind", path, "str")
-    params = dict(_get(d, "params", path, "dict", required=False,
-                       default={}))
+    d = _read(_value(obj, "dict", path), {"kind": "str", "params": "dict"},
+              ("params",), path)
+    kind, params = d["kind"], dict(d.get("params", {}))
     for key, par in (STAGES[kind].params if kind in STAGES else {}).items():
         v = params.get(key)
         if par.type == "complex" and isinstance(v, list) and len(v) == 2 \
@@ -284,44 +307,29 @@ def _parse_chain(obj, path: str, fs: float) -> TxChain | None:
     """The chain, checked at input sample rate ``fs``."""
     if obj is None:
         return None
-    d = _value(obj, "dict", path)
-    _no_extras(d, ("architecture", "stages"), path)
-    arch = _get(d, "architecture", path, "str", required=False,
-                default="custom")
-    _check(arch in ARCHITECTURES, f"{path}.architecture",
-           f"expected one of {ARCHITECTURES}, got {arch!r}")
+    d = _read(_value(obj, "dict", path),
+              {"architecture": ARCHITECTURES, "stages": "list"},
+              ("architecture",), path)
     specs, rate = [], fs
-    for i, s in enumerate(_get(d, "stages", path, "list")):
+    for i, s in enumerate(d["stages"]):
         spec, rate = _parse_stage(s, f"{path}.stages.{i}", rate)
         specs.append(spec)
-    return TxChain(arch, tuple(specs))
+    return TxChain(d.get("architecture", "custom"), tuple(specs))
 
 
-# Each constellation scheme's keys and their JSON kinds
-_SCHEMES = {"m_ask": {"m": "int"}, "m_psk": {"m": "int"},
-            "square_qam": {"m": "int"}, "qpsk_sum": {"ratios": "list"},
-            "star_qam": {"rings": "int", "phases": "int"}}
-
-
-def _parse_constellation(obj, path: str):
+def _parse_constellation(obj, path: str) -> mod.Constellation:
+    """The constellation of a ``scheme`` and that scheme's keys, which are
+    the parameters of its builder in ``modulation.SCHEMES``."""
     d = _value(obj, "dict", path)
-    scheme = _get(d, "scheme", path, "str")
-    _check(scheme in _SCHEMES, f"{path}.scheme",
-           f"expected one of {tuple(_SCHEMES)}, got {scheme!r}")
+    scheme = _get(d, "scheme", path, tuple(mod.SCHEMES))
     kwargs = _read({k: v for k, v in d.items() if k != "scheme"},
-                   _SCHEMES[scheme], (), path)
+                   *_signature(mod.SCHEMES[scheme]), path)
     try:
         return mod.build_constellation(scheme, **kwargs)
-    except (ValueError, TypeError, OverflowError) as e:
+    except InputError as e:
+        raise _keyed(e, path) from None
+    except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
-
-
-def _parse_outputs(d: dict, path: str, allowed) -> tuple:
-    outputs = _get(d, "outputs", path, "list", required=False, default=[])
-    for i, v in enumerate(outputs):
-        _check(_value(v, "str", f"{path}.outputs.{i}") in allowed,
-               f"{path}.outputs.{i}", f"expected one of {allowed}, got {v!r}")
-    return tuple(outputs)
 
 
 def read_config(source):
@@ -342,102 +350,43 @@ def load_scenario(source) -> dict:
     return raw
 
 
-def _check_name(d: dict, path: str) -> str:
+def _read_head(d: dict, path: str, keys: tuple) -> tuple:
+    """A file's name, sample rate and chain; ``keys`` are its other keys."""
+    _no_extras(d, ("name", "sample_rate", "chain", *keys), path)
     name = _get(d, "name", path, "str")
-    ok = name and all(c.isalnum() or c in "_-" for c in name)
-    _check(ok, f"{path}.name",
-           "name must be letters, digits, '_' or '-'")
-    return name
-
-
-def _checked(check, *args):
-    """``check(*args)``, its InputError (keyed by a path) a config error."""
-    try:
-        return check(*args)
-    except InputError as e:
-        raise ConfigError(str(e)) from None
+    _check(name and all(c.isalnum() or c in "_-" for c in name),
+           f"{path}.name", "name must be letters, digits, '_' or '-'")
+    fs = _get(d, "sample_rate", path, "number")
+    _check(fs > 0.0, f"{path}.sample_rate", "must be positive")
+    return name, fs, _parse_chain(d.get("chain"), f"{path}.chain", fs)
 
 
 def _check_delays(chain: TxChain | None, duration: float) -> None:
     """Delay parameters against the record's ``duration`` in seconds, which
-    a hold keeps: their magnitude must stay below a quarter of it."""
+    a hold keeps: their magnitude must stay below a quarter of it.  Raises
+    InputError at the parameter, under ``chain.``."""
     for i, spec in enumerate(chain.stages if chain is not None else ()):
         for key, par in STAGES[spec.kind].params.items():
             v = spec.params.get(key)
             if par.delay and v is not None and not abs(v) < duration / 4.0:
-                raise ConfigError(
-                    f"scenario.chain.stages.{i}.params.{key}: |{key}| must "
-                    f"stay below a quarter of the {duration:g} s record, "
-                    f"got {v!r}")
+                raise InputError(
+                    f"chain.stages.{i}.params.{key}", f"|{key}| must stay "
+                    f"below a quarter of the {duration:g} s record, got {v!r}")
 
 
 def plan_scenario(raw) -> dict:
     """Validate a scenario config and build the objects it describes."""
     d = _value(raw, "dict", "scenario")
-    _no_extras(d, ("name", "mode", "sample_rate", "chain", "comm", "qubit"),
-               "scenario")
-    name = _check_name(d, "scenario")
-    mode = _get(d, "mode", "scenario", "str")
-    _check(mode in ("comm", "qubit"), "scenario.mode",
-           f"expected 'comm' or 'qubit', got {mode!r}")
-    fs = _get(d, "sample_rate", "scenario", "number")
-    _check(fs > 0.0, "scenario.sample_rate", "must be positive")
-    chain = _parse_chain(d.get("chain"), "scenario.chain", fs)
-    hold = rate_factor(chain)
-    plan = {"name": name, "mode": mode, "sample_rate": fs, "chain": chain}
-
-    if mode == "comm":
-        c = _get(d, "comm", "scenario", "dict")
-        _no_extras(c, ("constellation", "pulse", "n_symbols", "bit_seed",
-                       "timing_search", "eye_levels", "outputs"),
-                   "scenario.comm")
-        plan["constellation"] = _parse_constellation(
-            _get(c, "constellation", "scenario.comm", "dict"),
-            "scenario.comm.constellation")
-        plan["pulse"] = _get(c, "pulse", "scenario.comm", mod.PulseShape)
-        n_symbols = _get(c, "n_symbols", "scenario.comm", "int")
-        _check(n_symbols >= 16, "scenario.comm.n_symbols", "must be >= 16")
-        _checked(check_budget, n_symbols * plan["pulse"].samples_per_symbol
-                 * hold, "scenario.comm.n_symbols")
-        plan["symbol_period"] = plan["pulse"].samples_per_symbol / fs
-        _check_delays(chain, mod.shaped_duration(n_symbols, plan["pulse"],
-                                                 plan["symbol_period"]))
-        plan["n_symbols"] = n_symbols
-        plan["bit_seed"] = _get(c, "bit_seed", "scenario.comm", "int")
-        plan["timing_search"] = _get(c, "timing_search", "scenario.comm",
-                                     "bool", required=False, default=False)
-        plan["eye_levels"] = _get(c, "eye_levels", "scenario.comm", "int",
-                                  required=False, default=2)
-        plan["outputs"] = _parse_outputs(c, "scenario.comm", COMM_OUTPUTS)
-        if "budget" in plan["outputs"]:
-            _check(chain is not None, "scenario.comm.outputs",
-                   "a budget report needs a chain")
-            for i, spec in enumerate(chain.stages):
-                _check(STAGES[spec.kind].term is not None,
-                       f"scenario.chain.stages.{i}.kind",
-                       f"stage {spec.kind!r} cannot be attributed to a "
-                       "budget term")
-    else:
-        q = _get(d, "qubit", "scenario", "dict")
-        _no_extras(q, ("model", "envelope", "gate", "substeps", "outputs"),
-                   "scenario.qubit")
-        plan["model"] = _get(q, "model", "scenario.qubit", qb.QubitModel)
-        plan["envelope"] = _get(q, "envelope", "scenario.qubit",
-                                mod.GateEnvelopeSpec)
-        plan["gate"] = _get(q, "gate", "scenario.qubit", qb.GateSpec)
-        substeps = _get(q, "substeps", "scenario.qubit", "int",
-                        required=False, default=1)
-        _check(substeps >= 1, "scenario.qubit.substeps", "must be >= 1")
-        n_gate = _checked(check_gate, plan["envelope"], fs, hold,
-                          "scenario.qubit.envelope.duration_s")
-        _checked(check_budget, plan["envelope"].duration_s * fs * hold
-                 * substeps, "scenario.qubit.substeps")
-        _check_delays(chain, n_gate / fs)
-        plan["substeps"] = substeps
-        plan["outputs"] = _parse_outputs(q, "scenario.qubit", QUBIT_OUTPUTS)
-        if "bloch" in plan["outputs"]:
-            _check(plan["model"].levels == 2, "scenario.qubit.outputs",
-                   "a bloch track needs a two-level model")
+    mode = _get(d, "mode", "scenario", tuple(_MODES))
+    name, fs, chain = _read_head(d, "scenario", ("mode", mode))
+    row, path = _MODES[mode], f"scenario.{mode}"
+    plan = {"name": name, "mode": mode, "sample_rate": fs, "chain": chain,
+            **row.defaults, **_read(_get(d, mode, "scenario", "dict"),
+                                    row.keys, row.defaults, path)}
+    try:
+        plan.update(row.check(plan, rate_factor(chain)))
+    except InputError as e:
+        raise _keyed(e, path, "scenario") from None
     return plan
 
 
@@ -545,9 +494,75 @@ def _compute_qubit(plan: dict, pulse) -> tuple[dict, dict]:
     return summary, artifacts
 
 
-# mode -> (input stage, chain-plus-score stage)
-_MODES = {"comm": (_comm_input, _compute_comm),
-          "qubit": (_qubit_input, _compute_qubit)}
+def _comm_check(plan: dict, hold: float) -> dict:
+    pulse, n_symbols, chain = plan["pulse"], plan["n_symbols"], plan["chain"]
+    require(n_symbols >= 16, "n_symbols", "must be >= 16")
+    check_budget(n_symbols * pulse.samples_per_symbol * hold, "n_symbols")
+    require(plan["bit_seed"] >= 0, "bit_seed", "must be nonnegative")
+    met.check_eye_levels(plan["eye_levels"], "eye_levels")
+    symbol_period = pulse.samples_per_symbol / plan["sample_rate"]
+    _check_delays(chain, mod.shaped_duration(n_symbols, pulse, symbol_period))
+    if "budget" in plan["outputs"]:
+        require(chain is not None, "outputs", "a budget report needs a chain")
+        for i, spec in enumerate(chain.stages):
+            require(STAGES[spec.kind].term is not None,
+                    f"chain.stages.{i}.kind", f"stage {spec.kind!r} cannot "
+                    "be attributed to a budget term")
+    return {"symbol_period": symbol_period}
+
+
+def _qubit_check(plan: dict, hold: float) -> dict:
+    fs, envelope = plan["sample_rate"], plan["envelope"]
+    require(plan["substeps"] >= 1, "substeps", "must be >= 1")
+    n_gate = check_gate(envelope, fs, hold, "envelope.duration_s")
+    check_budget(envelope.duration_s * fs * hold * plan["substeps"],
+                 "substeps")
+    _check_delays(plan["chain"], n_gate / fs)
+    require(plan["model"].levels == 2 or "bloch" not in plan["outputs"],
+            "outputs", "a bloch track needs a two-level model")
+    return {}
+
+
+class Mode(NamedTuple):
+    """A run mode: its section's ``keys`` to their kinds (``outputs`` names
+    its reports) and ``defaults``; ``check`` (plan, hold factor) raises
+    InputError at a section key or under ``chain.`` and returns derived plan
+    entries; a sweep row's metric ``columns``; the ``line`` ``simulate``
+    prints; and the run's two stages, ``make`` and ``score``."""
+
+    keys: dict
+    defaults: dict
+    check: Callable
+    columns: tuple
+    line: Callable
+    make: Callable
+    score: Callable
+
+
+# Every mode, described once.  A row's functions look the library up by
+# name on each call, so a rebound ``metrics.eye_metrics`` is the one called.
+_MODES: dict[str, Mode] = {
+    "comm": Mode(
+        {"constellation": mod.Constellation, "pulse": mod.PulseShape,
+         "n_symbols": "int", "bit_seed": "int", "timing_search": "bool",
+         "eye_levels": "int",
+         "outputs": [("constellation", "psd", "eye", "budget")]},
+        {"timing_search": _signature(met.LinkScorer)[1]["timing_search"],
+         "eye_levels": _signature(met.eye_metrics)[1]["n_levels"],
+         "outputs": ()},
+        _comm_check, ("evm_rms", "evm_db"),
+        lambda s: (f"{s['name']}: evm_rms={s['evm_rms']:.6g} "
+                   f"({s['evm_db']:.2f} dB) over {s['num_symbols']} symbols"),
+        _comm_input, _compute_comm),
+    "qubit": Mode(
+        {"model": qb.QubitModel, "envelope": mod.GateEnvelopeSpec,
+         "gate": qb.GateSpec, "substeps": "int", "outputs": [("bloch",)]},
+        {"substeps": _signature(qb.propagate)[1]["substeps"], "outputs": ()},
+        _qubit_check, ("fidelity", "infidelity", "leakage"),
+        lambda s: f"{s['name']}: infidelity={s['infidelity']:.6g}" + (
+            "" if s["leakage"] is None else f" leakage={s['leakage']:.3g}"),
+        _qubit_input, _compute_qubit),
+}
 
 
 def _compute(raw: dict, made=None) -> tuple[dict, dict]:
@@ -555,8 +570,9 @@ def _compute(raw: dict, made=None) -> tuple[dict, dict]:
     result for a plan that differs from this one only in its chain), then
     run the chain and score."""
     plan = plan_scenario(raw)
-    make, score = _MODES[plan["mode"]]
-    summary, artifacts = score(plan, make(plan) if made is None else made)
+    row = _MODES[plan["mode"]]
+    summary, artifacts = row.score(plan,
+                                   row.make(plan) if made is None else made)
     summary = {"name": plan["name"], "mode": plan["mode"], **summary}
     return summary, artifacts
 
@@ -605,12 +621,6 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
         raise ConfigError(f"sweep path {dotted!r}: cannot assign")
 
 
-def _sweep_columns(mode: str) -> tuple:
-    if mode == "comm":
-        return ("evm_rms", "evm_db")
-    return ("fidelity", "infidelity", "leakage")
-
-
 def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
     """Run a one- or two-axis parameter sweep; failures become FAILED rows.
 
@@ -621,18 +631,15 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
     failed point's ``{path: value}`` map with its error message."""
     d = _read(_value(raw, "dict", "sweep-file"),
               {"base": "dict", "sweep": "dict"}, (), "sweep-file")
-    sw = _read(d["sweep"], {"paths": "list", "values": "list"}, (),
+    sw = _read(d["sweep"], {"paths": ["str"], "values": ["list"]}, (),
                "sweep-file.sweep")
     base, paths, values = d["base"], sw["paths"], sw["values"]
     _check(1 <= len(paths) <= 2, "sweep-file.sweep.paths",
            "need one or two sweep paths")
     _check(len(values) == len(paths), "sweep-file.sweep.values",
            "need one value list per path")
-    for i, p in enumerate(paths):
-        _check(isinstance(p, str), f"sweep-file.sweep.paths.{i}",
-               "expected string")
-        _check(isinstance(values[i], list) and values[i],
-               f"sweep-file.sweep.values.{i}", "expected nonempty array")
+    for i, v in enumerate(values):
+        _check(v, f"sweep-file.sweep.values.{i}", "expected nonempty array")
     base_plan = plan_scenario(base)
     for p, vals in zip(paths, values):
         _set_path(copy.deepcopy(base), p, vals[0])
@@ -645,7 +652,7 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
         # Every point feeds its chain the base's input: make it once.  If
         # that fails, each point makes its own and fails with its own row.
         try:
-            made = _MODES[base_plan["mode"]][0](base_plan)
+            made = _MODES[base_plan["mode"]].make(base_plan)
         except Exception:  # noqa: BLE001
             log.debug("shared sweep input failed", exc_info=True)
 
@@ -666,7 +673,7 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
     else:
         results = [one(p) for p in grid]
 
-    cols = _sweep_columns(base_plan["mode"])
+    cols = _MODES[base_plan["mode"]].columns
     failures = []
     for point, summary, err in results:
         if summary is None:
@@ -705,12 +712,8 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
     --procedure flag) selects the routine when the config leaves "kind"
     out, and must agree with it when both are given."""
     d = _value(raw, "dict", "calibration")
-    _no_extras(d, ("name", "sample_rate", "chain", "routine"), "calibration")
-    name = _check_name(d, "calibration")
-    fs = _get(d, "sample_rate", "calibration", "number")
-    _check(fs > 0.0, "calibration.sample_rate", "must be positive")
-    chain = _parse_chain(d.get("chain"), "calibration.chain", fs)
-    r = _get(d, "routine", "calibration", "dict", required=False, default={})
+    name, fs, chain = _read_head(d, "calibration", ("routine",))
+    r = _get(d, "routine", "calibration", "dict", required=False) or {}
     kind = _get(r, "kind", "calibration.routine", "str", required=False)
     if procedure is not None:
         _check(kind is None or kind == procedure, "calibration.routine.kind",
@@ -729,10 +732,7 @@ def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
     try:
         row.rule(**args)
     except InputError as e:
-        head, dot, rest = e.key.partition(".")
-        where = "calibration" if head == "chain" else path
-        raise ConfigError(f"{where}.{row.config.get(head, head)}{dot}{rest}: "
-                          f"{e.problem}") from None
+        raise _keyed(e, path, "calibration", row.config) from None
     corrected, fields = row.report(getattr(cal, kind)(**args))
 
     dest = Path(out_dir) / name

@@ -1,8 +1,8 @@
 """README claims checked against the code.
 
 The README's code blocks are run by ``test_scenario.TestReadme``; these
-tests hold its impairment catalog to the stage registry and its calibration
-table to the routine registry."""
+tests hold its impairment catalog to the stage registry, its mode table to
+the mode rows and its calibration table to the routine registry."""
 import json
 import re
 from pathlib import Path
@@ -51,3 +51,24 @@ def test_calibration_table_matches_the_routines():
                                       if p in row.defaults else "required")
                for p in row.keys}
         for name, row in ROUTINES.items()}
+
+
+def test_mode_table_matches_the_modes():
+    from sigchain.scenario import _KINDS, _MODES
+
+    def kind_name(kind) -> str:
+        if isinstance(kind, type):
+            return "object"
+        return "array" if isinstance(kind, list) else _KINDS[kind][1]
+
+    table, mode = {}, None
+    for name, key, kind, default in re.findall(
+            r"^ *\| (?:`(\w+)` )?\| `(\w+)` \| ([^|]*?) \| ([^|]*?) \|",
+            _section("Scenario files"), flags=re.M):
+        mode = name or mode
+        table.setdefault(mode, {})[key] = (kind, default)
+    assert table == {
+        name: {key: (kind_name(kind), json.dumps(row.defaults[key])
+                     if key in row.defaults else "required")
+               for key, kind in row.keys.items()}
+        for name, row in _MODES.items()}

@@ -1,7 +1,11 @@
 """The stage registry: one row per stage kind drives dispatch, the budget
 term, the seed rule and the parameter checks.  The schema-driven fuzz test
-mutates one parameter of every bundled scenario's stages and only parses."""
+mutates one parameter of every bundled scenario's stages and only parses.
+The mode table: a second fuzz mutates one key of every bundled scenario's
+comm or qubit section, and runs what plans."""
 import copy
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -12,6 +16,8 @@ from hypothesis import strategies as st
 from sigchain import chains as ch
 from sigchain import impairments as imp
 from sigchain import metrics as met
+from sigchain import modulation as mod
+from sigchain import qubit as qb
 from sigchain import scenario as scn
 from sigchain.envelope import ComplexEnvelope
 
@@ -43,6 +49,23 @@ class TestRows:
         monkeypatch.setattr(imp, "amplitude_error", spy)
         ch.apply_stage(_env(), ch.StageSpec("amplitude_error", {"eps_a": 0.1}))
         assert calls == [0.1]
+
+    @pytest.mark.parametrize("name, fn, kwargs", [
+        ("harmonic_ask", "eye_metrics", {"n_levels": 4}),
+        ("pi_pulse_ideal", "propagate", {"substeps": 4}),
+    ])
+    def test_mode_library_is_looked_up_per_call(self, name, fn, kwargs,
+                                                monkeypatch):
+        owner = met if fn == "eye_metrics" else qb
+        real, calls = getattr(owner, fn), []
+
+        def spy(*args, **kw):
+            calls.append(kw)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(owner, fn, spy)
+        scn._compute(SCENARIOS[name])
+        assert calls == [kwargs]
 
     def test_defaults_are_not_stored(self):
         params = {"bits": 8, "seed": None}
@@ -181,3 +204,138 @@ def test_one_mutated_parameter_is_accepted_or_named(data):
     except scn.ConfigError as e:
         assert str(e).startswith(f"scenario.chain.stages.{index}.params.{key}"
                                  ":"), str(e)
+
+
+# ------------------------------------------------- mode section fuzzing
+#
+# Every key of each bundled scenario's comm or qubit section, its records
+# and its constellation, set to one value at a time.  The file must plan
+# and then run, or fail with a ConfigError at that key (or, for null,
+# report the key missing at its section).  A value of the wrong kind, or
+# just past a stated bound, must fail.
+
+# The schemes no bundled file uses, each on a qpsk_ideal copy
+SCHEME_EXAMPLES = {"qpsk_sum": {"ratios": [2.0, 1.0]},
+                   "star_qam": {"rings": 2, "phases": 8}}
+SECTION_SCENARIOS = {**SCENARIOS, **{
+    scheme: {**copy.deepcopy(SCENARIOS["qpsk_ideal"]), "name": scheme}
+    for scheme in SCHEME_EXAMPLES}}
+for _scheme, _params in SCHEME_EXAMPLES.items():
+    SECTION_SCENARIOS[_scheme]["comm"]["constellation"] = {"scheme": _scheme,
+                                                          **_params}
+
+# Values just past each key's bound, by the key's last name
+PAST_BOUND = {
+    "n_symbols": 15, "bit_seed": -1, "eye_levels": 0, "substeps": 0,
+    "m": 2 * mod.MAX_POINTS, "rings": 2 * mod.MAX_POINTS,
+    "phases": 2 * mod.MAX_POINTS, "ratios": [1.0] * 7, "ratio": 0.0,
+    "rolloff": np.nextafter(1.0, 2.0), "span_symbols": 3,
+    "samples_per_symbol": 3, "sigma_fraction": np.nextafter(1.0, 2.0),
+    "duration_s": 0.0, "peak_amplitude": -5e-324, "drive_gain": 0.0,
+    "levels": 4, "rotation_angle": np.nextafter(2 * math.pi, 7.0)}
+VALUES = [None, True, "x", math.inf, 0, -1, 4.5]
+
+
+def _record_kind(annotation: str):
+    return {"float": "number", "float | None": "number",
+            "list[float]": "list"}.get(annotation, annotation)
+
+
+def _section_keys(cfg: dict):
+    """(dotted key under the scenario, its JSON kind) for every key of the
+    mode section: records and the constellation by their fields, and each
+    entry of a list the file gives."""
+    mode = cfg["mode"]
+    section = cfg[mode]
+    for key, kind in scn._MODES[mode].keys.items():
+        path = f"{mode}.{key}"
+        if kind is mod.Constellation:
+            yield path, "dict"
+            scheme = section[key]["scheme"]
+            yield f"{path}.scheme", tuple(mod.SCHEMES)
+            for p in inspect.signature(mod.SCHEMES[scheme]).parameters.values():
+                yield f"{path}.{p.name}", _record_kind(p.annotation)
+        elif isinstance(kind, type):
+            yield path, "dict"
+            for f in dataclasses.fields(kind):
+                yield f"{path}.{f.name}", _record_kind(f.type)
+        else:
+            yield path, "list" if isinstance(kind, list) else kind
+    for key in ("outputs", "constellation.ratios"):
+        node = section
+        for k in key.split("."):
+            node = node.get(k, {})
+        for i, v in enumerate(node or ()):
+            yield f"{mode}.{key}.{i}", "str" if key == "outputs" else "number"
+
+
+def _of_kind(v, kind) -> bool:
+    if isinstance(kind, tuple):
+        return v in kind
+    if kind in ("bool", "str", "list", "dict"):
+        return isinstance(v, {"bool": bool, "str": str, "list": list,
+                              "dict": dict}[kind])
+    real = isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+    return real and (kind == "number" or isinstance(v, int))
+
+
+SECTION_SITES = [(name, key, kind)
+                 for name, cfg in SECTION_SCENARIOS.items()
+                 for key, kind in _section_keys(cfg)]
+
+
+def _set_key(cfg: dict, dotted: str, value) -> None:
+    *heads, last = dotted.split(".")
+    node = cfg
+    for k in heads:
+        node = node[int(k)] if isinstance(node, list) else node[k]
+    if isinstance(node, list):
+        node[int(last)] = value
+    else:
+        node[last] = value
+
+
+def test_every_section_key_is_a_site():
+    keys = {key.split(".", 1)[1] for _, key, _ in SECTION_SITES}
+    assert keys >= {"constellation.ratios.0", "constellation.rings",
+                    "timing_search", "eye_levels", "bit_seed", "substeps",
+                    "pulse.rolloff", "model.anharmonicity", "gate.axis_phase",
+                    "envelope.drag_enabled", "outputs.0"}
+    last = {key.rsplit(".", 1)[-1] for key in keys}
+    assert set(PAST_BOUND) - {"ratio"} <= last
+
+
+@pytest.mark.parametrize("name, key, kind", SECTION_SITES,
+                         ids=[f"{n}-{k}" for n, k, _ in SECTION_SITES])
+def test_one_mutated_section_key_runs_or_is_named(name, key, kind):
+    leaf = key.rsplit(".", 1)[-1]
+    past = PAST_BOUND.get("ratio" if leaf.isdigit() and "ratios" in key
+                          else leaf)
+    values = [(v, False) for v in VALUES] + \
+        ([] if past is None else [(past, True)])
+    for value, past_bound in values:
+        cfg = copy.deepcopy(SECTION_SCENARIOS[name])
+        _set_key(cfg, key, value)
+        must_fail = past_bound or value is not None \
+            and not _of_kind(value, kind)
+        try:
+            scn.plan_scenario(cfg)
+        except scn.ConfigError as e:
+            section, _, key_name = f"scenario.{key}".rpartition(".")
+            assert str(e).startswith(f"scenario.{key}:") or (
+                value is None and str(e) == f"{section}: missing required "
+                f"key {key_name!r}"), (value, str(e))
+            continue
+        assert not must_fail, f"{key} = {value!r} planned"
+        scn._compute(cfg)
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_SCENARIOS))
+def test_the_other_mode_section_is_unknown(name):
+    cfg = copy.deepcopy(SECTION_SCENARIOS[name])
+    other = next(m for m in scn._MODES if m != cfg["mode"])
+    cfg[other] = {}
+    with pytest.raises(scn.ConfigError,
+                       match=f"^scenario: unknown key '{other}'$"):
+        scn.plan_scenario(cfg)

@@ -305,8 +305,7 @@ class TestValidation:
                                                     tmp_path, capsys):
         cfg = make()
         plan = scn.plan_scenario(cfg)
-        make_input, _ = scn._MODES[plan["mode"]]
-        made = make_input(plan)
+        made = scn._MODES[plan["mode"]].make(plan)
         bound = (made[2] if plan["mode"] == "comm" else made).duration / 4.0
         # a hold keeps the duration, and the bound names the stage's index
         cfg["chain"] = {"stages": [
@@ -613,7 +612,7 @@ def _oracle_sweep(raw: dict, out_dir, threads: int) -> Path:
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(one, grid))
-    cols = scn._sweep_columns(scn.plan_scenario(base)["mode"])
+    cols = scn._MODES[scn.plan_scenario(base)["mode"]].columns
     failures = [{"point": dict(zip(paths, point)), "error": err}
                 for point, summary, err in results if summary is None]
     metric_cols = [["FAILED" if s is None else
@@ -688,7 +687,7 @@ class TestSharedSweepInput:
                 raise RuntimeError("input stage failed")
 
             monkeypatch.setitem(scn._MODES, "qubit",
-                                (fail, scn._MODES["qubit"][1]))
+                                scn._MODES["qubit"]._replace(make=fail))
         got = scn.run_sweep(copy.deepcopy(cfg), tmp_path / "got",
                             threads=threads).parent
         want = _oracle_sweep(cfg, tmp_path / "want", threads).parent
@@ -738,7 +737,7 @@ class TestSharedSweepInput:
                              ids=["comm", "qubit"])
     def test_shared_input_is_read_only(self, cfg):
         plan = scn.plan_scenario(cfg)
-        made = scn._MODES[plan["mode"]][0](plan)
+        made = scn._MODES[plan["mode"]].make(plan)
         if plan["mode"] == "comm":
             bits, stream, clean = made
             arrays = (bits, stream.symbols, clean.samples)
@@ -918,6 +917,80 @@ class TestCli:
         assert main(["simulate", "qpsk_ideal", "--out-dir", "out"]) == 0
         assert "qpsk_ideal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, line", [
+        ("qpsk_ideal", "qpsk_ideal: evm_rms=0 (-inf dB) over 224 symbols"),
+        ("qam16_budget",
+         "qam16_budget: evm_rms=0.128373 (-17.83 dB) over 160 symbols"),
+        ("pi_pulse_ideal", "pi_pulse_ideal: infidelity=1.45497e-11"),
+        ("drag_leakage", "drag_leakage: infidelity=0.00699706 "
+                         "leakage=2.27e-09"),
+    ])
+    def test_summary_line(self, name, line, tmp_path, capsys):
+        assert main(["simulate", name, "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"{line} -> {tmp_path / name}\n"
+
+    @pytest.mark.parametrize("base, section, change, where", [
+        ("harmonic_ask", "comm", {"eye_levels": 0}, "comm.eye_levels"),
+        ("qpsk_ideal", "comm", {"bit_seed": -1}, "comm.bit_seed"),
+        ("qpsk_ideal", "comm", {"constellation": {
+            "scheme": "qpsk_sum", "ratios": [True, 0.5]}},
+         "comm.constellation.ratios.0"),
+        ("qpsk_ideal", "comm", {"constellation": {
+            "scheme": "qpsk_sum", "ratios": ["1", 0.5]}},
+         "comm.constellation.ratios.0"),
+        ("qpsk_ideal", "comm", {"constellation": {
+            "scheme": "qpsk_sum", "ratios": [0.5, math.inf]}},
+         "comm.constellation.ratios.1"),
+        ("qpsk_ideal", "comm", {"constellation": {
+            "scheme": "qpsk_sum", "ratios": [2.0**-k for k in range(7)]}},
+         "comm.constellation.ratios"),
+        ("qpsk_ideal", "comm", {"constellation": {
+            "scheme": "m_psk", "m": 2 * mod.MAX_POINTS}},
+         "comm.constellation.m"),
+        ("qpsk_ideal", "comm", {"constellation": {
+            "scheme": "star_qam", "rings": 64, "phases": 128}},
+         "comm.constellation.phases"),
+        ("pi_pulse_ideal", None, {"comm": {}}, "scenario: unknown key 'comm'"),
+        ("qpsk_ideal", None, {"qubit": {}}, "scenario: unknown key 'qubit'"),
+    ], ids=["eye-levels", "bit-seed", "ratio-bool", "ratio-string",
+            "ratio-inf", "seven-ratios", "psk-size", "star-size",
+            "comm-on-qubit", "qubit-on-comm"])
+    def test_mode_section_defect_exit_two(self, base, section, change,
+                                          where, tmp_path, capsys):
+        cfg = scn.read_config(scn.bundled_scenario_path(base))
+        (cfg if section is None else cfg[section]).update(change)
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", str(p), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        prefix = "" if section is None else "scenario."
+        assert err.startswith(f"sigchain: config error: {prefix}{where}"), err
+        assert not (tmp_path / "out").exists()
+
+    def test_null_section_keys_take_their_defaults(self):
+        cfg = qpsk_config(outputs=())
+        want = scn.plan_scenario(cfg)
+        cfg["comm"].update(timing_search=None, eye_levels=None, outputs=None)
+        got = scn.plan_scenario(cfg)
+        for key in ("timing_search", "eye_levels", "outputs"):
+            assert got[key] == want[key]
+        assert (got["timing_search"], got["eye_levels"]) == (False, 2)
+
+    def test_eye_level_rule_has_one_text(self):
+        cfg = qpsk_config(outputs=("eye",))
+        cfg["comm"]["eye_levels"] = 0
+        with pytest.raises(scn.ConfigError) as parsed:
+            scn.plan_scenario(cfg)
+        cfg["comm"]["eye_levels"] = 2
+        plan = scn.plan_scenario(cfg)
+        _, _, clean = scn._comm_input(plan)
+        with pytest.raises(ValueError) as lib:
+            met.eye_metrics(clean, plan["symbol_period"], n_levels=0)
+        assert str(parsed.value) == \
+            "scenario.comm.eye_levels: an eye needs at least 1 level"
+        assert str(lib.value) == "n_levels: an eye needs at least 1 level"
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{broken")
@@ -948,7 +1021,7 @@ class TestCli:
                 raise AssertionError("compute started")
 
             monkeypatch.setitem(scn._MODES, "qubit",
-                                (compute, scn._MODES["qubit"][1]))
+                                scn._MODES["qubit"]._replace(make=compute))
         p = tmp_path / "s.json"
         p.write_text(json.dumps(cfg))
         assert main([command, str(p), "--out-dir",
