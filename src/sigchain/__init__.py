@@ -69,7 +69,6 @@ from sigchain.scenario import (
     ConfigError,
     bundled_scenario_path,
     list_bundled_scenarios,
-    load_scenario,
     run_calibration,
     run_scenario,
     run_sweep,
@@ -124,7 +123,6 @@ __all__ = [
     "ConfigError",
     "bundled_scenario_path",
     "list_bundled_scenarios",
-    "load_scenario",
     "run_calibration",
     "run_scenario",
     "run_sweep",

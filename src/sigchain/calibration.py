@@ -10,7 +10,6 @@ compute when an argument breaks a rule of ``ROUTINES``, the input contracts.
 """
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -110,8 +109,9 @@ class AmplitudeLut:
         return float(np.interp(code, self.codes, self.theta))
 
 
-def rabi_amplitude_cal(model, envelope_spec, sample_rate: float,
-                       scales, chain: TxChain | None = None,
+def rabi_amplitude_cal(model: qb.QubitModel, envelope: mod.GateEnvelopeSpec,
+                       sample_rate: float, scales: list,
+                       chain: TxChain | None = None,
                        residual_tol: float = 0.15,
                        saturation: float = 0.995) -> AmplitudeLut:
     """Map drive amplitude codes to rotation angles from a population sweep.
@@ -122,9 +122,9 @@ def rabi_amplitude_cal(model, envelope_spec, sample_rate: float,
     inherit the flat top of the sine.  A nonmonotone angle map beyond
     ``residual_tol`` radians means the inversion is untrustworthy.
     """
-    _rabi_rules(envelope_spec, sample_rate, scales, chain)
+    _rabi_rules(envelope, sample_rate, scales, chain)
     codes = np.asarray(scales, dtype=np.float64)
-    p1 = qb.rabi_protocol(model, envelope_spec, sample_rate, codes,
+    p1 = qb.rabi_protocol(model, envelope, sample_rate, codes,
                           chain=chain)
 
     peak = int(np.argmax(p1))
@@ -150,9 +150,8 @@ def rabi_amplitude_cal(model, envelope_spec, sample_rate: float,
     return AmplitudeLut(lut_codes, lut_theta, theta_raw, residual)
 
 
-def _rabi_rules(envelope_spec, sample_rate, scales, chain, **_) -> None:
-    check_gate(envelope_spec, sample_rate, rate_factor(chain),
-               "envelope_spec.duration_s")
+def _rabi_rules(envelope, sample_rate, scales, chain, **_) -> None:
+    check_gate(envelope, sample_rate, rate_factor(chain), "envelope.duration_s")
     for k, v in enumerate(scales):
         require(_real(v) and math.isfinite(v), f"scales.{k}",
                 f"expected finite number, got {v!r}")
@@ -423,48 +422,27 @@ def _leakage_rules(chain, on_samples, off_samples, guard_samples,
 # --------------------------------------------------------------- registry
 
 class Routine(NamedTuple):
-    """A routine's input contract.  ``keys``: each parameter but chain and
-    sample_rate, to its JSON kind or record class; ``config``: a config key
-    that differs from its parameter; ``rule``: raises InputError, given the
-    arguments by name; ``report``: the result to (corrected chain or None,
-    report fields); ``defaults``: from the routine's signature."""
+    """What a routine's signature does not say.  ``rule`` raises InputError,
+    given the arguments by name; ``report`` maps the result to (corrected
+    chain or None, report fields).  The signature's parameters but chain and
+    sample_rate are the routine's config keys."""
 
-    keys: dict
     rule: Callable
     report: Callable
-    defaults: dict
-    config: dict
-
-
-def _row(routine, keys: dict, rule, report, **config) -> tuple:
-    params = inspect.signature(routine).parameters.values()
-    defaults = {p.name: p.default for p in params
-                if p.name in keys and p.default is not p.empty}
-    return routine.__name__, Routine(keys, rule, report, defaults, config)
 
 
 # Every routine, described once.  Callers look the routine itself up by
 # name, so a rebound ``calibration.<name>`` is the one called.
-ROUTINES: dict[str, Routine] = dict([
-    _row(rabi_amplitude_cal,
-         {"model": qb.QubitModel, "envelope_spec": mod.GateEnvelopeSpec,
-          "scales": "list", "residual_tol": "number", "saturation": "number"},
-         _rabi_rules,
-         lambda lut: (None, {**vars(lut), "pi_code": lut.pi_code}),
-         envelope_spec="envelope"),
-    _row(iq_cal, {"tone_freq": "number", "n_samples": "int"}, _iq_rules,
-         lambda chain: (chain, dict(chain.stages[0].params))),
-    _row(polar_delay_align,
-         {"symbol_period": "number", "window_s": "number",
-          "step_s": "number", "n_symbols": "int", "seed": "int"},
-         _align_rules,
-         lambda out: (out[0], {"best_delay_s": out[1],
-                               "evm_per_candidate": out[2]})),
-    _row(dpd_fit,
-         {"order": "int", "n_levels": "int", "full_scale": "number",
-          "hold_samples": "int"}, _dpd_rules,
-         lambda out: (out[0], {"gain_poly": out[1], "phase_poly": out[2]})),
-    _row(leakage_cancel,
-         {"on_samples": "int", "off_samples": "int", "guard_samples": "int"},
-         _leakage_rules, lambda out: (out[0], {"off_level": out[1]})),
-])
+ROUTINES: dict[str, Routine] = {
+    "rabi_amplitude_cal": Routine(_rabi_rules, lambda lut: (
+        None, {**vars(lut), "pi_code": lut.pi_code})),
+    "iq_cal": Routine(_iq_rules,
+                      lambda chain: (chain, dict(chain.stages[0].params))),
+    "polar_delay_align": Routine(
+        _align_rules, lambda out: (out[0], {"best_delay_s": out[1],
+                                            "evm_per_candidate": out[2]})),
+    "dpd_fit": Routine(_dpd_rules, lambda out: (
+        out[0], {"gain_poly": out[1], "phase_poly": out[2]})),
+    "leakage_cancel": Routine(_leakage_rules,
+                              lambda out: (out[0], {"off_level": out[1]})),
+}

@@ -35,7 +35,6 @@ from sigchain.modulation import InputError, require
 
 __all__ = [
     "InputError",
-    "ParamError",
     "StageSpec",
     "TxChain",
     "apply_stage",
@@ -58,19 +57,12 @@ ARCHITECTURES = ("cartesian", "polar", "rfdac", "harmonic", "custom")
 MAX_SAMPLES = 1 << 24     # largest record a scenario or probe may ask for
 
 
-class ParamError(ValueError):
-    """A stage parameter breaks its schema; ``key`` names the parameter."""
-
-    def __init__(self, kind: str, key: str, problem: str) -> None:
-        super().__init__(f"stage {kind!r} {problem}")
-        self.key = key
-
-
 @dataclass(frozen=True)
 class StageSpec:
     """One chain stage: a kind from the registry plus its parameters, which
-    construction checks against the kind's schema.  A parameter given as
-    None counts as absent."""
+    construction checks against the kind's schema, raising InputError at
+    ``kind``, ``params`` or ``params.<name>``.  A parameter given as None
+    counts as absent."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -78,17 +70,17 @@ class StageSpec:
     def __post_init__(self) -> None:
         row = STAGES.get(self.kind)
         if row is None:
-            raise ValueError(f"unknown stage kind {self.kind!r}; expected "
-                             f"one of {sorted(STAGES)}")
+            raise InputError("kind", f"unknown stage kind {self.kind!r}; "
+                             f"expected one of {sorted(STAGES)}")
         unknown = set(self.params) - set(row.params)
         if unknown:
-            raise ValueError(f"stage {self.kind!r} got unknown parameters "
-                             f"{sorted(unknown)}")
+            raise InputError("params", f"stage {self.kind!r} got unknown "
+                             f"parameters {sorted(unknown)}")
         for key, par in row.params.items():
             par.check(self.kind, key, self.params.get(key))
         if row.seeded(self.params) and self.params.get("seed") is None:
-            raise ParamError(self.kind, "seed", "is stochastic and needs an "
-                             "explicit seed for reproducible runs")
+            raise _param_error(self.kind, "seed", "is stochastic and needs an "
+                               "explicit seed for reproducible runs")
         if row.check is not None:
             row.check(self.params)
 
@@ -140,6 +132,11 @@ _TYPES = {
 _REQUIRED = object()
 
 
+def _param_error(kind: str, key: str, problem: str) -> InputError:
+    """A stage parameter breaking its schema, at ``params.<key>``."""
+    return InputError(f"params.{key}", f"stage {kind!r} {problem}")
+
+
 @dataclass(frozen=True)
 class Param:
     """A stage parameter.  Its type is "int", "number" (real), "complex"
@@ -161,24 +158,24 @@ class Param:
     def check(self, kind: str, key: str, v) -> None:
         if v is None:
             if self.default is _REQUIRED:
-                raise ParamError(kind, key, f"requires parameter {key!r}")
+                raise _param_error(kind, key, f"requires parameter {key!r}")
             return
         if not _TYPES[self.type](v):
-            raise ParamError(kind, key, f"parameter {key!r} must be of type "
-                             f"{self.type!r}, got {v!r}")
+            raise _param_error(kind, key, f"parameter {key!r} must be of "
+                               f"type {self.type!r}, got {v!r}")
         lo, hi = (float(b) for b in self.bounds[1:-1].split(","))
         if self.type in ("int", "number") and not (
                 (lo < v if self.bounds[0] == "(" else lo <= v)
                 and (v < hi if self.bounds[-1] == ")" else v <= hi)):
-            raise ParamError(kind, key, f"parameter {key!r} must lie in "
-                             f"{self.bounds}, got {v!r}")
+            raise _param_error(kind, key, f"parameter {key!r} must lie in "
+                               f"{self.bounds}, got {v!r}")
 
 
 class Stage(NamedTuple):
     """A registry row.  ``apply`` names an impairments function, called
     with the parameters in schema order, or is a function of (envelope,
     parameters, context).  ``seeded`` says whether given parameters make
-    the stage draw random numbers; ``check`` raises ParamError."""
+    the stage draw random numbers; ``check`` raises InputError."""
 
     apply: str | Callable
     term: str | None
@@ -355,17 +352,17 @@ def _apply_gated_offset(env: ComplexEnvelope, p: dict, ctx):
 
 def _check_factor(p: dict) -> None:
     if p["factor"] not in HARMONIC_FACTORS:
-        raise ParamError("harmonic_multiply", "factor", "harmonic factor "
-                         f"must be one of {HARMONIC_FACTORS}")
+        raise _param_error("harmonic_multiply", "factor", "harmonic factor "
+                           f"must be one of {HARMONIC_FACTORS}")
 
 
 def _check_state_errors(p: dict) -> None:
     if p.get("errors") is None and p.get("sigma") is None:
-        raise ParamError("state_errors", "sigma", "requires parameter "
-                         "'sigma' when 'errors' is absent")
+        raise _param_error("state_errors", "sigma", "requires parameter "
+                           "'sigma' when 'errors' is absent")
     if p.get("errors") is not None and len(p["errors"]) != len(p["levels"]):
-        raise ParamError("state_errors", "errors", "needs as many errors "
-                         "as levels")
+        raise _param_error("state_errors", "errors", "needs as many "
+                           "errors as levels")
 
 
 # ------------------------------------------------------------- registry

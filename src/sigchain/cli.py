@@ -33,9 +33,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="scenario file, or the name of a bundled one")
     sub.add_argument("--out-dir", default="sigchain-results",
                      help="directory for reports (default: %(default)s)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads; only sweeps use more than one "
-                          "(default: %(default)s)")
     sub.add_argument("--verbose", action="store_true",
                      help="progress logging on stderr")
 
@@ -53,12 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="run a parameter sweep")
     _add_common(swp)
+    swp.add_argument("--threads", type=int, default=1,
+                     help="worker threads (default: %(default)s)")
 
     calp = sub.add_parser("calibrate", help="run a calibration routine")
     _add_common(calp)
-    calp.add_argument("--procedure", default=None,
-                      help="calibration routine; overrides the config's "
-                           "routine.kind")
 
     lst = sub.add_parser("scenarios", help="list bundled scenarios")
     lst.add_argument("--verbose", action="store_true",
@@ -67,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    raw = scn.load_scenario(_resolve(args.scenario))
+    raw = scn.read_config(_resolve(args.scenario))
     summary = scn.run_scenario(raw, args.out_dir)
     dest = Path(args.out_dir) / summary["name"]
     print(f"{scn._MODES[summary['mode']].line(summary)} -> {dest}")
@@ -86,8 +82,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     raw = scn.read_config(_resolve(args.scenario))
-    report = scn.run_calibration(raw, args.out_dir,
-                                 procedure=args.procedure)
+    report = scn.run_calibration(raw, args.out_dir)
     dest = Path(args.out_dir) / report["name"]
     print(f"{report['name']}: {report['routine']} -> {dest}")
     return 0

@@ -79,10 +79,6 @@ class ComplexEnvelope:
         """Record length in seconds (number of samples over sample rate)."""
         return self.samples.size / self.sample_rate
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) / self.sample_rate
-
     @cached_property
     def polar(self) -> PolarTracks:
         """``to_polar`` of this record, split on first use and then kept:

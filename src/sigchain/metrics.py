@@ -289,9 +289,13 @@ def _identity_gaps(traces: np.ndarray, n_levels: int):
     return np.min(lows[1:] - highs[:-1], axis=0), classes
 
 
-def check_eye_levels(n_levels: int, key: str = "n_levels") -> None:
-    """Raise InputError at ``key`` unless ``n_levels`` is at least 1."""
+def check_eye_levels(n_levels: int, n_periods: int,
+                     key: str = "n_levels") -> None:
+    """Raise InputError at ``key`` unless ``n_levels`` is at least 1 and at
+    most ``n_periods``, the whole symbol periods in the record."""
     mod.require(n_levels >= 1, key, "an eye needs at least 1 level")
+    mod.require(n_levels <= n_periods, key, "an eye needs at most one level "
+                f"per symbol period, {n_periods} in this record")
 
 
 def eye_metrics(env: ComplexEnvelope, symbol_period: float,
@@ -308,7 +312,6 @@ def eye_metrics(env: ComplexEnvelope, symbol_period: float,
     values, so every class is one contiguous run, and the winning phase's
     traces, gaps and classes are kept rather than recomputed.
     """
-    check_eye_levels(n_levels)
     sps_f = symbol_period * env.sample_rate
     sps = int(round(sps_f))
     if sps < 4 or abs(sps_f - sps) > 1e-6:
@@ -317,6 +320,7 @@ def eye_metrics(env: ComplexEnvelope, symbol_period: float,
     n_traces = x.size // sps
     if n_traces < 8:
         raise ValueError("need at least 8 symbol periods for an eye")
+    check_eye_levels(n_levels, n_traces)
 
     center = sps // 2
     halfwin = max(1, sps // 8)

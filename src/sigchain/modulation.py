@@ -90,11 +90,6 @@ class Constellation:
     def __len__(self) -> int:
         return self.points.size
 
-    @property
-    def labels(self) -> list[str]:
-        """Bit pattern of each point, index-aligned with ``points``."""
-        return [format(i, f"0{self.bits_per_symbol}b") for i in range(len(self))]
-
 
 @dataclass(frozen=True)
 class SymbolStream:

@@ -95,10 +95,14 @@ def target_unitary(gate: GateSpec) -> np.ndarray:
     return math.cos(th / 2.0) * np.eye(2) - 1j * math.sin(th / 2.0) * axis
 
 
+def check_substeps(substeps: int) -> None:
+    """Raise InputError at ``substeps`` unless it is at least 1."""
+    mod.require(substeps >= 1, "substeps", "must be at least 1")
+
+
 def _drive(env: ComplexEnvelope, substeps: int):
     # drive samples refined by linear interpolation, and their time step
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
+    check_substeps(substeps)
     dt = 1.0 / (env.sample_rate * substeps)
     if substeps == 1:
         return env.samples, dt

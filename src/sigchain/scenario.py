@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
@@ -29,16 +30,15 @@ from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain.calibration import ROUTINES
-from sigchain.chains import (ARCHITECTURES, MAX_SAMPLES, STAGES, ParamError,
-                             StageSpec, TxChain, _real, check_budget,
-                             check_gate, rate_factor, run_chain,
-                             synth_comm_waveform, synth_qubit_pulse)
+from sigchain.chains import (ARCHITECTURES, MAX_SAMPLES, STAGES, StageSpec,
+                             TxChain, _real, check_budget, check_gate,
+                             rate_factor, run_chain, synth_comm_waveform,
+                             synth_qubit_pulse)
 from sigchain.modulation import InputError, require
 
 __all__ = [
     "ConfigError",
     "read_config",
-    "load_scenario",
     "run_scenario",
     "run_sweep",
     "run_calibration",
@@ -220,43 +220,36 @@ def _value(v, kind, path: str):
     return float(v) if kind == "number" else v
 
 
-def _get(d: dict, key: str, path: str, kind, required: bool = True):
-    if d.get(key) is None:
-        _check(not required, path, f"missing required key {key!r}")
-        return None
+def _get(d: dict, key: str, path: str, kind):
+    _check(d.get(key) is not None, path, f"missing required key {key!r}")
     return _value(d[key], kind, f"{path}.{key}")
 
 
-def _read(d: dict, kinds: dict, optional, path: str,
-          config: dict | None = None) -> dict:
-    """The checked arguments section ``d`` gives for ``kinds`` (name ->
-    kind), each under key ``config.get(name, name)``.  A name not in
-    ``optional`` is required; a key set to null counts as absent."""
-    config = config or {}
-    _no_extras(d, [config.get(name, name) for name in kinds], path)
+def _read(d: dict, kinds: dict, optional, path: str) -> dict:
+    """The checked arguments section ``d`` gives for ``kinds`` (key ->
+    kind).  A key not in ``optional`` is required; a key set to null counts
+    as absent."""
+    _no_extras(d, kinds, path)
     args = {}
-    for name, kind in kinds.items():
-        key = config.get(name, name)
+    for key, kind in kinds.items():
         if d.get(key) is not None:
-            args[name] = _value(d[key], kind, f"{path}.{key}")
+            args[key] = _value(d[key], kind, f"{path}.{key}")
         else:
-            _check(name in optional, path, f"missing required key {key!r}")
+            _check(key in optional, path, f"missing required key {key!r}")
     return args
 
 
-def _keyed(e: InputError, section: str, top: str = "",
-           config: dict | None = None) -> ConfigError:
+def _keyed(e: InputError, section: str, top: str = "") -> ConfigError:
     """``e`` as a config error at its key within ``section``: a key under
-    ``chain.`` lies in ``top``, and ``config`` spells a key's config name."""
-    head, dot, rest = e.key.partition(".")
-    where = top if head == "chain" and top else section
-    return ConfigError(f"{where}.{(config or {}).get(head, head)}{dot}{rest}: "
-                       f"{e.problem}")
+    ``chain.`` lies in ``top``."""
+    where = top if e.key.partition(".")[0] == "chain" and top else section
+    return ConfigError(f"{where}.{e.key}: {e.problem}")
 
 
-# A parameter's JSON kind, from its annotation (str, int and bool name it)
-_ANNOTATED = {"float": "number", "float | None": "number",
-              "list[float]": ["number"]}
+# A parameter's JSON kind, from its resolved annotation; any other class
+# names itself, such as a record class
+_ANNOTATED = {float: "number", float | None: "number", list[float]: ["number"],
+              int: "int", str: "str", bool: "bool", list: "list"}
 # Absent record fields that are not their default: a gate peak is solved
 # from the rotation angle
 _ABSENT = {mod.GateEnvelopeSpec: {"peak_amplitude": None}}
@@ -266,8 +259,19 @@ _ABSENT = {mod.GateEnvelopeSpec: {"peak_amplitude": None}}
 def _signature(fn) -> tuple[dict, dict]:
     """``fn``'s parameters to their kinds, and to their defaults if any."""
     ps = inspect.signature(fn).parameters.values()
-    return ({p.name: _ANNOTATED.get(p.annotation, p.annotation) for p in ps},
+    hints = typing.get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
+    return ({p.name: _ANNOTATED.get(hints.get(p.name), hints.get(p.name))
+             for p in ps},
             {p.name: p.default for p in ps if p.default is not p.empty})
+
+
+# Each routine's config keys to their kinds, and to their defaults if any:
+# its parameters but chain and sample_rate.  Read once, so a rebound
+# ``calibration.<name>`` keeps the file's keys.
+_ROUTINE_KEYS = {name: tuple({k: v for k, v in part.items()
+                              if k not in ("chain", "sample_rate")}
+                             for part in _signature(getattr(cal, name)))
+                 for name in ROUTINES}
 
 
 def _parse_record(cls, obj, path: str):
@@ -296,10 +300,8 @@ def _parse_stage(obj, path: str, fs: float) -> tuple[StageSpec, float]:
                               f"rate this stage sees, got {v!r}")
     try:
         spec = StageSpec(kind, params)
-    except ParamError as e:
-        raise ConfigError(f"{path}.params.{e.key}: {e}") from None
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
+    except InputError as e:
+        raise _keyed(e, path) from None
     return spec, fs * (params.get("hold_factor") or 1)
 
 
@@ -341,13 +343,6 @@ def read_config(source):
         raise ConfigError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
-
-
-def load_scenario(source) -> dict:
-    """Read and validate a scenario file; returns the raw config dict."""
-    raw = read_config(source)
-    plan_scenario(raw)
-    return raw
 
 
 def _read_head(d: dict, path: str, keys: tuple) -> tuple:
@@ -499,21 +494,24 @@ def _comm_check(plan: dict, hold: float) -> dict:
     require(n_symbols >= 16, "n_symbols", "must be >= 16")
     check_budget(n_symbols * pulse.samples_per_symbol * hold, "n_symbols")
     require(plan["bit_seed"] >= 0, "bit_seed", "must be nonnegative")
-    met.check_eye_levels(plan["eye_levels"], "eye_levels")
-    symbol_period = pulse.samples_per_symbol / plan["sample_rate"]
-    _check_delays(chain, mod.shaped_duration(n_symbols, pulse, symbol_period))
+    sps, fs = pulse.samples_per_symbol, plan["sample_rate"]
+    duration = mod.shaped_duration(n_symbols, pulse, sps / fs)
+    # the record's whole symbol periods, its pulse tails included
+    met.check_eye_levels(plan["eye_levels"], round(duration * fs) // sps,
+                         "eye_levels")
+    _check_delays(chain, duration)
     if "budget" in plan["outputs"]:
         require(chain is not None, "outputs", "a budget report needs a chain")
         for i, spec in enumerate(chain.stages):
             require(STAGES[spec.kind].term is not None,
                     f"chain.stages.{i}.kind", f"stage {spec.kind!r} cannot "
                     "be attributed to a budget term")
-    return {"symbol_period": symbol_period}
+    return {"symbol_period": sps / fs}
 
 
 def _qubit_check(plan: dict, hold: float) -> dict:
     fs, envelope = plan["sample_rate"], plan["envelope"]
-    require(plan["substeps"] >= 1, "substeps", "must be >= 1")
+    qb.check_substeps(plan["substeps"])
     n_gate = check_gate(envelope, fs, hold, "envelope.duration_s")
     check_budget(envelope.duration_s * fs * hold * plan["substeps"],
                  "substeps")
@@ -706,33 +704,23 @@ def _serialize_chain(chain: TxChain) -> dict:
                        for s in chain.stages]}
 
 
-def run_calibration(raw: dict, out_dir, procedure: str | None = None) -> dict:
-    """Run one calibration routine; writes report.json and, for routines
-    that modify the chain, corrected_chain.json.  ``procedure`` (the CLI
-    --procedure flag) selects the routine when the config leaves "kind"
-    out, and must agree with it when both are given."""
+def run_calibration(raw: dict, out_dir) -> dict:
+    """Run the calibration routine the file's ``routine.kind`` names; writes
+    report.json and, for routines that modify the chain,
+    corrected_chain.json."""
     d = _value(raw, "dict", "calibration")
     name, fs, chain = _read_head(d, "calibration", ("routine",))
-    r = _get(d, "routine", "calibration", "dict", required=False) or {}
-    kind = _get(r, "kind", "calibration.routine", "str", required=False)
-    if procedure is not None:
-        _check(kind is None or kind == procedure, "calibration.routine.kind",
-               f"config says {kind!r} but --procedure says {procedure!r}")
-        kind = procedure
-    _check(kind is not None, "calibration.routine",
-           "missing required key 'kind' (or pass --procedure)")
-    _check(kind in ROUTINES, "calibration.routine.kind",
-           f"expected one of {tuple(ROUTINES)}, got {kind!r}")
     path = "calibration.routine"
-    row = ROUTINES[kind]
+    r = _get(d, "routine", "calibration", "dict")
+    kind = _get(r, "kind", path, tuple(ROUTINES))
+    row, (kinds, defaults) = ROUTINES[kind], _ROUTINE_KEYS[kind]
     given = {k: v for k, v in r.items() if k != "kind"}
-    args = {**row.defaults, **_read(given, row.keys, row.defaults, path,
-                                    row.config),
+    args = {**defaults, **_read(given, kinds, defaults, path),
             "chain": chain, "sample_rate": fs}
     try:
         row.rule(**args)
     except InputError as e:
-        raise _keyed(e, path, "calibration", row.config) from None
+        raise _keyed(e, path, "calibration") from None
     corrected, fields = row.report(getattr(cal, kind)(**args))
 
     dest = Path(out_dir) / name

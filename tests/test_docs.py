@@ -2,7 +2,9 @@
 
 The README's code blocks are run by ``test_scenario.TestReadme``; these
 tests hold its impairment catalog to the stage registry, its mode table to
-the mode rows and its calibration table to the routine registry."""
+the mode rows, its calibration table to the routine signatures and its
+command-line examples to the argument parser."""
+import inspect
 import json
 import re
 from pathlib import Path
@@ -38,7 +40,7 @@ def test_architecture_list_matches_the_code():
 
 
 def test_calibration_table_matches_the_routines():
-    from sigchain.calibration import ROUTINES
+    from sigchain import calibration as cal
 
     table, routine = {}, None
     for name, key, default in re.findall(
@@ -46,11 +48,24 @@ def test_calibration_table_matches_the_routines():
             _section("Calibration routines"), flags=re.M):
         routine = name or routine
         table.setdefault(routine, {})[key] = default
-    assert table == {
-        name: {row.config.get(p, p): (json.dumps(row.defaults[p])
-                                      if p in row.defaults else "required")
-               for p in row.keys}
-        for name, row in ROUTINES.items()}
+    want = {}
+    for name in cal.ROUTINES:
+        params = inspect.signature(getattr(cal, name)).parameters.values()
+        want[name] = {p.name: "required" if p.default is p.empty
+                      else json.dumps(p.default) for p in params
+                      if p.name not in ("chain", "sample_rate")}
+    assert table == want
+
+
+def test_command_line_examples_parse():
+    from sigchain.cli import build_parser
+
+    block = _section("Command line").split("```sh\n", 1)[1].split("```")[0]
+    lines = [line.split("#")[0].split() for line in block.splitlines()]
+    assert len(lines) >= 5
+    for words in lines:
+        assert words[0] == "sigchain"
+        build_parser().parse_args(words[1:])
 
 
 def test_mode_table_matches_the_modes():

@@ -116,9 +116,9 @@ class TestSchemaChecks:
         ("bandwidth_limit", {}, "cutoff_hz", "requires parameter"),
     ])
     def test_rejected_at_construction(self, kind, params, key, match):
-        with pytest.raises(ch.ParamError, match=match) as info:
+        with pytest.raises(ch.InputError, match=match) as info:
             ch.StageSpec(kind, params)
-        assert info.value.key == key
+        assert info.value.key == f"params.{key}"
 
     def test_explicit_errors_need_no_seed(self):
         ch.StageSpec("state_errors", {"levels": [1.0], "errors": [0.1]})

@@ -97,12 +97,10 @@ def _config(kind, stages, keys):
 
 def _library_args(kind, stages, keys):
     """The same call made through the library."""
-    row = cal.ROUTINES[kind]
-    param = {row.config.get(p, p): p for p in row.keys}
-    args = {param[k]: v for k, v in keys.items()}
+    args = dict(keys)
     if kind == "rabi_amplitude_cal":
         args["model"] = qb.QubitModel(**args["model"])
-        args["envelope_spec"] = mod.GateEnvelopeSpec(**args["envelope_spec"])
+        args["envelope"] = mod.GateEnvelopeSpec(**args["envelope"])
     chain = None if stages is None else TxChain("custom", tuple(
         StageSpec(s["kind"], s["params"]) for s in stages))
     return {"chain": chain, "sample_rate": FS[kind], **args}
@@ -125,16 +123,28 @@ def _calibrate(tmp_path, cfg) -> int:
     return main(["calibrate", str(p), "--out-dir", str(tmp_path / "out")])
 
 
-@pytest.mark.parametrize("name, row", cal.ROUTINES.items())
-def test_row_keys_are_the_routine_parameters(name, row):
-    params = inspect.signature(getattr(cal, name)).parameters.values()
-    assert set(row.keys) == {p.name for p in params} - {"chain",
-                                                        "sample_rate"}
-    assert row.defaults == {p.name: p.default for p in params
-                            if p.name in row.keys
-                            and p.default is not p.empty}
-    for kind in row.keys.values():
+@pytest.mark.parametrize("name", cal.ROUTINES)
+def test_every_routine_key_has_a_kind(name):
+    kinds, defaults = scn._ROUTINE_KEYS[name]
+    params = inspect.signature(getattr(cal, name)).parameters
+    assert set(kinds) == set(params) - {"chain", "sample_rate"}
+    assert set(defaults) <= set(kinds)
+    for kind in kinds.values():
         assert kind in scn._KINDS or is_dataclass(kind)
+
+
+def test_a_rebound_routine_keeps_the_file_keys(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(**kwargs):
+        seen.append(sorted(kwargs))
+        return TxChain("custom", (StageSpec("iq_correction", {
+            "matrix": [[1.0, 0.0], [0.0, 1.0]]}),))
+
+    monkeypatch.setattr(cal, "iq_cal", spy)
+    assert _calibrate(tmp_path, _config("iq_cal", [RFDAC],
+                                        {"n_samples": 64})) == 0
+    assert seen == [["chain", "n_samples", "sample_rate", "tone_freq"]]
 
 
 @pytest.mark.parametrize("kind, stages, keys, where", CASES)

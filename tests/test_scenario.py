@@ -321,15 +321,15 @@ class TestValidation:
         assert f"config error: scenario.chain.stages.1.params.{key}:" in err
         assert not (tmp_path / "at").exists()
 
-    def test_load_scenario_rejects_bad_json(self, tmp_path):
+    def test_read_config_rejects_bad_json(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
         with pytest.raises(scn.ConfigError, match="invalid JSON"):
-            scn.load_scenario(p)
+            scn.read_config(p)
 
-    def test_load_scenario_missing_file(self, tmp_path):
+    def test_read_config_missing_file(self, tmp_path):
         with pytest.raises(scn.ConfigError, match="cannot read"):
-            scn.load_scenario(tmp_path / "absent.json")
+            scn.read_config(tmp_path / "absent.json")
 
 
 def _full_eye_csv(env, symbol_period, instant_fraction):
@@ -870,7 +870,8 @@ class TestBundled:
         for name in scn.list_bundled_scenarios():
             if name in ("iq_cal_demo", "bandwidth_sweep"):
                 continue
-            scn.load_scenario(scn.bundled_scenario_path(name))
+            path = scn.bundled_scenario_path(name)
+            scn.plan_scenario(scn.read_config(path))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -931,6 +932,7 @@ class TestCli:
 
     @pytest.mark.parametrize("base, section, change, where", [
         ("harmonic_ask", "comm", {"eye_levels": 0}, "comm.eye_levels"),
+        ("harmonic_ask", "comm", {"eye_levels": 100000}, "comm.eye_levels"),
         ("qpsk_ideal", "comm", {"bit_seed": -1}, "comm.bit_seed"),
         ("qpsk_ideal", "comm", {"constellation": {
             "scheme": "qpsk_sum", "ratios": [True, 0.5]}},
@@ -952,9 +954,9 @@ class TestCli:
          "comm.constellation.phases"),
         ("pi_pulse_ideal", None, {"comm": {}}, "scenario: unknown key 'comm'"),
         ("qpsk_ideal", None, {"qubit": {}}, "scenario: unknown key 'qubit'"),
-    ], ids=["eye-levels", "bit-seed", "ratio-bool", "ratio-string",
-            "ratio-inf", "seven-ratios", "psk-size", "star-size",
-            "comm-on-qubit", "qubit-on-comm"])
+    ], ids=["eye-levels", "eye-levels-past-periods", "bit-seed", "ratio-bool",
+            "ratio-string", "ratio-inf", "seven-ratios", "psk-size",
+            "star-size", "comm-on-qubit", "qubit-on-comm"])
     def test_mode_section_defect_exit_two(self, base, section, change,
                                           where, tmp_path, capsys):
         cfg = scn.read_config(scn.bundled_scenario_path(base))
@@ -990,6 +992,61 @@ class TestCli:
         assert str(parsed.value) == \
             "scenario.comm.eye_levels: an eye needs at least 1 level"
         assert str(lib.value) == "n_levels: an eye needs at least 1 level"
+
+    def test_eye_level_upper_bound_has_one_text(self):
+        # 256 rect symbols: the record holds 256 whole symbol periods
+        cfg = scn.read_config(scn.bundled_scenario_path("harmonic_ask"))
+        cfg["comm"]["eye_levels"] = 256
+        plan = scn.plan_scenario(cfg)
+        _, _, clean = scn._comm_input(plan)
+        met.eye_metrics(clean, plan["symbol_period"], n_levels=256)
+        cfg["comm"]["eye_levels"] = 257
+        with pytest.raises(scn.ConfigError) as parsed:
+            scn.plan_scenario(cfg)
+        with pytest.raises(ValueError) as lib:
+            met.eye_metrics(clean, plan["symbol_period"], n_levels=257)
+        problem = ("an eye needs at most one level per symbol period, 256 "
+                   "in this record")
+        assert str(parsed.value) == f"scenario.comm.eye_levels: {problem}"
+        assert str(lib.value) == f"n_levels: {problem}"
+
+    def test_substeps_rule_has_one_text(self):
+        cfg = pi_config(outputs=())
+        cfg["qubit"]["substeps"] = 0
+        with pytest.raises(scn.ConfigError) as parsed:
+            scn.plan_scenario(cfg)
+        cfg["qubit"]["substeps"] = 1
+        plan = scn.plan_scenario(cfg)
+        pulse = scn._qubit_input(plan)
+        for track in (qb.propagate, qb.bloch_trajectory):
+            with pytest.raises(ValueError) as lib:
+                track(plan["model"], pulse, substeps=0)
+            assert str(lib.value) == "substeps: must be at least 1"
+        assert str(parsed.value) == \
+            "scenario.qubit.substeps: must be at least 1"
+
+    def test_simulate_plans_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        plan = scn.plan_scenario
+
+        def counted(raw):
+            calls.append(raw)
+            return plan(raw)
+
+        monkeypatch.setattr(scn, "plan_scenario", counted)
+        assert main(["simulate", "qpsk_ideal", "--out-dir",
+                     str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "qpsk_ideal"), ("calibrate", "iq_cal_demo")])
+    def test_threads_is_a_sweep_flag(self, command, name, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, name, "--out-dir", str(tmp_path), "--threads",
+                  "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
