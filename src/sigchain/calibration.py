@@ -20,7 +20,7 @@ from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain.chains import (InputError, StageSpec, TxChain, _real,
                              append_stage, check_budget, check_gate,
-                             prepend_stage, rate_factor, require, run_chain,
+                             check_record, prepend_stage, require, run_chain,
                              run_chain_per_trim, synth_comm_waveform,
                              with_stage_param)
 from sigchain.envelope import ComplexEnvelope, fractional_delay
@@ -122,7 +122,8 @@ def rabi_amplitude_cal(model: qb.QubitModel, envelope: mod.GateEnvelopeSpec,
     inherit the flat top of the sine.  A nonmonotone angle map beyond
     ``residual_tol`` radians means the inversion is untrustworthy.
     """
-    _rabi_rules(envelope, sample_rate, scales, chain)
+    _rabi_rules(envelope, sample_rate, scales, chain, residual_tol,
+                saturation)
     codes = np.asarray(scales, dtype=np.float64)
     p1 = qb.rabi_protocol(model, envelope, sample_rate, codes,
                           chain=chain)
@@ -150,14 +151,18 @@ def rabi_amplitude_cal(model: qb.QubitModel, envelope: mod.GateEnvelopeSpec,
     return AmplitudeLut(lut_codes, lut_theta, theta_raw, residual)
 
 
-def _rabi_rules(envelope, sample_rate, scales, chain, **_) -> None:
-    check_gate(envelope, sample_rate, rate_factor(chain), "envelope.duration_s")
+def _rabi_rules(envelope, sample_rate, scales, chain, residual_tol,
+                saturation, **_) -> None:
+    n_gate = check_gate(envelope, sample_rate, "envelope.duration_s")
+    check_record(chain, n_gate, sample_rate, "envelope.duration_s")
     for k, v in enumerate(scales):
         require(_real(v) and math.isfinite(v), f"scales.{k}",
                 f"expected finite number, got {v!r}")
     require(len(scales) >= 5, "scales", "need at least 5 sweep points")
     require(all(lo < hi for lo, hi in zip(scales, scales[1:])), "scales",
             "must be strictly increasing")
+    require(residual_tol >= 0.0, "residual_tol", "must be nonnegative")
+    require(0.0 < saturation <= 1.0, "saturation", "must lie in (0, 1]")
 
 
 def iq_tone_bin(sample_rate: float, n_samples: int,
@@ -188,11 +193,7 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
     t = np.arange(n_samples)
     probe = ComplexEnvelope(np.exp(2j * np.pi * k * t / n_samples),
                             sample_rate)
-    out = run_chain(chain, probe)
-    if len(out) != n_samples:
-        raise CalibrationError("chain changed the record length; "
-                               "quadrature probe bins no longer line up")
-    spec = np.fft.fft(out.samples)
+    spec = np.fft.fft(run_chain(chain, probe).samples)
     mu = spec[k] / n_samples
     nu = spec[-k] / n_samples
     offs = spec[0] / n_samples
@@ -212,7 +213,9 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
 def _iq_rules(chain, sample_rate, tone_freq, n_samples) -> None:
     require(chain is not None, "chain", "iq_cal needs a chain")
     require(n_samples >= 8, "n_samples", "must be at least 8")
-    check_budget(n_samples * rate_factor(chain), "n_samples")
+    hold = check_record(chain, n_samples, sample_rate, "n_samples")
+    require(hold == 1, "chain", "iq_cal needs a chain that keeps the record "
+            "length, with no hold_factor above 1")
     iq_tone_bin(sample_rate, n_samples, tone_freq)
 
 
@@ -256,16 +259,15 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
     true optimum may sit outside the window.
     """
     _align_rules(chain, sample_rate, symbol_period, window_s, step_s,
-                 n_symbols)
+                 n_symbols, seed)
     shape = align_probe_shape(symbol_period, sample_rate)
-    candidates = align_candidates(window_s, step_s, mod.shaped_duration(
-        n_symbols, shape, symbol_period))
     const = mod.build_constellation("m_psk", m=4)
     bits = np.random.default_rng(seed).integers(
         0, 2, size=n_symbols * const.bits_per_symbol)
 
     stream, probe = synth_comm_waveform(bits, const, shape,
                                         symbol_period=symbol_period)
+    candidates = align_candidates(window_s, step_s, probe.duration)
     outputs = run_chain_per_trim(chain, probe, candidates.tolist())
     scorer = LinkScorer(stream, const, shape)
     scores = np.empty(candidates.size)
@@ -283,7 +285,7 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
 
 
 def _align_rules(chain, sample_rate, symbol_period, window_s, step_s,
-                 n_symbols, **_) -> None:
+                 n_symbols, seed=0, **_) -> None:
     require(chain is not None, "chain", "polar_delay_align needs a chain")
     require(any(st.kind == "polar_paths" for st in chain.stages),
             "chain.stages", "polar_delay_align needs a 'polar_paths' stage")
@@ -293,13 +295,13 @@ def _align_rules(chain, sample_rate, symbol_period, window_s, step_s,
     edge = ALIGN_SPAN_SYMBOLS
     require(n_symbols > 2 * edge, "n_symbols", f"must be above {2 * edge}: "
             f"the first and last {edge} symbols are not scored")
-    hold = rate_factor(chain)
-    check_budget(n_symbols * symbol_period * sample_rate * hold, "n_symbols")
+    require(seed >= 0, "seed", "must be nonnegative")
     duration = mod.shaped_duration(n_symbols, shape, symbol_period)
+    n_probe = round(duration * sample_rate)
+    hold = check_record(chain, n_probe, sample_rate, "n_symbols", duration)
     # the chain runs once per candidate: count them as np.arange will
     span = (window_s + 0.5 * step_s + window_s) / step_s
     n_cand = math.ceil(span) if math.isfinite(span) else span
-    n_probe = round(duration * sample_rate)
     check_budget(n_cand * n_probe * hold, "step_s", f"a grid of {n_cand} "
                  f"trim delay candidates over the {n_probe}-sample probe ")
     align_candidates(window_s, step_s, duration)
@@ -320,17 +322,13 @@ def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
     predistorter can undo a fold, and full_scale outputs the chain cannot
     reach have no preimage.
     """
-    _dpd_rules(chain, order, n_levels, hold_samples)
+    _dpd_rules(chain, sample_rate, order, n_levels, full_scale, hold_samples)
     levels = full_scale * np.arange(1, n_levels + 1) / n_levels
     probe = ComplexEnvelope(
         np.repeat(levels, hold_samples).astype(np.complex128), sample_rate)
-    out = run_chain(chain, probe)
-    ratio = len(out) / len(probe)
-    hold_out = int(round(hold_samples * ratio))
-    if hold_out < 4 or abs(hold_out * n_levels - len(out)) > 0:
-        raise CalibrationError("chain resampling broke the staircase grid")
-    steps = out.samples.reshape(n_levels, hold_out)
-    settled = steps[:, 3 * hold_out // 4:].mean(axis=1)
+    # the rules leave each level held for at least 4 output samples
+    steps = run_chain(chain, probe).samples.reshape(n_levels, -1)
+    settled = steps[:, 3 * steps.shape[1] // 4:].mean(axis=1)
     amp_out = np.abs(settled)
     phase_out = np.unwrap(np.angle(settled))
     if np.any(np.diff(amp_out) <= 0.0):
@@ -366,15 +364,17 @@ def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
     return prepend_stage(chain, stage), gain_poly, phase_poly
 
 
-def _dpd_rules(chain, order, n_levels, hold_samples, **_) -> None:
+def _dpd_rules(chain, sample_rate, order, n_levels, full_scale,
+               hold_samples, **_) -> None:
     require(chain is not None, "chain", "dpd_fit needs a chain")
     require(order in (3, 5, 7), "order", "must be 3, 5 or 7")
     require(n_levels >= order + 2, "n_levels",
             f"must be at least order + 2 = {order + 2}")
-    hold = rate_factor(chain)
+    require(full_scale > 0.0, "full_scale", "must be positive")
+    hold = check_record(chain, n_levels * hold_samples, sample_rate,
+                        "n_levels")
     require(hold_samples * hold >= 4, "hold_samples", "must hold each level "
             "for at least 4 samples after the chain's hold")
-    check_budget(n_levels * hold_samples * hold, "n_levels")
 
 
 def leakage_cancel(chain: TxChain, sample_rate: float,
@@ -388,7 +388,7 @@ def leakage_cancel(chain: TxChain, sample_rate: float,
     wobbles by more than 10 percent of itself is not static, so it raises
     rather than baking a wrong constant into the chain.
     """
-    _leakage_rules(chain, on_samples, off_samples, guard_samples)
+    _leakage_rules(chain, sample_rate, on_samples, off_samples, guard_samples)
     probe = ComplexEnvelope(
         np.concatenate([np.ones(on_samples), np.zeros(off_samples)])
         .astype(np.complex128), sample_rate)
@@ -408,15 +408,14 @@ def leakage_cancel(chain: TxChain, sample_rate: float,
     return append_stage(chain, stage), level
 
 
-def _leakage_rules(chain, on_samples, off_samples, guard_samples,
-                   **_) -> None:
+def _leakage_rules(chain, sample_rate, on_samples, off_samples,
+                   guard_samples, **_) -> None:
     require(chain is not None, "chain", "leakage_cancel needs a chain")
     require(on_samples >= 1, "on_samples", "must be at least 1")
     require(guard_samples >= 0, "guard_samples", "must be nonnegative")
     require(off_samples > guard_samples + 8, "off_samples", "must exceed "
             "guard_samples + 8: the off window must outlast the guard")
-    check_budget((on_samples + off_samples) * rate_factor(chain),
-                 "on_samples")
+    check_record(chain, on_samples + off_samples, sample_rate, "on_samples")
 
 
 # --------------------------------------------------------------- registry

@@ -144,10 +144,9 @@ class Param:
     finite reals); int and number types have bounds, an interval such as
     "(0, inf)".  A parameter without a default is required; a default of
     None means the stage skips what the parameter controls.  ``below`` maps
-    the sample rate the stage sees to an exclusive upper bound, checked
-    where that rate is known.  ``delay`` marks a delay in seconds whose
-    magnitude must stay below a quarter of the record duration, checked
-    where that duration is known."""
+    the sample rate the stage sees to an exclusive upper bound.  ``delay``
+    marks a delay in seconds whose magnitude must stay below a quarter of
+    the record duration.  ``check_record`` checks both."""
 
     type: str
     bounds: str = "(-inf, inf)"
@@ -175,13 +174,15 @@ class Stage(NamedTuple):
     """A registry row.  ``apply`` names an impairments function, called
     with the parameters in schema order, or is a function of (envelope,
     parameters, context).  ``seeded`` says whether given parameters make
-    the stage draw random numbers; ``check`` raises InputError."""
+    the stage draw random numbers; ``check`` raises InputError.  A
+    ``gated`` stage reads the on/off gate of the chain input."""
 
     apply: str | Callable
     term: str | None
     params: dict
     seeded: Callable = lambda p: False
     check: Callable | None = None
+    gated: bool = False
 
 
 def _args(spec: StageSpec) -> dict:
@@ -400,7 +401,7 @@ STAGES: dict[str, Stage] = {
     "onoff_leakage": Stage(
         lambda env, p, ctx: imp.onoff_leakage(env, p["off_ratio_db"],
                                               _gate_mask(env, ctx)),
-        "iq_lo", {"off_ratio_db": Param("number", "[0, inf]")}),
+        "iq_lo", {"off_ratio_db": Param("number", "[0, inf]")}, gated=True),
     "path_skew": Stage("path_skew", "bw", {"tau_i": _DELAY, "tau_q": _DELAY}),
     "iq_paths": Stage(_apply_iq_paths, None, {
         "bits": _BITS, "full_scale": _FULL_SCALE,
@@ -429,7 +430,7 @@ STAGES: dict[str, Stage] = {
     "iq_correction": Stage(_apply_iq_correction, "iq_lo", {
         "matrix": Param("matrix"), "offset": Param("complex", default=0.0)}),
     "gated_offset": Stage(_apply_gated_offset, "iq_lo",
-                          {"offset": Param("complex")}),
+                          {"offset": Param("complex")}, gated=True),
 }
 STAGES["dpd"] = STAGES["am_ampm"]   # a predistorter is an AM-AM/AM-PM pair
 
@@ -489,12 +490,6 @@ def with_stage_param(chain: TxChain, kind: str, **updates) -> TxChain:
     return TxChain(chain.architecture, tuple(stages))
 
 
-def rate_factor(chain: TxChain | None) -> int:
-    """Output samples per input sample: the product of the hold factors."""
-    return math.prod(spec.params.get("hold_factor") or 1
-                     for spec in (chain.stages if chain is not None else ()))
-
-
 def check_budget(n_samples: float, key: str, what: str = "") -> None:
     """Raise InputError at ``key``, its message opened by ``what``, unless a
     record of ``n_samples`` samples fits ``MAX_SAMPLES``."""
@@ -502,12 +497,41 @@ def check_budget(n_samples: float, key: str, what: str = "") -> None:
             f"{n_samples:.4g} samples, more than the budget of {MAX_SAMPLES}")
 
 
-def check_gate(spec: mod.GateEnvelopeSpec, sample_rate: float, hold: float,
+def check_record(chain: TxChain | None, n_samples: int, sample_rate: float,
+                 key: str, duration: float | None = None) -> int:
+    """Check ``chain`` against the record it runs on, ``n_samples`` samples
+    at ``sample_rate`` lasting ``duration`` s (``n_samples / sample_rate``
+    unless given), and return its hold product.  Raises InputError at
+    ``key`` unless the held record fits ``MAX_SAMPLES``, and under
+    ``chain.stages.<i>`` at a gated stage after a hold, a ``below`` bound
+    broken at the stage's rate or a ``delay`` past ``duration / 4``."""
+    stages = chain.stages if chain is not None else ()
+    hold = math.prod(spec.params.get("hold_factor") or 1 for spec in stages)
+    check_budget(n_samples * hold, key)
+    duration = n_samples / sample_rate if duration is None else duration
+    fs = sample_rate
+    for i, spec in enumerate(stages):
+        row, at = STAGES[spec.kind], f"chain.stages.{i}"
+        require(not row.gated or fs == sample_rate, f"{at}.kind", f"gated "
+                f"stage {spec.kind!r} cannot follow a hold_factor above 1")
+        for name, par in row.params.items():
+            v, where = spec.params.get(name), f"{at}.params.{name}"
+            if v is not None and par.below and not v < par.below(fs):
+                raise InputError(where, f"must stay below {par.below(fs):g} "
+                                 f"at the {fs:g} Hz sample rate this stage "
+                                 f"sees, got {v!r}")
+            if v is not None and par.delay and not abs(v) < duration / 4.0:
+                raise InputError(where, f"|{name}| must stay below a quarter "
+                                 f"of the {duration:g} s record, got {v!r}")
+        fs *= spec.params.get("hold_factor") or 1
+    return hold
+
+
+def check_gate(spec: mod.GateEnvelopeSpec, sample_rate: float,
                key: str) -> int:
-    """Samples the gate spans, ``modulation.gate_samples``.  Raises
-    InputError at ``key`` unless the gate, held ``hold`` times, fits the
-    budget, and ``gate_samples`` accepts it."""
-    check_budget(spec.duration_s * sample_rate * hold, key)
+    """Samples the gate spans, ``modulation.gate_samples``; raises InputError
+    at ``key`` unless they fit the budget and ``gate_samples`` accepts it."""
+    check_budget(spec.duration_s * sample_rate, key)
     try:
         return mod.gate_samples(spec.duration_s, sample_rate)
     except ValueError as e:

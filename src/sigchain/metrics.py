@@ -197,6 +197,15 @@ class LinkScorer:
 BUDGET_TERMS = ("amp", "phase", "pn", "iq_lo", "bw")
 
 
+def check_budget_terms(chain: TxChain) -> None:
+    """Raise InputError at ``chain.stages.<i>.kind`` at a composite stage."""
+    for i, spec in enumerate(chain.stages):
+        mod.require(STAGES[spec.kind].term is not None,
+                    f"chain.stages.{i}.kind", f"stage {spec.kind!r} cannot be "
+                    "attributed to a budget term; build the chain from atomic "
+                    "impairment stages")
+
+
 def evm_budget(scorer: LinkScorer, clean: ComplexEnvelope, chain: TxChain,
                total: EvmReport) -> BudgetReport:
     """Split a chain's EVM into additive mechanism terms.
@@ -205,20 +214,14 @@ def evm_budget(scorer: LinkScorer, clean: ComplexEnvelope, chain: TxChain,
     through only that term's stages (in chain order); their root sum of
     squares is compared with ``total``, the same scorer's report on the full
     chain's output.  Chains must be built from atomic impairment stages so
-    each one attributes to a single term; composite path stages are rejected.
+    each one attributes to a single term (``check_budget_terms``).
     """
-    by_term: dict = {}
-    for spec in chain.stages:
-        if STAGES[spec.kind].term is None:
-            raise ValueError(
-                f"stage {spec.kind!r} cannot be attributed to a budget term; "
-                "build the chain from atomic impairment stages"
-            )
-        by_term.setdefault(STAGES[spec.kind].term, []).append(spec)
+    check_budget_terms(chain)
     terms = {}
     for term in BUDGET_TERMS:
-        if term in by_term:
-            sub = TxChain(chain.architecture, tuple(by_term[term]))
+        stages = tuple(s for s in chain.stages if STAGES[s.kind].term == term)
+        if stages:
+            sub = TxChain(chain.architecture, stages)
             terms[term] = scorer(run_chain(sub, clean))[2].evm_rms
     rss = math.sqrt(sum(v * v for v in terms.values()))
     return BudgetReport(terms, rss, total.evm_rms)

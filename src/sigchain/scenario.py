@@ -30,10 +30,9 @@ from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain.calibration import ROUTINES
-from sigchain.chains import (ARCHITECTURES, MAX_SAMPLES, STAGES, StageSpec,
-                             TxChain, _real, check_budget, check_gate,
-                             rate_factor, run_chain, synth_comm_waveform,
-                             synth_qubit_pulse)
+from sigchain.chains import (ARCHITECTURES, STAGES, StageSpec, TxChain,
+                             _real, check_budget, check_gate, check_record,
+                             run_chain, synth_comm_waveform, synth_qubit_pulse)
 from sigchain.modulation import InputError, require
 
 __all__ = [
@@ -283,9 +282,8 @@ def _parse_record(cls, obj, path: str):
         raise _keyed(e, path) from None
 
 
-def _parse_stage(obj, path: str, fs: float) -> tuple[StageSpec, float]:
-    """A stage checked against its schema at the sample rate ``fs`` it sees,
-    and its output rate.  Complex parameters may be [re, im] pairs."""
+def _parse_stage(obj, path: str) -> StageSpec:
+    """A stage checked against its schema; complex values may be [re, im]."""
     d = _read(_value(obj, "dict", path), {"kind": "str", "params": "dict"},
               ("params",), path)
     kind, params = d["kind"], dict(d.get("params", {}))
@@ -294,29 +292,22 @@ def _parse_stage(obj, path: str, fs: float) -> tuple[StageSpec, float]:
         if par.type == "complex" and isinstance(v, list) and len(v) == 2 \
                 and all(map(_real, v)):
             params[key] = complex(*v)
-        if par.below and _real(v) and not v < par.below(fs):
-            raise ConfigError(f"{path}.params.{key}: must stay below "
-                              f"{par.below(fs):g} at the {fs:g} Hz sample "
-                              f"rate this stage sees, got {v!r}")
     try:
-        spec = StageSpec(kind, params)
+        return StageSpec(kind, params)
     except InputError as e:
         raise _keyed(e, path) from None
-    return spec, fs * (params.get("hold_factor") or 1)
 
 
-def _parse_chain(obj, path: str, fs: float) -> TxChain | None:
-    """The chain, checked at input sample rate ``fs``."""
+def _parse_chain(obj, path: str) -> TxChain | None:
+    """The chain, each stage checked against its schema."""
     if obj is None:
         return None
     d = _read(_value(obj, "dict", path),
               {"architecture": ARCHITECTURES, "stages": "list"},
               ("architecture",), path)
-    specs, rate = [], fs
-    for i, s in enumerate(d["stages"]):
-        spec, rate = _parse_stage(s, f"{path}.stages.{i}", rate)
-        specs.append(spec)
-    return TxChain(d.get("architecture", "custom"), tuple(specs))
+    return TxChain(d.get("architecture", "custom"), tuple(
+        _parse_stage(s, f"{path}.stages.{i}")
+        for i, s in enumerate(d["stages"])))
 
 
 def _parse_constellation(obj, path: str) -> mod.Constellation:
@@ -353,20 +344,7 @@ def _read_head(d: dict, path: str, keys: tuple) -> tuple:
            f"{path}.name", "name must be letters, digits, '_' or '-'")
     fs = _get(d, "sample_rate", path, "number")
     _check(fs > 0.0, f"{path}.sample_rate", "must be positive")
-    return name, fs, _parse_chain(d.get("chain"), f"{path}.chain", fs)
-
-
-def _check_delays(chain: TxChain | None, duration: float) -> None:
-    """Delay parameters against the record's ``duration`` in seconds, which
-    a hold keeps: their magnitude must stay below a quarter of it.  Raises
-    InputError at the parameter, under ``chain.``."""
-    for i, spec in enumerate(chain.stages if chain is not None else ()):
-        for key, par in STAGES[spec.kind].params.items():
-            v = spec.params.get(key)
-            if par.delay and v is not None and not abs(v) < duration / 4.0:
-                raise InputError(
-                    f"chain.stages.{i}.params.{key}", f"|{key}| must stay "
-                    f"below a quarter of the {duration:g} s record, got {v!r}")
+    return name, fs, _parse_chain(d.get("chain"), f"{path}.chain")
 
 
 def plan_scenario(raw) -> dict:
@@ -379,7 +357,7 @@ def plan_scenario(raw) -> dict:
             **row.defaults, **_read(_get(d, mode, "scenario", "dict"),
                                     row.keys, row.defaults, path)}
     try:
-        plan.update(row.check(plan, rate_factor(chain)))
+        plan.update(row.check(plan))
     except InputError as e:
         raise _keyed(e, path, "scenario") from None
     return plan
@@ -489,33 +467,28 @@ def _compute_qubit(plan: dict, pulse) -> tuple[dict, dict]:
     return summary, artifacts
 
 
-def _comm_check(plan: dict, hold: float) -> dict:
+def _comm_check(plan: dict) -> dict:
     pulse, n_symbols, chain = plan["pulse"], plan["n_symbols"], plan["chain"]
     require(n_symbols >= 16, "n_symbols", "must be >= 16")
-    check_budget(n_symbols * pulse.samples_per_symbol * hold, "n_symbols")
-    require(plan["bit_seed"] >= 0, "bit_seed", "must be nonnegative")
     sps, fs = pulse.samples_per_symbol, plan["sample_rate"]
+    # the shaped record, its pulse tails included
     duration = mod.shaped_duration(n_symbols, pulse, sps / fs)
-    # the record's whole symbol periods, its pulse tails included
-    met.check_eye_levels(plan["eye_levels"], round(duration * fs) // sps,
-                         "eye_levels")
-    _check_delays(chain, duration)
+    n = round(duration * fs)
+    check_record(chain, n, fs, "n_symbols", duration)
+    require(plan["bit_seed"] >= 0, "bit_seed", "must be nonnegative")
+    met.check_eye_levels(plan["eye_levels"], n // sps, "eye_levels")
     if "budget" in plan["outputs"]:
         require(chain is not None, "outputs", "a budget report needs a chain")
-        for i, spec in enumerate(chain.stages):
-            require(STAGES[spec.kind].term is not None,
-                    f"chain.stages.{i}.kind", f"stage {spec.kind!r} cannot "
-                    "be attributed to a budget term")
+        met.check_budget_terms(chain)
     return {"symbol_period": sps / fs}
 
 
-def _qubit_check(plan: dict, hold: float) -> dict:
+def _qubit_check(plan: dict) -> dict:
     fs, envelope = plan["sample_rate"], plan["envelope"]
     qb.check_substeps(plan["substeps"])
-    n_gate = check_gate(envelope, fs, hold, "envelope.duration_s")
-    check_budget(envelope.duration_s * fs * hold * plan["substeps"],
-                 "substeps")
-    _check_delays(plan["chain"], n_gate / fs)
+    n_gate = check_gate(envelope, fs, "envelope.duration_s")
+    hold = check_record(plan["chain"], n_gate, fs, "envelope.duration_s")
+    check_budget(n_gate * hold * plan["substeps"], "substeps")
     require(plan["model"].levels == 2 or "bloch" not in plan["outputs"],
             "outputs", "a bloch track needs a two-level model")
     return {}
@@ -523,7 +496,7 @@ def _qubit_check(plan: dict, hold: float) -> dict:
 
 class Mode(NamedTuple):
     """A run mode: its section's ``keys`` to their kinds (``outputs`` names
-    its reports) and ``defaults``; ``check`` (plan, hold factor) raises
+    its reports) and ``defaults``; ``check`` (the plan) raises
     InputError at a section key or under ``chain.`` and returns derived plan
     entries; a sweep row's metric ``columns``; the ``line`` ``simulate``
     prints; and the run's two stages, ``make`` and ``score``."""

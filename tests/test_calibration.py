@@ -12,9 +12,9 @@ import pytest
 from sigchain import calibration as cal
 from sigchain import modulation as mod
 from sigchain import qubit as qb
-from sigchain.chains import (StageSpec, TxChain, cartesian_chain, polar_chain,
-                             prepend_stage, rfdac_chain, run_chain,
-                             synth_comm_waveform, with_stage_param)
+from sigchain.chains import (InputError, StageSpec, TxChain, cartesian_chain,
+                             polar_chain, prepend_stage, rfdac_chain,
+                             run_chain, synth_comm_waveform, with_stage_param)
 from sigchain.envelope import ComplexEnvelope, fractional_delay
 from sigchain.metrics import demodulate, evm, image_rejection
 
@@ -180,10 +180,12 @@ class TestIqCal:
 
         assert measure(corrected) < measure(self.CHAIN) / 100.0
 
-    def test_rejects_resampling_chain(self):
+    def test_rejects_resampling_chain(self, monkeypatch):
+        monkeypatch.setattr(cal, "run_chain", None)  # no compute may start
         chain = rfdac_chain(bits=12, hold_factor=2)
-        with pytest.raises(cal.CalibrationError, match="length"):
+        with pytest.raises(InputError, match="keeps the record length") as e:
             cal.iq_cal(chain, FS)
+        assert e.value.key == "chain"
 
     def test_rejects_degenerate_mixing(self):
         chain = cartesian_chain(gain_mismatch=2.0)

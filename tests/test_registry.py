@@ -128,6 +128,26 @@ class TestSchemaChecks:
             "onoff_leakage", {"off_ratio_db": math.inf}))
         assert np.array_equal(out.samples, _env().samples)
 
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name) for kind, row in ch.STAGES.items()
+        for name, par in row.params.items() if par.below or par.delay])
+    def test_record_bound_holds_at_its_edge(self, kind, name):
+        # a rate bound at the record's rate, a delay at a quarter of it
+        n, fs = 64, 1e6
+        row = ch.STAGES[kind]
+        par = row.params[name]
+        bound = par.below(fs) if par.below else n / fs / 4.0
+        seed = {"seed": 1} if "seed" in row.params else {}
+
+        def check(v):
+            spec = ch.StageSpec(kind, {name: v, **seed})
+            return ch.check_record(ch.TxChain("custom", (spec,)), n, fs, "n")
+
+        assert check(math.nextafter(bound, 0.0)) == 1
+        with pytest.raises(ch.InputError) as info:
+            check(bound)
+        assert info.value.key == f"chain.stages.0.params.{name}"
+
 
 # ------------------------------------------------------------- fuzzing
 

@@ -18,6 +18,7 @@ RFDAC = {"kind": "rfdac_core", "params": {"bits": 12, "hold_factor": 1}}
 HELD = {"kind": "rfdac_core", "params": {"bits": 12, "hold_factor": 2}}
 POLAR = {"kind": "polar_paths", "params": {"tau_p": 1.5e-10}}
 SKEW = {"kind": "iq_imbalance", "params": {"quad_skew": 0.05}}
+GATED = {"kind": "onoff_leakage", "params": {"off_ratio_db": 40.0}}
 RABI = {"model": {"drive_gain": math.pi / 64e-9},
         "envelope": {"shape": "rect", "duration_s": 64e-9},
         "scales": [0.05 * (k + 1) for k in range(24)]}
@@ -84,6 +85,27 @@ CASES = [
      "calibration.routine.off_samples"),
     ("leakage_cancel", [RFDAC], {"on_samples": 2 ** 24},
      "calibration.routine.on_samples"),
+    ("rabi_amplitude_cal", None, {**RABI, "saturation": 1.5},
+     "calibration.routine.saturation"),
+    ("rabi_amplitude_cal", None, {**RABI, "saturation": -1.0},
+     "calibration.routine.saturation"),
+    ("rabi_amplitude_cal", None, {**RABI, "residual_tol": -0.1},
+     "calibration.routine.residual_tol"),
+    ("rabi_amplitude_cal", [HELD, GATED], RABI,
+     "calibration.chain.stages.1.kind"),
+    ("iq_cal", [HELD], {"n_samples": 64}, "calibration.chain"),
+    ("iq_cal", [{"kind": "path_skew", "params": {"tau_i": 3e-7}}], {},
+     "calibration.chain.stages.0.params.tau_i"),
+    ("polar_delay_align", [POLAR], {**ALIGN, "seed": -1},
+     "calibration.routine.seed"),
+    ("dpd_fit", [RFDAC], {"full_scale": 0.0},
+     "calibration.routine.full_scale"),
+    ("dpd_fit", [RFDAC], {"full_scale": -1.0},
+     "calibration.routine.full_scale"),
+    ("dpd_fit", [RFDAC, {"kind": "bandwidth_limit",
+                         "params": {"cutoff_hz": 2e9}}], {},
+     "calibration.chain.stages.1.params.cutoff_hz"),
+    ("leakage_cancel", [HELD, GATED], {}, "calibration.chain.stages.1.kind"),
 ]
 
 

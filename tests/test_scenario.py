@@ -18,8 +18,13 @@ from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain import scenario as scn
-from sigchain.chains import run_chain, synth_qubit_pulse
+from sigchain.chains import MAX_SAMPLES, run_chain, synth_qubit_pulse
 from sigchain.cli import main
+
+
+# a 16-bit converter holding each sample twice
+HELD = {"stages": [{"kind": "rfdac_core",
+                    "params": {"bits": 16, "hold_factor": 2}}]}
 
 
 def qpsk_config(name="smoke", n_symbols=64, outputs=("constellation", "psd"),
@@ -273,9 +278,14 @@ class TestValidation:
         scn.plan_scenario(qpsk_config(chain={"stages": stages}))
 
     def test_sample_budget_counts_symbols_and_holds(self):
-        sps = 8
-        cfg = qpsk_config(n_symbols=scn.MAX_SAMPLES // sps)
+        # the shaped record: 8 samples per symbol plus 8 symbols of tails
+        cfg = qpsk_config(n_symbols=MAX_SAMPLES // 8 - 8)
         scn.plan_scenario(cfg)
+        cfg["comm"]["n_symbols"] += 1
+        with pytest.raises(scn.ConfigError,
+                           match=r"^scenario\.comm\.n_symbols: asks for"):
+            scn.plan_scenario(cfg)
+        cfg["comm"]["n_symbols"] -= 1
         cfg["chain"] = {"stages": [
             {"kind": "rfdac_core", "params": {"bits": 8, "hold_factor": 2}}]}
         with pytest.raises(scn.ConfigError,
@@ -296,29 +306,66 @@ class TestValidation:
             scn.plan_scenario(cfg)
 
     @pytest.mark.parametrize("make, kind, key", [
-        (lambda: qpsk_config(n_symbols=32, outputs=()), "path_skew", "tau_i"),
-        (lambda: qpsk_config(n_symbols=32, outputs=()), "iq_paths", "tau_q"),
-        (lambda: pi_config(outputs=()), "path_skew", "tau_q"),
-        (lambda: pi_config(outputs=()), "iq_paths", "tau_i"),
-    ], ids=["comm-skew", "comm-iq-paths", "qubit-skew", "qubit-iq-paths"])
+        (lambda: qpsk_config(n_symbols=32, outputs=(), chain=HELD),
+         "path_skew", "tau_i"),
+        (lambda: qpsk_config(n_symbols=32, outputs=(), chain=HELD),
+         "iq_paths", "tau_q"),
+        (lambda: {**pi_config(outputs=()), "chain": HELD}, "path_skew",
+         "tau_q"),
+        (lambda: {**pi_config(outputs=()), "chain": HELD}, "iq_paths",
+         "tau_i"),
+        (lambda: {**rabi_cal_config(), "chain": HELD}, "path_skew", "tau_i"),
+        (lambda: probe_cal_config("iq_cal", n_samples=64), "path_skew",
+         "tau_q"),
+        (lambda: align_cal_config(n_symbols=24), "iq_paths", "tau_i"),
+        (lambda: probe_cal_config("dpd_fit", hold_factor=2), "iq_paths",
+         "tau_q"),
+        (lambda: probe_cal_config("leakage_cancel", hold_factor=2),
+         "path_skew", "tau_i"),
+    ], ids=["comm-skew", "comm-iq-paths", "qubit-skew", "qubit-iq-paths",
+            "rabi", "iq", "align", "dpd", "leakage"])
     def test_delay_bound_is_a_quarter_of_the_record(self, make, kind, key,
-                                                    tmp_path, capsys):
-        cfg = make()
-        plan = scn.plan_scenario(cfg)
-        made = scn._MODES[plan["mode"]].make(plan)
-        bound = (made[2] if plan["mode"] == "comm" else made).duration / 4.0
-        # a hold keeps the duration, and the bound names the stage's index
-        cfg["chain"] = {"stages": [
-            {"kind": "rfdac_core", "params": {"bits": 16, "hold_factor": 2}},
-            {"kind": kind, "params": {key: -math.nextafter(bound, 0.0)}}]}
-        scn.run_scenario(cfg, tmp_path / "below")
-        cfg["chain"]["stages"][1]["params"][key] = -bound
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        from sigchain import calibration as cal
+        from sigchain import chains as ch
+
+        cfg = copy.deepcopy(make())
+        calibrate = "routine" in cfg
+        run = scn.run_calibration if calibrate else scn.run_scenario
+        stages = cfg["chain"]["stages"]
+        stages.append({"kind": kind, "params": {key: 0.0}})
+        # the record the delay stage sees: a hold keeps its duration
+        real, seen = ch.apply_stage, []
+
+        class Seen(Exception):
+            pass
+
+        def spy(env, spec, context=None):
+            if spec.kind != kind:
+                return real(env, spec, context)
+            seen.append(env.duration)
+            raise Seen
+
+        with monkeypatch.context() as m:
+            m.setattr(ch, "apply_stage", spy)
+            with pytest.raises(Seen):
+                run(cfg, tmp_path / "probe")
+        bound = seen[0] / 4.0
+        stages[-1]["params"][key] = -math.nextafter(bound, 0.0)
+        try:
+            run(cfg, tmp_path / "below")
+        except cal.CalibrationError:
+            pass  # the chain ran; the routine may refuse what it measured
+        stages[-1]["params"][key] = -bound
         p = tmp_path / "at.json"
         p.write_text(json.dumps(cfg))
-        assert main(["simulate", str(p), "--out-dir",
-                     str(tmp_path / "at")]) == 2
+        assert main(["calibrate" if calibrate else "simulate", str(p),
+                     "--out-dir", str(tmp_path / "at")]) == 2
         err = capsys.readouterr().err
-        assert f"config error: scenario.chain.stages.1.params.{key}:" in err
+        top = "calibration" if calibrate else "scenario"
+        assert (f"config error: {top}.chain.stages.{len(stages) - 1}.params."
+                f"{key}:") in err
         assert not (tmp_path / "at").exists()
 
     def test_read_config_rejects_bad_json(self, tmp_path):
@@ -790,6 +837,14 @@ def _rabi_gate(duration_s):
     return cfg
 
 
+def _with(cfg, *stages, **routine):
+    """``cfg`` with ``stages`` appended to its chain and ``routine`` keys
+    set."""
+    cfg.setdefault("chain", {"stages": []})["stages"].extend(stages)
+    cfg["routine"].update(routine)
+    return cfg
+
+
 def _align_window(n_symbols, at_edge):
     """An alignment whose widest candidates are +- a quarter of the probe
     record, or the float just below that quarter, in nine steps."""
@@ -1240,6 +1295,28 @@ class TestCli:
          "calibration.routine.tone_freq: tone must land strictly inside"),
         (probe_cal_config("iq_cal", n_samples=64, tone_freq=-6.25e7),
          "calibration.routine.tone_freq: tone must land strictly inside"),
+        (_with(rabi_cal_config(), saturation=1.5),
+         "calibration.routine.saturation: must lie in (0, 1]"),
+        (_with(rabi_cal_config(), saturation=-1.0),
+         "calibration.routine.saturation: must lie in (0, 1]"),
+        (_with(rabi_cal_config(), residual_tol=-0.1),
+         "calibration.routine.residual_tol: must be nonnegative"),
+        (align_cal_config(seed=-1),
+         "calibration.routine.seed: must be nonnegative"),
+        (probe_cal_config("dpd_fit", full_scale=0.0),
+         "calibration.routine.full_scale: must be positive"),
+        (probe_cal_config("dpd_fit", full_scale=-1.0),
+         "calibration.routine.full_scale: must be positive"),
+        (probe_cal_config("iq_cal", hold_factor=2),
+         "calibration.chain: iq_cal needs a chain that keeps the record"),
+        (_with(probe_cal_config("iq_cal", n_samples=4096), {
+            "kind": "path_skew", "params": {"tau_i": 3e-7}}),
+         "calibration.chain.stages.1.params.tau_i: |tau_i| must stay below "
+         "a quarter of the 1.024e-06 s record, got 3e-07"),
+        (_with(probe_cal_config("leakage_cancel", hold_factor=2), {
+            "kind": "gated_offset", "params": {"offset": [0.01, 0.0]}}),
+         "calibration.chain.stages.1.kind: gated stage 'gated_offset' cannot "
+         "follow a hold_factor above 1"),
     ], ids=["scale-str", "scale-bool", "scales-not-increasing",
             "too-few-scales", "window-zero", "step-negative",
             "no-polar-paths", "iq-samples", "iq-samples-held",
@@ -1250,7 +1327,11 @@ class TestCli:
             "leakage-short-gap", "rabi-gate-63", "rabi-gate-huge",
             "align-period-fraction", "align-period-3", "align-window-past",
             "align-window-at-edge", "iq-tone-past-nyquist", "iq-tone-at-half",
-            "iq-tone-dc", "iq-tone-negative"])
+            "iq-tone-dc", "iq-tone-negative", "rabi-saturation-past-1",
+            "rabi-saturation-negative", "rabi-residual-tol-negative",
+            "align-seed-negative", "dpd-full-scale-zero",
+            "dpd-full-scale-negative", "iq-held-chain", "iq-skew-past-quarter",
+            "leakage-gated-after-hold"])
     def test_calibration_input_exit_two_before_compute(
             self, cfg, where, tmp_path, capsys, monkeypatch):
         from sigchain import calibration as cal
@@ -1302,9 +1383,11 @@ class TestCli:
         ("qam16_budget", None, {"n_symbols": 10**13}, "comm.n_symbols"),
         ("qam16_budget", 5, {"kind": "rfdac_core", "bits": 12},
          "stages.5.kind"),
+        ("polar_skew", 0, {"kind": "rfdac_core", "bits": 12,
+                           "hold_factor": 2}, "stages.1.kind"),
     ], ids=["eps-str", "cutoff-past-nyquist", "seed-str", "gain-list",
             "quantize-bits-float", "rfdac-bits-bool", "n-symbols-huge",
-            "budget-composite-stage"])
+            "budget-composite-stage", "gated-after-hold"])
     def test_config_mistakes_exit_two_with_path(
             self, scenario, stage, params, where, tmp_path, capsys):
         cfg = scn.read_config(scn.bundled_scenario_path(scenario))
