@@ -18,7 +18,7 @@ import numpy as np
 
 from sigchain import modulation as mod
 from sigchain import qubit as qb
-from sigchain.chains import (InputError, StageSpec, TxChain, _real,
+from sigchain.chains import (InputError, StageSpec, TxChain, _finite,
                              append_stage, check_budget, check_gate,
                              check_record, prepend_stage, require, run_chain,
                              run_chain_per_trim, synth_comm_waveform,
@@ -156,7 +156,7 @@ def _rabi_rules(envelope, sample_rate, scales, chain, residual_tol,
     n_gate = check_gate(envelope, sample_rate, "envelope.duration_s")
     check_record(chain, n_gate, sample_rate, "envelope.duration_s")
     for k, v in enumerate(scales):
-        require(_real(v) and math.isfinite(v), f"scales.{k}",
+        require(_finite(v), f"scales.{k}",
                 f"expected finite number, got {v!r}")
     require(len(scales) >= 5, "scales", "need at least 5 sweep points")
     require(all(lo < hi for lo, hi in zip(scales, scales[1:])), "scales",
@@ -296,15 +296,16 @@ def _align_rules(chain, sample_rate, symbol_period, window_s, step_s,
     require(n_symbols > 2 * edge, "n_symbols", f"must be above {2 * edge}: "
             f"the first and last {edge} symbols are not scored")
     require(seed >= 0, "seed", "must be nonnegative")
-    duration = mod.shaped_duration(n_symbols, shape, symbol_period)
-    n_probe = round(duration * sample_rate)
-    hold = check_record(chain, n_probe, sample_rate, "n_symbols", duration)
+    # the probe record at its own rate
+    rate = shape.samples_per_symbol / symbol_period
+    n_probe = mod.shaped_samples(n_symbols, shape)
+    hold = check_record(chain, n_probe, sample_rate, "n_symbols", rate)
     # the chain runs once per candidate: count them as np.arange will
     span = (window_s + 0.5 * step_s + window_s) / step_s
     n_cand = math.ceil(span) if math.isfinite(span) else span
     check_budget(n_cand * n_probe * hold, "step_s", f"a grid of {n_cand} "
                  f"trim delay candidates over the {n_probe}-sample probe ")
-    align_candidates(window_s, step_s, duration)
+    align_candidates(window_s, step_s, n_probe / rate)
 
 
 def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
@@ -371,6 +372,7 @@ def _dpd_rules(chain, sample_rate, order, n_levels, full_scale,
     require(n_levels >= order + 2, "n_levels",
             f"must be at least order + 2 = {order + 2}")
     require(full_scale > 0.0, "full_scale", "must be positive")
+    check_budget(hold_samples, "hold_samples", "one level ")
     hold = check_record(chain, n_levels * hold_samples, sample_rate,
                         "n_levels")
     require(hold_samples * hold >= 4, "hold_samples", "must hold each level "
@@ -415,6 +417,7 @@ def _leakage_rules(chain, sample_rate, on_samples, off_samples,
     require(guard_samples >= 0, "guard_samples", "must be nonnegative")
     require(off_samples > guard_samples + 8, "off_samples", "must exceed "
             "guard_samples + 8: the off window must outlast the guard")
+    check_budget(off_samples, "off_samples", "the off window ")
     check_record(chain, on_samples + off_samples, sample_rate, "on_samples")
 
 

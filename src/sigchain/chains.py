@@ -18,6 +18,7 @@ calibration can be expressed as a parameter update or an extra stage.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -109,21 +110,26 @@ def _real(v) -> bool:
         and not isinstance(v, bool)
 
 
+def _finite(v) -> bool:
+    """A real number that a float holds, neither infinite nor nan."""
+    return _real(v) and abs(v) <= sys.float_info.max
+
+
 def _vector(v, n: int = 0, item=None) -> bool:
     """A nonempty list, tuple or array (of ``n`` items, if given) of finite
     reals, or of items that pass ``item``."""
     if not isinstance(v, (list, tuple, np.ndarray)) \
             or getattr(v, "ndim", 1) == 0 or not len(v) or n and len(v) != n:
         return False
-    return all(item(x) if item else _real(x) and -math.inf < x < math.inf
-               for x in v)
+    return all(item(x) if item else _finite(x) for x in v)
 
 
 _TYPES = {
     "int": lambda v: _real(v) and isinstance(v, (int, np.integer)),
-    "number": _real,
-    "complex": lambda v: (_real(v) or isinstance(
-        v, (complex, np.complexfloating))) and abs(v) < math.inf,
+    # any float (its bounds judge it), or an int that a float holds
+    "number": lambda v: _finite(v) or _real(v) and not isinstance(v, int),
+    "complex": lambda v: _finite(v) or isinstance(
+        v, (complex, np.complexfloating)) and abs(v) < math.inf,
     "numbers": _vector,
     "matrix": lambda v: _vector(v, 2, lambda row: _vector(row, 2)),
 }
@@ -407,10 +413,10 @@ STAGES: dict[str, Stage] = {
         "bits": _BITS, "full_scale": _FULL_SCALE,
         "cutoff_hz": _CUTOFF_OR_NONE, "tau_i": _DELAY, "tau_q": _DELAY}),
     "polar_paths": Stage(_apply_polar_paths, None, {
-        "am_bits": _BITS, "am_cutoff_hz": _CUTOFF_OR_NONE, "tau_a": _ZERO,
+        "am_bits": _BITS, "am_cutoff_hz": _CUTOFF_OR_NONE, "tau_a": _DELAY,
         "am_full_scale": Param("number", "(0, inf)", default=None),
-        "pm_bits": _BITS, "pm_cutoff_hz": _CUTOFF_OR_NONE, "tau_p": _ZERO,
-        "comp_delay_s": _ZERO}),
+        "pm_bits": _BITS, "pm_cutoff_hz": _CUTOFF_OR_NONE, "tau_p": _DELAY,
+        "comp_delay_s": _DELAY}),
     "rfdac_core": Stage(_apply_rfdac_core, None, {
         "bits": Param("int", "[1, 32]"), "full_scale": _FULL_SCALE,
         "hold_factor": Param("int", "[1, inf)", default=1),
@@ -493,22 +499,27 @@ def with_stage_param(chain: TxChain, kind: str, **updates) -> TxChain:
 def check_budget(n_samples: float, key: str, what: str = "") -> None:
     """Raise InputError at ``key``, its message opened by ``what``, unless a
     record of ``n_samples`` samples fits ``MAX_SAMPLES``."""
-    require(n_samples <= MAX_SAMPLES, key, f"{what}asks for "
-            f"{n_samples:.4g} samples, more than the budget of {MAX_SAMPLES}")
+    # an int count past the float range is compared exactly, and named by
+    # that range
+    count = "over 1.798e+308" if isinstance(n_samples, int) \
+        and n_samples > sys.float_info.max else format(n_samples, ".4g")
+    require(n_samples <= MAX_SAMPLES, key, f"{what}asks for {count} "
+            f"samples, more than the budget of {MAX_SAMPLES}")
 
 
 def check_record(chain: TxChain | None, n_samples: int, sample_rate: float,
-                 key: str, duration: float | None = None) -> int:
+                 key: str, record_rate: float | None = None) -> int:
     """Check ``chain`` against the record it runs on, ``n_samples`` samples
-    at ``sample_rate`` lasting ``duration`` s (``n_samples / sample_rate``
-    unless given), and return its hold product.  Raises InputError at
-    ``key`` unless the held record fits ``MAX_SAMPLES``, and under
-    ``chain.stages.<i>`` at a gated stage after a hold, a ``below`` bound
-    broken at the stage's rate or a ``delay`` past ``duration / 4``."""
+    at ``sample_rate`` lasting ``n_samples / record_rate`` s (a shaped
+    record's own rate, ``sps / symbol_period``, unless ``sample_rate``), and
+    return its hold product.  Raises InputError at ``key`` unless the held
+    record fits ``MAX_SAMPLES``, and under ``chain.stages.<i>`` at a gated
+    stage after a hold, a ``below`` bound broken at the stage's rate or a
+    ``delay`` past a quarter of the duration."""
     stages = chain.stages if chain is not None else ()
     hold = math.prod(spec.params.get("hold_factor") or 1 for spec in stages)
     check_budget(n_samples * hold, key)
-    duration = n_samples / sample_rate if duration is None else duration
+    duration = n_samples / (record_rate or sample_rate)
     fs = sample_rate
     for i, spec in enumerate(stages):
         row, at = STAGES[spec.kind], f"chain.stages.{i}"

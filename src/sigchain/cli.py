@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import sys
 from pathlib import Path
@@ -75,8 +76,9 @@ def _cmd_sweep(args) -> int:
         raise scn.ConfigError("--threads must be >= 1")
     raw = scn.read_config(_resolve(args.scenario))
     target = scn.run_sweep(raw, args.out_dir, threads=args.threads)
-    n_rows = target.read_text().count("\n") - 1
-    print(f"sweep: {n_rows} points -> {target}")
+    with target.open(newline="") as f:
+        n_points = sum(1 for _ in csv.reader(f)) - 1
+    print(f"sweep: {n_points} points -> {target}")
     return 0
 
 

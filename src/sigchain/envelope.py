@@ -42,6 +42,15 @@ _FARROW_ORDER = 12
 _EXACT_DEGREE = 4
 
 
+def _frozen(record, name: str, dtype) -> np.ndarray:
+    """Store a read-only ``dtype`` copy of the array field ``name`` in the
+    frozen dataclass ``record``, and return it."""
+    arr = np.array(getattr(record, name), dtype=dtype, copy=True)
+    arr.flags.writeable = False
+    object.__setattr__(record, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class ComplexEnvelope:
     """Uniformly sampled complex baseband record.
@@ -61,15 +70,13 @@ class ComplexEnvelope:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=np.complex128, copy=True)
+        samples = _frozen(self, "samples", np.complex128)
         if samples.ndim != 1:
             raise ValueError("envelope samples must be one-dimensional")
         if samples.size == 0:
             raise ValueError("envelope must contain at least one sample")
         if not np.isfinite(self.sample_rate) or self.sample_rate <= 0.0:
             raise ValueError("sample_rate must be positive and finite")
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -99,18 +106,14 @@ class PolarTracks:
     sample_rate: float
 
     def __post_init__(self) -> None:
-        amp = np.array(self.amplitude, dtype=np.float64, copy=True)
-        ph = np.array(self.phase, dtype=np.float64, copy=True)
+        amp = _frozen(self, "amplitude", np.float64)
+        ph = _frozen(self, "phase", np.float64)
         if amp.shape != ph.shape or amp.ndim != 1 or amp.size == 0:
             raise ValueError("amplitude and phase must be matching 1-d arrays")
         if not self.sample_rate > 0.0:
             raise ValueError("sample_rate must be positive")
         if np.any(amp < 0.0):
             raise ValueError("amplitude track must be nonnegative")
-        amp.flags.writeable = False
-        ph.flags.writeable = False
-        object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "phase", ph)
 
     def __len__(self) -> int:
         return self.amplitude.size
@@ -125,18 +128,14 @@ class Spectrum:
     resolution_bw: float
 
     def __post_init__(self) -> None:
-        freqs = np.array(self.freqs, dtype=np.float64, copy=True)
-        psd = np.array(self.psd, dtype=np.float64, copy=True)
+        freqs = _frozen(self, "freqs", np.float64)
+        psd = _frozen(self, "psd", np.float64)
         if freqs.shape != psd.shape or freqs.ndim != 1:
             raise ValueError("freqs and psd must be matching 1-d arrays")
         if freqs.size > 1 and not np.all(np.diff(freqs) > 0.0):
             raise ValueError("frequency grid must be strictly increasing")
         if np.any(psd < 0.0):
             raise ValueError("psd must be nonnegative")
-        freqs.flags.writeable = False
-        psd.flags.writeable = False
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "psd", psd)
 
 
 def make_envelope(i, q, sample_rate: float, t0: float = 0.0) -> ComplexEnvelope:
@@ -285,12 +284,9 @@ def _delayed_samples(x: np.ndarray, delay_samples: float) -> np.ndarray:
 
     if frac == 0.0:
         out = np.zeros(n, dtype=x.dtype)
-        if base >= 0:
-            if base < n:
-                out[base:] = x[: n - base]
-        else:
-            if -base < n:
-                out[: n + base] = x[-base:]
+        lo, hi = max(0, base), min(n, n + base)
+        if hi > lo:
+            out[lo:hi] = x[lo - base : hi - base]
         return out
 
     h = _interp_kernels(frac)[0].astype(x.dtype)

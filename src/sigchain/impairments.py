@@ -248,26 +248,20 @@ def am_ampm(env: ComplexEnvelope, gain_poly, phase_poly) -> ComplexEnvelope:
     amax = float(amp.max())
     if amax > 0.0:
         grid = np.linspace(0.0, amax, 64)
-        if np.any(np.diff(_odd_poly(grid, gain_poly)) < 0.0):
+        if np.any(np.diff(_poly(grid, gain_poly, odd=True)) < 0.0):
             warnings.warn("AM-AM transfer is non-monotone over the signal range",
                           stacklevel=2)
-    new_amp = _odd_poly(amp, gain_poly)
-    phase_shift = _ascending_poly(amp, phase_poly)
+    new_amp = _poly(amp, gain_poly, odd=True)
+    phase_shift = _poly(amp, phase_poly)
     scale = np.where(amp > 0.0, new_amp / np.where(amp > 0.0, amp, 1.0), 0.0)
     return _rebuild(env, env.samples * scale * np.exp(1j * phase_shift))
 
 
-def _odd_poly(a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _poly(a: np.ndarray, coeffs: np.ndarray, odd: bool = False) -> np.ndarray:
+    """``sum_k coeffs[k] a**k``, or ``a**(2k + 1)`` if ``odd``."""
     out = np.zeros_like(a)
     for k, c in enumerate(coeffs):
-        out += c * a ** (2 * k + 1)
-    return out
-
-
-def _ascending_poly(a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    for k, c in enumerate(coeffs):
-        out += c * a**k
+        out += c * a ** (2 * k + 1 if odd else k)
     return out
 
 

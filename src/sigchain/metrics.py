@@ -330,10 +330,7 @@ def eye_metrics(env: ComplexEnvelope, symbol_period: float,
     window = (center + np.arange(-halfwin, halfwin + 1)) % sps
 
     def open_run(open_cols: np.ndarray) -> int:
-        if np.all(open_cols):
-            return open_cols.size
-        if not np.any(open_cols):
-            return 0
+        # the longest circular run of open columns
         doubled = np.concatenate([open_cols, open_cols])
         best = run = 0
         for v in doubled:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from sigchain.envelope import ComplexEnvelope
+from sigchain.envelope import ComplexEnvelope, _frozen
 
 __all__ = [
     "Constellation",
@@ -24,6 +24,7 @@ __all__ = [
     "map_bits",
     "shape_filter",
     "shape_symbols",
+    "shaped_samples",
     "shaped_duration",
     "gate_samples",
     "gate_envelope",
@@ -78,14 +79,12 @@ class Constellation:
     scheme: str
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=np.complex128, copy=True)
+        pts = _frozen(self, "points", np.complex128)
         if pts.ndim != 1 or pts.size != 2**self.bits_per_symbol:
             raise ValueError("points must hold 2**bits_per_symbol entries")
         rms = math.sqrt(float(np.mean(np.abs(pts) ** 2)))
         if abs(rms - 1.0) > _NORM_TOL:
             raise ValueError("constellation must be normalized to unit RMS")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return self.points.size
@@ -99,13 +98,10 @@ class SymbolStream:
     symbol_period: float
 
     def __post_init__(self) -> None:
-        sym = np.array(self.symbols, dtype=np.complex128, copy=True)
-        if sym.ndim != 1:
+        if _frozen(self, "symbols", np.complex128).ndim != 1:
             raise ValueError("symbols must be one-dimensional")
         if not self.symbol_period > 0.0:
             raise ValueError("symbol_period must be positive")
-        sym.flags.writeable = False
-        object.__setattr__(self, "symbols", sym)
 
     def __len__(self) -> int:
         return self.symbols.size
@@ -367,14 +363,20 @@ def shape_symbols(stream: SymbolStream, shape: PulseShape) -> ComplexEnvelope:
     return ComplexEnvelope(samples, sps / stream.symbol_period)
 
 
-def shaped_duration(n_symbols: int, shape: PulseShape,
-                    symbol_period: float) -> float:
-    """``duration`` of the record ``shape_symbols`` makes from ``n_symbols``
-    symbols at ``symbol_period``: one period per symbol plus the filter's
-    tails, in samples, over the record's sample rate."""
+def shaped_samples(n_symbols: int, shape: PulseShape) -> int:
+    """Length of the record ``shape_symbols`` makes from ``n_symbols``
+    symbols: one period per symbol plus the filter's tails."""
     sps = shape.samples_per_symbol
     tails = 0 if shape.kind == "rect" else 2 * (shape.span_symbols * sps // 2)
-    return (n_symbols * sps + tails) / (sps / symbol_period)
+    return n_symbols * sps + tails
+
+
+def shaped_duration(n_symbols: int, shape: PulseShape,
+                    symbol_period: float) -> float:
+    """``duration`` of that record at ``symbol_period``: its samples over
+    the record's sample rate."""
+    return shaped_samples(n_symbols, shape) / (
+        shape.samples_per_symbol / symbol_period)
 
 
 def _gaussian_params(spec: GateEnvelopeSpec) -> tuple[float, float]:

@@ -223,11 +223,8 @@ def axis_angle(u: np.ndarray) -> tuple[float, np.ndarray]:
     best = None
     for cand in (u0, -u0):
         c = 0.5 * np.real(np.trace(cand))
-        s = np.array([
-            0.5j * np.trace(SIGMA_X @ cand),
-            0.5j * np.trace(SIGMA_Y @ cand),
-            0.5j * np.trace(SIGMA_Z @ cand),
-        ])
+        s = np.array([0.5j * np.trace(sigma @ cand)
+                      for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
         mag = np.linalg.norm(s)
         theta = 2.0 * math.atan2(mag, c)
         axis = np.real(s / mag) if mag > 1e-12 else np.array([0.0, 0.0, 1.0])

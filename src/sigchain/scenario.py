@@ -19,6 +19,7 @@ import math
 import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -31,8 +32,9 @@ from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain.calibration import ROUTINES
 from sigchain.chains import (ARCHITECTURES, STAGES, StageSpec, TxChain,
-                             _real, check_budget, check_gate, check_record,
-                             run_chain, synth_comm_waveform, synth_qubit_pulse)
+                             _finite, _real, check_budget, check_gate,
+                             check_record, run_chain, synth_comm_waveform,
+                             synth_qubit_pulse)
 from sigchain.modulation import InputError, require
 
 __all__ = [
@@ -117,6 +119,21 @@ def write_text_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_run(out_dir, name: str, files: dict, note: str = "") -> Path:
+    """Write a run's directory, ``out_dir/name``, and return it.  ``files``
+    maps each file this kind of run can write to its text, or to None if
+    this run did not write it: one an earlier run left is removed."""
+    dest = Path(out_dir) / name
+    dest.mkdir(parents=True, exist_ok=True)
+    for fname, text in sorted(files.items()):
+        if text is None:
+            (dest / fname).unlink(missing_ok=True)
+        else:
+            write_text_atomic(dest / fname, text)
+    log.info("wrote %s%s", dest, note)
+    return dest
+
+
 # Rows per %-formatting pass: bounds the transient tuple of cell values
 _CSV_BLOCK = 4096
 # A cell holding any of these is quoted (RFC 4180)
@@ -189,10 +206,9 @@ def _no_extras(d: dict, allowed, path: str) -> None:
     _check(not extras, path, f"unknown key {extras[0]!r}" if extras else "")
 
 
-# JSON value kinds: (test, the name messages use).  ``json`` reads Infinity
-# and NaN, so a number must also be finite.
-_KINDS = {"number": (lambda v: _real(v) and math.isfinite(v),
-                     "finite number"),
+# JSON value kinds: (test, the name messages use).  ``json`` reads Infinity,
+# NaN and ints past the float range, so a number must also be finite.
+_KINDS = {"number": (_finite, "finite number"),
           "int": (lambda v: _real(v) and isinstance(v, int), "integer"),
           "str": (lambda v: isinstance(v, str), "string"),
           "bool": (lambda v: isinstance(v, bool), "boolean"),
@@ -290,7 +306,7 @@ def _parse_stage(obj, path: str) -> StageSpec:
     for key, par in (STAGES[kind].params if kind in STAGES else {}).items():
         v = params.get(key)
         if par.type == "complex" and isinstance(v, list) and len(v) == 2 \
-                and all(map(_real, v)):
+                and all(map(_finite, v)):
             params[key] = complex(*v)
     try:
         return StageSpec(kind, params)
@@ -389,8 +405,7 @@ def _compute_comm(plan: dict, made: tuple) -> tuple[dict, dict]:
     env = clean if plan["chain"] is None else run_chain(plan["chain"], clean)
     scorer = met.LinkScorer(stream, const, shape, plan["timing_search"])
     rx, ref, report = scorer(env)
-    summary = {"evm_rms": report.evm_rms, "evm_db": report.evm_db,
-               "num_symbols": report.num_symbols}
+    summary = {**vars(report)}
     artifacts = {}
 
     if "constellation" in plan["outputs"]:
@@ -424,9 +439,7 @@ def _compute_comm(plan: dict, made: tuple) -> tuple[dict, dict]:
                                     env.samples.imag[lo:hi])
     if "budget" in plan["outputs"]:
         budget = met.evm_budget(scorer, clean, plan["chain"], report)
-        summary["budget"] = {"terms": dict(budget.terms),
-                             "total_rss": budget.total_rss,
-                             "total_measured": budget.total_measured,
+        summary["budget"] = {**vars(budget),
                              "rss_deviation": budget.rss_deviation}
         artifacts["budget.csv"] = _csv(
             "term,evm", [*budget.terms, "rss", "measured"],
@@ -449,11 +462,7 @@ def _compute_qubit(plan: dict, pulse) -> tuple[dict, dict]:
     u = qb.propagate(model, env, substeps=plan["substeps"])
     target = qb.target_unitary(plan["gate"])
     report = qb.average_gate_fidelity(u, target)
-    summary = {"fidelity": report.fidelity,
-               "infidelity": report.infidelity,
-               "amp_error": report.amp_error,
-               "phase_error": report.phase_error,
-               "leakage": report.leakage,
+    summary = {**vars(report),
                "pulse_area": qb.pulse_area(env, model.drive_gain),
                "rotation_angle": plan["gate"].rotation_angle}
     artifacts = {}
@@ -470,11 +479,14 @@ def _compute_qubit(plan: dict, pulse) -> tuple[dict, dict]:
 def _comm_check(plan: dict) -> dict:
     pulse, n_symbols, chain = plan["pulse"], plan["n_symbols"], plan["chain"]
     require(n_symbols >= 16, "n_symbols", "must be >= 16")
+    require(2 * pulse.span_symbols < n_symbols, "pulse.span_symbols",
+            f"must stay below half of n_symbols, {n_symbols}: the first and "
+            "last span_symbols symbols are not scored")
     sps, fs = pulse.samples_per_symbol, plan["sample_rate"]
-    # the shaped record, its pulse tails included
-    duration = mod.shaped_duration(n_symbols, pulse, sps / fs)
-    n = round(duration * fs)
-    check_record(chain, n, fs, "n_symbols", duration)
+    check_budget(sps, "pulse.samples_per_symbol", "one symbol ")
+    # the shaped record, its pulse tails included, at its own rate
+    n = mod.shaped_samples(n_symbols, pulse)
+    check_record(chain, n, fs, "n_symbols", sps / (sps / fs))
     require(plan["bit_seed"] >= 0, "bit_seed", "must be nonnegative")
     met.check_eye_levels(plan["eye_levels"], n // sps, "eye_levels")
     if "budget" in plan["outputs"]:
@@ -548,48 +560,41 @@ def _compute(raw: dict, made=None) -> tuple[dict, dict]:
     return summary, artifacts
 
 
+# Every report a scenario can write beside metrics.json, one per output
+_SCENARIO_REPORTS = {f"{out}.csv": None for row in _MODES.values()
+                     for out in row.keys["outputs"][0]}
+
+
 def run_scenario(raw: dict, out_dir) -> dict:
     """Run one scenario and write metrics.json plus requested reports."""
     summary, artifacts = _compute(raw)
-    dest = Path(out_dir) / summary["name"]
-    dest.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(dest / "metrics.json", emit_json(summary))
-    for fname, text in sorted(artifacts.items()):
-        write_text_atomic(dest / fname, text)
-    log.info("wrote %s", dest / "metrics.json")
+    _write_run(out_dir, summary["name"], {
+        **_SCENARIO_REPORTS, **artifacts, "metrics.json": emit_json(summary)})
     return summary
 
 
 # ----------------------------------------------------------------- sweep
 
 def _set_path(cfg: dict, dotted: str, value) -> None:
+    """Set the entry at a dotted path, making absent objects on the way."""
     keys = dotted.split(".")
     node = cfg
-    for k in keys[:-1]:
+    for depth, k in enumerate(keys, 1):
+        last = depth == len(keys)
         if isinstance(node, list):
             try:
-                node = node[int(k)]
+                k = range(len(node))[int(k)]
             except (ValueError, IndexError):
                 raise ConfigError(
                     f"sweep path {dotted!r}: bad index {k!r}") from None
-        elif isinstance(node, dict):
-            if k not in node:
-                node[k] = {}
-            node = node[k]
+        elif not isinstance(node, dict):
+            raise ConfigError(f"sweep path {dotted!r}: " + (
+                "cannot assign" if last else f"{k!r} is not traversable"))
+        if last:
+            node[k] = value
         else:
-            raise ConfigError(f"sweep path {dotted!r}: {k!r} is not "
-                              "traversable")
-    last = keys[-1]
-    if isinstance(node, list):
-        try:
-            node[int(last)] = value
-        except (ValueError, IndexError):
-            raise ConfigError(
-                f"sweep path {dotted!r}: bad index {last!r}") from None
-    elif isinstance(node, dict):
-        node[last] = value
-    else:
-        raise ConfigError(f"sweep path {dotted!r}: cannot assign")
+            node = node.setdefault(k, {}) if isinstance(node, dict) \
+                else node[k]
 
 
 def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
@@ -655,27 +660,15 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
     metric_cols = [["FAILED" if s is None else
                     (math.nan if s.get(c) is None else s[c])
                     for _, s, _ in results] for c in cols]
-    dest = Path(out_dir) / base_plan["name"]
-    dest.mkdir(parents=True, exist_ok=True)
     header = ",".join(list(paths) + list(cols))
-    target = dest / "sweep.csv"
-    write_text_atomic(target, _csv(header, *zip(*grid), *metric_cols))
-    if failures:
-        write_text_atomic(dest / "failures.json", emit_json(failures))
-    else:
-        (dest / "failures.json").unlink(missing_ok=True)
-    log.info("wrote %s (%d points, %d failed)", target, len(grid),
-             len(failures))
-    return target
+    dest = _write_run(out_dir, base_plan["name"], {
+        "sweep.csv": _csv(header, *zip(*grid), *metric_cols),
+        "failures.json": emit_json(failures) if failures else None},
+        f" ({len(grid)} points, {len(failures)} failed)")
+    return dest / "sweep.csv"
 
 
 # ----------------------------------------------------------- calibration
-
-def _serialize_chain(chain: TxChain) -> dict:
-    return {"architecture": chain.architecture,
-            "stages": [{"kind": s.kind, "params": dict(s.params)}
-                       for s in chain.stages]}
-
 
 def run_calibration(raw: dict, out_dir) -> dict:
     """Run the calibration routine the file's ``routine.kind`` names; writes
@@ -695,15 +688,11 @@ def run_calibration(raw: dict, out_dir) -> dict:
     except InputError as e:
         raise _keyed(e, path, "calibration") from None
     corrected, fields = row.report(getattr(cal, kind)(**args))
-
-    dest = Path(out_dir) / name
-    dest.mkdir(parents=True, exist_ok=True)
     report = {"name": name, "routine": kind, **fields}
-    write_text_atomic(dest / "report.json", emit_json(report))
-    if corrected is not None:
-        write_text_atomic(dest / "corrected_chain.json",
-                          emit_json(_serialize_chain(corrected)))
-    log.info("wrote %s", dest / "report.json")
+    _write_run(out_dir, name, {
+        "report.json": emit_json(report),
+        "corrected_chain.json": None if corrected is None
+        else emit_json(asdict(corrected))})
     return report
 
 

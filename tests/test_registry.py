@@ -7,6 +7,7 @@ import copy
 import dataclasses
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +115,9 @@ class TestSchemaChecks:
          "requires parameter 'sigma'"),
         ("state_errors", {"levels": [1.0], "sigma": 0.1}, "seed", "seed"),
         ("bandwidth_limit", {}, "cutoff_hz", "requires parameter"),
+        ("amplitude_error", {"eps_a": 10**400}, "eps_a", "'number'"),
+        ("lo_feedthrough", {"offset": 10**400}, "offset", "'complex'"),
+        ("am_ampm", {"gain_poly": [1.0, 10**400]}, "gain_poly", "'numbers'"),
     ])
     def test_rejected_at_construction(self, kind, params, key, match):
         with pytest.raises(ch.InputError, match=match) as info:
@@ -253,7 +257,7 @@ PAST_BOUND = {
     "samples_per_symbol": 3, "sigma_fraction": np.nextafter(1.0, 2.0),
     "duration_s": 0.0, "peak_amplitude": -5e-324, "drive_gain": 0.0,
     "levels": 4, "rotation_angle": np.nextafter(2 * math.pi, 7.0)}
-VALUES = [None, True, "x", math.inf, 0, -1, 4.5]
+VALUES = [None, True, "x", math.inf, 0, -1, 4.5, 10**400]
 
 
 def _record_kind(annotation: str):
@@ -295,9 +299,11 @@ def _of_kind(v, kind) -> bool:
     if kind in ("bool", "str", "list", "dict"):
         return isinstance(v, {"bool": bool, "str": str, "list": list,
                               "dict": dict}[kind])
-    real = isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(v)
-    return real and (kind == "number" or isinstance(v, int))
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    # any int is an integer; a number is one a float holds
+    return isinstance(v, int) if kind == "int" \
+        else abs(v) <= sys.float_info.max
 
 
 SECTION_SITES = [(name, key, kind)

@@ -106,6 +106,15 @@ CASES = [
                          "params": {"cutoff_hz": 2e9}}], {},
      "calibration.chain.stages.1.params.cutoff_hz"),
     ("leakage_cancel", [HELD, GATED], {}, "calibration.chain.stages.1.kind"),
+    # integer counts past the float range
+    ("iq_cal", [RFDAC], {"n_samples": 10 ** 400},
+     "calibration.routine.n_samples"),
+    ("leakage_cancel", [RFDAC], {"off_samples": 10 ** 400},
+     "calibration.routine.off_samples"),
+    ("dpd_fit", [RFDAC], {"hold_samples": 10 ** 400},
+     "calibration.routine.hold_samples"),
+    ("polar_delay_align", [POLAR], {**ALIGN, "n_symbols": 10 ** 400},
+     "calibration.routine.n_symbols"),
 ]
 
 

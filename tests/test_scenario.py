@@ -322,8 +322,15 @@ class TestValidation:
          "tau_q"),
         (lambda: probe_cal_config("leakage_cancel", hold_factor=2),
          "path_skew", "tau_i"),
+        (lambda: qpsk_config(n_symbols=32, outputs=(), chain=HELD),
+         "polar_paths", "tau_a"),
+        (lambda: {**pi_config(outputs=()), "chain": HELD}, "polar_paths",
+         "tau_p"),
+        (lambda: probe_cal_config("dpd_fit", hold_factor=2), "polar_paths",
+         "comp_delay_s"),
     ], ids=["comm-skew", "comm-iq-paths", "qubit-skew", "qubit-iq-paths",
-            "rabi", "iq", "align", "dpd", "leakage"])
+            "rabi", "iq", "align", "dpd", "leakage", "comm-polar-am",
+            "qubit-polar-pm", "dpd-polar-trim"])
     def test_delay_bound_is_a_quarter_of_the_record(self, make, kind, key,
                                                     tmp_path, capsys,
                                                     monkeypatch):
@@ -633,10 +640,17 @@ class TestSweep:
             scn.run_sweep(cfg, tmp_path)
 
     def test_bad_path_index_is_config_error(self, tmp_path):
-        cfg = self.sweep_config([1.0e9])
-        cfg["sweep"]["paths"] = ["chain.stages.9.params.cutoff_hz"]
-        with pytest.raises(scn.ConfigError, match="bad index"):
-            scn.run_sweep(cfg, tmp_path)
+        # an index on the way or last, assigning into a string, and
+        # traversing one
+        for path, match in [
+                ("chain.stages.9.params.cutoff_hz", "bad index '9'"),
+                ("chain.stages.9", "bad index '9'"),
+                ("name.x", "cannot assign"),
+                ("name.x.y", "'x' is not traversable")]:
+            cfg = self.sweep_config([1.0e9])
+            cfg["sweep"]["paths"] = [path]
+            with pytest.raises(scn.ConfigError, match=match):
+                scn.run_sweep(cfg, tmp_path)
 
 
 def _oracle_sweep(raw: dict, out_dir, threads: int) -> Path:
@@ -907,6 +921,43 @@ class TestCalibrationRunner:
         for fname in ("report.json", "corrected_chain.json"):
             assert (tmp_path / "a" / "fix-iq" / fname).read_bytes() == \
                 (tmp_path / "b" / "fix-iq" / fname).read_bytes()
+
+
+def _no_outputs(cfg):
+    cfg["comm"]["outputs"] = []
+    return cfg
+
+
+class TestRunDirectory:
+    """A run's directory holds only the reports that run wrote, whatever an
+    earlier run of the same name left there."""
+
+    @pytest.mark.parametrize("first, second, left", [
+        (scn.read_config(scn.bundled_scenario_path("qam16_budget")),
+         _no_outputs(scn.read_config(
+             scn.bundled_scenario_path("qam16_budget"))),
+         ["metrics.json"]),
+        (qpsk_config(name="same", outputs=("constellation", "psd", "eye")),
+         pi_config(name="same"), ["bloch.csv", "metrics.json"]),
+        ({**TestCalibrationRunner().cal_config(), "name": "same"},
+         {**rabi_cal_config(), "name": "same"}, ["report.json"]),
+        (TestSweep().sweep_config([2.0e9, "abc"]),
+         TestSweep().sweep_config([2.0e9]), ["sweep.csv"]),
+    ], ids=["budget-then-no-outputs", "comm-then-qubit",
+            "chain-then-no-chain", "failed-then-clean-sweep"])
+    def test_a_rerun_leaves_only_its_reports(self, first, second, left,
+                                             tmp_path):
+        def run(cfg):
+            if "routine" in cfg:
+                return scn.run_calibration(cfg, tmp_path)["name"]
+            if "sweep" in cfg:
+                return scn.run_sweep(cfg, tmp_path).parent.name
+            return scn.run_scenario(cfg, tmp_path)["name"]
+
+        name = run(first)
+        assert len(os.listdir(tmp_path / name)) > len(left)
+        assert run(second) == name
+        assert sorted(os.listdir(tmp_path / name)) == left
 
 
 class TestBundled:
@@ -1212,12 +1263,15 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     def test_sweep_command(self, tmp_path, capsys):
-        cfg = TestSweep().sweep_config([2.0e9, 1.0e9])
-        p = tmp_path / "swp.json"
-        p.write_text(json.dumps(cfg))
-        assert main(["sweep", str(p), "--out-dir", str(tmp_path / "out"),
-                     "--threads", "2"]) == 0
-        assert (tmp_path / "out" / "swp" / "sweep.csv").exists()
+        # a failed value holding a line break is still one point
+        for values in ([2.0e9, 1.0e9], [3.2e9, "a\nb"]):
+            cfg = TestSweep().sweep_config(values)
+            p = tmp_path / "swp.json"
+            p.write_text(json.dumps(cfg))
+            assert main(["sweep", str(p), "--out-dir", str(tmp_path / "out"),
+                         "--threads", "2"]) == 0
+            assert (tmp_path / "out" / "swp" / "sweep.csv").exists()
+            assert "sweep: 2 points -> " in capsys.readouterr().out
 
     def test_scenarios_command(self, capsys):
         assert main(["scenarios"]) == 0
@@ -1317,6 +1371,14 @@ class TestCli:
             "kind": "gated_offset", "params": {"offset": [0.01, 0.0]}}),
          "calibration.chain.stages.1.kind: gated stage 'gated_offset' cannot "
          "follow a hold_factor above 1"),
+        (probe_cal_config("iq_cal", n_samples=10**400),
+         "calibration.routine.n_samples: asks for over 1.798e+308 samples"),
+        (probe_cal_config("leakage_cancel", off_samples=10**400),
+         "calibration.routine.off_samples: the off window asks for over"),
+        (probe_cal_config("dpd_fit", hold_samples=10**400),
+         "calibration.routine.hold_samples: one level asks for over"),
+        (align_cal_config(n_symbols=10**400),
+         "calibration.routine.n_symbols: asks for over 1.798e+308 samples"),
     ], ids=["scale-str", "scale-bool", "scales-not-increasing",
             "too-few-scales", "window-zero", "step-negative",
             "no-polar-paths", "iq-samples", "iq-samples-held",
@@ -1331,7 +1393,9 @@ class TestCli:
             "rabi-saturation-negative", "rabi-residual-tol-negative",
             "align-seed-negative", "dpd-full-scale-zero",
             "dpd-full-scale-negative", "iq-held-chain", "iq-skew-past-quarter",
-            "leakage-gated-after-hold"])
+            "leakage-gated-after-hold", "iq-samples-past-float",
+            "leakage-gap-past-float", "dpd-hold-past-float",
+            "align-symbols-past-float"])
     def test_calibration_input_exit_two_before_compute(
             self, cfg, where, tmp_path, capsys, monkeypatch):
         from sigchain import calibration as cal
@@ -1385,9 +1449,13 @@ class TestCli:
          "stages.5.kind"),
         ("polar_skew", 0, {"kind": "rfdac_core", "bits": 12,
                            "hold_factor": 2}, "stages.1.kind"),
+        ("qam16_budget", None, {"n_symbols": 10**400}, "comm.n_symbols"),
+        ("qam16_budget", None, {"n_symbols": 32}, "comm.pulse.span_symbols"),
+        ("polar_skew", 0, {"tau_p": 1e300}, "stages.0.params.tau_p"),
     ], ids=["eps-str", "cutoff-past-nyquist", "seed-str", "gain-list",
             "quantize-bits-float", "rfdac-bits-bool", "n-symbols-huge",
-            "budget-composite-stage", "gated-after-hold"])
+            "budget-composite-stage", "gated-after-hold",
+            "n-symbols-past-float", "no-symbol-scored", "pm-delay-huge"])
     def test_config_mistakes_exit_two_with_path(
             self, scenario, stage, params, where, tmp_path, capsys):
         cfg = scn.read_config(scn.bundled_scenario_path(scenario))
