@@ -8,26 +8,10 @@ gate (average gate fidelity and leakage), plus the calibration loops that
 close the difference.
 """
 
-from sigchain.envelope import (
-    ComplexEnvelope,
-    PolarTracks,
-    Spectrum,
-    make_envelope,
-    to_polar,
-    from_polar,
-    fractional_delay,
-    windowed_fft,
-)
 from sigchain.modulation import (
-    Constellation,
     GateEnvelopeSpec,
     PulseShape,
-    SymbolStream,
     build_constellation,
-    gate_envelope,
-    map_bits,
-    shape_symbols,
-    with_peak,
 )
 from sigchain.chains import (
     StageSpec,
@@ -37,25 +21,12 @@ from sigchain.chains import (
     synth_comm_waveform,
     synth_qubit_pulse,
 )
-from sigchain.metrics import (
-    BudgetReport,
-    EvmReport,
-    LinkScorer,
-    demodulate,
-    evm,
-    evm_budget,
-    eye_metrics,
-    image_rejection,
-    psd_welch,
-    spurs_sfdr,
-)
+from sigchain.metrics import LinkScorer, evm_budget
 from sigchain.qubit import (
     GateSpec,
     QubitModel,
     average_gate_fidelity,
-    bloch_trajectory,
     propagate,
-    rabi_protocol,
     target_unitary,
 )
 from sigchain.calibration import (
@@ -69,51 +40,31 @@ from sigchain.scenario import (
     ConfigError,
     bundled_scenario_path,
     list_bundled_scenarios,
+    read_config,
     run_calibration,
     run_scenario,
     run_sweep,
 )
 
+# What README's quick start imports, plus the entry points of runs
+# (what the command line calls), of the calibration routines and of the
+# stage registry
 __all__ = [
-    "ComplexEnvelope",
-    "PolarTracks",
-    "Spectrum",
-    "make_envelope",
-    "to_polar",
-    "from_polar",
-    "fractional_delay",
-    "windowed_fft",
-    "Constellation",
     "GateEnvelopeSpec",
     "PulseShape",
-    "SymbolStream",
     "build_constellation",
-    "gate_envelope",
-    "map_bits",
-    "shape_symbols",
-    "with_peak",
     "StageSpec",
     "TxChain",
     "apply_stage",
     "run_chain",
     "synth_comm_waveform",
     "synth_qubit_pulse",
-    "BudgetReport",
-    "EvmReport",
     "LinkScorer",
-    "demodulate",
-    "evm",
     "evm_budget",
-    "eye_metrics",
-    "image_rejection",
-    "psd_welch",
-    "spurs_sfdr",
     "GateSpec",
     "QubitModel",
     "average_gate_fidelity",
-    "bloch_trajectory",
     "propagate",
-    "rabi_protocol",
     "target_unitary",
     "dpd_fit",
     "iq_cal",
@@ -123,6 +74,7 @@ __all__ = [
     "ConfigError",
     "bundled_scenario_path",
     "list_bundled_scenarios",
+    "read_config",
     "run_calibration",
     "run_scenario",
     "run_sweep",

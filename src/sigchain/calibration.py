@@ -102,12 +102,6 @@ class AmplitudeLut:
                 f"angle {angle:.4f} is outside the calibrated range")
         return float(np.interp(angle, self.theta, self.codes))
 
-    def angle_for_code(self, code: float) -> float:
-        if not self.codes[0] <= code <= self.codes[-1] + 1e-12:
-            raise CalibrationError(
-                f"code {code:.4f} is outside the calibrated range")
-        return float(np.interp(code, self.codes, self.theta))
-
 
 def rabi_amplitude_cal(model: qb.QubitModel, envelope: mod.GateEnvelopeSpec,
                        sample_rate: float, scales: list,

@@ -1,16 +1,19 @@
 """Transmitter architecture models built from shared impairment stages.
 
-A chain is an ordered list of stages applied to a complex envelope.  Four
-builders cover the common direct-modulation architectures:
+A chain is an ordered list of stages applied to a complex envelope.  The
+common direct-modulation architectures are stage lists, each shown by a
+bundled scenario:
 
-* cartesian: separate I and Q converter paths, quadrature mixing (path
-  mismatch, quadrature imbalance, carrier feedthrough)
-* polar: amplitude and phase converted separately and recombined (track
-  bandwidths, differential delay, gated-carrier leakage)
-* rfdac: a single high-rate converter synthesizes the modulated carrier
-  (per-code mismatch, zero-order-hold images)
-* harmonic: the phase path runs at a sub-harmonic and is multiplied up
-  (phase-noise multiplication, keying-state errors, switch dynamics, spurs)
+* cartesian (``qam16_budget``): separate I and Q converter paths,
+  quadrature mixing (path mismatch, quadrature imbalance, carrier
+  feedthrough)
+* polar (``polar_skew``): amplitude and phase converted separately and
+  recombined (track bandwidths, differential delay, gated-carrier leakage)
+* rfdac (``rfdac_images``): a single high-rate converter synthesizes the
+  modulated carrier (per-code mismatch, zero-order-hold images)
+* harmonic (``harmonic_ask``): the phase path runs at a sub-harmonic and is
+  multiplied up (phase-noise multiplication, keying-state errors, switch
+  dynamics, spurs)
 
 Stages carry only plain parameter values, so chains serialize cleanly and a
 calibration can be expressed as a parameter update or an extra stage.
@@ -28,11 +31,13 @@ from sigchain import impairments as imp
 from sigchain import modulation as mod
 from sigchain.envelope import (
     ComplexEnvelope,
+    InputError,
     PolarTracks,
+    check_delay,
     delay_real_track,
     from_polar,
+    require,
 )
-from sigchain.modulation import InputError, require
 
 __all__ = [
     "InputError",
@@ -41,16 +46,11 @@ __all__ = [
     "apply_stage",
     "run_chain",
     "run_chain_per_trim",
-    "cartesian_chain",
-    "polar_chain",
-    "rfdac_chain",
-    "harmonic_chain",
     "with_stage_param",
     "prepend_stage",
     "append_stage",
     "synth_comm_waveform",
     "synth_qubit_pulse",
-    "zoh_image_ratio_db",
 ]
 
 HARMONIC_FACTORS = (2, 3, 4)
@@ -152,7 +152,8 @@ class Param:
     None means the stage skips what the parameter controls.  ``below`` maps
     the sample rate the stage sees to an exclusive upper bound.  ``delay``
     marks a delay in seconds whose magnitude must stay below a quarter of
-    the record duration.  ``check_record`` checks both."""
+    the record duration.  ``check_record`` checks both; ``apply_stage``
+    checks delays against the record the stage sees."""
 
     type: str
     bounds: str = "(-inf, inf)"
@@ -197,11 +198,20 @@ def _args(spec: StageSpec) -> dict:
             for k, par in STAGES[spec.kind].params.items()}
 
 
+def _check_delays(row: Stage, p: dict, duration: float) -> None:
+    """Raise InputError at ``params.<name>`` at a delay of ``p`` that
+    reaches a quarter of the ``duration`` of the record the stage sees."""
+    for name, par in row.params.items():
+        if par.delay:
+            check_delay(p[name], duration, name, f"params.{name}")
+
+
 def apply_stage(
     env: ComplexEnvelope, spec: StageSpec, context: dict | None = None
 ) -> ComplexEnvelope:
     """Apply one stage to an envelope, as its registry row describes."""
     row, p = STAGES[spec.kind], _args(spec)
+    _check_delays(row, p, env.duration)
     if isinstance(row.apply, str):  # by name: a rebound imp.<name> is used
         return getattr(imp, row.apply)(env, *p.values())
     return row.apply(env, p, context)
@@ -469,10 +479,13 @@ def run_chain_per_trim(chain: TxChain, env: ComplexEnvelope, comp_delays):
     for spec in chain.stages[:at]:
         env = apply_stage(env, spec, context)
     p = _args(chain.stages[at])
+    _check_delays(STAGES["polar_paths"], p, env.duration)
     amp, phase = _polar_tracks(env, p)
 
     def outputs():
         for delay in comp_delays:
+            check_delay(delay, env.duration, "comp_delay_s",
+                        "params.comp_delay_s")
             out = _join_polar_tracks(env, amp, phase, p["tau_a"] + delay)
             for spec in chain.stages[at + 1:]:
                 out = apply_stage(out, spec, context)
@@ -531,9 +544,8 @@ def check_record(chain: TxChain | None, n_samples: int, sample_rate: float,
                 raise InputError(where, f"must stay below {par.below(fs):g} "
                                  f"at the {fs:g} Hz sample rate this stage "
                                  f"sees, got {v!r}")
-            if v is not None and par.delay and not abs(v) < duration / 4.0:
-                raise InputError(where, f"|{name}| must stay below a quarter "
-                                 f"of the {duration:g} s record, got {v!r}")
+            if v is not None and par.delay:
+                check_delay(v, duration, name, where)
         fs *= spec.params.get("hold_factor") or 1
     return hold
 
@@ -555,86 +567,6 @@ def prepend_stage(chain: TxChain, spec: StageSpec) -> TxChain:
 
 def append_stage(chain: TxChain, spec: StageSpec) -> TxChain:
     return TxChain(chain.architecture, chain.stages + (spec,))
-
-
-def cartesian_chain(
-    bits: int | None = None,
-    full_scale: float = 1.0,
-    cutoff_hz: float | None = None,
-    tau_i: float = 0.0,
-    tau_q: float = 0.0,
-    gain_mismatch: float = 0.0,
-    quad_skew: float = 0.0,
-    lo_offset: complex = 0.0,
-    extra_stages=(),
-) -> TxChain:
-    """Two-path quadrature transmitter; identity stages are omitted."""
-    stages = []
-    if bits is not None or cutoff_hz is not None or tau_i != 0.0 or tau_q != 0.0:
-        stages.append(StageSpec("iq_paths", {
-            "bits": bits, "full_scale": full_scale, "cutoff_hz": cutoff_hz,
-            "tau_i": tau_i, "tau_q": tau_q,
-        }))
-    if gain_mismatch != 0.0 or quad_skew != 0.0:
-        stages.append(StageSpec("iq_imbalance", {
-            "gain_mismatch": gain_mismatch, "quad_skew": quad_skew,
-        }))
-    if lo_offset != 0.0:
-        stages.append(StageSpec("lo_feedthrough", {"offset": lo_offset}))
-    return TxChain("cartesian", tuple(stages) + tuple(extra_stages))
-
-
-def polar_chain(*, off_ratio_db: float = math.inf, extra_stages=(),
-                **paths) -> TxChain:
-    """Amplitude/phase transmitter: a polar_paths stage taking the keyword
-    arguments ``paths`` as its parameters.  That stage is always present (it
-    defines the architecture) and always carries the alignment knob
-    ``comp_delay_s``, 0.0 unless given."""
-    stages = [StageSpec("polar_paths", {"comp_delay_s": 0.0, **paths})]
-    if not math.isinf(off_ratio_db):
-        stages.append(StageSpec("onoff_leakage", {"off_ratio_db": off_ratio_db}))
-    return TxChain("polar", tuple(stages) + tuple(extra_stages))
-
-
-def rfdac_chain(*, cutoff_hz: float | None = None, extra_stages=(),
-                **core) -> TxChain:
-    """Direct digital synthesis with one high-rate converter: an rfdac_core
-    stage taking the keyword arguments ``core`` as its parameters, then a
-    bandwidth limit when ``cutoff_hz`` is given."""
-    stages = [StageSpec("rfdac_core", core)]
-    if cutoff_hz is not None:
-        stages.append(StageSpec("bandwidth_limit", {"cutoff_hz": cutoff_hz}))
-    return TxChain("rfdac", tuple(stages) + tuple(extra_stages))
-
-
-def harmonic_chain(
-    factor: int,
-    phase_noise_rate: float = 0.0,
-    phase_noise_seed: int | None = None,
-    rise_fall_cutoff_hz: float | None = None,
-    amp_states=None,
-    state_gain_errors=None,
-    spur_offset_hz: float | None = None,
-    spur_level_dbc: float | None = None,
-    extra_stages=(),
-) -> TxChain:
-    """Sub-harmonic phase path multiplied up to the carrier."""
-    stages = []
-    if phase_noise_rate > 0.0:
-        stages.append(StageSpec("phase_noise", {
-            "rate": phase_noise_rate, "seed": phase_noise_seed,
-        }))
-    stages.append(StageSpec("harmonic_multiply", {"factor": factor}))
-    if amp_states is not None:
-        stages.append(StageSpec("state_errors", {
-            "levels": list(amp_states), "errors": list(state_gain_errors),
-        }))
-    if rise_fall_cutoff_hz is not None:
-        stages.append(StageSpec("rise_fall", {"cutoff_hz": rise_fall_cutoff_hz}))
-    if spur_offset_hz is not None:
-        stages.append(StageSpec("spur_inject", {
-            "offset_hz": spur_offset_hz, "level_dbc": spur_level_dbc}))
-    return TxChain("harmonic", tuple(stages) + tuple(extra_stages))
 
 
 def synth_comm_waveform(
@@ -690,14 +622,3 @@ def synth_qubit_pulse(
     if chain is not None:
         env = run_chain(chain, env)
     return env
-
-
-def zoh_image_ratio_db(f_tone: float, f_image: float, f_update: float) -> float:
-    """Predicted level of a zero-order-hold image relative to the wanted tone.
-
-    A converter updating at ``f_update`` weights its output spectrum by
-    sinc(f / f_update); the first image of a tone appears at f_update - f_tone.
-    """
-    want = np.sinc(f_tone / f_update)
-    img = np.sinc(f_image / f_update)
-    return float(20.0 * math.log10(abs(img) / abs(want)))

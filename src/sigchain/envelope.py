@@ -18,12 +18,10 @@ __all__ = [
     "PolarTracks",
     "Spectrum",
     "DELAY_KERNEL_HALF",
-    "make_envelope",
     "to_polar",
     "from_polar",
     "fractional_delay",
     "delay_real_track",
-    "windowed_fft",
 ]
 
 # Fractional-delay interpolator support, samples each side of the output
@@ -40,6 +38,31 @@ _FARROW_BLOCK = 4096
 _FARROW_ORDER = 12
 # The taps reproduce records that are polynomials up to this degree exactly.
 _EXACT_DEGREE = 4
+
+
+class InputError(ValueError):
+    """An argument breaks a rule: ``key`` names it (dotted into a record or
+    list, such as ``scales.2``) and ``problem`` says what is wrong."""
+
+    def __init__(self, key: str, problem: str) -> None:
+        super().__init__(f"{key}: {problem}")
+        self.key, self.problem = key, problem
+
+
+def require(cond: bool, key: str, problem: str) -> None:
+    """Raise InputError at ``key`` unless ``cond``."""
+    if not cond:
+        raise InputError(key, problem)
+
+
+def check_delay(tau: float, duration: float, name: str = "tau",
+                key: str | None = None) -> None:
+    """Raise InputError at ``key`` (``name`` unless given) unless the delay
+    ``name`` of ``tau`` seconds stays below a quarter of a record
+    ``duration`` seconds long."""
+    if not abs(tau) < duration / 4.0:
+        raise InputError(key or name, f"|{name}| must stay below a quarter "
+                         f"of the {duration:g} s record, got {tau!r}")
 
 
 def _frozen(record, name: str, dtype) -> np.ndarray:
@@ -136,18 +159,6 @@ class Spectrum:
             raise ValueError("frequency grid must be strictly increasing")
         if np.any(psd < 0.0):
             raise ValueError("psd must be nonnegative")
-
-
-def make_envelope(i, q, sample_rate: float, t0: float = 0.0) -> ComplexEnvelope:
-    """Assemble a complex envelope from I and Q sample arrays.
-
-    Arrays must have equal length; the result is x = i + 1j*q.
-    """
-    i = np.asarray(i, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if i.shape != q.shape:
-        raise ValueError("i and q must have the same shape")
-    return ComplexEnvelope(i + 1j * q, sample_rate, t0)
 
 
 def to_polar(env: ComplexEnvelope) -> PolarTracks:
@@ -311,8 +322,7 @@ def fractional_delay(env: ComplexEnvelope, tau: float) -> ComplexEnvelope:
     ``DELAY_KERNEL_HALF`` samples (plus the integer shift) are
     edge-contaminated and should not enter metric windows.
     """
-    if abs(tau) >= env.duration / 4.0:
-        raise ValueError("|tau| must be below a quarter of the record duration")
+    check_delay(tau, env.duration)
     out = _delayed_samples(env.samples, tau * env.sample_rate)
     return ComplexEnvelope(out, env.sample_rate, env.t0)
 
@@ -325,21 +335,3 @@ def delay_real_track(track: np.ndarray, tau: float, sample_rate: float) -> np.nd
 
 def _periodic_hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def windowed_fft(env: ComplexEnvelope, window: str = "rect") -> np.ndarray:
-    """FFT of the windowed record.
-
-    ``window`` is ``"rect"`` or ``"hann"`` (periodic Hann).  With the rect
-    window Parseval holds exactly: sum |x|^2 == sum |X|^2 / N.
-    """
-    x = env.samples
-    if x.size < 8:
-        raise ValueError("record too short for a meaningful FFT (need >= 8)")
-    if window == "rect":
-        wx = x
-    elif window == "hann":
-        wx = x * _periodic_hann(x.size)
-    else:
-        raise ValueError(f"unknown window {window!r}")
-    return np.fft.fft(wx)

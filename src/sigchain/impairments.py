@@ -15,7 +15,8 @@ import warnings
 
 import numpy as np
 
-from sigchain.envelope import ComplexEnvelope, _delayed_samples, _samples_at
+from sigchain.envelope import (ComplexEnvelope, _delayed_samples, _samples_at,
+                               check_delay)
 
 __all__ = [
     "amplitude_error",
@@ -287,9 +288,8 @@ def onoff_leakage(env: ComplexEnvelope, off_ratio_db: float, gate_mask) -> Compl
 
 def path_skew(env: ComplexEnvelope, tau_i: float, tau_q: float) -> ComplexEnvelope:
     """Independent timing skew of the I and Q paths (seconds each)."""
-    for tau in (tau_i, tau_q):
-        if abs(tau) >= env.duration / 4.0:
-            raise ValueError("|tau| must be below a quarter of the record duration")
+    check_delay(tau_i, env.duration, "tau_i")
+    check_delay(tau_q, env.duration, "tau_q")
     fs = env.sample_rate
     i = _delayed_samples(env.samples.real.astype(np.float64), tau_i * fs)
     q = _delayed_samples(env.samples.imag.astype(np.float64), tau_q * fs)

@@ -27,7 +27,6 @@ __all__ = [
     "evm_budget",
     "eye_metrics",
     "psd_welch",
-    "spurs_sfdr",
     "image_rejection",
 ]
 
@@ -93,7 +92,6 @@ def demodulate(
     symbol_period: float,
     n_symbols: int | None = None,
     timing_search: bool = False,
-    equalizer_taps: np.ndarray | None = None,
     skip_edge_symbols: int = 0,
 ) -> DemodResult:
     """Recover decision-point symbols from a waveform.
@@ -105,9 +103,6 @@ def demodulate(
     carrier, phase, or amplitude recovery.
     """
     x = env.samples
-    if equalizer_taps is not None:
-        x = np.convolve(x, np.asarray(equalizer_taps), mode="same")
-
     sps_f = symbol_period * env.sample_rate
     sps = int(round(sps_f))
     if sps < 1 or abs(sps_f - sps) > 1e-6:
@@ -392,43 +387,6 @@ def psd_welch(env: ComplexEnvelope, nperseg: int = 1024) -> Spectrum:
     freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, 1.0 / fs))
     enbw = fs * power / np.sum(w) ** 2
     return Spectrum(freqs, np.fft.fftshift(psd), float(enbw))
-
-
-def spurs_sfdr(spectrum: Spectrum, carrier_freq: float,
-               exclusion_bins: int = 3, threshold_db: float = 10.0,
-               min_dbc: float = -200.0):
-    """Spur table and spurious-free dynamic range from a PSD.
-
-    A spur is a local maximum more than ``threshold_db`` above the median
-    level and above ``min_dbc`` relative to the carrier (numerical floor
-    guard), outside the carrier exclusion window.  Returns (sfdr_db, spurs)
-    with spurs as (freq_hz, level_dbc) sorted strongest first.
-    """
-    p = spectrum.psd
-    if p.size < 8:
-        raise ValueError("spectrum too short")
-    floor = np.median(p[p > 0.0]) if np.any(p > 0.0) else 0.0
-    if floor == 0.0:
-        return math.inf, []
-    carrier_idx = int(np.argmin(np.abs(spectrum.freqs - carrier_freq)))
-    carrier_power = p[max(0, carrier_idx - exclusion_bins):
-                      carrier_idx + exclusion_bins + 1].max()
-    local_max = np.zeros(p.size, dtype=bool)
-    local_max[1:-1] = (p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:])
-    above = p > floor * 10.0 ** (threshold_db / 10.0)
-    above &= p > carrier_power * 10.0 ** (min_dbc / 10.0)
-    spur_mask = local_max & above
-    spur_mask[max(0, carrier_idx - exclusion_bins):
-              carrier_idx + exclusion_bins + 1] = False
-    spur_idx = np.flatnonzero(spur_mask)
-    spurs = sorted(
-        ((float(spectrum.freqs[i]),
-          float(10.0 * math.log10(p[i] / carrier_power))) for i in spur_idx),
-        key=lambda fr: -fr[1],
-    )
-    if not spurs:
-        return math.inf, []
-    return -spurs[0][1], spurs
 
 
 def image_rejection(env: ComplexEnvelope, tone_freq: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from sigchain.envelope import ComplexEnvelope, _frozen
+from sigchain.envelope import ComplexEnvelope, _frozen, require
 
 __all__ = [
     "Constellation",
@@ -25,7 +25,6 @@ __all__ = [
     "shape_filter",
     "shape_symbols",
     "shaped_samples",
-    "shaped_duration",
     "gate_samples",
     "gate_envelope",
     "gate_envelope_unit_area",
@@ -37,21 +36,6 @@ _NORM_TOL = 1e-12
 MIN_GATE_SAMPLES = 64
 # Most points a constellation may hold; its distinctness check is O(m^2)
 MAX_POINTS = 4096
-
-
-class InputError(ValueError):
-    """An argument breaks a rule: ``key`` names it (dotted into a record or
-    list, such as ``scales.2``) and ``problem`` says what is wrong."""
-
-    def __init__(self, key: str, problem: str) -> None:
-        super().__init__(f"{key}: {problem}")
-        self.key, self.problem = key, problem
-
-
-def require(cond: bool, key: str, problem: str) -> None:
-    """Raise InputError at ``key`` unless ``cond``."""
-    if not cond:
-        raise InputError(key, problem)
 
 
 def _gray(n: int) -> int:
@@ -369,14 +353,6 @@ def shaped_samples(n_symbols: int, shape: PulseShape) -> int:
     sps = shape.samples_per_symbol
     tails = 0 if shape.kind == "rect" else 2 * (shape.span_symbols * sps // 2)
     return n_symbols * sps + tails
-
-
-def shaped_duration(n_symbols: int, shape: PulseShape,
-                    symbol_period: float) -> float:
-    """``duration`` of that record at ``symbol_period``: its samples over
-    the record's sample rate."""
-    return shaped_samples(n_symbols, shape) / (
-        shape.samples_per_symbol / symbol_period)
 
 
 def _gaussian_params(spec: GateEnvelopeSpec) -> tuple[float, float]:

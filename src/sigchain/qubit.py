@@ -33,7 +33,6 @@ __all__ = [
     "axis_angle",
     "average_gate_fidelity",
     "infidelity_model",
-    "leakage_population",
     "bloch_trajectory",
     "rabi_protocol",
 ]
@@ -238,12 +237,6 @@ def infidelity_model(theta: float, eps_a: float, eps_phi: float) -> float:
     eps_a and axis phase error eps_phi (radians)."""
     return (theta ** 2 / 6.0) * eps_a ** 2 \
         + (2.0 / 3.0) * math.sin(theta / 2.0) ** 2 * eps_phi ** 2
-
-
-def leakage_population(actual: np.ndarray) -> float:
-    """Population escaping the computational subspace, averaged over it."""
-    m = actual[:2, :2]
-    return float(1.0 - np.real(np.trace(m.conj().T @ m)) / 2.0)
 
 
 def average_gate_fidelity(actual: np.ndarray,

@@ -35,7 +35,7 @@ from sigchain.chains import (ARCHITECTURES, STAGES, StageSpec, TxChain,
                              _finite, _real, check_budget, check_gate,
                              check_record, run_chain, synth_comm_waveform,
                              synth_qubit_pulse)
-from sigchain.modulation import InputError, require
+from sigchain.envelope import InputError, require
 
 __all__ = [
     "ConfigError",
@@ -348,7 +348,7 @@ def read_config(source):
         return json.loads(path.read_text())
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer past Python's digit limit
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
 
 

@@ -3,8 +3,10 @@
 Each architecture's defining artifact is pinned to a closed-form prediction:
 hold images to the sinc envelope, harmonic phase multiplication to an exact
 sample-wise identity, converter trim to monotone error reduction, and polar
-track skew to its sign symmetry.
+track skew to its sign symmetry.  Chains are written as stage lists, as
+scenario files write them.
 """
+import json
 import math
 
 import numpy as np
@@ -26,6 +28,18 @@ def _evm(rx: np.ndarray, ref: np.ndarray) -> float:
                          / np.mean(np.abs(ref) ** 2)))
 
 
+def _zoh_image_ratio_db(f_tone: float, f_image: float,
+                        f_update: float) -> float:
+    """Predicted level of a zero-order-hold image relative to the wanted tone.
+
+    A converter updating at ``f_update`` weights its output spectrum by
+    sinc(f / f_update); the first image of a tone appears at f_update - f_tone.
+    """
+    want = np.sinc(f_tone / f_update)
+    img = np.sinc(f_image / f_update)
+    return float(20.0 * math.log10(abs(img) / abs(want)))
+
+
 def _qpsk_waveform(n_sym: int = 256, sps: int = 16, seed: int = 0):
     const = mod.build_constellation("m_psk", m=4)
     rng = np.random.default_rng(seed)
@@ -44,7 +58,8 @@ class TestChainPlumbing:
 
     def test_identity_polar_chain_round_trips(self):
         env = _qpsk_waveform(64)
-        out = ch.run_chain(ch.polar_chain(), env)
+        chain = ch.TxChain("polar", (ch.StageSpec("polar_paths"),))
+        out = ch.run_chain(chain, env)
         assert np.max(np.abs(out.samples - env.samples)) < 1e-9
 
     def test_unknown_stage_kind_rejected(self):
@@ -66,29 +81,40 @@ class TestChainPlumbing:
             ch.apply_stage(env, ch.StageSpec("phase_noise", {"rate": 1.0}))
 
     def test_with_stage_param(self):
-        chain = ch.polar_chain(tau_a=1e-9)
+        chain = ch.TxChain("polar", (ch.StageSpec(
+            "polar_paths", {"tau_a": 1e-9, "comp_delay_s": 0.0}),))
         tuned = ch.with_stage_param(chain, "polar_paths", comp_delay_s=-1e-9)
         assert tuned.stages[0].params["comp_delay_s"] == -1e-9
         assert chain.stages[0].params["comp_delay_s"] == 0.0
 
     def test_with_stage_param_missing_kind(self):
         with pytest.raises(ValueError, match="no 'rfdac_core' stage"):
-            ch.with_stage_param(ch.polar_chain(), "rfdac_core", bits=8)
+            ch.with_stage_param(ch.TxChain("polar", (
+                ch.StageSpec("polar_paths"),)), "rfdac_core", bits=8)
 
     def test_linear_chain_commutes_with_real_scale(self):
         env = _qpsk_waveform(64)
-        chain = ch.cartesian_chain(cutoff_hz=8e6, tau_i=0.2 / env.sample_rate,
-                                   gain_mismatch=0.03, quad_skew=0.02)
+        chain = ch.TxChain("cartesian", (
+            ch.StageSpec("iq_paths", {"cutoff_hz": 8e6,
+                                      "tau_i": 0.2 / env.sample_rate}),
+            ch.StageSpec("iq_imbalance", {"gain_mismatch": 0.03,
+                                          "quad_skew": 0.02}),
+        ))
         a = ch.run_chain(chain, ComplexEnvelope(0.5 * env.samples,
                                                 env.sample_rate))
         b = ch.run_chain(chain, env)
         assert np.max(np.abs(a.samples - 0.5 * b.samples)) < 1e-12
 
     def test_stage_list_serializes_plainly(self):
-        chain = ch.cartesian_chain(bits=10, cutoff_hz=1e6, gain_mismatch=0.01)
-        for spec in chain.stages:
-            assert isinstance(spec.kind, str)
-            assert isinstance(spec.params, dict)
+        chain = ch.TxChain("cartesian", (
+            ch.StageSpec("iq_paths", {"bits": 10, "cutoff_hz": 1e6}),
+            ch.StageSpec("iq_imbalance", {"gain_mismatch": 0.01}),
+        ))
+        text = json.dumps([{"kind": spec.kind, "params": spec.params}
+                           for spec in chain.stages])
+        back = ch.TxChain("cartesian", tuple(
+            ch.StageSpec(**stage) for stage in json.loads(text)))
+        assert back == chain
 
 
 class TestSharedInput:
@@ -125,7 +151,8 @@ class TestSharedInput:
 
         monkeypatch.setattr(envelope, "to_polar", counted)
         env = _qpsk_waveform(64)
-        polar = ch.polar_chain(am_cutoff_hz=5e7, tau_p=1e-9).stages[0]
+        polar = ch.StageSpec("polar_paths", {"am_cutoff_hz": 5e7,
+                                             "tau_p": 1e-9})
         for spec in (polar, ch.StageSpec("rise_fall", {"cutoff_hz": 5e7}),
                      ch.StageSpec("harmonic_multiply", {"factor": 2}),
                      ch.StageSpec("state_errors", {"levels": [1.0],
@@ -135,21 +162,13 @@ class TestSharedInput:
 
 
 class TestCartesian:
-    def test_builder_omits_identity_stages(self):
-        assert ch.cartesian_chain().stages == ()
-        kinds = [s.kind for s in ch.cartesian_chain(gain_mismatch=0.02).stages]
-        assert kinds == ["iq_imbalance"]
-
-    def test_full_chain_order(self):
-        chain = ch.cartesian_chain(bits=10, cutoff_hz=1e6, gain_mismatch=0.02,
-                                   lo_offset=0.01)
-        assert [s.kind for s in chain.stages] == [
-            "iq_paths", "iq_imbalance", "lo_feedthrough"]
-
     def test_matches_manual_stage_application(self):
         env = _qpsk_waveform(64)
-        chain = ch.cartesian_chain(gain_mismatch=0.04, quad_skew=0.03,
-                                   lo_offset=0.01 - 0.02j)
+        chain = ch.TxChain("cartesian", (
+            ch.StageSpec("iq_imbalance", {"gain_mismatch": 0.04,
+                                          "quad_skew": 0.03}),
+            ch.StageSpec("lo_feedthrough", {"offset": 0.01 - 0.02j}),
+        ))
         out = ch.run_chain(chain, env)
         manual = imp.lo_feedthrough(
             imp.iq_imbalance(env, 0.04, 0.03), 0.01 - 0.02j)
@@ -161,9 +180,8 @@ class TestPolar:
         # differential delay of either sign distorts about equally
         env = _qpsk_waveform(256)
         dt = 2.5 / env.sample_rate
-        ref = ch.run_chain(ch.polar_chain(), env)
-        plus = ch.run_chain(ch.polar_chain(tau_a=dt), env)
-        minus = ch.run_chain(ch.polar_chain(tau_a=-dt), env)
+        ref, plus, minus = (ch.run_chain(ch.TxChain("polar", (ch.StageSpec(
+            "polar_paths", {"tau_a": tau}),)), env) for tau in (0.0, dt, -dt))
         e_plus = _evm(plus.samples, ref.samples)
         e_minus = _evm(minus.samples, ref.samples)
         assert e_plus > 0.01  # the skew must actually bite
@@ -172,8 +190,10 @@ class TestPolar:
     def test_comp_delay_cancels_skew(self):
         env = _qpsk_waveform(128)
         dt = 1.7 / env.sample_rate
-        ref = ch.run_chain(ch.polar_chain(), env)
-        skewed = ch.polar_chain(tau_a=dt)
+        ref = ch.run_chain(ch.TxChain("polar", (
+            ch.StageSpec("polar_paths"),)), env)
+        skewed = ch.TxChain("polar", (
+            ch.StageSpec("polar_paths", {"tau_a": dt}),))
         raw = ch.run_chain(skewed, env)
         fixed = ch.run_chain(
             ch.with_stage_param(skewed, "polar_paths", comp_delay_s=-dt), env)
@@ -182,7 +202,9 @@ class TestPolar:
 
     def test_amplitude_quantization_only_touches_amplitude(self):
         env = _qpsk_waveform(64)
-        out = ch.run_chain(ch.polar_chain(am_bits=6, am_full_scale=1.5), env)
+        chain = ch.TxChain("polar", (ch.StageSpec(
+            "polar_paths", {"am_bits": 6, "am_full_scale": 1.5}),))
+        out = ch.run_chain(chain, env)
         ref_ph = np.angle(env.samples[np.abs(env.samples) > 0.2])
         out_ph = np.angle(out.samples[np.abs(env.samples) > 0.2])
         d = np.angle(np.exp(1j * (out_ph - ref_ph)))
@@ -195,7 +217,10 @@ class TestPolar:
         sym = np.exp(1j * 0.3) * np.ones(n_on)
         x = np.concatenate([np.zeros(256), sym, np.zeros(256)]).astype(complex)
         env = ComplexEnvelope(x, fs)
-        chain = ch.polar_chain(off_ratio_db=40.0)
+        chain = ch.TxChain("polar", (
+            ch.StageSpec("polar_paths"),
+            ch.StageSpec("onoff_leakage", {"off_ratio_db": 40.0}),
+        ))
         out = ch.run_chain(chain, env)
         off = out.samples[768 + 8:]
         assert np.max(np.abs(np.abs(off) - 1e-2)) < 1e-9
@@ -208,12 +233,14 @@ class TestPolar:
         sym = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 384))
         x = np.concatenate([np.zeros(64), sym, np.zeros(64), sym[:128]])
         env = ComplexEnvelope(x, 8e9)
-        chain = ch.polar_chain(
-            am_bits=7, am_cutoff_hz=1.5e9, tau_a=3e-11, pm_bits=9,
-            pm_cutoff_hz=2e9, tau_p=8e-11, off_ratio_db=30.0,
-            extra_stages=(ch.StageSpec("gated_offset", {"offset": 0.01}),))
-        chain = ch.prepend_stage(chain, ch.StageSpec("lo_feedthrough",
-                                                     {"offset": 0.02 - 0.01j}))
+        chain = ch.TxChain("polar", (
+            ch.StageSpec("lo_feedthrough", {"offset": 0.02 - 0.01j}),
+            ch.StageSpec("polar_paths", {
+                "am_bits": 7, "am_cutoff_hz": 1.5e9, "tau_a": 3e-11,
+                "pm_bits": 9, "pm_cutoff_hz": 2e9, "tau_p": 8e-11}),
+            ch.StageSpec("onoff_leakage", {"off_ratio_db": 30.0}),
+            ch.StageSpec("gated_offset", {"offset": 0.01}),
+        ))
         delays = [-5e-11, 0.0, 2.5e-11, 1.1e-10]
         outs = list(ch.run_chain_per_trim(chain, env, delays))
         assert len(outs) == len(delays)
@@ -223,10 +250,20 @@ class TestPolar:
             assert np.array_equal(out.samples, ref.samples)
             assert (out.sample_rate, out.t0) == (ref.sample_rate, ref.t0)
 
+    def test_per_trim_refuses_a_trim_past_a_quarter(self):
+        env = _tone(0.1, n=256)   # 256 us
+        chain = ch.TxChain("polar", (ch.StageSpec("polar_paths"),))
+        outs = ch.run_chain_per_trim(chain, env, [0.0, 64e-6])
+        next(outs)
+        with pytest.raises(ch.InputError, match="comp_delay_s") as info:
+            next(outs)
+        assert info.value.key == "params.comp_delay_s"
+
     def test_per_trim_needs_polar_paths(self):
         with pytest.raises(ValueError, match="polar_paths"):
-            ch.run_chain_per_trim(ch.cartesian_chain(quad_skew=0.1),
-                                  _tone(0.1), [0.0])
+            ch.run_chain_per_trim(ch.TxChain("cartesian", (
+                ch.StageSpec("iq_imbalance", {"quad_skew": 0.1}),)),
+                _tone(0.1), [0.0])
 
     def test_gated_offset_only_touches_off_samples(self):
         x = np.concatenate([np.zeros(16), np.ones(16), np.zeros(16)])
@@ -241,14 +278,18 @@ class TestPolar:
 class TestRfdac:
     def test_quantize_only_matches_impairment(self):
         env = _qpsk_waveform(64)
-        out = ch.run_chain(ch.rfdac_chain(bits=9, full_scale=1.2), env)
+        chain = ch.TxChain("rfdac", (
+            ch.StageSpec("rfdac_core", {"bits": 9, "full_scale": 1.2}),))
+        out = ch.run_chain(chain, env)
         ref = imp.quantize(env, 9, 1.2)
         assert np.max(np.abs(out.samples - ref.samples)) < 1e-12
 
     def test_hold_images_follow_sinc_envelope(self):
         fs, n, k, hold = 1e6, 4096, 205, 8
         env = _tone(k / n, n=n, fs=fs)
-        out = ch.run_chain(ch.rfdac_chain(bits=14, hold_factor=hold), env)
+        chain = ch.TxChain("rfdac", (
+            ch.StageSpec("rfdac_core", {"bits": 14, "hold_factor": hold}),))
+        out = ch.run_chain(chain, env)
         assert out.sample_rate == fs * hold
         assert len(out) == n * hold
         spec = np.abs(np.fft.fft(out.samples)) / len(out)
@@ -257,30 +298,33 @@ class TestRfdac:
         for m, idx in ((1, 7 * n + k), (-1, n + k)):
             f_img = f0 - m * fs if m == 1 else f0 + fs
             img_db = 20.0 * math.log10(spec[idx])
-            predicted = ch.zoh_image_ratio_db(f0, f_img, fs)
+            predicted = _zoh_image_ratio_db(f0, f_img, fs)
             assert img_db - carrier_db == pytest.approx(predicted, abs=1.0)
 
     def test_mismatch_needs_seed(self):
         env = _tone(0.01, n=64)
         with pytest.raises(ValueError, match="seed"):
-            ch.run_chain(ch.rfdac_chain(bits=8, mismatch_sigma=0.01), env)
+            ch.run_chain(ch.TxChain("rfdac", (ch.StageSpec(
+                "rfdac_core", {"bits": 8, "mismatch_sigma": 0.01}),)), env)
 
     def test_trim_monotonically_reduces_mismatch_error(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, 8192) + 1j * rng.uniform(-1, 1, 8192)
         env = ComplexEnvelope(x, 1e6)
-        clean = ch.run_chain(ch.rfdac_chain(bits=10), env)
+        clean = ch.run_chain(ch.TxChain("rfdac", (
+            ch.StageSpec("rfdac_core", {"bits": 10}),)), env)
         errs = []
         for trim in (0, 2, 4, 6):
-            out = ch.run_chain(
-                ch.rfdac_chain(bits=10, mismatch_sigma=0.01, seed=17,
-                               trim_bits=trim), env)
+            out = ch.run_chain(ch.TxChain("rfdac", (ch.StageSpec(
+                "rfdac_core", {"bits": 10, "mismatch_sigma": 0.01,
+                               "seed": 17, "trim_bits": trim}),)), env)
             errs.append(_evm(out.samples, clean.samples))
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_mismatch_is_seed_deterministic(self):
         env = _qpsk_waveform(32)
-        chain = ch.rfdac_chain(bits=8, mismatch_sigma=0.02, seed=5)
+        chain = ch.TxChain("rfdac", (ch.StageSpec(
+            "rfdac_core", {"bits": 8, "mismatch_sigma": 0.02, "seed": 5}),))
         a = ch.run_chain(chain, env)
         b = ch.run_chain(chain, env)
         assert np.array_equal(a.samples, b.samples)
@@ -292,15 +336,15 @@ class TestHarmonic:
         f0 = 0.02 * fs
         env = _tone(0.02, n=n, fs=fs)
         for factor in ch.HARMONIC_FACTORS:
-            out = ch.run_chain(ch.harmonic_chain(factor), env)
+            out = ch.run_chain(ch.TxChain("harmonic", (ch.StageSpec(
+                "harmonic_multiply", {"factor": factor}),)), env)
             t = np.arange(n) / fs
             expect = np.exp(2j * np.pi * factor * f0 * t)
             assert np.max(np.abs(out.samples - expect)) < 1e-9
 
     def test_factor_validation(self):
-        env = _tone(0.01, n=64)
         with pytest.raises(ValueError, match="harmonic factor"):
-            ch.run_chain(ch.harmonic_chain(5), env)
+            ch.StageSpec("harmonic_multiply", {"factor": 5})
 
     def test_phase_noise_multiplies_exactly(self):
         # same seed: the multiplied chain's phase error is exactly M times
@@ -309,9 +353,10 @@ class TestHarmonic:
         env = _tone(0.02, n=n, fs=fs)
         noisy = imp.phase_noise(env, rate, seed=11)
         theta = np.angle(noisy.samples / env.samples)
-        out = ch.run_chain(
-            ch.harmonic_chain(factor, phase_noise_rate=rate,
-                              phase_noise_seed=11), env)
+        out = ch.run_chain(ch.TxChain("harmonic", (
+            ch.StageSpec("phase_noise", {"rate": rate, "seed": 11}),
+            ch.StageSpec("harmonic_multiply", {"factor": factor}),
+        )), env)
         clean3 = env.samples ** factor
         d = np.angle(out.samples / (clean3 * np.exp(1j * factor * theta)))
         assert np.max(np.abs(d)) < 1e-9
@@ -320,8 +365,11 @@ class TestHarmonic:
         x = np.concatenate([np.zeros(32), np.ones(32), np.zeros(32),
                             0.5 * np.ones(32)]).astype(complex)
         env = ComplexEnvelope(x, 1e6)
-        chain = ch.harmonic_chain(2, amp_states=[0.0, 0.5, 1.0],
-                                  state_gain_errors=[0.0, -0.03, 0.02])
+        chain = ch.TxChain("harmonic", (
+            ch.StageSpec("harmonic_multiply", {"factor": 2}),
+            ch.StageSpec("state_errors", {"levels": [0.0, 0.5, 1.0],
+                                          "errors": [0.0, -0.03, 0.02]}),
+        ))
         out = ch.run_chain(chain, env)
         assert np.allclose(np.abs(out.samples[32:64]), 1.02)
         assert np.allclose(np.abs(out.samples[96:]), 0.5 * 0.97)
@@ -330,8 +378,11 @@ class TestHarmonic:
     def test_spur_level_is_exact(self):
         fs, n, k = 1e6, 4096, 204
         env = _tone(k / n, n=n, fs=fs)  # unit rms carrier, exact bin
-        chain = ch.harmonic_chain(2, spur_offset_hz=0.25 * fs,
-                                  spur_level_dbc=-40.0)
+        chain = ch.TxChain("harmonic", (
+            ch.StageSpec("harmonic_multiply", {"factor": 2}),
+            ch.StageSpec("spur_inject", {"offset_hz": 0.25 * fs,
+                                         "level_dbc": -40.0}),
+        ))
         out = ch.run_chain(chain, env)
         spec = np.abs(np.fft.fft(out.samples)) / n
         carrier = spec[2 * k]  # doubled tone
@@ -342,7 +393,11 @@ class TestHarmonic:
     def test_rise_fall_smooths_keying_edge(self):
         x = np.concatenate([np.zeros(64), np.ones(192)]).astype(complex)
         env = ComplexEnvelope(x, 1e6)
-        out = ch.run_chain(ch.harmonic_chain(2, rise_fall_cutoff_hz=2e4), env)
+        chain = ch.TxChain("harmonic", (
+            ch.StageSpec("harmonic_multiply", {"factor": 2}),
+            ch.StageSpec("rise_fall", {"cutoff_hz": 2e4}),
+        ))
+        out = ch.run_chain(chain, env)
         edge = np.abs(out.samples[64:96])
         assert edge[0] < 0.2 and edge[-1] > 0.8
         assert np.all(np.diff(np.abs(out.samples[64:160])) > -1e-12)

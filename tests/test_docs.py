@@ -2,13 +2,19 @@
 
 The README's code blocks are run by ``test_scenario.TestReadme``; these
 tests hold its impairment catalog to the stage registry, its mode table to
-the mode rows, its calibration table to the routine signatures and its
-command-line examples to the argument parser."""
+the mode rows, its calibration table to the routine signatures, its
+command-line examples to the argument parser and its quick start to the
+package exports."""
+import importlib
 import inspect
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
+import sigchain
 from sigchain.chains import ARCHITECTURES, STAGES
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -87,3 +93,30 @@ def test_mode_table_matches_the_modes():
                      if key in row.defaults else "required")
                for key, kind in row.keys.items()}
         for name, row in _MODES.items()}
+
+
+@pytest.mark.parametrize("name", [
+    m.name for m in pkgutil.iter_modules(sigchain.__path__)] + [None])
+def test_every_export_resolves(name):
+    module = importlib.import_module(
+        "sigchain" + (f".{name}" if name else ""))
+    exports = getattr(module, "__all__", ())
+    assert len(set(exports)) == len(exports)
+    for export in exports:
+        assert hasattr(module, export), f"{module.__name__}.{export}"
+
+
+def test_package_exports_the_quick_start_and_the_entry_points():
+    from sigchain import calibration, cli
+
+    quick = _section("Quick start (library)")
+    imported = {name for block in re.findall(
+        r"^from sigchain import \((.*?)\)", quick, flags=re.M | re.S)
+        for name in re.findall(r"\w+", block)}
+    # runs: what the command line calls; the calibration routines; and the
+    # stage registry's entry, one stage applied by kind
+    runs = set(re.findall(r"\bscn\.([A-Za-z]\w*)",
+                          inspect.getsource(cli)))
+    assert imported and runs
+    entries = runs | set(calibration.ROUTINES) | {"apply_stage"}
+    assert set(sigchain.__all__) == imported | entries

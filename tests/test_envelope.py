@@ -15,9 +15,7 @@ from sigchain.envelope import (
     _samples_at,
     fractional_delay,
     from_polar,
-    make_envelope,
     to_polar,
-    windowed_fft,
 )
 
 
@@ -27,10 +25,6 @@ def tone(freq, fs, n, amp=1.0, phase=0.0):
 
 
 class TestEnvelopeType:
-    def test_mismatched_iq_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            make_envelope([1.0, 2.0], [1.0], 1.0)
-
     def test_nonpositive_sample_rate_rejected(self):
         with pytest.raises(ValueError):
             ComplexEnvelope(np.ones(4), 0.0)
@@ -225,34 +219,6 @@ class TestSamplesAt:
         assert got.tobytes() == _samples_at(x, d).tobytes()
 
 
-class TestWindowedFft:
-    def test_parseval_rect(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=300) + 1j * rng.normal(size=300)
-        env = ComplexEnvelope(x, 1.0)
-        bins = windowed_fft(env, "rect")
-        time_power = np.sum(np.abs(x) ** 2)
-        freq_power = np.sum(np.abs(bins) ** 2) / x.size
-        assert freq_power == pytest.approx(time_power, rel=1e-9)
-
-    def test_hann_tone_confined_to_adjacent_bins(self):
-        fs, n, k = 1.0, 256, 16
-        env = tone(k * fs / n, fs, n)
-        bins = np.abs(windowed_fft(env, "hann"))
-        occupied = {k - 1, k, k + 1}
-        others = [b for i, b in enumerate(bins) if i not in occupied]
-        assert bins[k] > 0.4 * n
-        assert max(others) < 1e-9 * bins[k]
-
-    def test_short_record_rejected(self):
-        with pytest.raises(ValueError):
-            windowed_fft(ComplexEnvelope(np.ones(4), 1.0))
-
-    def test_unknown_window_rejected(self):
-        with pytest.raises(ValueError):
-            windowed_fft(ComplexEnvelope(np.ones(16), 1.0), "kaiser")
-
-
 class TestSpectrumType:
     def test_monotone_freq_grid_enforced(self):
         with pytest.raises(ValueError):
@@ -270,7 +236,7 @@ class TestSpectrumType:
 )
 def test_polar_round_trip_property(i, q):
     n = min(len(i), len(q))
-    env = make_envelope(np.array(i[:n]), np.array(q[:n]), 1.0)
+    env = ComplexEnvelope(np.array(i[:n]) + 1j * np.array(q[:n]), 1.0)
     back = from_polar(to_polar(env))
     mask = np.abs(env.samples) > 1e-9
     if mask.any():

@@ -14,7 +14,7 @@ from sigchain.modulation import (
     map_bits,
     shape_filter,
     shape_symbols,
-    shaped_duration,
+    shaped_samples,
 )
 
 
@@ -246,7 +246,7 @@ class TestShapeSymbols:
         stream = map_bits(np.zeros(2 * 21, dtype=int), c, symbol_period=period)
         shape = PulseShape(kind, span_symbols=span, samples_per_symbol=sps)
         env = shape_symbols(stream, shape)
-        assert shaped_duration(21, shape, period) == env.duration
+        assert shaped_samples(21, shape) == len(env)
 
 
 class TestGateEnvelope:

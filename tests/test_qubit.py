@@ -394,9 +394,14 @@ class TestThreeLevel:
                               anharmonicity=self.ALPHA)
         return qb.propagate(model, env)
 
+    @staticmethod
+    def _leakage(u):
+        return qb.average_gate_fidelity(u, qb.target_unitary(
+            qb.GateSpec(math.pi))).leakage
+
     def test_derivative_quadrature_cuts_leakage(self):
-        plain = qb.leakage_population(self._pi_pulse(None))
-        shaped = qb.leakage_population(self._pi_pulse(1.0 / self.ALPHA))
+        plain = self._leakage(self._pi_pulse(None))
+        shaped = self._leakage(self._pi_pulse(1.0 / self.ALPHA))
         assert plain > 1e-5
         assert shaped < plain / 100.0
 
@@ -408,22 +413,23 @@ class TestThreeLevel:
         assert shaped.infidelity < 1.1 * plain.infidelity
 
     def test_wrong_sign_makes_leakage_worse(self):
-        plain = qb.leakage_population(self._pi_pulse(None))
-        wrong = qb.leakage_population(self._pi_pulse(-1.0 / self.ALPHA))
+        plain = self._leakage(self._pi_pulse(None))
+        wrong = self._leakage(self._pi_pulse(-1.0 / self.ALPHA))
         assert wrong > plain
 
     def test_leakage_report_matches_helper(self):
         u = self._pi_pulse(None)
         rep = qb.average_gate_fidelity(u, qb.target_unitary(
             qb.GateSpec(math.pi)))
-        assert rep.leakage == pytest.approx(qb.leakage_population(u),
-                                            abs=1e-15)
+        m = u[:2, :2]
+        assert rep.leakage == pytest.approx(
+            1.0 - np.linalg.norm(m, "fro") ** 2 / 2.0, abs=1e-15)
 
     def test_zero_drive_has_zero_leakage(self):
         model = qb.QubitModel(drive_gain=1.0, detuning=TWO_PI * 1e6,
                               levels=3, anharmonicity=self.ALPHA)
         env = ComplexEnvelope(np.zeros(32, dtype=complex), 1e9)
-        assert qb.leakage_population(qb.propagate(model, env)) < 1e-15
+        assert self._leakage(qb.propagate(model, env)) < 1e-15
 
     def test_huge_anharmonicity_recovers_two_level(self):
         tau = 32e-9

@@ -6,6 +6,7 @@ comm or qubit section, and runs what plans."""
 import copy
 import dataclasses
 import inspect
+import json
 import math
 import sys
 
@@ -20,6 +21,7 @@ from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain import scenario as scn
+from sigchain.cli import main
 from sigchain.envelope import ComplexEnvelope
 
 
@@ -151,6 +153,27 @@ class TestSchemaChecks:
         with pytest.raises(ch.InputError) as info:
             check(bound)
         assert info.value.key == f"chain.stages.0.params.{name}"
+
+    @pytest.mark.parametrize("value", [1e300, 1e-6])
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name) for kind, row in ch.STAGES.items()
+        for name, par in row.params.items() if par.delay])
+    def test_library_and_config_refuse_a_delay_alike(self, kind, name, value,
+                                                     tmp_path, capsys):
+        # the bundled pi pulse is a 256-sample record at 16 GHz, 16 ns long
+        spec = ch.StageSpec(kind, {name: value})
+        with pytest.raises(ch.InputError) as info:
+            ch.apply_stage(ComplexEnvelope(np.ones(256), 1.6e10), spec)
+        cfg = scn.read_config(scn.bundled_scenario_path("pi_pulse_ideal"))
+        cfg["chain"] = {"stages": [{"kind": kind, "params": {name: value}}]}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", str(p), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert info.value.key == f"params.{name}"
+        assert capsys.readouterr().err == (
+            "sigchain: config error: scenario.chain.stages.0."
+            f"{info.value.key}: {info.value.problem}\n")
 
 
 # ------------------------------------------------------------- fuzzing

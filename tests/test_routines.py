@@ -194,7 +194,8 @@ def test_align_grid_fills_the_budget_at_its_edge():
     chain = TxChain("polar", (StageSpec("polar_paths", {}),))
     rule(chain=chain, sample_rate=8e9, **EDGE)
     shape = cal.align_probe_shape(EDGE["symbol_period"], 8e9)
-    duration = mod.shaped_duration(24, shape, EDGE["symbol_period"])
+    duration = mod.shaped_samples(24, shape) / (
+        shape.samples_per_symbol / EDGE["symbol_period"])
     assert round(duration * 8e9) == 256
     grid = cal.align_candidates(EDGE["window_s"], STEP, duration)
     assert grid.size * 256 == MAX_SAMPLES

@@ -867,8 +867,9 @@ def _align_window(n_symbols, at_edge):
 
     cfg = align_cal_config(n_symbols=n_symbols)
     r = cfg["routine"]
-    quarter = mod.shaped_duration(n_symbols, cal.align_probe_shape(
-        r["symbol_period"], cfg["sample_rate"]), r["symbol_period"]) / 4.0
+    shape = cal.align_probe_shape(r["symbol_period"], cfg["sample_rate"])
+    quarter = mod.shaped_samples(n_symbols, shape) / (
+        shape.samples_per_symbol / r["symbol_period"]) / 4.0
     r["window_s"] = (quarter if at_edge else
                      float(np.nextafter(quarter, 0.0)))
     r["step_s"] = r["window_s"] / 4.0
@@ -1168,6 +1169,19 @@ class TestCli:
         assert main([command, str(p), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and str(p) in err
+
+    def test_integer_past_the_digit_limit_exit_two(self, tmp_path, capsys):
+        # json.loads refuses an integer literal of over 4,300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        cfg = scn.read_config(scn.bundled_scenario_path("qpsk_ideal"))
+        cfg["comm"]["n_symbols"] = "N"
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(cfg).replace('"N"', "1" + "0" * 5000))
+        assert main(["simulate", str(p), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"sigchain: config error: {p}: invalid JSON (Exceeds the limit")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("duration_s, code", [(6.3e-8, 2), (6.4e-8, 0)])
