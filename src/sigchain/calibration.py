@@ -152,6 +152,8 @@ def _rabi_rules(envelope, sample_rate, scales, chain, residual_tol,
     for k, v in enumerate(scales):
         require(_finite(v), f"scales.{k}",
                 f"expected finite number, got {v!r}")
+        require(v >= 0.0, f"scales.{k}", f"a scale is a gate peak and must "
+                f"be nonnegative, got {v!r}")
     require(len(scales) >= 5, "scales", "need at least 5 sweep points")
     require(all(lo < hi for lo, hi in zip(scales, scales[1:])), "scales",
             "must be strictly increasing")

@@ -152,8 +152,8 @@ class Param:
     None means the stage skips what the parameter controls.  ``below`` maps
     the sample rate the stage sees to an exclusive upper bound.  ``delay``
     marks a delay in seconds whose magnitude must stay below a quarter of
-    the record duration.  ``check_record`` checks both; ``apply_stage``
-    checks delays against the record the stage sees."""
+    the record duration.  ``check_stage`` checks both against the record
+    the stage sees."""
 
     type: str
     bounds: str = "(-inf, inf)"
@@ -179,7 +179,7 @@ class Param:
 
 class Stage(NamedTuple):
     """A registry row.  ``apply`` names an impairments function, called
-    with the parameters in schema order, or is a function of (envelope,
+    with the parameters as keywords, or is a function of (envelope,
     parameters, context).  ``seeded`` says whether given parameters make
     the stage draw random numbers; ``check`` raises InputError.  A
     ``gated`` stage reads the on/off gate of the chain input."""
@@ -198,22 +198,17 @@ def _args(spec: StageSpec) -> dict:
             for k, par in STAGES[spec.kind].params.items()}
 
 
-def _check_delays(row: Stage, p: dict, duration: float) -> None:
-    """Raise InputError at ``params.<name>`` at a delay of ``p`` that
-    reaches a quarter of the ``duration`` of the record the stage sees."""
-    for name, par in row.params.items():
-        if par.delay:
-            check_delay(p[name], duration, name, f"params.{name}")
-
-
 def apply_stage(
     env: ComplexEnvelope, spec: StageSpec, context: dict | None = None
 ) -> ComplexEnvelope:
-    """Apply one stage to an envelope, as its registry row describes."""
+    """Apply one stage to an envelope, as its registry row describes, after
+    ``check_stage`` on the record it sees (held unless the gate mask fits)."""
+    mask = (context or {}).get("gate_mask")
+    check_stage(spec, env.sample_rate, env.duration,
+                mask is not None and mask.shape != (len(env),))
     row, p = STAGES[spec.kind], _args(spec)
-    _check_delays(row, p, env.duration)
     if isinstance(row.apply, str):  # by name: a rebound imp.<name> is used
-        return getattr(imp, row.apply)(env, *p.values())
+        return getattr(imp, row.apply)(env, **p)
     return row.apply(env, p, context)
 
 
@@ -221,15 +216,8 @@ def apply_stage(
 
 def _gate_mask(env: ComplexEnvelope, context: dict | None) -> np.ndarray:
     """Commanded on/off mask, taken from the chain input when available."""
-    if context is not None and "gate_mask" in context:
-        mask = context["gate_mask"]
-        if mask.shape != (len(env),):
-            raise ValueError(
-                "gate mask no longer matches the record; a length-changing "
-                "stage cannot precede a gated one"
-            )
-        return mask
-    return np.abs(env.samples) > 0.0
+    mask = (context or {}).get("gate_mask")
+    return np.abs(env.samples) > 0.0 if mask is None else mask
 
 
 def _apply_iq_paths(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
@@ -274,7 +262,7 @@ def _join_polar_tracks(env: ComplexEnvelope, amp: np.ndarray,
         amp = delay_real_track(amp, tau_a, fs)
     # filtering and interpolation can undershoot; amplitude is physical
     amp = np.maximum(amp, 0.0)
-    return from_polar(PolarTracks(amp, phase, fs), t0=env.t0)
+    return from_polar(PolarTracks(amp, phase, fs))
 
 
 def _apply_polar_paths(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
@@ -315,13 +303,13 @@ def _apply_rfdac_core(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
     samples = i + 1j * q
     if hold > 1:
         samples = np.repeat(samples, hold)
-    return ComplexEnvelope(samples, env.sample_rate * hold, env.t0)
+    return ComplexEnvelope(samples, env.sample_rate * hold)
 
 
 def _apply_harmonic_multiply(env: ComplexEnvelope, p: dict, ctx):
     tracks = env.polar
     out = tracks.amplitude * np.exp(1j * p["factor"] * tracks.phase)
-    return ComplexEnvelope(out, env.sample_rate, env.t0)
+    return ComplexEnvelope(out, env.sample_rate)
 
 
 def _apply_rise_fall(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
@@ -329,7 +317,7 @@ def _apply_rise_fall(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
     amp = np.maximum(imp.lowpass_track(tracks.amplitude, p["cutoff_hz"],
                                        env.sample_rate), 0.0)
     out = amp * np.exp(1j * tracks.phase)
-    return ComplexEnvelope(out, env.sample_rate, env.t0)
+    return ComplexEnvelope(out, env.sample_rate)
 
 
 def _apply_spur_inject(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
@@ -337,7 +325,7 @@ def _apply_spur_inject(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
     amp = rms * 10.0 ** (p["level_dbc"] / 20.0)
     t = np.arange(len(env)) / env.sample_rate
     spur = amp * np.exp(1j * (2.0 * math.pi * p["offset_hz"] * t + p["phase"]))
-    return ComplexEnvelope(env.samples + spur, env.sample_rate, env.t0)
+    return ComplexEnvelope(env.samples + spur, env.sample_rate)
 
 
 def _apply_state_errors(env: ComplexEnvelope, p: dict, ctx):
@@ -351,20 +339,20 @@ def _apply_state_errors(env: ComplexEnvelope, p: dict, ctx):
     idx = np.argmin(np.abs(tracks.amplitude[:, None] - levels[None, :]), axis=1)
     amp = tracks.amplitude * (1.0 + errors[idx])
     out = np.maximum(amp, 0.0) * np.exp(1j * tracks.phase)
-    return ComplexEnvelope(out, env.sample_rate, env.t0)
+    return ComplexEnvelope(out, env.sample_rate)
 
 
 def _apply_iq_correction(env: ComplexEnvelope, p: dict, ctx):
     (a, b), (c, d) = np.asarray(p["matrix"], dtype=np.float64)
     i, q = env.samples.real, env.samples.imag
     out = a * i + b * q + 1j * (c * i + d * q) + p["offset"]
-    return ComplexEnvelope(out, env.sample_rate, env.t0)
+    return ComplexEnvelope(out, env.sample_rate)
 
 
 def _apply_gated_offset(env: ComplexEnvelope, p: dict, ctx):
     samples = np.where(_gate_mask(env, ctx), env.samples,
                        env.samples + p["offset"])
-    return ComplexEnvelope(samples, env.sample_rate, env.t0)
+    return ComplexEnvelope(samples, env.sample_rate)
 
 
 def _check_factor(p: dict) -> None:
@@ -478,8 +466,8 @@ def run_chain_per_trim(chain: TxChain, env: ComplexEnvelope, comp_delays):
     context = {"gate_mask": np.abs(env.samples) > 0.0}
     for spec in chain.stages[:at]:
         env = apply_stage(env, spec, context)
+    check_stage(chain.stages[at], env.sample_rate, env.duration)
     p = _args(chain.stages[at])
-    _check_delays(STAGES["polar_paths"], p, env.duration)
     amp, phase = _polar_tracks(env, p)
 
     def outputs():
@@ -520,32 +508,41 @@ def check_budget(n_samples: float, key: str, what: str = "") -> None:
             f"samples, more than the budget of {MAX_SAMPLES}")
 
 
+def check_stage(spec: StageSpec, fs: float, duration: float,
+                held: bool = False, at: str = "") -> None:
+    """Raise InputError under ``at`` unless ``spec`` fits the record it sees,
+    ``duration`` s at ``fs`` Hz, ``held`` if a hold made it: at ``kind`` for
+    a gated stage on a held record, at ``params.<name>`` for a broken
+    ``below`` bound or a ``delay`` past a quarter of ``duration``."""
+    row = STAGES[spec.kind]
+    require(not (row.gated and held), f"{at}kind", f"gated stage "
+            f"{spec.kind!r} cannot follow a hold_factor above 1")
+    for name, par in row.params.items():
+        v, where = spec.params.get(name), f"{at}params.{name}"
+        if v is not None and par.below and not v < par.below(fs):
+            raise InputError(where, f"must stay below {par.below(fs):g} at "
+                             f"the {fs:g} Hz sample rate this stage sees, "
+                             f"got {v!r}")
+        if v is not None and par.delay:
+            check_delay(v, duration, name, where)
+
+
 def check_record(chain: TxChain | None, n_samples: int, sample_rate: float,
                  key: str, record_rate: float | None = None) -> int:
     """Check ``chain`` against the record it runs on, ``n_samples`` samples
     at ``sample_rate`` lasting ``n_samples / record_rate`` s (a shaped
     record's own rate, ``sps / symbol_period``, unless ``sample_rate``), and
     return its hold product.  Raises InputError at ``key`` unless the held
-    record fits ``MAX_SAMPLES``, and under ``chain.stages.<i>`` at a gated
-    stage after a hold, a ``below`` bound broken at the stage's rate or a
-    ``delay`` past a quarter of the duration."""
+    record fits ``MAX_SAMPLES``, and under ``chain.stages.<i>.`` where
+    ``check_stage`` refuses a stage at the rate it sees."""
     stages = chain.stages if chain is not None else ()
     hold = math.prod(spec.params.get("hold_factor") or 1 for spec in stages)
     check_budget(n_samples * hold, key)
     duration = n_samples / (record_rate or sample_rate)
     fs = sample_rate
     for i, spec in enumerate(stages):
-        row, at = STAGES[spec.kind], f"chain.stages.{i}"
-        require(not row.gated or fs == sample_rate, f"{at}.kind", f"gated "
-                f"stage {spec.kind!r} cannot follow a hold_factor above 1")
-        for name, par in row.params.items():
-            v, where = spec.params.get(name), f"{at}.params.{name}"
-            if v is not None and par.below and not v < par.below(fs):
-                raise InputError(where, f"must stay below {par.below(fs):g} "
-                                 f"at the {fs:g} Hz sample rate this stage "
-                                 f"sees, got {v!r}")
-            if v is not None and par.delay:
-                check_delay(v, duration, name, where)
+        check_stage(spec, fs, duration, fs != sample_rate,
+                    f"chain.stages.{i}.")
         fs *= spec.params.get("hold_factor") or 1
     return hold
 
@@ -618,7 +615,7 @@ def synth_qubit_pulse(
     env = mod.gate_envelope(spec, sample_rate)
     if axis_phase != 0.0:
         env = ComplexEnvelope(env.samples * np.exp(1j * axis_phase),
-                              env.sample_rate, env.t0)
+                              env.sample_rate)
     if chain is not None:
         env = run_chain(chain, env)
     return env

@@ -76,7 +76,7 @@ def _frozen(record, name: str, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComplexEnvelope:
-    """Uniformly sampled complex baseband record.
+    """Uniformly sampled complex baseband record, its first sample at time 0.
 
     Parameters
     ----------
@@ -84,13 +84,10 @@ class ComplexEnvelope:
         Envelope samples, one-dimensional, at least one sample.
     sample_rate : float
         Sample rate in Hz, strictly positive.
-    t0 : float
-        Time of the first sample in seconds.
     """
 
     samples: np.ndarray
     sample_rate: float
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         samples = _frozen(self, "samples", np.complex128)
@@ -179,10 +176,10 @@ def to_polar(env: ComplexEnvelope) -> PolarTracks:
     return PolarTracks(amp, phase, env.sample_rate)
 
 
-def from_polar(tracks: PolarTracks, t0: float = 0.0) -> ComplexEnvelope:
-    """Recombine amplitude/phase tracks into a complex envelope."""
+def from_polar(tracks: PolarTracks) -> ComplexEnvelope:
+    """Recombine amplitude/phase tracks into an envelope at their rate."""
     samples = tracks.amplitude * np.exp(1j * tracks.phase)
-    return ComplexEnvelope(samples, tracks.sample_rate, t0)
+    return ComplexEnvelope(samples, tracks.sample_rate)
 
 
 def _farrow_table() -> np.ndarray:
@@ -324,7 +321,7 @@ def fractional_delay(env: ComplexEnvelope, tau: float) -> ComplexEnvelope:
     """
     check_delay(tau, env.duration)
     out = _delayed_samples(env.samples, tau * env.sample_rate)
-    return ComplexEnvelope(out, env.sample_rate, env.t0)
+    return ComplexEnvelope(out, env.sample_rate)
 
 
 def delay_real_track(track: np.ndarray, tau: float, sample_rate: float) -> np.ndarray:

@@ -35,20 +35,16 @@ __all__ = [
 ]
 
 
-def _rebuild(env: ComplexEnvelope, samples: np.ndarray) -> ComplexEnvelope:
-    return ComplexEnvelope(samples, env.sample_rate, env.t0)
-
-
 def amplitude_error(env: ComplexEnvelope, eps_a: float) -> ComplexEnvelope:
     """Uniform gain error: x -> (1 + eps_a) x.  Requires eps_a > -1."""
     if eps_a <= -1.0:
         raise ValueError("eps_a must exceed -1 (gain must stay positive)")
-    return _rebuild(env, env.samples * (1.0 + eps_a))
+    return ComplexEnvelope(env.samples * (1.0 + eps_a), env.sample_rate)
 
 
 def static_phase_error(env: ComplexEnvelope, phi_e: float) -> ComplexEnvelope:
     """Static carrier-phase rotation: x -> x * exp(j phi_e)."""
-    return _rebuild(env, env.samples * np.exp(1j * phi_e))
+    return ComplexEnvelope(env.samples * np.exp(1j * phi_e), env.sample_rate)
 
 
 def phase_noise(env: ComplexEnvelope, rate: float, seed: int) -> ComplexEnvelope:
@@ -64,7 +60,7 @@ def phase_noise(env: ComplexEnvelope, rate: float, seed: int) -> ComplexEnvelope
     rng = np.random.default_rng(seed)
     steps = rng.normal(0.0, math.sqrt(rate / env.sample_rate), n - 1)
     theta = np.concatenate(([0.0], np.cumsum(steps)))
-    return _rebuild(env, env.samples * np.exp(1j * theta))
+    return ComplexEnvelope(env.samples * np.exp(1j * theta), env.sample_rate)
 
 
 def iq_imbalance_mu_nu(gain_mismatch: float, quad_skew: float) -> tuple[complex, complex]:
@@ -94,12 +90,12 @@ def iq_imbalance(
     qp = (1.0 - gain_mismatch / 2.0) * (
         q * math.cos(quad_skew) + i * math.sin(quad_skew)
     )
-    return _rebuild(env, ip + 1j * qp)
+    return ComplexEnvelope(ip + 1j * qp, env.sample_rate)
 
 
 def lo_feedthrough(env: ComplexEnvelope, offset: complex) -> ComplexEnvelope:
     """Residual carrier: a constant complex offset added to the envelope."""
-    return _rebuild(env, env.samples + offset)
+    return ComplexEnvelope(env.samples + offset, env.sample_rate)
 
 
 def _one_pole_coeffs(cutoff_hz: float, sample_rate: float):
@@ -172,7 +168,7 @@ def _one_pole(x: np.ndarray, b0: float, a1: float) -> np.ndarray:
 def bandwidth_limit(env: ComplexEnvelope, cutoff_hz: float) -> ComplexEnvelope:
     """Single-pole low-pass with unity DC gain (finite analog bandwidth)."""
     b, a = _one_pole_coeffs(cutoff_hz, env.sample_rate)
-    return _rebuild(env, _one_pole(env.samples, b[0], a[1]))
+    return ComplexEnvelope(_one_pole(env.samples, b[0], a[1]), env.sample_rate)
 
 
 def lowpass_track(track: np.ndarray, cutoff_hz: float, sample_rate: float) -> np.ndarray:
@@ -205,7 +201,7 @@ def quantize(env: ComplexEnvelope, bits: int, full_scale: float) -> ComplexEnvel
     """Quantize I and Q independently (mid-tread, clipped at +-full_scale)."""
     i = quantize_track(env.samples.real, bits, full_scale)
     q = quantize_track(env.samples.imag, bits, full_scale)
-    return _rebuild(env, i + 1j * q)
+    return ComplexEnvelope(i + 1j * q, env.sample_rate)
 
 
 def sample_jitter(env: ComplexEnvelope, sigma_s: float, seed: int) -> ComplexEnvelope:
@@ -229,7 +225,7 @@ def sample_jitter(env: ComplexEnvelope, sigma_s: float, seed: int) -> ComplexEnv
         return env
     rng = np.random.default_rng(seed)
     d = rng.normal(0.0, sigma_s * env.sample_rate, len(env))
-    return _rebuild(env, _samples_at(env.samples, d))
+    return ComplexEnvelope(_samples_at(env.samples, d), env.sample_rate)
 
 
 def am_ampm(env: ComplexEnvelope, gain_poly, phase_poly) -> ComplexEnvelope:
@@ -255,7 +251,8 @@ def am_ampm(env: ComplexEnvelope, gain_poly, phase_poly) -> ComplexEnvelope:
     new_amp = _poly(amp, gain_poly, odd=True)
     phase_shift = _poly(amp, phase_poly)
     scale = np.where(amp > 0.0, new_amp / np.where(amp > 0.0, amp, 1.0), 0.0)
-    return _rebuild(env, env.samples * scale * np.exp(1j * phase_shift))
+    return ComplexEnvelope(env.samples * scale * np.exp(1j * phase_shift),
+                           env.sample_rate)
 
 
 def _poly(a: np.ndarray, coeffs: np.ndarray, odd: bool = False) -> np.ndarray:
@@ -283,7 +280,7 @@ def onoff_leakage(env: ComplexEnvelope, off_ratio_db: float, gate_mask) -> Compl
     last_on = np.where(mask, np.arange(len(env)), -1)
     np.maximum.accumulate(last_on, out=last_on)
     template = np.where(last_on >= 0, x[np.maximum(last_on, 0)], 0.0)
-    return _rebuild(env, np.where(mask, x, template * leak))
+    return ComplexEnvelope(np.where(mask, x, template * leak), env.sample_rate)
 
 
 def path_skew(env: ComplexEnvelope, tau_i: float, tau_q: float) -> ComplexEnvelope:
@@ -293,4 +290,4 @@ def path_skew(env: ComplexEnvelope, tau_i: float, tau_q: float) -> ComplexEnvelo
     fs = env.sample_rate
     i = _delayed_samples(env.samples.real.astype(np.float64), tau_i * fs)
     q = _delayed_samples(env.samples.imag.astype(np.float64), tau_q * fs)
-    return _rebuild(env, i + 1j * q)
+    return ComplexEnvelope(i + 1j * q, env.sample_rate)

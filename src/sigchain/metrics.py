@@ -188,8 +188,9 @@ class LinkScorer:
         return rx[:n], ref[:n], evm(rx[:n], ref[:n])
 
 
-# Additive error budget terms; each atomic stage kind names its own
-BUDGET_TERMS = ("amp", "phase", "pn", "iq_lo", "bw")
+# Additive error budget terms: the distinct stage terms, in registry order
+BUDGET_TERMS = tuple(dict.fromkeys(row.term for row in STAGES.values()
+                                   if row.term))
 
 
 def check_budget_terms(chain: TxChain) -> None:

@@ -290,7 +290,7 @@ def bloch_trajectory(model: QubitModel, env: ComplexEnvelope,
     ab = np.conj(a) * b
     pts = np.column_stack([2.0 * ab.real, 2.0 * ab.imag,
                            np.abs(a) ** 2 - np.abs(b) ** 2])
-    times = env.t0 + np.arange(x.size + 1) * dt
+    times = np.arange(x.size + 1) * dt
     return times, pts
 
 

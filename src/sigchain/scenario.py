@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import functools
 import inspect
+import itertools
 import json
 import logging
 import math
@@ -620,8 +621,7 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
     for p, vals in zip(paths, values):
         _set_path(copy.deepcopy(base), p, vals[0])
 
-    grid = [(a,) for a in values[0]] if len(paths) == 1 else \
-        [(a, b) for a in values[0] for b in values[1]]
+    grid = list(itertools.product(*values))
 
     made = None
     if all(p.startswith("chain.") for p in paths):
@@ -643,11 +643,8 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
             log.debug("sweep point %s traceback", point, exc_info=True)
             return point, None, str(e)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, grid))
-    else:
-        results = [one(p) for p in grid]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(one, grid))
 
     cols = _MODES[base_plan["mode"]].columns
     failures = []

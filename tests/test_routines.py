@@ -115,6 +115,10 @@ CASES = [
      "calibration.routine.hold_samples"),
     ("polar_delay_align", [POLAR], {**ALIGN, "n_symbols": 10 ** 400},
      "calibration.routine.n_symbols"),
+    # a scale is a gate peak
+    ("rabi_amplitude_cal", None,
+     {**RABI, "scales": [-0.05, 0.1, 0.2, 0.3, 0.4]},
+     "calibration.routine.scales.0"),
 ]
 
 
