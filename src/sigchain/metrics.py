@@ -8,7 +8,8 @@ or scale recovery.  What the hardware distorts, the metric reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +34,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DemodResult:
-    """Decision-point samples and hard decisions for one record."""
+    """Decision-point samples of one record and the constellation they are
+    decided on.  ``decided_labels``, the label of each sample's nearest
+    point, is found on first read and then kept: scoring reads only the
+    samples."""
 
     rx_symbols: np.ndarray
-    decided_labels: np.ndarray
+    constellation: mod.Constellation
     timing_offset: int
+
+    @cached_property
+    def decided_labels(self) -> np.ndarray:
+        d2 = np.abs(self.rx_symbols[:, None]
+                    - self.constellation.points[None, :]) ** 2
+        return np.argmin(d2, axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -85,6 +95,48 @@ def _decision_grid(shape: mod.PulseShape, sps_out: int, n_total: int,
     return first, n_sym
 
 
+# Window samples gathered per matrix-vector product of the decimating matched
+# filter: bounds its working memory whatever the record length
+_DEMOD_BLOCK = 1 << 16
+
+
+def _convolve_at(x: np.ndarray, taps: np.ndarray,
+                 idx: np.ndarray) -> np.ndarray:
+    """``np.convolve(x, taps)[idx]`` for complex ``x`` and real ``taps``,
+    computing only the outputs at ``idx`` (each in ``[0, x.size +
+    taps.size - 1)``).
+
+    Output n is the window ``x[n - taps.size + 1:n + 1]``, zero outside the
+    record, dotted with the reversed taps.  Each rail copies the span of
+    ``x`` the windows cover into one zero-padded buffer, and its windows are
+    gathered a block at a time and reduced by one real matrix-vector
+    product."""
+    n_taps = taps.size
+    starts = idx - (n_taps - 1)
+    lo, hi = int(starts.min()), int(starts.max()) + n_taps
+    a, b = max(lo, 0), min(hi, x.size)
+    rev = taps[::-1].copy()
+    rows = max(1, _DEMOD_BLOCK // n_taps)
+    out = np.empty(idx.size, dtype=np.complex128)
+    rail = np.zeros(hi - lo)
+    windows = np.lib.stride_tricks.sliding_window_view(rail, n_taps)
+    for part, src in ((out.real, x.real), (out.imag, x.imag)):
+        rail[a - lo:b - lo] = src[a:b]
+        for k in range(0, idx.size, rows):
+            part[k:k + rows] = windows[starts[k:k + rows] - lo] @ rev
+    return out
+
+
+def _matched_taps(shape: mod.PulseShape, sps: int) -> np.ndarray:
+    """Root-raised-cosine receive taps at ``sps`` samples per symbol, scaled
+    so the transmit-receive cascade has unit gain on a record whose rate
+    differs from the pulse's by a ``hold_factor``."""
+    mod.require(sps >= 4, "symbol_period", "a matched filter needs at least "
+                f"4 samples per symbol, the record has {sps}")
+    taps = mod.shape_filter(replace(shape, samples_per_symbol=sps))
+    return taps * math.sqrt(shape.samples_per_symbol / sps)
+
+
 def demodulate(
     env: ComplexEnvelope,
     constellation: mod.Constellation,
@@ -96,11 +148,16 @@ def demodulate(
 ) -> DemodResult:
     """Recover decision-point symbols from a waveform.
 
-    Root-raised-cosine shapes get the matched receive filter; every other
-    shape is sampled directly at its group delay.  ``timing_search`` scans
-    integer sample offsets within half a symbol and keeps the one whose first
-    symbols (at most 64) sit closest to the constellation.  There is no
-    carrier, phase, or amplitude recovery.
+    Root-raised-cosine shapes get the matched receive filter, which is
+    evaluated only at the decision instants (and at each ``timing_search``
+    candidate): the full convolution's output there, a block of windows at a
+    time.  Its taps are scaled to unit cascade gain when the record's rate
+    is a multiple of the pulse's, and a record under 4 samples per symbol is
+    refused with InputError.  Every other shape is sampled directly at its
+    group delay.  ``timing_search`` scans integer sample offsets within half
+    a symbol and keeps the one whose first symbols (at most 64) sit closest
+    to the constellation.  There is no carrier, phase, or amplitude
+    recovery.
     """
     x = env.samples
     sps_f = symbol_period * env.sample_rate
@@ -108,13 +165,16 @@ def demodulate(
     if sps < 1 or abs(sps_f - sps) > 1e-6:
         raise ValueError("symbol period must be an integer number of samples")
 
-    rx_filtered = shape.kind == "root_raised_cosine"
-    if rx_filtered:
-        rx_shape = mod.PulseShape(shape.kind, shape.rolloff,
-                                  shape.span_symbols, max(sps, 4))
-        x = np.convolve(x, mod.shape_filter(rx_shape))
+    taps = None
+    n_out = x.size
+    if shape.kind == "root_raised_cosine":
+        taps = _matched_taps(shape, sps)
+        n_out += taps.size - 1
 
-    first, n_auto = _decision_grid(shape, sps, len(env), rx_filtered)
+    def sample(idx: np.ndarray) -> np.ndarray:
+        return x[idx] if taps is None else _convolve_at(x, taps, idx)
+
+    first, n_auto = _decision_grid(shape, sps, len(env), taps is not None)
     if n_symbols is None:
         n_symbols = n_auto
     if n_symbols < 1:
@@ -122,31 +182,30 @@ def demodulate(
 
     offset = 0
     if timing_search:
-        n_pre = min(64, n_symbols)
+        cands = range(-(sps // 2), sps // 2 + 1)
+        grid = first + np.array(cands)[:, None] \
+            + sps * np.arange(min(64, n_symbols))[None, :]
+        inside = (grid >= 0) & (grid < n_out)
         pts = constellation.points
+        d2 = np.min(np.abs(sample(grid[inside])[:, None] - pts[None, :]) ** 2,
+                    axis=1)
+        rows = np.split(d2, np.cumsum(inside.sum(axis=1))[:-1])
         best = math.inf
-        for cand in range(-(sps // 2), sps // 2 + 1):
-            idx = first + cand + sps * np.arange(n_pre)
-            idx = idx[(idx >= 0) & (idx < x.size)]
-            if idx.size == 0:
+        for cand, row in zip(cands, rows):
+            if row.size == 0:
                 continue
-            d2 = np.min(
-                np.abs(x[idx][:, None] - pts[None, :]) ** 2, axis=1)
-            cost = float(np.mean(d2))
+            cost = float(np.mean(row))
             if cost < best:
                 best, offset = cost, cand
 
     idx = first + offset + sps * np.arange(n_symbols)
-    if idx[0] < 0 or idx[-1] >= x.size:
+    if idx[0] < 0 or idx[-1] >= n_out:
         raise ValueError("decision instants fall outside the record")
-    rx = x[idx]
     if skip_edge_symbols > 0:
-        if 2 * skip_edge_symbols >= rx.size:
+        if 2 * skip_edge_symbols >= idx.size:
             raise ValueError("skip_edge_symbols leaves no symbols")
-        rx = rx[skip_edge_symbols:-skip_edge_symbols]
-    labels = np.argmin(
-        np.abs(rx[:, None] - constellation.points[None, :]) ** 2, axis=1)
-    return DemodResult(rx, labels.astype(np.int64), offset)
+        idx = idx[skip_edge_symbols:-skip_edge_symbols]
+    return DemodResult(sample(idx), constellation, offset)
 
 
 def evm(rx_symbols, ref_symbols) -> EvmReport:
@@ -241,30 +300,33 @@ def _kmeans_1d(s: np.ndarray, k: int, n_iter: int = 64) -> np.ndarray:
     from a prefix sum; an empty run keeps its previous center."""
     csum = np.concatenate(([0.0], np.cumsum(s)))
     centers = np.quantile(s, (np.arange(k) + 0.5) / k)
-    for _ in range(n_iter):
-        bounds = _runs(s, centers)
-        counts = np.diff(bounds)
-        new = centers.copy()
-        filled = counts > 0
-        new[filled] = np.diff(csum[bounds])[filled] / counts[filled]
-        new = np.sort(new)
-        if np.allclose(new, centers, rtol=0.0, atol=1e-12):
+    # inf - inf in the convergence test is nan, which reads as not close
+    with np.errstate(invalid="ignore"):
+        for _ in range(n_iter):
+            bounds = _runs(s, centers)
+            counts = np.diff(bounds)
+            new = centers.copy()
+            filled = counts > 0
+            new[filled] = np.diff(csum[bounds])[filled] / counts[filled]
+            new = np.sort(new)
+            # np.allclose(new, centers, rtol=0.0, atol=1e-12) without its
+            # per-call overhead: equal infinities count as close
+            done = ((new == centers) | (np.abs(new - centers) <= 1e-12)).all()
             centers = new
-            break
-        centers = new
+            if done:
+                break
     return centers
 
 
 def _recut_traces(x: np.ndarray, n_traces: int, sps: int,
                   instant: int) -> np.ndarray:
-    """One-period traces centered on a candidate sampling phase."""
+    """One-period traces centered on a candidate sampling phase: a view of
+    ``x`` with one trace per row."""
     start = instant - sps // 2
     k_first = 0 if start >= 0 else 1
     k_last = n_traces - 1 if start + n_traces * sps <= x.size \
         else n_traces - 2
-    rows = np.arange(k_first, k_last + 1)
-    idx = start + rows[:, None] * sps + np.arange(sps)[None, :]
-    return x[idx]
+    return x[start + k_first * sps:start + (k_last + 1) * sps].reshape(-1, sps)
 
 
 def _identity_gaps(traces: np.ndarray, n_levels: int):
@@ -274,7 +336,8 @@ def _identity_gaps(traces: np.ndarray, n_levels: int):
     A phase's gap is the smallest opening between neighboring classes,
     negative where they interleave and inf with fewer than two classes."""
     center = traces.shape[1] // 2
-    order = np.argsort(traces[:, center], kind="stable")
+    # tied center values fall in one run, so their order changes no class
+    order = np.argsort(traces[:, center])
     ranked = traces[order]
     s = ranked[:, center]
     counts = np.diff(_runs(s, _kmeans_1d(s, n_levels)))

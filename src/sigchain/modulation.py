@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -276,8 +277,10 @@ def map_bits(bits, constellation: Constellation, symbol_period: float = 1.0) -> 
     return SymbolStream(constellation.points[labels], symbol_period)
 
 
+@lru_cache(maxsize=64)
 def shape_filter(shape: PulseShape) -> np.ndarray:
-    """Impulse-response taps for a pulse shape.
+    """Impulse-response taps for a pulse shape, made once per shape and
+    returned read-only.
 
     Nyquist kinds are evaluated on a grid of span_symbols*samples_per_symbol+1
     points (odd length, symmetric).  Raised-cosine taps are peak-normalized
@@ -285,14 +288,13 @@ def shape_filter(shape: PulseShape) -> np.ndarray:
     unit-energy so a matched-filter cascade restores symbol amplitudes.
     """
     sps = shape.samples_per_symbol
-    if shape.kind == "rect":
-        return np.ones(sps, dtype=np.float64)
-
     n_half = shape.span_symbols * sps // 2
     t = np.arange(-n_half, n_half + 1, dtype=np.float64) / sps  # symbol units
     beta = shape.rolloff
 
-    if shape.kind == "sinc":
+    if shape.kind == "rect":
+        taps = np.ones(sps, dtype=np.float64)
+    elif shape.kind == "sinc":
         taps = np.sinc(t)
     elif shape.kind == "raised_cosine":
         taps = np.sinc(t) * np.cos(np.pi * beta * t)
@@ -323,6 +325,7 @@ def shape_filter(shape: PulseShape) -> np.ndarray:
         taps = np.exp(-(t**2) / (2.0 * sigma**2))
     else:  # pragma: no cover - guarded by PulseShape validation
         raise ValueError(shape.kind)
+    taps.flags.writeable = False
     return taps
 
 

@@ -158,19 +158,29 @@ def _csv_cell(v) -> str:
 def _csv(header: str, *columns) -> str:
     """CSV text from equal-length columns, one row per index.
 
-    A float ndarray column goes through one C-level ``%.17g`` pass per block
-    of ``_CSV_BLOCK`` rows; any other column is formatted cell by cell:
-    strings as they are, integers in decimal, floats as ``%.17g`` and lists,
-    objects and null as compact JSON.  Another ndarray column formats each
-    distinct value once.  ``%.17g`` spells nan and infinities ``nan``,
+    A float ndarray column is written as ``%.17g`` text.  When at most half
+    its cells are distinct, each distinct bit pattern (so -0.0 apart from
+    0.0, and each nan) is formatted once and its text repeated; otherwise
+    the column goes through one C-level ``%.17g`` pass per block of
+    ``_CSV_BLOCK`` rows.  Another ndarray column formats each distinct value
+    once, and any other column is formatted cell by cell: strings as they
+    are, integers in decimal, floats as ``%.17g`` and lists, objects and
+    null as compact JSON.  ``%.17g`` spells nan and infinities ``nan``,
     ``inf`` and ``-inf``.  A cell holding a comma, quote or line break is
     quoted per RFC 4180.
     """
     cols, fmts = [], []
     for c in columns:
         if isinstance(c, np.ndarray) and c.dtype.kind == "f":
-            cols.append(c)
-            fmts.append("%.17g")
+            c = c.astype(np.float64, copy=False)
+            bits, index = np.unique(c.view(np.int64), return_inverse=True)
+            if 2 * bits.size <= c.size:
+                texts = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+                cols.append(np.array(texts, dtype=object)[index])
+                fmts.append("%s")
+            else:
+                cols.append(c)
+                fmts.append("%.17g")
         elif isinstance(c, np.ndarray) and c.dtype.kind != "O":
             values, index = np.unique(c, return_inverse=True)
             texts = np.array([_csv_cell(v) for v in values], dtype=object)

@@ -117,9 +117,11 @@ def test_stage_working_memory(kind, record):
 @pytest.mark.parametrize("metric, args", [
     (to_polar, ()),
     (met.demodulate, (CONST, SHAPE, SYMBOL_PERIOD)),
+    (met.demodulate, (CONST, SHAPE, SYMBOL_PERIOD, None, True)),
     (met.eye_metrics, (SYMBOL_PERIOD, 4)),
     (met.psd_welch, (1024,)),
-], ids=["to_polar", "demodulate", "eye_metrics", "psd_welch"])
+], ids=["to_polar", "demodulate", "demodulate_timing_search", "eye_metrics",
+        "psd_welch"])
 def test_metric_working_memory(metric, args, record):
     _assert_bounded(metric, record, *args)
 

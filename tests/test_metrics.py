@@ -12,7 +12,8 @@ from sigchain import chains as ch
 from sigchain import impairments as imp
 from sigchain import metrics as met
 from sigchain import modulation as mod
-from sigchain.envelope import ComplexEnvelope, _periodic_hann, fractional_delay
+from sigchain.envelope import (ComplexEnvelope, InputError, _periodic_hann,
+                               fractional_delay)
 
 
 def _loopback(kind: str, n_sym: int = 200, sps: int = 8, seed: int = 0,
@@ -82,6 +83,138 @@ class TestDemodulate:
         res = met.demodulate(held, const, shape, 1e-6)
         rep = met.evm(res.rx_symbols, stream.symbols[:res.rx_symbols.size])
         assert rep.evm_rms < 1e-3
+
+
+def _demodulate_oracle(env, constellation, shape, symbol_period,
+                       n_symbols=None, timing_search=False):
+    """Root-raised-cosine decision samples and timing offset as demodulate
+    found them before the decimating filter: the whole record runs through
+    np.convolve, and the decision instants are picked from its output."""
+    sps = int(round(symbol_period * env.sample_rate))
+    rx_shape = mod.PulseShape(shape.kind, shape.rolloff, shape.span_symbols,
+                              max(sps, 4))
+    x = np.convolve(env.samples, mod.shape_filter(rx_shape))
+    first = 2 * (shape.span_symbols * sps // 2)
+    if n_symbols is None:
+        n_symbols = (len(env) - shape.span_symbols * sps) // sps
+    offset = 0
+    if timing_search:
+        n_pre = min(64, n_symbols)
+        pts = constellation.points
+        best = math.inf
+        for cand in range(-(sps // 2), sps // 2 + 1):
+            idx = first + cand + sps * np.arange(n_pre)
+            idx = idx[(idx >= 0) & (idx < x.size)]
+            if idx.size == 0:
+                continue
+            d2 = np.min(
+                np.abs(x[idx][:, None] - pts[None, :]) ** 2, axis=1)
+            cost = float(np.mean(d2))
+            if cost < best:
+                best, offset = cost, cand
+    idx = first + offset + sps * np.arange(n_symbols)
+    if idx[0] < 0 or idx[-1] >= x.size:
+        raise ValueError("decision instants fall outside the record")
+    return x[idx], offset
+
+
+class TestDecimatingMatchedFilter:
+    """The matched filter evaluated only at the decision instants against
+    the whole-record convolution it replaces."""
+
+    @staticmethod
+    def _record(sps, shift=2):
+        const, shape, _, env = _loopback("root_raised_cosine", n_sym=120,
+                                         sps=sps, seed=sps)
+        noise = np.random.default_rng(sps).standard_normal((2, len(env)))
+        env = ComplexEnvelope(env.samples + 0.01 * (noise[0] + 1j * noise[1]),
+                              env.sample_rate)
+        return const, shape, fractional_delay(env, shift / env.sample_rate)
+
+    @pytest.mark.parametrize("n_symbols", [None, 37])
+    @pytest.mark.parametrize("timing_search", [False, True])
+    @pytest.mark.parametrize("sps", [4, 5, 8, 16])
+    def test_matches_full_convolution(self, sps, timing_search, n_symbols):
+        const, shape, env = self._record(sps)
+        got = met.demodulate(env, const, shape, 1e-6, n_symbols=n_symbols,
+                             timing_search=timing_search)
+        want, offset = _demodulate_oracle(env, const, shape, 1e-6,
+                                          n_symbols, timing_search)
+        assert got.timing_offset == offset == (2 if timing_search else 0)
+        assert got.rx_symbols.shape == want.shape
+        assert np.max(np.abs(got.rx_symbols - want)) <= 1e-13
+
+    @pytest.mark.parametrize("block", [met._DEMOD_BLOCK, 100])
+    @pytest.mark.parametrize("idx", [
+        np.arange(300 + 41 - 1),      # every output, both tails included
+        np.array([0, 1, 5]),          # padded on both sides of the record
+        np.array([339, 200, 40, 40]),  # unordered and repeated
+    ], ids=["all", "head", "unordered"])
+    def test_convolve_at_any_output(self, idx, block, monkeypatch):
+        monkeypatch.setattr(met, "_DEMOD_BLOCK", block)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        taps = rng.standard_normal(41)
+        want = np.convolve(x, taps)[idx]
+        assert np.max(np.abs(met._convolve_at(x, taps, idx) - want)) <= 1e-13
+
+    def test_last_instant_at_the_record_end(self):
+        # the latest decision window runs past the last sample
+        const, shape, env = self._record(8, shift=0)
+        n_out = len(env) + shape.span_symbols * 8
+        n = (n_out - 1 - shape.span_symbols * 8) // 8 + 1
+        got = met.demodulate(env, const, shape, 1e-6, n_symbols=n)
+        want, _ = _demodulate_oracle(env, const, shape, 1e-6, n)
+        assert np.max(np.abs(got.rx_symbols - want)) <= 1e-13
+        for fn in (met.demodulate, _demodulate_oracle):
+            with pytest.raises(ValueError, match="outside the record"):
+                fn(env, const, shape, 1e-6, n_symbols=n + 1)
+
+    def test_skip_edge_symbols_cuts_the_same_samples(self):
+        const, shape, env = self._record(8)
+        got = met.demodulate(env, const, shape, 1e-6, timing_search=True,
+                             skip_edge_symbols=16)
+        want, _ = _demodulate_oracle(env, const, shape, 1e-6,
+                                     timing_search=True)
+        assert np.max(np.abs(got.rx_symbols - want[16:-16])) <= 1e-13
+
+    def test_decisions_are_made_on_first_read(self):
+        const, shape, stream, env = _loopback("root_raised_cosine")
+        res = met.demodulate(env, const, shape, 1e-6)
+        assert "decided_labels" not in vars(res)
+        labels = res.decided_labels
+        assert res.decided_labels is labels
+        want = np.argmin(np.abs(res.rx_symbols[:, None]
+                                - const.points[None, :]), axis=1)
+        assert np.array_equal(labels, want)
+
+
+class TestMatchedFilterRate:
+    def test_taps_unscaled_at_the_pulse_rate(self):
+        shape = mod.PulseShape("root_raised_cosine", 0.35, 16, 8)
+        assert np.array_equal(met._matched_taps(shape, 8),
+                              mod.shape_filter(shape))
+
+    @pytest.mark.parametrize("hold", [1, 2, 4])
+    def test_rate_raised_record_keeps_unit_gain(self, hold):
+        # unit-energy taps at the held rate would double the symbols at 4
+        const, shape, stream, env = _loopback("root_raised_cosine", n_sym=192,
+                                              seed=9)
+        chain = ch.TxChain("rfdac", (ch.StageSpec(
+            "rfdac_core", {"bits": 14, "hold_factor": hold}),))
+        rx, ref, report = met.LinkScorer(stream, const, shape)(
+            ch.run_chain(chain, env))
+        gain = np.vdot(ref, rx) / np.vdot(ref, ref)
+        assert abs(gain - 1.0) < 0.05
+        assert report.evm_rms < 0.1
+
+    def test_record_under_four_samples_per_symbol_rejected(self):
+        const = mod.build_constellation("m_psk", m=4)
+        shape = mod.PulseShape("root_raised_cosine", 0.35, 16, 8)
+        env = ComplexEnvelope(np.ones(400, dtype=complex), 3e6)
+        with pytest.raises(InputError, match="4 samples per symbol") as err:
+            met.demodulate(env, const, shape, 1e-6)
+        assert err.value.key == "symbol_period"
 
 
 class TestEvm:
@@ -433,6 +566,98 @@ class TestEyeOracle:
             np.repeat(values, counts))
         env = ComplexEnvelope(np.repeat(symbols, 16).astype(complex), 16e6)
         self._assert_same(env, n_levels)
+
+
+def _kmeans_1d_allclose(s, k, n_iter=64):
+    """_kmeans_1d with its convergence test written as np.allclose."""
+    csum = np.concatenate(([0.0], np.cumsum(s)))
+    centers = np.quantile(s, (np.arange(k) + 0.5) / k)
+    for _ in range(n_iter):
+        bounds = met._runs(s, centers)
+        counts = np.diff(bounds)
+        new = centers.copy()
+        filled = counts > 0
+        new[filled] = np.diff(csum[bounds])[filled] / counts[filled]
+        new = np.sort(new)
+        if np.allclose(new, centers, rtol=0.0, atol=1e-12):
+            centers = new
+            break
+        centers = new
+    return centers
+
+
+def _recut_traces_gather(x, n_traces, sps, instant):
+    """_recut_traces as an index gather, before it returned a view."""
+    start = instant - sps // 2
+    k_first = 0 if start >= 0 else 1
+    k_last = n_traces - 1 if start + n_traces * sps <= x.size \
+        else n_traces - 2
+    rows = np.arange(k_first, k_last + 1)
+    return x[start + rows[:, None] * sps + np.arange(sps)[None, :]]
+
+
+def _identity_gaps_stable(traces, n_levels):
+    """_identity_gaps with a stable sort, so tied center values keep their
+    trace order, and the np.allclose Lloyd iteration."""
+    center = traces.shape[1] // 2
+    order = np.argsort(traces[:, center], kind="stable")
+    ranked = traces[order]
+    s = ranked[:, center]
+    counts = np.diff(met._runs(s, _kmeans_1d_allclose(s, n_levels)))
+    classes = np.empty(order.size, dtype=np.int64)
+    classes[order] = np.repeat(np.arange(n_levels), counts)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    if starts.size < 2:
+        return np.full(traces.shape[1], math.inf), classes
+    lows = np.minimum.reduceat(ranked, starts, axis=0)
+    highs = np.maximum.reduceat(ranked, starts, axis=0)
+    return np.min(lows[1:] - highs[:-1], axis=0), classes
+
+
+class TestEyeSortOracle:
+    """eye_metrics with view traces, an unstable sort and a direct
+    convergence test against its index-gather, stable-sort, np.allclose
+    form, bit for bit."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_matches_stable_sort(self, m, noise, monkeypatch):
+        # noiseless rect PAM: every trace's center value ties with a
+        # quarter (or more) of the others
+        env = TestEyeOracle._ask(m, "rect", 20 + m)
+        if noise:
+            rng = np.random.default_rng(m)
+            env = ComplexEnvelope(
+                env.samples + noise * rng.standard_normal(len(env)),
+                env.sample_rate)
+        got = met.eye_metrics(env, 1e-6, n_levels=m)
+        monkeypatch.setattr(met, "_recut_traces", _recut_traces_gather)
+        monkeypatch.setattr(met, "_identity_gaps", _identity_gaps_stable)
+        want = met.eye_metrics(env, 1e-6, n_levels=m)
+        assert got.eye_height == want.eye_height
+        assert got.eye_width_fraction == want.eye_width_fraction
+        assert got.sample_instant_fraction == want.sample_instant_fraction
+        assert got.levels.tobytes() == want.levels.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.0, 1.0, 1.0, 1.0 + 1e-13, 2.0],
+        [-math.inf, 0.0, 0.5, 1.0],
+        [0.0, 1.0, 2.0, math.inf, math.inf],
+        [-math.inf, -math.inf, math.inf, math.inf],
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_convergence_test_is_allclose(self, values, k):
+        s = np.array(values)
+        with np.errstate(invalid="ignore"):
+            got = met._kmeans_1d(s, k)
+            want = _kmeans_1d_allclose(s, k)
+        assert got.tobytes() == want.tobytes()
+
+    def test_traces_are_a_view(self):
+        x = np.arange(100.0) + 0.5j
+        traces = met._recut_traces(x.real, 10, 8, 3)
+        assert np.shares_memory(traces, x)
+        assert np.array_equal(traces, _recut_traces_gather(x.real, 10, 8, 3))
 
 
 class TestPsdWelchOracle:

@@ -159,6 +159,34 @@ class TestCsv:
             [0.5, 1], {"a": "b"}, None]
         assert rows[4][0] == 'say "hi"'
 
+    @staticmethod
+    def _per_cell(header, *columns):
+        """Each float cell formatted on its own by ``"%.17g" % v``."""
+        rows = ("\n".join(",".join("%.17g" % v for v in row)
+                          for row in zip(*columns)))
+        return header + "\n" + rows + "\n"
+
+    @pytest.mark.parametrize("n", [1, 2, 9, scn._CSV_BLOCK + 5])
+    def test_repeated_floats_match_per_cell_text(self, n):
+        # -0.0 beside 0.0, a nan of either sign and both infinities, in a
+        # column of few distinct values, beside an all-distinct column
+        rng = np.random.default_rng(n)
+        pool = np.array([0.0, -0.0, math.nan, -math.nan, math.inf,
+                         -math.inf, 0.1, -3.0, 5e-324])
+        repeated = pool[rng.integers(0, pool.size, n)]
+        repeated[:min(n, pool.size)] = pool[:n]
+        distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        halves = np.repeat(rng.standard_normal((n + 1) // 2), 2)[:n]
+        strided = np.repeat(pool[:4], 2 * n).reshape(-1, 2)[:n, 1]
+        cols = (repeated, distinct, halves, strided,
+                repeated.astype(np.float32))
+        got = scn._csv("r,d,h,s,f", *cols)
+        assert got == self._per_cell("r,d,h,s,f", *cols)
+
+    def test_signed_zeros_keep_their_text(self):
+        text = scn._csv("x", np.array([0.0, -0.0, 0.0, -0.0]))
+        assert text == "x\n0\n-0\n0\n-0\n"
+
     def test_string_array_matches_per_cell_path(self):
         # an ndarray column formats each distinct value once; the text must
         # be the per-cell text, quoting included
