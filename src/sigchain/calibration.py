@@ -11,7 +11,7 @@ compute when an argument breaks a rule of ``ROUTINES``, the input contracts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -19,10 +19,9 @@ import numpy as np
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain.chains import (InputError, StageSpec, TxChain, _finite,
-                             append_stage, check_budget, check_gate,
-                             check_record, prepend_stage, require, run_chain,
-                             run_chain_per_trim, synth_comm_waveform,
-                             with_stage_param)
+                             check_budget, check_gate, check_record, require,
+                             run_chain, run_chain_per_trim,
+                             synth_comm_waveform, with_stage_param)
 from sigchain.envelope import ComplexEnvelope, fractional_delay
 from sigchain.metrics import LinkScorer
 
@@ -203,7 +202,7 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
     matrix = [[float(np.real(a + b)), float(-np.imag(a - b))],
               [float(np.imag(a + b)), float(np.real(a - b))]]
     stage = StageSpec("iq_correction", {"matrix": matrix, "offset": complex(d)})
-    return prepend_stage(chain, stage)
+    return replace(chain, stages=(stage, *chain.stages))
 
 
 def _iq_rules(chain, sample_rate, tone_freq, n_samples) -> None:
@@ -358,7 +357,7 @@ def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
     phase_poly = np.concatenate([[0.0], phase_fit])
     stage = StageSpec("dpd", {"gain_poly": [float(c) for c in gain_poly],
                               "phase_poly": [float(c) for c in phase_poly]})
-    return prepend_stage(chain, stage), gain_poly, phase_poly
+    return replace(chain, stages=(stage, *chain.stages)), gain_poly, phase_poly
 
 
 def _dpd_rules(chain, sample_rate, order, n_levels, full_scale,
@@ -403,7 +402,7 @@ def leakage_cancel(chain: TxChain, sample_rate: float,
         raise CalibrationError("off-state level is not static; a constant "
                                "offset cannot cancel it")
     stage = StageSpec("gated_offset", {"offset": -level})
-    return append_stage(chain, stage), level
+    return replace(chain, stages=(*chain.stages, stage)), level
 
 
 def _leakage_rules(chain, sample_rate, on_samples, off_samples,

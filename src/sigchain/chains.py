@@ -47,8 +47,6 @@ __all__ = [
     "run_chain",
     "run_chain_per_trim",
     "with_stage_param",
-    "prepend_stage",
-    "append_stage",
     "synth_comm_waveform",
     "synth_qubit_pulse",
 ]
@@ -271,53 +269,40 @@ def _apply_polar_paths(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
 
 
 def _apply_rfdac_core(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
-    bits, full_scale, hold = p["bits"], p["full_scale"], p["hold_factor"]
-    sigma = p["mismatch_sigma"]
-    step = 2.0 * full_scale / 2.0 ** bits
-    half_codes = int(round(2.0 ** bits / 2.0))
-
-    def convert(track: np.ndarray, table: np.ndarray | None) -> np.ndarray:
-        codes = np.round(np.clip(track, -full_scale, full_scale) / step)
-        codes = np.clip(codes, -half_codes, half_codes).astype(np.int64)
-        out = codes * step
-        if table is not None:
-            out = out * (1.0 + table[codes + half_codes])
-        return out
-
-    table_i = table_q = None
+    bits, full_scale, sigma = p["bits"], p["full_scale"], p["mismatch_sigma"]
+    # + 0.0 turns a -0.0 level into +0.0: the zero code has one sign
+    rails = [imp.quantize_track(x, bits, full_scale) + 0.0
+             for x in (env.samples.real, env.samples.imag)]
     if sigma > 0.0:
         rng = np.random.default_rng(p["seed"])
-        n_codes = 2 * half_codes + 1
-        table_i = rng.normal(0.0, sigma, n_codes)
-        table_q = rng.normal(0.0, sigma, n_codes)
-        if p["trim_bits"] > 0:
-            # factory trim measures each code and stores a coarse correction
-            tstep = 4.0 * sigma / 2.0 ** p["trim_bits"]
-            for table in (table_i, table_q):
-                corr = np.clip(np.round(table / tstep) * tstep,
-                               -2.0 * sigma, 2.0 * sigma)
-                table -= corr
-
-    i = convert(env.samples.real, table_i)
-    q = convert(env.samples.imag, table_q)
-    samples = i + 1j * q
-    if hold > 1:
-        samples = np.repeat(samples, hold)
-    return ComplexEnvelope(samples, env.sample_rate * hold)
+        tables = [rng.normal(0.0, sigma, 2**bits + 1) for _ in rails]
+        step = 2.0 * full_scale / 2.0**bits
+        for k, table in enumerate(tables):
+            if p["trim_bits"] > 0:
+                # factory trim measures each code and stores a coarse
+                # correction
+                tstep = 4.0 * sigma / 2.0 ** p["trim_bits"]
+                table -= np.clip(np.round(table / tstep) * tstep,
+                                 -2.0 * sigma, 2.0 * sigma)
+            # a level's code, counted from the most negative, picks its gain
+            codes = np.round(rails[k] / step).astype(np.int64) + 2**(bits - 1)
+            rails[k] = rails[k] * (1.0 + table[codes])
+    samples = rails[0] + 1j * rails[1]
+    if p["hold_factor"] > 1:
+        samples = np.repeat(samples, p["hold_factor"])
+    return ComplexEnvelope(samples, env.sample_rate * p["hold_factor"])
 
 
 def _apply_harmonic_multiply(env: ComplexEnvelope, p: dict, ctx):
     tracks = env.polar
-    out = tracks.amplitude * np.exp(1j * p["factor"] * tracks.phase)
-    return ComplexEnvelope(out, env.sample_rate)
+    return _join_polar_tracks(env, tracks.amplitude,
+                              p["factor"] * tracks.phase, 0.0)
 
 
 def _apply_rise_fall(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
-    tracks = env.polar
-    amp = np.maximum(imp.lowpass_track(tracks.amplitude, p["cutoff_hz"],
-                                       env.sample_rate), 0.0)
-    out = amp * np.exp(1j * tracks.phase)
-    return ComplexEnvelope(out, env.sample_rate)
+    """The AM low-pass of a polar path, and nothing else of it."""
+    spec = StageSpec("polar_paths", {"am_cutoff_hz": p["cutoff_hz"]})
+    return _apply_polar_paths(env, _args(spec), ctx)
 
 
 def _apply_spur_inject(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
@@ -338,8 +323,7 @@ def _apply_state_errors(env: ComplexEnvelope, p: dict, ctx):
     tracks = env.polar
     idx = np.argmin(np.abs(tracks.amplitude[:, None] - levels[None, :]), axis=1)
     amp = tracks.amplitude * (1.0 + errors[idx])
-    out = np.maximum(amp, 0.0) * np.exp(1j * tracks.phase)
-    return ComplexEnvelope(out, env.sample_rate)
+    return _join_polar_tracks(env, amp, tracks.phase, 0.0)
 
 
 def _apply_iq_correction(env: ComplexEnvelope, p: dict, ctx):
@@ -359,6 +343,16 @@ def _check_factor(p: dict) -> None:
     if p["factor"] not in HARMONIC_FACTORS:
         raise _param_error("harmonic_multiply", "factor", "harmonic factor "
                            f"must be one of {HARMONIC_FACTORS}")
+
+
+def _mismatched(p: dict) -> bool:
+    return (p.get("mismatch_sigma") or 0.0) > 0.0
+
+
+def _check_rfdac(p: dict) -> None:
+    if _mismatched(p):
+        check_budget(2 ** p["bits"] + 1, "params.bits", "stage 'rfdac_core' "
+                     "mismatch table (2**bits + 1 gains) ")
 
 
 def _check_state_errors(p: dict) -> None:
@@ -420,7 +414,7 @@ STAGES: dict[str, Stage] = {
         "hold_factor": Param("int", "[1, inf)", default=1),
         "mismatch_sigma": Param("number", "[0, inf)", default=0.0),
         "seed": _SEED, "trim_bits": Param("int", "[0, 32]", default=0)},
-        lambda p: (p.get("mismatch_sigma") or 0.0) > 0.0),
+        _mismatched, _check_rfdac),
     "harmonic_multiply": Stage(_apply_harmonic_multiply, None,
                                {"factor": Param("int")}, check=_check_factor),
     "rise_fall": Stage(_apply_rise_fall, "bw", {"cutoff_hz": _CUTOFF}),
@@ -558,14 +552,6 @@ def check_gate(spec: mod.GateEnvelopeSpec, sample_rate: float,
         raise InputError(key, str(e)) from None
 
 
-def prepend_stage(chain: TxChain, spec: StageSpec) -> TxChain:
-    return TxChain(chain.architecture, (spec,) + chain.stages)
-
-
-def append_stage(chain: TxChain, spec: StageSpec) -> TxChain:
-    return TxChain(chain.architecture, chain.stages + (spec,))
-
-
 def synth_comm_waveform(
     bits,
     constellation: mod.Constellation,
@@ -614,8 +600,7 @@ def synth_qubit_pulse(
         spec = mod.with_peak(spec, peak)
     env = mod.gate_envelope(spec, sample_rate)
     if axis_phase != 0.0:
-        env = ComplexEnvelope(env.samples * np.exp(1j * axis_phase),
-                              env.sample_rate)
+        env = imp.static_phase_error(env, axis_phase)
     if chain is not None:
         env = run_chain(chain, env)
     return env

@@ -15,8 +15,8 @@ import warnings
 
 import numpy as np
 
-from sigchain.envelope import (ComplexEnvelope, _delayed_samples, _samples_at,
-                               check_delay)
+from sigchain.envelope import (ComplexEnvelope, _samples_at, check_delay,
+                               delay_real_track)
 
 __all__ = [
     "amplitude_error",
@@ -288,6 +288,6 @@ def path_skew(env: ComplexEnvelope, tau_i: float, tau_q: float) -> ComplexEnvelo
     check_delay(tau_i, env.duration, "tau_i")
     check_delay(tau_q, env.duration, "tau_q")
     fs = env.sample_rate
-    i = _delayed_samples(env.samples.real.astype(np.float64), tau_i * fs)
-    q = _delayed_samples(env.samples.imag.astype(np.float64), tau_q * fs)
-    return ComplexEnvelope(i + 1j * q, env.sample_rate)
+    i = delay_real_track(env.samples.real, tau_i, fs)
+    q = delay_real_track(env.samples.imag, tau_q, fs)
+    return ComplexEnvelope(i + 1j * q, fs)

@@ -39,10 +39,6 @@ MIN_GATE_SAMPLES = 64
 MAX_POINTS = 4096
 
 
-def _gray(n: int) -> int:
-    return n ^ (n >> 1)
-
-
 def _gray_inverse(g: int) -> int:
     n = 0
     while g:
@@ -174,10 +170,8 @@ def _count(n: int, key: str, least: int = 2) -> int:
 def _m_ask(m: int) -> np.ndarray:
     """m unipolar amplitude levels (includes on-off keying)."""
     m = _count(m, "m")
-    pts = np.empty(m, dtype=np.complex128)
-    for k in range(m):
-        pts[_gray(k)] = k / (m - 1)
-    return pts
+    return np.array([_gray_inverse(label) / (m - 1) for label in range(m)],
+                    dtype=np.complex128)
 
 
 def _m_psk(m: int) -> np.ndarray:
@@ -185,10 +179,8 @@ def _m_psk(m: int) -> np.ndarray:
     puts QPSK on the diagonals."""
     m = _count(m, "m")
     offset = np.pi / m if m >= 4 else 0.0
-    pts = np.empty(m, dtype=np.complex128)
-    for k in range(m):
-        pts[_gray(k)] = np.exp(1j * (2.0 * np.pi * k / m + offset))
-    return pts
+    return np.array([np.exp(1j * (2.0 * np.pi * _gray_inverse(label) / m
+                                  + offset)) for label in range(m)])
 
 
 def _square_qam(m: int) -> np.ndarray:

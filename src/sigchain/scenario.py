@@ -158,37 +158,36 @@ def _csv_cell(v) -> str:
 def _csv(header: str, *columns) -> str:
     """CSV text from equal-length columns, one row per index.
 
-    A float ndarray column is written as ``%.17g`` text.  When at most half
-    its cells are distinct, each distinct bit pattern (so -0.0 apart from
-    0.0, and each nan) is formatted once and its text repeated; otherwise
-    the column goes through one C-level ``%.17g`` pass per block of
-    ``_CSV_BLOCK`` rows.  Another ndarray column formats each distinct value
-    once, and any other column is formatted cell by cell: strings as they
-    are, integers in decimal, floats as ``%.17g`` and lists, objects and
-    null as compact JSON.  ``%.17g`` spells nan and infinities ``nan``,
-    ``inf`` and ``-inf``.  A cell holding a comma, quote or line break is
+    An ndarray column formats each distinct value once and repeats its
+    text; distinct float values are distinct bit patterns, so -0.0 apart
+    from 0.0, and each nan.  A float column of which over half the cells
+    are distinct instead goes through one C-level ``%.17g`` pass per block
+    of ``_CSV_BLOCK`` rows.  Any other column is formatted cell by cell.
+    A cell is formatted as ``_csv_cell`` does: strings as they are,
+    integers in decimal, floats as ``%.17g`` (which spells nan and
+    infinities ``nan``, ``inf`` and ``-inf``) and lists, objects and null
+    as compact JSON.  A cell holding a comma, quote or line break is
     quoted per RFC 4180.
     """
     cols, fmts = [], []
     for c in columns:
-        if isinstance(c, np.ndarray) and c.dtype.kind == "f":
-            c = c.astype(np.float64, copy=False)
-            bits, index = np.unique(c.view(np.int64), return_inverse=True)
-            if 2 * bits.size <= c.size:
-                texts = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-                cols.append(np.array(texts, dtype=object)[index])
-                fmts.append("%s")
-            else:
-                cols.append(c)
-                fmts.append("%.17g")
-        elif isinstance(c, np.ndarray) and c.dtype.kind != "O":
-            values, index = np.unique(c, return_inverse=True)
-            texts = np.array([_csv_cell(v) for v in values], dtype=object)
-            cols.append(texts[index])
-            fmts.append("%s")
+        fmt = "%s"
+        if not isinstance(c, np.ndarray) or c.dtype.kind == "O":
+            c = [_csv_cell(v) for v in c]
         else:
-            cols.append([_csv_cell(v) for v in c])
-            fmts.append("%s")
+            flt = c.dtype.kind == "f"
+            if flt:
+                c = c.astype(np.float64, copy=False)
+            keys, index = np.unique(c.view(np.int64) if flt else c,
+                                    return_inverse=True)
+            if flt and 2 * keys.size > c.size:
+                fmt = "%.17g"
+            else:
+                values = keys.view(np.float64) if flt else keys
+                c = np.array([_csv_cell(v) for v in values.tolist()],
+                             dtype=object)[index]
+        cols.append(c)
+        fmts.append(fmt)
     row = ",".join(fmts) + "\n"
     n = len(cols[0])
     parts = [header + "\n"]
@@ -501,7 +500,8 @@ def _comm_check(plan: dict) -> dict:
     require(plan["bit_seed"] >= 0, "bit_seed", "must be nonnegative")
     met.check_eye_levels(plan["eye_levels"], n // sps, "eye_levels")
     if "budget" in plan["outputs"]:
-        require(chain is not None, "outputs", "a budget report needs a chain")
+        require(chain is not None and chain.stages, "outputs",
+                "a budget report needs a chain of at least one stage")
         met.check_budget_terms(chain)
     return {"symbol_period": sps / fs}
 

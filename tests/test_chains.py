@@ -15,7 +15,7 @@ import pytest
 from sigchain import chains as ch
 from sigchain import impairments as imp
 from sigchain import modulation as mod
-from sigchain.envelope import ComplexEnvelope
+from sigchain.envelope import ComplexEnvelope, delay_real_track
 
 
 def _tone(f_frac: float, n: int = 4096, fs: float = 1e6) -> ComplexEnvelope:
@@ -330,6 +330,19 @@ class TestRfdac:
             errs.append(_evm(out.samples, clean.samples))
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
+    @pytest.mark.parametrize("bits, refused", [(23, False), (24, True),
+                                                (32, True)])
+    def test_mismatch_table_within_the_sample_budget(self, bits, refused):
+        # 2**bits + 1 gains per rail: only the spec is built, never run
+        params = {"bits": bits, "mismatch_sigma": 0.01, "seed": 1}
+        if refused:
+            with pytest.raises(ch.InputError, match="mismatch table") as e:
+                ch.StageSpec("rfdac_core", params)
+            assert e.value.key == "params.bits"
+        else:
+            ch.StageSpec("rfdac_core", params)
+        ch.StageSpec("rfdac_core", {"bits": bits})   # no table, no bound
+
     def test_mismatch_is_seed_deterministic(self):
         env = _qpsk_waveform(32)
         chain = ch.TxChain("rfdac", (ch.StageSpec(
@@ -410,6 +423,137 @@ class TestHarmonic:
         edge = np.abs(out.samples[64:96])
         assert edge[0] < 0.2 and edge[-1] > 0.8
         assert np.all(np.diff(np.abs(out.samples[64:160])) > -1e-12)
+
+
+def _bits(x) -> np.ndarray:
+    """The IEEE bit patterns of an envelope's samples or of an array, so a
+    comparison tells -0.0 from 0.0."""
+    x = np.ascontiguousarray(getattr(x, "samples", x))
+    return x.view(np.uint64)
+
+
+def _one_stage(env, kind, **params):
+    return ch.apply_stage(env, ch.StageSpec(kind, params))
+
+
+def _keyed_waveform() -> ComplexEnvelope:
+    """Off gaps, keyed levels and a phase ramp, so amplitude and phase both
+    move and some samples are exactly zero."""
+    levels = np.repeat([0.0, 1.0, 0.5, 0.0, 0.25, 1.0], 48)
+    phase = 0.03 * np.arange(levels.size) ** 1.3
+    return ComplexEnvelope(levels * np.exp(1j * phase), 1e6)
+
+
+def _rfdac_oracle(env, bits, full_scale, sigma, seed, trim_bits):
+    """rfdac_core written as a code-level converter: clip to full scale,
+    round to a code, clip the code, scale it, and with mismatch weight it by
+    that code's gain from the seeded table."""
+    step = 2.0 * full_scale / 2.0 ** bits
+    half_codes = int(round(2.0 ** bits / 2.0))
+
+    def convert(track, table):
+        codes = np.round(np.clip(track, -full_scale, full_scale) / step)
+        codes = np.clip(codes, -half_codes, half_codes).astype(np.int64)
+        out = codes * step
+        if table is not None:
+            out = out * (1.0 + table[codes + half_codes])
+        return out
+
+    tables = (None, None)
+    if sigma > 0.0:
+        rng = np.random.default_rng(seed)
+        tables = [rng.normal(0.0, sigma, 2 * half_codes + 1) for _ in "iq"]
+        if trim_bits > 0:
+            tstep = 4.0 * sigma / 2.0 ** trim_bits
+            for table in tables:
+                table -= np.clip(np.round(table / tstep) * tstep,
+                                 -2.0 * sigma, 2.0 * sigma)
+    return (convert(env.samples.real, tables[0])
+            + 1j * convert(env.samples.imag, tables[1]))
+
+
+class TestSharedKernels:
+    """Each composite stage and synthesis step calls the shared kernel for
+    its operation, and equals, bit for bit, the formula it once wrote out."""
+
+    @pytest.mark.parametrize("bits", [1, 4, 10, 16])
+    @pytest.mark.parametrize("trim_bits", [0, 3])
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    @pytest.mark.parametrize("full_scale", [1.0, 0.7])
+    def test_rfdac_core_is_the_code_level_converter(
+            self, bits, trim_bits, sigma, full_scale):
+        step = 2.0 * full_scale / 2.0 ** bits
+        half = 2 ** (bits - 1)     # codes at both ends and around zero
+        k = np.unique(np.r_[-half - 3:-half + 500, -500:500,
+                            half - 500:half + 3])
+        rng = np.random.default_rng(bits)
+        track = np.concatenate([
+            (k + 0.5) * step,                       # exact half-step ties
+            k * step,                               # exact levels
+            [0.0, -0.0, -0.25 * step, 0.25 * step, full_scale, -full_scale,
+             full_scale + 0.5 * step, -full_scale - 0.5 * step, 1e300,
+             -1e300, np.inf, -np.inf],
+            rng.uniform(-1.5 * full_scale, 1.5 * full_scale, 512)])
+        x = np.empty(track.size, dtype=np.complex128)   # 1j * inf is nan
+        x.real, x.imag = track, rng.permutation(track)
+        env = ComplexEnvelope(x, 1e6)
+        out = _one_stage(env, "rfdac_core", bits=bits, full_scale=full_scale,
+                         mismatch_sigma=sigma, seed=7, trim_bits=trim_bits,
+                         hold_factor=2)
+        want = _rfdac_oracle(env, bits, full_scale, sigma, 7, trim_bits)
+        assert np.array_equal(_bits(out), _bits(np.repeat(want, 2)))
+
+    @pytest.mark.parametrize("env", [_qpsk_waveform(64), _keyed_waveform()],
+                             ids=["qpsk", "keyed"])
+    def test_rise_fall_is_the_am_lowpass_of_a_polar_path(self, env):
+        cutoff = 0.05 * env.sample_rate
+        got = _one_stage(env, "rise_fall", cutoff_hz=cutoff)
+        want = _one_stage(env, "polar_paths", am_cutoff_hz=cutoff)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("factor", ch.HARMONIC_FACTORS)
+    def test_harmonic_multiply_is_the_polar_formula(self, factor):
+        env = _keyed_waveform()
+        got = _one_stage(env, "harmonic_multiply", factor=factor)
+        tracks = env.polar
+        want = tracks.amplitude * np.exp(1j * factor * tracks.phase)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("params", [
+        {"errors": [0.1, -1.5, 0.03, -0.2]},      # one level clamped to zero
+        {"sigma": 0.05, "seed": 4}])
+    def test_state_errors_is_the_polar_formula(self, params):
+        env = _keyed_waveform()
+        levels = [0.0, 0.25, 0.5, 1.0]
+        got = _one_stage(env, "state_errors", levels=levels, **params)
+        errors = params.get("errors")
+        if errors is None:
+            errors = np.random.default_rng(4).normal(0.0, 0.05, 4)
+        tracks = env.polar
+        idx = np.argmin(np.abs(tracks.amplitude[:, None]
+                               - np.array(levels)[None, :]), axis=1)
+        amp = tracks.amplitude * (1.0 + np.asarray(errors)[idx])
+        want = np.maximum(amp, 0.0) * np.exp(1j * tracks.phase)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("tau_i, tau_q", [(0.3, -1.7), (2.0, 0.0),
+                                              (-0.5, 3.25)])
+    def test_path_skew_delays_each_rail(self, tau_i, tau_q):
+        env = _qpsk_waveform(64)
+        fs = env.sample_rate
+        got = _one_stage(env, "path_skew", tau_i=tau_i / fs, tau_q=tau_q / fs)
+        want = (delay_real_track(env.samples.real, tau_i / fs, fs)
+                + 1j * delay_real_track(env.samples.imag, tau_q / fs, fs))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("axis_phase", [math.pi / 2, -0.3, 2.5])
+    def test_axis_phase_is_a_static_phase_rotation(self, axis_phase):
+        spec = mod.GateEnvelopeSpec("gaussian", 20e-9, drag_enabled=True,
+                                    drag_coefficient_s=1e-10)
+        plain = ch.synth_qubit_pulse(None, spec, 25.6e9)
+        got = ch.synth_qubit_pulse(None, spec, 25.6e9, axis_phase=axis_phase)
+        want = plain.samples * np.exp(1j * axis_phase)
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestSynth:

@@ -5,6 +5,8 @@ import pytest
 from scipy import integrate
 
 from sigchain.modulation import (
+    MAX_POINTS,
+    SCHEMES,
     Constellation,
     GateEnvelopeSpec,
     PulseShape,
@@ -136,6 +138,21 @@ class TestConstellations:
     def test_non_normalized_constellation_rejected(self):
         with pytest.raises(ValueError):
             Constellation(np.array([2.0 + 0j, -2.0 + 0j]), 1, "raw")
+
+    @pytest.mark.parametrize("scheme", ["m_ask", "m_psk"])
+    def test_one_dimensional_labels_match_forward_gray(self, scheme):
+        # point k of the level or phase order carries label gray(k)
+        m = 2
+        while m <= MAX_POINTS:
+            offset = np.pi / m if m >= 4 else 0.0
+            want = np.empty(m, dtype=np.complex128)
+            for k in range(m):
+                want[k ^ (k >> 1)] = k / (m - 1) if scheme == "m_ask" \
+                    else np.exp(1j * (2.0 * np.pi * k / m + offset))
+            got = SCHEMES[scheme](m=m)
+            assert got.dtype == np.complex128
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            m *= 2
 
 
 class TestMapBits:

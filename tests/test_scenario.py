@@ -187,6 +187,28 @@ class TestCsv:
         text = scn._csv("x", np.array([0.0, -0.0, 0.0, -0.0]))
         assert text == "x\n0\n-0\n0\n-0\n"
 
+    @pytest.mark.parametrize("n", [1, 9, scn._CSV_BLOCK + 5])
+    def test_ndarray_columns_match_csv_cell(self, n):
+        # str, int and bool arrays take the distinct-value path that float
+        # arrays of repeating values take; an all-distinct float column
+        # takes the %.17g pass beside them
+        rng = np.random.default_rng(n)
+        words = np.array(["0110", "a,b", 'say "hi"', "line\nbreak", "", "x"])
+        ints = np.array([0, -1, 7, 2**62, -2**63, 42])
+        pool = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1])
+        pick = rng.integers(0, 6, (4, n))
+        cols = (words[pick[0]], ints[pick[1]], ints[pick[2]].astype(np.int32),
+                pick[3] > 2, pool[pick[3]],
+                rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n))
+        want = "s,i,j,b,r,d\n" + "".join(
+            ",".join(scn._csv_cell(v) for v in row) + "\n"
+            for row in zip(*cols))
+        # line by line, so a failure names the lines, not a full text diff
+        got, want = scn._csv("s,i,j,b,r,d", *cols).split("\n"), \
+            want.split("\n")
+        assert len(got) == len(want)
+        assert [k for k, (a, b) in enumerate(zip(got, want)) if a != b] == []
+
     def test_string_array_matches_per_cell_path(self):
         # an ndarray column formats each distinct value once; the text must
         # be the per-cell text, quoting included
@@ -260,9 +282,13 @@ class TestValidation:
             scn.plan_scenario(qpsk_config(chain=chain))
 
     def test_budget_output_needs_chain(self):
-        cfg = qpsk_config(outputs=("budget",))
-        with pytest.raises(scn.ConfigError, match="budget"):
-            scn.plan_scenario(cfg)
+        # absent, or present with no stage to attribute a term to
+        for chain in (None, {"stages": []}):
+            cfg = qpsk_config(outputs=("budget",), chain=chain)
+            with pytest.raises(scn.ConfigError, match=re.escape(
+                    "scenario.comm.outputs: a budget report needs a chain of "
+                    "at least one stage")):
+                scn.plan_scenario(cfg)
 
     def test_unknown_output_rejected(self):
         cfg = qpsk_config(outputs=("waterfall",))
@@ -1486,6 +1512,8 @@ class TestCli:
         ("qam16_budget", 0, {"kind": "quantize", "bits": 8.5},
          "stages.0.params.bits"),
         ("rfdac_images", 0, {"bits": True}, "stages.0.params.bits"),
+        ("rfdac_images", 0, {"bits": 24, "mismatch_sigma": 0.01, "seed": 1},
+         "stages.0.params.bits"),
         ("qam16_budget", None, {"n_symbols": 10**13}, "comm.n_symbols"),
         ("qam16_budget", 5, {"kind": "rfdac_core", "bits": 12},
          "stages.5.kind"),
@@ -1495,7 +1523,8 @@ class TestCli:
         ("qam16_budget", None, {"n_symbols": 32}, "comm.pulse.span_symbols"),
         ("polar_skew", 0, {"tau_p": 1e300}, "stages.0.params.tau_p"),
     ], ids=["eps-str", "cutoff-past-nyquist", "seed-str", "gain-list",
-            "quantize-bits-float", "rfdac-bits-bool", "n-symbols-huge",
+            "quantize-bits-float", "rfdac-bits-bool", "rfdac-mismatch-table",
+            "n-symbols-huge",
             "budget-composite-stage", "gated-after-hold",
             "n-symbols-past-float", "no-symbol-scored", "pm-delay-huge"])
     def test_config_mistakes_exit_two_with_path(
@@ -1515,6 +1544,17 @@ class TestCli:
                      str(tmp_path / "out")]) == 2
         prefix = "scenario." if stage is None else "scenario.chain."
         assert f"config error: {prefix}{where}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_budget_on_an_empty_chain_exit_two(self, tmp_path, capsys):
+        cfg = scn.read_config(scn.bundled_scenario_path("qam16_budget"))
+        cfg["chain"]["stages"] = []
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["simulate", str(p), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert ("config error: scenario.comm.outputs: a budget report needs "
+                "a chain of at least one stage") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_import_loads_no_scipy(self):
