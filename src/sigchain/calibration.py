@@ -219,12 +219,9 @@ def align_probe_shape(symbol_period: float,
     """Pulse of the ``polar_delay_align`` probe.  Raises InputError unless
     ``symbol_period`` spans a whole number of samples (within 1e-6), at
     least 4."""
-    sps = symbol_period * sample_rate
-    require(math.isfinite(sps) and abs(sps - round(sps)) <= 1e-6
-            and round(sps) >= 4, "symbol_period", "symbol_period must span an "
-            "integer number of samples, at least 4")
     return mod.PulseShape("raised_cosine", span_symbols=ALIGN_SPAN_SYMBOLS,
-                          samples_per_symbol=int(round(sps)))
+                          samples_per_symbol=mod.symbol_samples(
+                              symbol_period, sample_rate, 4))
 
 
 def align_candidates(window_s: float, step_s: float,

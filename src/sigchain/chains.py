@@ -270,8 +270,7 @@ def _apply_polar_paths(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
 
 def _apply_rfdac_core(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
     bits, full_scale, sigma = p["bits"], p["full_scale"], p["mismatch_sigma"]
-    # + 0.0 turns a -0.0 level into +0.0: the zero code has one sign
-    rails = [imp.quantize_track(x, bits, full_scale) + 0.0
+    rails = [imp.quantize_track(x, bits, full_scale)
              for x in (env.samples.real, env.samples.imag)]
     if sigma > 0.0:
         rng = np.random.default_rng(p["seed"])
@@ -281,9 +280,7 @@ def _apply_rfdac_core(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
             if p["trim_bits"] > 0:
                 # factory trim measures each code and stores a coarse
                 # correction
-                tstep = 4.0 * sigma / 2.0 ** p["trim_bits"]
-                table -= np.clip(np.round(table / tstep) * tstep,
-                                 -2.0 * sigma, 2.0 * sigma)
+                table -= imp.quantize_track(table, p["trim_bits"], 2.0 * sigma)
             # a level's code, counted from the most negative, picks its gain
             codes = np.round(rails[k] / step).astype(np.int64) + 2**(bits - 1)
             rails[k] = rails[k] * (1.0 + table[codes])

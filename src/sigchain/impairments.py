@@ -184,7 +184,8 @@ def quantize_track(
 
     The default range is [-full_scale, +full_scale] with step
     2*full_scale/2**bits; pass ``lo=0.0`` for unipolar tracks (amplitude
-    paths), which uses step full_scale/2**bits over [0, full_scale].
+    paths), which uses step full_scale/2**bits over [0, full_scale].  The
+    zero level is +0.0 whatever the sign of the input rounded to it.
     """
     if bits < 1 or bits > 32:
         raise ValueError("bits must lie in [1, 32]")
@@ -194,7 +195,7 @@ def quantize_track(
         lo = -full_scale
     step = (full_scale - lo) / 2.0**bits
     out = np.round(np.asarray(track, dtype=np.float64) / step) * step
-    return np.clip(out, lo, full_scale)
+    return np.clip(out, lo, full_scale) + 0.0
 
 
 def quantize(env: ComplexEnvelope, bits: int, full_scale: float) -> ComplexEnvelope:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -34,20 +33,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DemodResult:
-    """Decision-point samples of one record and the constellation they are
-    decided on.  ``decided_labels``, the label of each sample's nearest
-    point, is found on first read and then kept: scoring reads only the
-    samples."""
+    """Decision-point samples of one record and the integer timing offset
+    they were taken at."""
 
     rx_symbols: np.ndarray
-    constellation: mod.Constellation
     timing_offset: int
-
-    @cached_property
-    def decided_labels(self) -> np.ndarray:
-        d2 = np.abs(self.rx_symbols[:, None]
-                    - self.constellation.points[None, :]) ** 2
-        return np.argmin(d2, axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -89,9 +79,10 @@ def _decision_grid(shape: mod.PulseShape, sps_out: int, n_total: int,
         first = sps_out // 2
         n_sym = n_total // sps_out
     else:
+        # the tails are 2 * half samples long, as shaped_samples counts them
         half = shape.span_symbols * sps_out // 2
         first = 2 * half if rx_filtered else half
-        n_sym = (n_total - shape.span_symbols * sps_out) // sps_out
+        n_sym = (n_total - 2 * half) // sps_out
     return first, n_sym
 
 
@@ -131,8 +122,6 @@ def _matched_taps(shape: mod.PulseShape, sps: int) -> np.ndarray:
     """Root-raised-cosine receive taps at ``sps`` samples per symbol, scaled
     so the transmit-receive cascade has unit gain on a record whose rate
     differs from the pulse's by a ``hold_factor``."""
-    mod.require(sps >= 4, "symbol_period", "a matched filter needs at least "
-                f"4 samples per symbol, the record has {sps}")
     taps = mod.shape_filter(replace(shape, samples_per_symbol=sps))
     return taps * math.sqrt(shape.samples_per_symbol / sps)
 
@@ -160,14 +149,12 @@ def demodulate(
     recovery.
     """
     x = env.samples
-    sps_f = symbol_period * env.sample_rate
-    sps = int(round(sps_f))
-    if sps < 1 or abs(sps_f - sps) > 1e-6:
-        raise ValueError("symbol period must be an integer number of samples")
+    rrc = shape.kind == "root_raised_cosine"
+    sps = mod.symbol_samples(symbol_period, env.sample_rate, 4 if rrc else 1)
 
     taps = None
     n_out = x.size
-    if shape.kind == "root_raised_cosine":
+    if rrc:
         taps = _matched_taps(shape, sps)
         n_out += taps.size - 1
 
@@ -205,7 +192,7 @@ def demodulate(
         if 2 * skip_edge_symbols >= idx.size:
             raise ValueError("skip_edge_symbols leaves no symbols")
         idx = idx[skip_edge_symbols:-skip_edge_symbols]
-    return DemodResult(sample(idx), constellation, offset)
+    return DemodResult(sample(idx), offset)
 
 
 def evm(rx_symbols, ref_symbols) -> EvmReport:
@@ -226,9 +213,9 @@ def evm(rx_symbols, ref_symbols) -> EvmReport:
 class LinkScorer:
     """Scores any envelope of one record against its transmitted symbols.
 
-    A call returns the decision-point and reference symbols, cut to a common
-    length, and their EvmReport.  The first and last ``shape.span_symbols``
-    symbols, where the pulse tails are cut off, are left out."""
+    A call returns the decision-point and reference symbols of every sent
+    symbol but the first and last ``shape.span_symbols``, where the pulse
+    tails are cut off, and their EvmReport."""
 
     stream: mod.SymbolStream
     constellation: mod.Constellation
@@ -240,11 +227,10 @@ class LinkScorer:
         span = self.shape.span_symbols
         ref = self.stream.symbols[span:-span]
         rx = demodulate(env, self.constellation, self.shape,
-                        self.stream.symbol_period,
+                        self.stream.symbol_period, n_symbols=len(self.stream),
                         timing_search=self.timing_search,
                         skip_edge_symbols=span).rx_symbols
-        n = min(rx.size, ref.size)
-        return rx[:n], ref[:n], evm(rx[:n], ref[:n])
+        return rx, ref, evm(rx, ref)
 
 
 # Additive error budget terms: the distinct stage terms, in registry order
@@ -374,10 +360,7 @@ def eye_metrics(env: ComplexEnvelope, symbol_period: float,
     values, so every class is one contiguous run, and the winning phase's
     traces, gaps and classes are kept rather than recomputed.
     """
-    sps_f = symbol_period * env.sample_rate
-    sps = int(round(sps_f))
-    if sps < 4 or abs(sps_f - sps) > 1e-6:
-        raise ValueError("symbol period must be >= 4 integer samples")
+    sps = mod.symbol_samples(symbol_period, env.sample_rate, 4)
     x = env.samples.real
     n_traces = x.size // sps
     if n_traces < 8:

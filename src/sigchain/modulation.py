@@ -26,6 +26,7 @@ __all__ = [
     "shape_filter",
     "shape_symbols",
     "shaped_samples",
+    "symbol_samples",
     "gate_samples",
     "gate_envelope",
     "gate_envelope_unit_area",
@@ -326,7 +327,8 @@ def shape_symbols(stream: SymbolStream, shape: PulseShape) -> ComplexEnvelope:
 
     The output sample rate is samples_per_symbol / symbol_period.  Symbol k's
     decision instant sits at sample k*sps + (ntaps-1)//2 ("full" convolution
-    group delay); metric code trims span/2 symbols at each end before use.
+    group delay).  The tails are span/2 symbols long at each end; the link
+    scorer leaves out the first and last span_symbols symbols.
     """
     if len(stream) == 0:
         raise ValueError("cannot shape an empty symbol stream")
@@ -348,6 +350,19 @@ def shaped_samples(n_symbols: int, shape: PulseShape) -> int:
     sps = shape.samples_per_symbol
     tails = 0 if shape.kind == "rect" else 2 * (shape.span_symbols * sps // 2)
     return n_symbols * sps + tails
+
+
+def symbol_samples(symbol_period: float, sample_rate: float,
+                   least: int = 1) -> int:
+    """Samples per symbol, ``symbol_period * sample_rate``.  Raises
+    InputError at ``symbol_period`` unless that is a whole number (within
+    1e-6) of at least ``least``."""
+    sps = symbol_period * sample_rate
+    require(math.isfinite(sps) and abs(sps - round(sps)) <= 1e-6
+            and round(sps) >= least, "symbol_period", "symbol_period must "
+            f"span an integer number of samples, at least {least} samples "
+            f"per symbol, got {sps:g}")
+    return round(sps)
 
 
 def _gaussian_params(spec: GateEnvelopeSpec) -> tuple[float, float]:

@@ -421,13 +421,13 @@ def _compute_comm(plan: dict, made: tuple) -> tuple[dict, dict]:
     if "constellation" in plan["outputs"]:
         bps = const.bits_per_symbol
         skip = shape.span_symbols
-        sent = bits.reshape(-1, bps)[skip:skip + rx.size] + ord("0")
+        sent = bits.reshape(-1, bps)[skip:-skip] + ord("0")
         labels = sent.astype(np.uint8).view(f"S{bps}").ravel().astype(str)
         artifacts["constellation.csv"] = _csv(
             "bits,i_ref,q_ref,i_rx,q_rx", labels, ref.real, ref.imag,
             rx.real, rx.imag)
     if "psd" in plan["outputs"]:
-        spectrum = met.psd_welch(env, nperseg=min(1024, len(env)))
+        spectrum = met.psd_welch(env)
         with np.errstate(divide="ignore"):
             db = 10.0 * np.log10(spectrum.psd)
         artifacts["psd.csv"] = _csv("freq_hz,db", spectrum.freqs, db)
@@ -437,7 +437,7 @@ def _compute_comm(plan: dict, made: tuple) -> tuple[dict, dict]:
                           "width_fraction": eye.eye_width_fraction,
                           "sample_instant_fraction":
                               eye.sample_instant_fraction}
-        sps = int(round(symbol_period * env.sample_rate))
+        sps = mod.symbol_samples(symbol_period, env.sample_rate, 4)
         instant = int(round(eye.sample_instant_fraction * sps))
         # whole periods past the pulse tails at either end, EYE_TRACES at most
         skip = shape.span_symbols
@@ -460,8 +460,7 @@ def _compute_comm(plan: dict, made: tuple) -> tuple[dict, dict]:
 def _qubit_input(plan: dict):
     return synth_qubit_pulse(
         None, plan["envelope"], plan["sample_rate"],
-        rotation_angle=(None if plan["envelope"].peak_amplitude is not None
-                        else plan["gate"].rotation_angle),
+        rotation_angle=plan["gate"].rotation_angle,
         axis_phase=plan["gate"].axis_phase,
         drive_gain=plan["model"].drive_gain)
 

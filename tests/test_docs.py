@@ -74,6 +74,24 @@ def test_command_line_examples_parse():
         build_parser().parse_args(words[1:])
 
 
+def test_scored_window_matches_the_bundled_links():
+    from sigchain import scenario as scn
+
+    assert ("the first and last `span_symbols` symbols are not scored"
+            in _section("Scenario files"))
+    links = 0
+    for name in scn.list_bundled_scenarios():
+        raw = scn.read_config(scn.bundled_scenario_path(name))
+        if raw.get("mode") != "comm":
+            continue
+        comm = raw["comm"]
+        summary, _ = scn._compute(raw)
+        assert summary["num_symbols"] == (
+            comm["n_symbols"] - 2 * comm["pulse"]["span_symbols"]), name
+        links += 1
+    assert links >= 5
+
+
 def test_mode_table_matches_the_modes():
     from sigchain.scenario import _KINDS, _MODES
 

@@ -275,6 +275,16 @@ class TestQuantize:
         out = imp.quantize(env, 4, 1.0)
         assert np.all(out.samples == 0.0)
 
+    def test_zero_level_is_positive_zero(self):
+        # a small negative input rounds to the zero level, written "0"
+        from sigchain.scenario import _csv
+
+        env = ComplexEnvelope(np.array([-0.01 - 0.01j]), 1e6)
+        out = imp.quantize(env, 4, 1.0)
+        assert _csv("i,q", out.samples.real, out.samples.imag) == "i,q\n0,0\n"
+        track = imp.quantize_track(-np.linspace(0.0, 0.03, 7), 4, 1.0)
+        assert not np.any(np.signbit(track))
+
     def test_unipolar_track(self):
         track = np.array([0.0, 0.26, 0.51, 1.0, 1.4])
         out = imp.quantize_track(track, 2, 1.0, lo=0.0)

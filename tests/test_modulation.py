@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from sigchain.envelope import InputError
 from sigchain.modulation import (
     MAX_POINTS,
     SCHEMES,
@@ -17,6 +18,7 @@ from sigchain.modulation import (
     shape_filter,
     shape_symbols,
     shaped_samples,
+    symbol_samples,
 )
 
 
@@ -224,6 +226,36 @@ class TestShapeFilter:
             PulseShape("raised_cosine", 0.35, samples_per_symbol=2)
         with pytest.raises(ValueError):
             PulseShape("triangle")
+
+
+class TestSymbolSamples:
+    def test_exactly_at_least(self):
+        assert symbol_samples(4e-9, 1e9, least=4) == 4
+        assert symbol_samples(1e-9, 1e9) == 1
+
+    @pytest.mark.parametrize("period, least", [(3e-9, 4), (0.0, 1),
+                                               (-1e-9, 1)])
+    def test_under_least_rejected(self, period, least):
+        with pytest.raises(InputError, match=f"at least {least} samples per "
+                           "symbol") as err:
+            symbol_samples(period, 1e9, least=least)
+        assert err.value.key == "symbol_period"
+
+    @pytest.mark.parametrize("off", [5e-7, -5e-7])
+    def test_within_tolerance_of_an_integer(self, off):
+        got = symbol_samples(8.0 + off, 1.0)
+        assert got == 8 and type(got) is int
+
+    @pytest.mark.parametrize("off", [2e-6, -2e-6, 0.5])
+    def test_off_an_integer_rejected(self, off):
+        with pytest.raises(InputError, match="integer number of samples"):
+            symbol_samples(8.0 + off, 1.0)
+
+    @pytest.mark.parametrize("period, rate", [(1e300, 1e10), (math.nan, 1e9)])
+    def test_non_finite_product_rejected(self, period, rate):
+        with pytest.raises(InputError) as err:
+            symbol_samples(period, rate)
+        assert err.value.key == "symbol_period"
 
 
 class TestShapeSymbols:

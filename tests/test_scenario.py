@@ -597,6 +597,41 @@ class TestRunScenario:
         assert len(runs) == len(budget["terms"]) + 1
 
 
+class TestScoredWindow:
+    """With an odd span_symbols x samples_per_symbol the two pulse tails
+    together are a sample shorter than span_symbols periods; every sent
+    symbol past the first and last span_symbols is still scored."""
+
+    @pytest.mark.parametrize("kind, span, chain", [
+        ("raised_cosine", 5, None),
+        ("raised_cosine", 7, None),
+        ("root_raised_cosine", 5, HELD),
+    ], ids=["rc-5x5", "rc-7x5", "rrc-5x5-held"])
+    def test_odd_tails_score_every_sent_symbol(self, kind, span, chain):
+        cfg = qpsk_config(n_symbols=256, outputs=("constellation",),
+                          chain=chain)
+        cfg["sample_rate"] = 5.0e9
+        cfg["comm"]["pulse"] = {"kind": kind, "rolloff": 0.35,
+                                "span_symbols": span, "samples_per_symbol": 5}
+        want = 256 - 2 * span
+        summary, artifacts = scn._compute(cfg)
+        assert summary["num_symbols"] == want
+        assert summary["evm_rms"] < 0.1
+        rows = artifacts["constellation.csv"].splitlines()[1:]
+        assert len(rows) == want
+        plan = scn.plan_scenario(cfg)
+        const = plan["constellation"]
+        for row in rows:
+            label, i_ref, q_ref = row.split(",")[:3]
+            assert const.points[int(label, 2)] == complex(float(i_ref),
+                                                          float(q_ref))
+        _, stream, clean = scn._comm_input(plan)
+        env = clean if chain is None else run_chain(plan["chain"], clean)
+        rx, ref, report = met.LinkScorer(stream, const, plan["pulse"])(env)
+        assert rx.size == report.num_symbols == want
+        assert np.array_equal(ref, stream.symbols[span:-span])
+
+
 class TestSweep:
     def sweep_config(self, values):
         chain = {"stages": [
