@@ -5,14 +5,16 @@ distortion it cares about, and returns a new chain with a correction stage
 attached.  All of them are meant to be idempotent: running a calibration on
 an already-corrected chain should produce a correction close to identity.
 Routines raise CalibrationError instead of returning a bad correction when
-the measurement says the model does not apply, and InputError before any
-compute when an argument breaks a rule of ``ROUTINES``, the input contracts.
+the measurement says the model does not apply.  Each routine is its own
+input contract: it checks its rules first and raises InputError, at the
+argument's key, before any compute.  ``ROUTINES`` maps each routine name to
+the adapter that turns its result into a report.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -115,8 +117,18 @@ def rabi_amplitude_cal(model: qb.QubitModel, envelope: mod.GateEnvelopeSpec,
     inherit the flat top of the sine.  A nonmonotone angle map beyond
     ``residual_tol`` radians means the inversion is untrustworthy.
     """
-    _rabi_rules(envelope, sample_rate, scales, chain, residual_tol,
-                saturation)
+    n_gate = check_gate(envelope, sample_rate, "envelope.duration_s")
+    check_record(chain, n_gate, sample_rate, "envelope.duration_s")
+    for k, v in enumerate(scales):
+        require(_finite(v), f"scales.{k}",
+                f"expected finite number, got {v!r}")
+        require(v >= 0.0, f"scales.{k}", f"a scale is a gate peak and must "
+                f"be nonnegative, got {v!r}")
+    require(len(scales) >= 5, "scales", "need at least 5 sweep points")
+    require(all(lo < hi for lo, hi in zip(scales, scales[1:])), "scales",
+            "must be strictly increasing")
+    require(residual_tol >= 0.0, "residual_tol", "must be nonnegative")
+    require(0.0 < saturation <= 1.0, "saturation", "must lie in (0, 1]")
     codes = np.asarray(scales, dtype=np.float64)
     p1 = qb.rabi_protocol(model, envelope, sample_rate, codes,
                           chain=chain)
@@ -144,22 +156,6 @@ def rabi_amplitude_cal(model: qb.QubitModel, envelope: mod.GateEnvelopeSpec,
     return AmplitudeLut(lut_codes, lut_theta, theta_raw, residual)
 
 
-def _rabi_rules(envelope, sample_rate, scales, chain, residual_tol,
-                saturation, **_) -> None:
-    n_gate = check_gate(envelope, sample_rate, "envelope.duration_s")
-    check_record(chain, n_gate, sample_rate, "envelope.duration_s")
-    for k, v in enumerate(scales):
-        require(_finite(v), f"scales.{k}",
-                f"expected finite number, got {v!r}")
-        require(v >= 0.0, f"scales.{k}", f"a scale is a gate peak and must "
-                f"be nonnegative, got {v!r}")
-    require(len(scales) >= 5, "scales", "need at least 5 sweep points")
-    require(all(lo < hi for lo, hi in zip(scales, scales[1:])), "scales",
-            "must be strictly increasing")
-    require(residual_tol >= 0.0, "residual_tol", "must be nonnegative")
-    require(0.0 < saturation <= 1.0, "saturation", "must lie in (0, 1]")
-
-
 def iq_tone_bin(sample_rate: float, n_samples: int,
                 tone_freq: float | None = None) -> int:
     """FFT bin of the ``iq_cal`` probe tone: the bin nearest ``tone_freq``,
@@ -183,7 +179,11 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
     the static offset into three FFT bins.  The correction solves the
     2x2 mixing exactly, so a second pass measures identity.
     """
-    _iq_rules(chain, sample_rate, tone_freq, n_samples)
+    require(chain is not None, "chain", "iq_cal needs a chain")
+    require(n_samples >= 8, "n_samples", "must be at least 8")
+    hold = check_record(chain, n_samples, sample_rate, "n_samples")
+    require(hold == 1, "chain", "iq_cal needs a chain that keeps the record "
+            "length, with no hold_factor above 1")
     k = iq_tone_bin(sample_rate, n_samples, tone_freq)
     t = np.arange(n_samples)
     probe = ComplexEnvelope(np.exp(2j * np.pi * k * t / n_samples),
@@ -203,15 +203,6 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
               [float(np.imag(a + b)), float(np.real(a - b))]]
     stage = StageSpec("iq_correction", {"matrix": matrix, "offset": complex(d)})
     return replace(chain, stages=(stage, *chain.stages))
-
-
-def _iq_rules(chain, sample_rate, tone_freq, n_samples) -> None:
-    require(chain is not None, "chain", "iq_cal needs a chain")
-    require(n_samples >= 8, "n_samples", "must be at least 8")
-    hold = check_record(chain, n_samples, sample_rate, "n_samples")
-    require(hold == 1, "chain", "iq_cal needs a chain that keeps the record "
-            "length, with no hold_factor above 1")
-    iq_tone_bin(sample_rate, n_samples, tone_freq)
 
 
 def align_probe_shape(symbol_period: float,
@@ -250,34 +241,6 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
     best candidate landing on either end of the grid raises, since the
     true optimum may sit outside the window.
     """
-    _align_rules(chain, sample_rate, symbol_period, window_s, step_s,
-                 n_symbols, seed)
-    shape = align_probe_shape(symbol_period, sample_rate)
-    const = mod.build_constellation("m_psk", m=4)
-    bits = np.random.default_rng(seed).integers(
-        0, 2, size=n_symbols * const.bits_per_symbol)
-
-    stream, probe = synth_comm_waveform(bits, const, shape,
-                                        symbol_period=symbol_period)
-    candidates = align_candidates(window_s, step_s, probe.duration)
-    outputs = run_chain_per_trim(chain, probe, candidates.tolist())
-    scorer = LinkScorer(stream, const, shape)
-    scores = np.empty(candidates.size)
-    for idx, (cand, env) in enumerate(zip(candidates, outputs)):
-        if cand != 0.0:
-            env = fractional_delay(env, -float(cand))
-        scores[idx] = scorer(env)[2].evm_rms
-    best = int(np.argmin(scores))
-    if best in (0, candidates.size - 1):
-        raise CalibrationError("best trim delay sits on the search boundary; "
-                               "widen the window")
-    best_delay = float(candidates[best])
-    aligned = with_stage_param(chain, "polar_paths", comp_delay_s=best_delay)
-    return aligned, best_delay, scores
-
-
-def _align_rules(chain, sample_rate, symbol_period, window_s, step_s,
-                 n_symbols, seed=0, **_) -> None:
     require(chain is not None, "chain", "polar_delay_align needs a chain")
     require(any(st.kind == "polar_paths" for st in chain.stages),
             "chain.stages", "polar_delay_align needs a 'polar_paths' stage")
@@ -297,7 +260,28 @@ def _align_rules(chain, sample_rate, symbol_period, window_s, step_s,
     n_cand = math.ceil(span) if math.isfinite(span) else span
     check_budget(n_cand * n_probe * hold, "step_s", f"a grid of {n_cand} "
                  f"trim delay candidates over the {n_probe}-sample probe ")
-    align_candidates(window_s, step_s, n_probe / rate)
+    candidates = align_candidates(window_s, step_s, n_probe / rate)
+
+    const = mod.build_constellation("m_psk", m=4)
+    bits = np.random.default_rng(seed).integers(
+        0, 2, size=n_symbols * const.bits_per_symbol)
+
+    stream, probe = synth_comm_waveform(bits, const, shape,
+                                        symbol_period=symbol_period)
+    outputs = run_chain_per_trim(chain, probe, candidates.tolist())
+    scorer = LinkScorer(stream, const, shape)
+    scores = np.empty(candidates.size)
+    for idx, (cand, env) in enumerate(zip(candidates, outputs)):
+        if cand != 0.0:
+            env = fractional_delay(env, -float(cand))
+        scores[idx] = scorer(env)[2].evm_rms
+    best = int(np.argmin(scores))
+    if best in (0, candidates.size - 1):
+        raise CalibrationError("best trim delay sits on the search boundary; "
+                               "widen the window")
+    best_delay = float(candidates[best])
+    aligned = with_stage_param(chain, "polar_paths", comp_delay_s=best_delay)
+    return aligned, best_delay, scores
 
 
 def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
@@ -315,7 +299,16 @@ def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
     predistorter can undo a fold, and full_scale outputs the chain cannot
     reach have no preimage.
     """
-    _dpd_rules(chain, sample_rate, order, n_levels, full_scale, hold_samples)
+    require(chain is not None, "chain", "dpd_fit needs a chain")
+    require(order in (3, 5, 7), "order", "must be 3, 5 or 7")
+    require(n_levels >= order + 2, "n_levels",
+            f"must be at least order + 2 = {order + 2}")
+    require(full_scale > 0.0, "full_scale", "must be positive")
+    check_budget(hold_samples, "hold_samples", "one level ")
+    hold = check_record(chain, n_levels * hold_samples, sample_rate,
+                        "n_levels")
+    require(hold_samples * hold >= 4, "hold_samples", "must hold each level "
+            "for at least 4 samples after the chain's hold")
     levels = full_scale * np.arange(1, n_levels + 1) / n_levels
     probe = ComplexEnvelope(
         np.repeat(levels, hold_samples).astype(np.complex128), sample_rate)
@@ -357,20 +350,6 @@ def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
     return replace(chain, stages=(stage, *chain.stages)), gain_poly, phase_poly
 
 
-def _dpd_rules(chain, sample_rate, order, n_levels, full_scale,
-               hold_samples, **_) -> None:
-    require(chain is not None, "chain", "dpd_fit needs a chain")
-    require(order in (3, 5, 7), "order", "must be 3, 5 or 7")
-    require(n_levels >= order + 2, "n_levels",
-            f"must be at least order + 2 = {order + 2}")
-    require(full_scale > 0.0, "full_scale", "must be positive")
-    check_budget(hold_samples, "hold_samples", "one level ")
-    hold = check_record(chain, n_levels * hold_samples, sample_rate,
-                        "n_levels")
-    require(hold_samples * hold >= 4, "hold_samples", "must hold each level "
-            "for at least 4 samples after the chain's hold")
-
-
 def leakage_cancel(chain: TxChain, sample_rate: float,
                    on_samples: int = 256, off_samples: int = 256,
                    guard_samples: int = 8):
@@ -382,7 +361,13 @@ def leakage_cancel(chain: TxChain, sample_rate: float,
     wobbles by more than 10 percent of itself is not static, so it raises
     rather than baking a wrong constant into the chain.
     """
-    _leakage_rules(chain, sample_rate, on_samples, off_samples, guard_samples)
+    require(chain is not None, "chain", "leakage_cancel needs a chain")
+    require(on_samples >= 1, "on_samples", "must be at least 1")
+    require(guard_samples >= 0, "guard_samples", "must be nonnegative")
+    require(off_samples > guard_samples + 8, "off_samples", "must exceed "
+            "guard_samples + 8: the off window must outlast the guard")
+    check_budget(off_samples, "off_samples", "the off window ")
+    check_record(chain, on_samples + off_samples, sample_rate, "on_samples")
     probe = ComplexEnvelope(
         np.concatenate([np.ones(on_samples), np.zeros(off_samples)])
         .astype(np.complex128), sample_rate)
@@ -402,41 +387,19 @@ def leakage_cancel(chain: TxChain, sample_rate: float,
     return replace(chain, stages=(*chain.stages, stage)), level
 
 
-def _leakage_rules(chain, sample_rate, on_samples, off_samples,
-                   guard_samples, **_) -> None:
-    require(chain is not None, "chain", "leakage_cancel needs a chain")
-    require(on_samples >= 1, "on_samples", "must be at least 1")
-    require(guard_samples >= 0, "guard_samples", "must be nonnegative")
-    require(off_samples > guard_samples + 8, "off_samples", "must exceed "
-            "guard_samples + 8: the off window must outlast the guard")
-    check_budget(off_samples, "off_samples", "the off window ")
-    check_record(chain, on_samples + off_samples, sample_rate, "on_samples")
-
-
 # --------------------------------------------------------------- registry
 
-class Routine(NamedTuple):
-    """What a routine's signature does not say.  ``rule`` raises InputError,
-    given the arguments by name; ``report`` maps the result to (corrected
-    chain or None, report fields).  The signature's parameters but chain and
-    sample_rate are the routine's config keys."""
-
-    rule: Callable
-    report: Callable
-
-
-# Every routine, described once.  Callers look the routine itself up by
-# name, so a rebound ``calibration.<name>`` is the one called.
-ROUTINES: dict[str, Routine] = {
-    "rabi_amplitude_cal": Routine(_rabi_rules, lambda lut: (
-        None, {**vars(lut), "pi_code": lut.pi_code})),
-    "iq_cal": Routine(_iq_rules,
-                      lambda chain: (chain, dict(chain.stages[0].params))),
-    "polar_delay_align": Routine(
-        _align_rules, lambda out: (out[0], {"best_delay_s": out[1],
-                                            "evm_per_candidate": out[2]})),
-    "dpd_fit": Routine(_dpd_rules, lambda out: (
-        out[0], {"gain_poly": out[1], "phase_poly": out[2]})),
-    "leakage_cancel": Routine(_leakage_rules,
-                              lambda out: (out[0], {"off_level": out[1]})),
+# Each routine's report adapter: the routine's result to (corrected chain or
+# None, report fields).  A routine checks its own input contract first, so
+# this holds only what its signature does not say.  Callers look the routine
+# itself up by name, so a rebound ``calibration.<name>`` is the one called.
+ROUTINES: dict[str, Callable] = {
+    "rabi_amplitude_cal": lambda lut: (
+        None, {**vars(lut), "pi_code": lut.pi_code}),
+    "iq_cal": lambda chain: (chain, dict(chain.stages[0].params)),
+    "polar_delay_align": lambda out: (
+        out[0], {"best_delay_s": out[1], "evm_per_candidate": out[2]}),
+    "dpd_fit": lambda out: (
+        out[0], {"gain_poly": out[1], "phase_poly": out[2]}),
+    "leakage_cancel": lambda out: (out[0], {"off_level": out[1]}),
 }

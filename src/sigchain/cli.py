@@ -35,7 +35,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out-dir", default="sigchain-results",
                      help="directory for reports (default: %(default)s)")
     sub.add_argument("--verbose", action="store_true",
-                     help="progress logging on stderr")
+                     help="log the run directory written, and the "
+                          "traceback of each failure, on stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,10 +99,10 @@ def _cmd_scenarios(_args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr, format="%(levelname)s %(message)s",
-        level=logging.INFO if getattr(args, "verbose", False)
-        else logging.WARNING)
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    # --verbose shows every sigchain record, tracebacks included
+    log.setLevel(logging.DEBUG if getattr(args, "verbose", False)
+                 else logging.NOTSET)
     dispatch = {"simulate": _cmd_simulate, "sweep": _cmd_sweep,
                 "calibrate": _cmd_calibrate, "scenarios": _cmd_scenarios}
     try:

@@ -107,14 +107,19 @@ def _convolve_at(x: np.ndarray, taps: np.ndarray,
     lo, hi = int(starts.min()), int(starts.max()) + n_taps
     a, b = max(lo, 0), min(hi, x.size)
     rev = taps[::-1].copy()
-    rows = max(1, _DEMOD_BLOCK // n_taps)
+    # BLAS may round a row by its place in a block and by the block's size
+    # (its kernels reduce rows in groups, the remainder apart): every block
+    # has the same size, a multiple of 16 rows, so an output's bytes do not
+    # depend on which other outputs one call asks for
+    rows = 16 * max(1, _DEMOD_BLOCK // (16 * n_taps))
+    at = np.pad(starts - lo, (0, -idx.size % rows), mode="edge")
     out = np.empty(idx.size, dtype=np.complex128)
     rail = np.zeros(hi - lo)
     windows = np.lib.stride_tricks.sliding_window_view(rail, n_taps)
     for part, src in ((out.real, x.real), (out.imag, x.imag)):
         rail[a - lo:b - lo] = src[a:b]
         for k in range(0, idx.size, rows):
-            part[k:k + rows] = windows[starts[k:k + rows] - lo] @ rev
+            part[k:k + rows] = (windows[at[k:k + rows]] @ rev)[:idx.size - k]
     return out
 
 
@@ -140,13 +145,14 @@ def demodulate(
     Root-raised-cosine shapes get the matched receive filter, which is
     evaluated only at the decision instants (and at each ``timing_search``
     candidate): the full convolution's output there, a block of windows at a
-    time.  Its taps are scaled to unit cascade gain when the record's rate
-    is a multiple of the pulse's, and a record under 4 samples per symbol is
-    refused with InputError.  Every other shape is sampled directly at its
-    group delay.  ``timing_search`` scans integer sample offsets within half
-    a symbol and keeps the one whose first symbols (at most 64) sit closest
-    to the constellation.  There is no carrier, phase, or amplitude
-    recovery.
+    time, with the same bytes at an instant whatever ``n_symbols`` and
+    ``skip_edge_symbols`` are.  Its taps are scaled to unit cascade gain
+    when the record's rate is a multiple of the pulse's, and a record under
+    4 samples per symbol is refused with InputError.  Every other shape is
+    sampled directly at its group delay.  ``timing_search`` scans integer
+    sample offsets within half a symbol and keeps the one whose first
+    symbols (at most 64) sit closest to the constellation.  There is no
+    carrier, phase, or amplitude recovery.
     """
     x = env.samples
     rrc = shape.kind == "root_raised_cosine"

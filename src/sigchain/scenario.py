@@ -685,15 +685,16 @@ def run_calibration(raw: dict, out_dir) -> dict:
     path = "calibration.routine"
     r = _get(d, "routine", "calibration", "dict")
     kind = _get(r, "kind", path, tuple(ROUTINES))
-    row, (kinds, defaults) = ROUTINES[kind], _ROUTINE_KEYS[kind]
+    kinds, defaults = _ROUTINE_KEYS[kind]
     given = {k: v for k, v in r.items() if k != "kind"}
     args = {**defaults, **_read(given, kinds, defaults, path),
             "chain": chain, "sample_rate": fs}
+    # the routine checks its rules before any compute
     try:
-        row.rule(**args)
+        result = getattr(cal, kind)(**args)
     except InputError as e:
         raise _keyed(e, path, "calibration") from None
-    corrected, fields = row.report(getattr(cal, kind)(**args))
+    corrected, fields = ROUTINES[kind](result)
     report = {"name": name, "routine": kind, **fields}
     _write_run(out_dir, name, {
         "report.json": emit_json(report),

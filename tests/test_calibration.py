@@ -71,8 +71,9 @@ class TestRabiAmplitudeCal:
         model = qb.QubitModel(drive_gain=gt / TAU)
         chain = _rabi_chain([1.0, -1.5, 1.0])
         scales = np.linspace(0.05, 1.1, 60)
-        lut = cal.rabi_amplitude_cal(model, _rect_spec(), FS, scales,
-                                     chain=chain)
+        with pytest.warns(UserWarning, match="AM-AM transfer is non-monotone"):
+            lut = cal.rabi_amplitude_cal(model, _rect_spec(), FS, scales,
+                                         chain=chain)
         assert np.all(np.diff(lut.theta) >= -1e-12)
         assert lut.theta[-1] == pytest.approx(math.pi)
         # the known map pins the half-turn code: c*(1 - 1.5c^2 + c^4) fills
@@ -84,8 +85,10 @@ class TestRabiAmplitudeCal:
     def test_residual_is_the_distance_to_the_monotone_fit(self):
         model = qb.QubitModel(drive_gain=2.2 * math.pi / TAU)
         chain = _rabi_chain([1.0, -1.5, 1.0])
-        lut = cal.rabi_amplitude_cal(model, _rect_spec(), FS,
-                                     np.linspace(0.05, 1.1, 60), chain=chain)
+        with pytest.warns(UserWarning, match="AM-AM transfer is non-monotone"):
+            lut = cal.rabi_amplitude_cal(model, _rect_spec(), FS,
+                                         np.linspace(0.05, 1.1, 60),
+                                         chain=chain)
         # the dip is what the fit smooths away; the top knot is the half turn
         fit = lut.theta[:-1]
         assert 0.0 < lut.residual == np.max(np.abs(lut.theta_raw - fit))
@@ -94,9 +97,10 @@ class TestRabiAmplitudeCal:
         model = qb.QubitModel(drive_gain=2.2 * math.pi / TAU)
         chain = _rabi_chain([1.0, -2.0, 1.2])
         scales = np.linspace(0.05, 1.25, 60)
-        with pytest.raises(cal.CalibrationError, match="monotone"):
-            cal.rabi_amplitude_cal(model, _rect_spec(), FS, scales,
-                                   chain=chain, saturation=0.95)
+        with pytest.warns(UserWarning, match="AM-AM transfer is non-monotone"):
+            with pytest.raises(cal.CalibrationError, match="monotone"):
+                cal.rabi_amplitude_cal(model, _rect_spec(), FS, scales,
+                                       chain=chain, saturation=0.95)
 
     def test_truncated_sweep_raises(self):
         model = qb.QubitModel(drive_gain=math.pi / TAU)
@@ -376,8 +380,9 @@ class TestDpdFit:
     def test_fold_raises(self):
         chain = TxChain("custom", (StageSpec(
             "am_ampm", {"gain_poly": [1.0, -0.45]}),))
-        with pytest.raises(cal.CalibrationError, match="fold"):
-            cal.dpd_fit(chain, FS)
+        with pytest.warns(UserWarning, match="AM-AM transfer is non-monotone"):
+            with pytest.raises(cal.CalibrationError, match="fold"):
+                cal.dpd_fit(chain, FS)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="order"):

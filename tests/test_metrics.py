@@ -160,6 +160,30 @@ class TestDecimatingMatchedFilter:
         want = np.convolve(x, taps)[idx]
         assert np.max(np.abs(met._convolve_at(x, taps, idx) - want)) <= 1e-13
 
+    @pytest.mark.parametrize("span, sps, hold, n_sym", [
+        (5, 5, 2, 256),    # held by a 16-bit converter at hold_factor 2
+        (8, 5, 1, 4000),   # decisions over several blocks of windows
+    ], ids=["rrc-5x5-held", "blocks"])
+    def test_decision_bytes_do_not_depend_on_the_batch(self, span, sps,
+                                                       hold, n_sym):
+        const = mod.build_constellation("m_psk", m=4)
+        shape = mod.PulseShape("root_raised_cosine", rolloff=0.35,
+                               span_symbols=span, samples_per_symbol=sps)
+        bits = np.random.default_rng(span).integers(0, 2, 2 * n_sym)
+        chain = ch.TxChain("custom", (ch.StageSpec("rfdac_core", {
+            "bits": 16, "hold_factor": hold}),))
+        _, env = ch.synth_comm_waveform(bits, const, shape, chain, 1e-6)
+        full = met.demodulate(env, const, shape, 1e-6).rx_symbols
+        n = full.size
+        # cuts at the end, at both ends, and the scorer's window
+        for n_symbols, skip in [(n - 1, 0), (n - 7, 0), (n // 2, 0),
+                                (n, 1), (n, 2), (n, 3), (n, 7), (n, n // 4),
+                                (n - 5, 3), (n_sym, span), (n_sym - 1, span),
+                                (n_sym, span + 1)]:
+            got = met.demodulate(env, const, shape, 1e-6, n_symbols=n_symbols,
+                                 skip_edge_symbols=skip).rx_symbols
+            assert got.tobytes() == full[skip:n_symbols - skip].tobytes()
+
     def test_last_instant_at_the_record_end(self):
         # the latest decision window runs past the last sample
         const, shape, env = self._record(8, shift=0)

@@ -1,5 +1,6 @@
-"""The calibration registry: one input contract per routine, read by both the
-library and calibration files, and finite numbers in every config."""
+"""Calibration input contracts: each routine checks its own rules, once,
+the same for a library call and a calibration file, and finite numbers in
+every config."""
 import inspect
 import json
 import math
@@ -182,6 +183,28 @@ def test_a_rebound_routine_keeps_the_file_keys(tmp_path, monkeypatch):
     assert seen == [["chain", "n_samples", "sample_rate", "tone_freq"]]
 
 
+@pytest.mark.parametrize("kind, stages, keys", [
+    ("rabi_amplitude_cal", None, RABI),
+    ("iq_cal", [RFDAC], {"n_samples": 64}),
+    ("polar_delay_align", [POLAR], {**ALIGN, "n_symbols": 24}),
+    ("dpd_fit", [RFDAC], {}),
+    ("leakage_cancel", [RFDAC], {}),
+])
+def test_a_calibration_file_checks_the_rules_once(kind, stages, keys,
+                                                  tmp_path, monkeypatch):
+    # each routine's rules check its record exactly once
+    calls = []
+    check_record = cal.check_record
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_record(*args, **kwargs)
+
+    monkeypatch.setattr(cal, "check_record", counted)
+    assert _calibrate(tmp_path, _config(kind, stages, keys)) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("kind, stages, keys, where", CASES)
 def test_library_and_config_fail_with_the_same_text(
         kind, stages, keys, where, tmp_path, capsys, no_compute):
@@ -193,10 +216,10 @@ def test_library_and_config_fail_with_the_same_text(
     assert not (tmp_path / "out").exists()
 
 
-def test_align_grid_fills_the_budget_at_its_edge():
-    rule = cal.ROUTINES["polar_delay_align"].rule
+def test_align_grid_fills_the_budget_at_its_edge(no_compute):
     chain = TxChain("polar", (StageSpec("polar_paths", {}),))
-    rule(chain=chain, sample_rate=8e9, **EDGE)
+    with pytest.raises(AssertionError, match="compute started"):
+        cal.polar_delay_align(chain, 8e9, **EDGE)
     shape = cal.align_probe_shape(EDGE["symbol_period"], 8e9)
     duration = mod.shaped_samples(24, shape) / (
         shape.samples_per_symbol / EDGE["symbol_period"])
@@ -204,7 +227,7 @@ def test_align_grid_fills_the_budget_at_its_edge():
     grid = cal.align_candidates(EDGE["window_s"], STEP, duration)
     assert grid.size * 256 == MAX_SAMPLES
     with pytest.raises(InputError, match="a grid of 65537 trim delay") as e:
-        rule(chain=chain, sample_rate=8e9, **PAST)
+        cal.polar_delay_align(chain, 8e9, **PAST)
     assert e.value.key == "step_s"
 
 

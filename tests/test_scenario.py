@@ -47,6 +47,13 @@ def qpsk_config(name="smoke", n_symbols=64, outputs=("constellation", "psd"),
     return cfg
 
 
+def _child_env() -> dict:
+    """The environment of a child Python that imports this sigchain."""
+    src = str(Path(scn.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def pi_config(name="pi-smoke", outputs=("bloch",)):
     return {
         "name": name,
@@ -1361,9 +1368,23 @@ class TestCli:
         }
         p = tmp_path / "cal.json"
         p.write_text(json.dumps(cfg))
-        assert main(["calibrate", str(p), "--out-dir",
-                     str(tmp_path / "out")]) == 3
+        with pytest.warns(UserWarning, match="AM-AM transfer is non-monotone"):
+            assert main(["calibrate", str(p), "--out-dir",
+                         str(tmp_path / "out")]) == 3
         assert "error" in capsys.readouterr().err
+        # from a shell, --verbose adds the failure's traceback to the one
+        # error line; the fold's own warning is left out of the count
+        for verbose in (False, True):
+            run = subprocess.run(
+                [sys.executable, "-W", "ignore:AM-AM transfer is non-monotone",
+                 "-m", "sigchain.cli", "calibrate", str(p), "--out-dir",
+                 str(tmp_path / "out")] + ["--verbose"] * verbose,
+                env=_child_env(), capture_output=True, text=True)
+            assert run.returncode == 3
+            lines = run.stderr.splitlines()
+            assert lines[-1].startswith("sigchain: error: ")
+            assert ("Traceback (most recent call last):" in lines) == verbose
+            assert len(lines) > 1 if verbose else len(lines) == 1
 
     def test_sweep_command(self, tmp_path, capsys):
         # a failed value holding a line break is still one point
@@ -1506,13 +1527,16 @@ class TestCli:
         def compute(*args, **kwargs):
             raise AssertionError("compute started")
 
-        for routine in scn.ROUTINES:
-            monkeypatch.setattr(cal, routine, compute)
+        # every way a routine starts computing
+        for name in ("run_chain", "run_chain_per_trim", "synth_comm_waveform"):
+            monkeypatch.setattr(cal, name, compute)
+        monkeypatch.setattr(qb, "rabi_protocol", compute)
         p = tmp_path / "cal.json"
         p.write_text(json.dumps(cfg))
         assert main(["calibrate", str(p), "--out-dir",
                      str(tmp_path / "out")]) == 2
         assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cfg", [
         align_cal_config(n_symbols=17),
@@ -1594,10 +1618,7 @@ class TestCli:
 
     def test_import_loads_no_scipy(self):
         # scipy is a test-only oracle; the runtime needs numpy alone
-        src = str(Path(scn.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         code = ("import sigchain.cli, sys; assert not [m for m in "
                 "sys.modules if m.split('.')[0] == 'scipy']")
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                       check=True)
