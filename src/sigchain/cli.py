@@ -77,7 +77,7 @@ def _cmd_sweep(args) -> int:
         raise scn.ConfigError("--threads must be >= 1")
     raw = scn.read_config(_resolve(args.scenario))
     target = scn.run_sweep(raw, args.out_dir, threads=args.threads)
-    with target.open(newline="") as f:
+    with target.open(newline="", encoding="utf-8") as f:
         n_points = sum(1 for _ in csv.reader(f)) - 1
     print(f"sweep: {n_points} points -> {target}")
     return 0
@@ -99,10 +99,15 @@ def _cmd_scenarios(_args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-    # --verbose shows every sigchain record, tracebacks included
+    # This call's sigchain records go to stderr alone, whatever handlers
+    # an embedding program set; --verbose shows all, tracebacks included
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    level, propagate = log.level, log.propagate
     log.setLevel(logging.DEBUG if getattr(args, "verbose", False)
-                 else logging.NOTSET)
+                 else logging.WARNING)
+    log.propagate = False
+    log.addHandler(handler)
     dispatch = {"simulate": _cmd_simulate, "sweep": _cmd_sweep,
                 "calibrate": _cmd_calibrate, "scenarios": _cmd_scenarios}
     try:
@@ -114,6 +119,10 @@ def main(argv=None) -> int:
         log.debug("traceback", exc_info=True)
         print(f"sigchain: error: {e}", file=sys.stderr)
         return 3
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+        log.propagate = propagate
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ A scenario names a chain, a stimulus, and the reports to write.  Parsing
 is strict: unknown keys, wrong types, and missing seeds on stochastic
 stages are configuration errors with the offending key path in the
 message, raised before any computation starts.  All emitted files go
-through a deterministic serializer (sorted keys, fixed float formatting,
-atomic replace) so rerunning a scenario reproduces its outputs byte for
-byte.
+through a deterministic serializer (sorted keys, fixed float formatting)
+into a staging directory that is swapped in whole, so rerunning a
+scenario reproduces its outputs byte for byte.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import os
+import tempfile
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -116,21 +117,31 @@ def emit_json(obj) -> str:
 def write_text_atomic(path: Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    tmp.write_text(text)
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
 def _write_run(out_dir, name: str, files: dict, note: str = "") -> Path:
     """Write a run's directory, ``out_dir/name``, and return it.  ``files``
-    maps each file this kind of run can write to its text, or to None if
-    this run did not write it: one an earlier run left is removed."""
+    maps each file name to its text, or to None for one this run does not
+    write.  The run is staged beside ``name`` and swapped in whole, so the
+    directory holds exactly these files, or the old run if a write fails."""
     dest = Path(out_dir) / name
-    dest.mkdir(parents=True, exist_ok=True)
-    for fname, text in sorted(files.items()):
-        if text is None:
-            (dest / fname).unlink(missing_ok=True)
-        else:
-            write_text_atomic(dest / fname, text)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{name}.", dir=out_dir) as stage:
+        run, old = Path(stage, "run"), Path(stage, "old")
+        run.mkdir()
+        for fname, text in sorted(files.items()):
+            if text is not None:
+                write_text_atomic(run / fname, text)
+        if dest.is_dir():
+            dest.rename(old)
+        try:
+            run.rename(dest)  # refuses a file at dest
+        except OSError:
+            if old.is_dir():
+                old.rename(dest)
+            raise
     log.info("wrote %s%s", dest, note)
     return dest
 
@@ -144,6 +155,8 @@ _CSV_QUOTED = frozenset(',"\r\n')
 def _csv_cell(v) -> str:
     if isinstance(v, str):
         text = v
+    elif isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
     elif isinstance(v, (int, np.integer)):
         return str(int(v))
     elif isinstance(v, (list, dict)) or v is None:
@@ -164,10 +177,10 @@ def _csv(header: str, *columns) -> str:
     are distinct instead goes through one C-level ``%.17g`` pass per block
     of ``_CSV_BLOCK`` rows.  Any other column is formatted cell by cell.
     A cell is formatted as ``_csv_cell`` does: strings as they are,
-    integers in decimal, floats as ``%.17g`` (which spells nan and
-    infinities ``nan``, ``inf`` and ``-inf``) and lists, objects and null
-    as compact JSON.  A cell holding a comma, quote or line break is
-    quoted per RFC 4180.
+    booleans as ``true`` and ``false``, integers in decimal, floats as
+    ``%.17g`` (which spells nan and infinities ``nan``, ``inf`` and
+    ``-inf``) and lists, objects and null as compact JSON.  A cell
+    holding a comma, quote or line break is quoted per RFC 4180.
     """
     cols, fmts = [], []
     for c in columns:
@@ -355,7 +368,7 @@ def read_config(source):
     """Parse a scenario, sweep or calibration file without validating it."""
     path = Path(source)
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from None
     except ValueError as e:  # also an integer past Python's digit limit
@@ -570,16 +583,11 @@ def _compute(raw: dict, made=None) -> tuple[dict, dict]:
     return summary, artifacts
 
 
-# Every report a scenario can write beside metrics.json, one per output
-_SCENARIO_REPORTS = {f"{out}.csv": None for row in _MODES.values()
-                     for out in row.keys["outputs"][0]}
-
-
 def run_scenario(raw: dict, out_dir) -> dict:
     """Run one scenario and write metrics.json plus requested reports."""
     summary, artifacts = _compute(raw)
-    _write_run(out_dir, summary["name"], {
-        **_SCENARIO_REPORTS, **artifacts, "metrics.json": emit_json(summary)})
+    _write_run(out_dir, summary["name"],
+               {**artifacts, "metrics.json": emit_json(summary)})
     return summary
 
 

@@ -156,6 +156,12 @@ class TestCsv:
         text = scn._csv("x", np.array([math.nan, math.inf, -math.inf, -0.0]))
         assert text == "x\nnan\ninf\n-inf\n-0\n"
 
+    def test_booleans_are_true_and_false(self):
+        # not 1 and 0, which would read as a swept integer
+        text = scn._csv("t,a", (False, True, np.bool_(True)),
+                        np.array([True, False, True]))
+        assert text == "t,a\nfalse,true\ntrue,false\ntrue,true\n"
+
     def test_non_scalar_cells_are_quoted_json(self):
         text = scn._csv("v,w", [[0.5, 1], {"a": "b"}, None, 'say "hi"'],
                         [1.0, 2.0, 3.0, 4.0])
@@ -1026,8 +1032,22 @@ def _no_outputs(cfg):
 
 
 class TestRunDirectory:
-    """A run's directory holds only the reports that run wrote, whatever an
-    earlier run of the same name left there."""
+    """A run's directory holds exactly the files that run wrote, whatever
+    was there before, and a run that fails to write leaves the old one."""
+
+    @staticmethod
+    def run(cfg, out_dir) -> str:
+        """Run a scenario, sweep or calibration file; the run's name."""
+        if "routine" in cfg:
+            return scn.run_calibration(cfg, out_dir)["name"]
+        if "sweep" in cfg:
+            return scn.run_sweep(cfg, out_dir).parent.name
+        return scn.run_scenario(cfg, out_dir)["name"]
+
+    @staticmethod
+    def files(root) -> dict:
+        return {str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
     @pytest.mark.parametrize("first, second, left", [
         (scn.read_config(scn.bundled_scenario_path("qam16_budget")),
@@ -1044,17 +1064,61 @@ class TestRunDirectory:
             "chain-then-no-chain", "failed-then-clean-sweep"])
     def test_a_rerun_leaves_only_its_reports(self, first, second, left,
                                              tmp_path):
-        def run(cfg):
-            if "routine" in cfg:
-                return scn.run_calibration(cfg, tmp_path)["name"]
-            if "sweep" in cfg:
-                return scn.run_sweep(cfg, tmp_path).parent.name
-            return scn.run_scenario(cfg, tmp_path)["name"]
-
-        name = run(first)
+        name = self.run(first, tmp_path)
+        # a user's own file, and another kind of run's report
+        for stray in {"notes.txt", "report.json", "metrics.json"} - set(left):
+            (tmp_path / name / stray).write_text("left by hand\n")
         assert len(os.listdir(tmp_path / name)) > len(left)
-        assert run(second) == name
+        assert self.run(second, tmp_path) == name
         assert sorted(os.listdir(tmp_path / name)) == left
+        assert os.listdir(tmp_path) == [name]
+
+    @pytest.mark.parametrize("fault", ["second-file", "swap-in"])
+    def test_a_failed_write_leaves_the_old_run(self, fault, tmp_path,
+                                               monkeypatch):
+        cfg = qpsk_config(outputs=("constellation", "psd"))
+        name = self.run(cfg, tmp_path)
+        before = self.files(tmp_path)
+        assert len(before) == 3
+        write, rename, calls = scn.write_text_atomic, Path.rename, []
+
+        def fail_second(path, text):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write(path, text)
+
+        def fail_swap_in(self, target):
+            # the old run is already moved aside when the new one fails
+            if self.name == "run":
+                raise OSError("disk full")
+            return rename(self, target)
+
+        if fault == "second-file":
+            monkeypatch.setattr(scn, "write_text_atomic", fail_second)
+        else:
+            monkeypatch.setattr(Path, "rename", fail_swap_in)
+        with pytest.raises(OSError, match="disk full"):
+            self.run(qpsk_config(n_symbols=32, outputs=("psd",)), tmp_path)
+        assert len(calls) == (fault == "second-file") * 2
+        assert self.files(tmp_path) == before
+        assert os.listdir(tmp_path) == [name]
+
+    def test_a_file_at_the_run_path_is_kept(self, tmp_path):
+        (tmp_path / "smoke").write_text("not a run\n")
+        with pytest.raises(OSError, match="smoke"):
+            self.run(qpsk_config(), tmp_path)
+        assert os.listdir(tmp_path) == ["smoke"]
+        assert (tmp_path / "smoke").read_text() == "not a run\n"
+
+    def test_bundled_reruns_into_one_dir_are_byte_identical(self, tmp_path):
+        cfgs = [scn.read_config(scn.bundled_scenario_path(name))
+                for name in scn.list_bundled_scenarios()]
+        names = [self.run(copy.deepcopy(cfg), tmp_path) for cfg in cfgs]
+        first = self.files(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
+        assert [self.run(cfg, tmp_path) for cfg in cfgs] == names
+        assert self.files(tmp_path) == first
 
 
 class TestBundled:
@@ -1368,23 +1432,58 @@ class TestCli:
         }
         p = tmp_path / "cal.json"
         p.write_text(json.dumps(cfg))
-        with pytest.warns(UserWarning, match="AM-AM transfer is non-monotone"):
-            assert main(["calibrate", str(p), "--out-dir",
-                         str(tmp_path / "out")]) == 3
-        assert "error" in capsys.readouterr().err
-        # from a shell, --verbose adds the failure's traceback to the one
-        # error line; the fold's own warning is left out of the count
+        # --verbose adds the failure's traceback to the one error line, on
+        # stderr, though pytest has given the root logger its own handlers
         for verbose in (False, True):
-            run = subprocess.run(
-                [sys.executable, "-W", "ignore:AM-AM transfer is non-monotone",
-                 "-m", "sigchain.cli", "calibrate", str(p), "--out-dir",
-                 str(tmp_path / "out")] + ["--verbose"] * verbose,
-                env=_child_env(), capture_output=True, text=True)
-            assert run.returncode == 3
-            lines = run.stderr.splitlines()
+            with pytest.warns(UserWarning,
+                              match="AM-AM transfer is non-monotone"):
+                assert main(["calibrate", str(p), "--out-dir",
+                             str(tmp_path / "out")]
+                            + ["--verbose"] * verbose) == 3
+            lines = capsys.readouterr().err.splitlines()
             assert lines[-1].startswith("sigchain: error: ")
             assert ("Traceback (most recent call last):" in lines) == verbose
             assert len(lines) > 1 if verbose else len(lines) == 1
+
+    def test_log_records_print_once_on_stderr(self, tmp_path, capsys):
+        # beside an embedding program's own stderr handler on the root
+        # logger, each sigchain record is printed once, in the CLI's format
+        p = tmp_path / "swp.json"
+        p.write_text(json.dumps(TestSweep().sweep_config([2.0e9, "abc"])))
+        root = logging.StreamHandler(sys.stderr)
+        logging.getLogger().addHandler(root)
+        try:
+            for verbose in (False, True):
+                assert main(["sweep", str(p), "--out-dir",
+                             str(tmp_path / "out")]
+                            + ["--verbose"] * verbose) == 0
+                err = capsys.readouterr().err
+                assert err.count("sweep point") == 1 + verbose
+                assert err.count("WARNING sweep point") == 1
+                assert err.count("Traceback (most recent call last)") == \
+                    verbose
+        finally:
+            logging.getLogger().removeHandler(root)
+        assert not logging.getLogger("sigchain").handlers
+
+    def test_files_are_utf8_in_any_locale(self, tmp_path):
+        # a non-ASCII sweep value reads and writes the same bytes under the
+        # C locale as in UTF-8 mode
+        cfg = {"base": qpsk_config(name="enc", n_symbols=32, outputs=()),
+               "sweep": {"paths": ["comm.constellation.scheme"],
+                         "values": [["m_psk", "\u00e9"]]}}
+        p = tmp_path / "swp.json"
+        p.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+        for mode, env in (("0", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}),
+                          ("1", {})):
+            run = subprocess.run(
+                [sys.executable, "-X", f"utf8={mode}", "-m", "sigchain.cli",
+                 "sweep", str(p), "--out-dir", str(tmp_path / mode)],
+                env={**_child_env(), **env}, capture_output=True)
+            assert run.returncode == 0, run.stderr
+        got = (tmp_path / "0" / "enc" / "sweep.csv").read_bytes()
+        assert got == (tmp_path / "1" / "enc" / "sweep.csv").read_bytes()
+        assert b"\xc3\xa9," in got
 
     def test_sweep_command(self, tmp_path, capsys):
         # a failed value holding a line break is still one point
