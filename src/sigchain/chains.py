@@ -32,10 +32,9 @@ from sigchain import modulation as mod
 from sigchain.envelope import (
     ComplexEnvelope,
     InputError,
-    PolarTracks,
     check_delay,
     delay_real_track,
-    from_polar,
+    phasor,
     require,
 )
 
@@ -253,19 +252,21 @@ def _polar_tracks(env: ComplexEnvelope, p: dict):
 
 
 def _join_polar_tracks(env: ComplexEnvelope, amp: np.ndarray,
-                       phase: np.ndarray, tau_a: float) -> ComplexEnvelope:
-    """Delay the AM track by ``tau_a`` and recombine it with the PM track."""
+                       pm: np.ndarray, tau_a: float) -> ComplexEnvelope:
+    """Delay the AM track by ``tau_a`` and recombine it with the PM track's
+    phasor ``pm``, as ``envelope.from_polar`` does."""
     fs = env.sample_rate
     if tau_a != 0.0:
         amp = delay_real_track(amp, tau_a, fs)
     # filtering and interpolation can undershoot; amplitude is physical
     amp = np.maximum(amp, 0.0)
-    return from_polar(PolarTracks(amp, phase, fs))
+    return ComplexEnvelope(amp * pm, fs)
 
 
 def _apply_polar_paths(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
     amp, phase = _polar_tracks(env, p)
-    return _join_polar_tracks(env, amp, phase, p["tau_a"] + p["comp_delay_s"])
+    return _join_polar_tracks(env, amp, phasor(phase),
+                              p["tau_a"] + p["comp_delay_s"])
 
 
 def _apply_rfdac_core(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
@@ -293,7 +294,7 @@ def _apply_rfdac_core(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
 def _apply_harmonic_multiply(env: ComplexEnvelope, p: dict, ctx):
     tracks = env.polar
     return _join_polar_tracks(env, tracks.amplitude,
-                              p["factor"] * tracks.phase, 0.0)
+                              phasor(p["factor"] * tracks.phase), 0.0)
 
 
 def _apply_rise_fall(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
@@ -320,7 +321,7 @@ def _apply_state_errors(env: ComplexEnvelope, p: dict, ctx):
     tracks = env.polar
     idx = np.argmin(np.abs(tracks.amplitude[:, None] - levels[None, :]), axis=1)
     amp = tracks.amplitude * (1.0 + errors[idx])
-    return _join_polar_tracks(env, amp, tracks.phase, 0.0)
+    return _join_polar_tracks(env, amp, phasor(tracks.phase), 0.0)
 
 
 def _apply_iq_correction(env: ComplexEnvelope, p: dict, ctx):
@@ -449,9 +450,10 @@ def run_chain_per_trim(chain: TxChain, env: ComplexEnvelope, comp_delays):
 
     Yields what ``run_chain(with_stage_param(chain, "polar_paths",
     comp_delay_s=d), env)`` returns for each ``d`` in ``comp_delays``, in
-    order.  The stages before the first polar_paths stage and its track
-    preparation run once, before this returns; each output then costs only
-    the AM delay, the recombination and the stages after it.
+    order.  The stages before the first polar_paths stage, its AM and PM
+    tracks and the PM phasor run once, before this returns; each output
+    then costs only the AM delay, the recombination and the stages after
+    it.
     """
     at = _stage_index(chain, "polar_paths")
     context = {"gate_mask": np.abs(env.samples) > 0.0}
@@ -460,12 +462,13 @@ def run_chain_per_trim(chain: TxChain, env: ComplexEnvelope, comp_delays):
     check_stage(chain.stages[at], env.sample_rate, env.duration)
     p = _args(chain.stages[at])
     amp, phase = _polar_tracks(env, p)
+    pm = phasor(phase)
 
     def outputs():
         for delay in comp_delays:
             check_delay(delay, env.duration, "comp_delay_s",
                         "params.comp_delay_s")
-            out = _join_polar_tracks(env, amp, phase, p["tau_a"] + delay)
+            out = _join_polar_tracks(env, amp, pm, p["tau_a"] + delay)
             for spec in chain.stages[at + 1:]:
                 out = apply_stage(out, spec, context)
             yield out

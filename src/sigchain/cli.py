@@ -10,8 +10,8 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -77,8 +77,8 @@ def _cmd_sweep(args) -> int:
         raise scn.ConfigError("--threads must be >= 1")
     raw = scn.read_config(_resolve(args.scenario))
     target = scn.run_sweep(raw, args.out_dir, threads=args.threads)
-    with target.open(newline="", encoding="utf-8") as f:
-        n_points = sum(1 for _ in csv.reader(f)) - 1
+    # run_sweep checked the value lists: the grid is their product
+    n_points = math.prod(len(v) for v in raw["sweep"]["values"])
     print(f"sweep: {n_points} points -> {target}")
     return 0
 

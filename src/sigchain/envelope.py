@@ -19,6 +19,7 @@ __all__ = [
     "Spectrum",
     "DELAY_KERNEL_HALF",
     "to_polar",
+    "phasor",
     "from_polar",
     "fractional_delay",
     "delay_real_track",
@@ -172,13 +173,31 @@ def to_polar(env: ComplexEnvelope) -> PolarTracks:
         last_valid = np.where(amp > 0.0, np.arange(x.size), -1)
         np.maximum.accumulate(last_valid, out=last_valid)
         raw = np.where(last_valid >= 0, raw[np.maximum(last_valid, 0)], 0.0)
-    phase = np.unwrap(raw)
+    # np.unwrap(raw), its wrap correction worked out only at the steps that
+    # get one, those where abs(step) < pi is false (a nan step included),
+    # and summed in place
+    correct = np.diff(raw)
+    jump = np.flatnonzero(~(np.abs(correct) < np.pi))
+    d = correct[jump]
+    dmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
+    dmod[(dmod == -np.pi) & (d > 0)] = np.pi   # a step of +pi stays +pi
+    correct.fill(0.0)
+    correct[jump] = dmod - d
+    np.cumsum(correct, out=correct)
+    phase = np.empty_like(raw)
+    phase[0] = raw[0]
+    np.add(raw[1:], correct, out=phase[1:])
     return PolarTracks(amp, phase, env.sample_rate)
+
+
+def phasor(phase: np.ndarray) -> np.ndarray:
+    """The unit phasor ``exp(1j * phase)`` of a phase track."""
+    return np.exp(1j * phase)
 
 
 def from_polar(tracks: PolarTracks) -> ComplexEnvelope:
     """Recombine amplitude/phase tracks into an envelope at their rate."""
-    samples = tracks.amplitude * np.exp(1j * tracks.phase)
+    samples = tracks.amplitude * phasor(tracks.phase)
     return ComplexEnvelope(samples, tracks.sample_rate)
 
 

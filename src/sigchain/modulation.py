@@ -29,6 +29,7 @@ __all__ = [
     "symbol_samples",
     "gate_samples",
     "gate_envelope",
+    "gate_envelopes",
     "gate_envelope_unit_area",
     "with_peak",
 ]
@@ -403,28 +404,49 @@ def gate_envelope(spec: GateEnvelopeSpec, sample_rate: float) -> ComplexEnvelope
     """
     if spec.peak_amplitude is None:
         raise ValueError("peak_amplitude unset; synthesize via a gate target")
+    return next(gate_envelopes(spec, sample_rate, [spec.peak_amplitude]))
+
+
+def gate_envelopes(spec: GateEnvelopeSpec, sample_rate: float, peaks):
+    """``gate_envelope(with_peak(spec, peak), sample_rate)`` for each peak
+    in ``peaks``, in order, as an iterator.
+
+    The parts of the gate that no peak changes (the sample instants, the
+    gaussian bell and its baseline, the cosine terms and the DRAG slope) are
+    computed once, before this returns; each envelope then costs only the
+    products with its peak.
+    """
     n = gate_samples(spec.duration_s, sample_rate)
     t = (np.arange(n) + 0.5) / sample_rate
     tc = spec.duration_s / 2.0
-    peak = spec.peak_amplitude
+    drag = spec.drag_enabled
 
     if spec.shape == "rect":
-        amp = np.full(n, peak)
-        deriv = np.zeros(n)
+        amp = lambda peak: np.full(n, peak)
+        deriv = lambda peak: np.zeros(n)
     elif spec.shape == "cosine":
-        amp = 0.5 * peak * (1.0 - np.cos(2.0 * np.pi * t / spec.duration_s))
-        deriv = peak * (np.pi / spec.duration_s) * np.sin(2.0 * np.pi * t / spec.duration_s)
+        rise = 1.0 - np.cos(2.0 * np.pi * t / spec.duration_s)
+        amp = lambda peak: 0.5 * peak * rise
+        if drag:
+            sine = np.sin(2.0 * np.pi * t / spec.duration_s)
+            deriv = lambda peak: peak * (np.pi / spec.duration_s) * sine
     else:
         sigma, baseline = _gaussian_params(spec)
         bell = np.exp(-((t - tc) ** 2) / (2.0 * sigma**2))
-        amp = peak * (bell - baseline)
-        deriv = peak * bell * (-(t - tc) / sigma**2)
+        lifted = bell - baseline
+        amp = lambda peak: peak * lifted
+        if drag:
+            slope = -(t - tc) / sigma**2
+            deriv = lambda peak: peak * bell * slope
 
-    if spec.drag_enabled:
-        samples = amp - 1j * spec.drag_coefficient_s * deriv
-    else:
-        samples = amp.astype(np.complex128)
-    return ComplexEnvelope(samples, sample_rate)
+    def envelope(peak):
+        if drag:
+            samples = amp(peak) - 1j * spec.drag_coefficient_s * deriv(peak)
+        else:
+            samples = amp(peak).astype(np.complex128)
+        return ComplexEnvelope(samples, sample_rate)
+
+    return map(envelope, peaks)
 
 
 def with_peak(spec: GateEnvelopeSpec, peak: float) -> GateEnvelopeSpec:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sigchain import modulation as mod
-from sigchain.chains import synth_qubit_pulse
+from sigchain.chains import run_chain
 from sigchain.envelope import ComplexEnvelope
 
 __all__ = [
@@ -299,10 +299,14 @@ def rabi_protocol(model: QubitModel, envelope_spec, sample_rate: float,
     """Excited-state population versus drive amplitude scale.
 
     Each scale sets the envelope peak directly; the pulse runs through the
-    transmit chain (when given) before hitting the qubit.
+    transmit chain (when given) before hitting the qubit.  Each pulse equals
+    ``synth_qubit_pulse(chain, with_peak(envelope_spec, scale),
+    sample_rate)``, but the parts of the gate that no scale changes are
+    synthesized once for the whole sweep (``modulation.gate_envelopes``).
     """
-    u = _propagate_each(model, (
-        synth_qubit_pulse(chain, mod.with_peak(envelope_spec, float(scale)),
-                          sample_rate)
-        for scale in scales))
+    pulses = mod.gate_envelopes(envelope_spec, sample_rate,
+                                map(float, scales))
+    if chain is not None:
+        pulses = (run_chain(chain, env) for env in pulses)
+    u = _propagate_each(model, pulses)
     return np.abs(u[:, 1, 0]) ** 2

@@ -257,6 +257,25 @@ class TestPolarDelayAlign:
         assert np.array_equal(scores, ref)
         assert delay == float(cands[np.argmin(ref)])
 
+    def test_one_phasor_per_search(self, monkeypatch):
+        import sigchain.chains as chains
+
+        calls = []
+        phasor = chains.phasor
+
+        def counted(phase):
+            calls.append(phase)
+            return phasor(phase)
+
+        monkeypatch.setattr(chains, "phasor", counted)
+        chain = TxChain("polar", (
+            StageSpec("polar_paths", {"tau_p": 180e-12}),
+            StageSpec("onoff_leakage", {"off_ratio_db": 40.0}),))
+        _, _, scores = cal.polar_delay_align(
+            chain, 8e9, symbol_period=1e-9, window_s=500e-12, step_s=50e-12)
+        assert scores.size == 21
+        assert len(calls) == 1
+
     def test_chain_without_polar_paths_is_named(self):
         with pytest.raises(ValueError, match="polar_paths"):
             cal.polar_delay_align(TxChain("cartesian", (

@@ -233,22 +233,24 @@ class TestPolar:
         sym = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 384))
         x = np.concatenate([np.zeros(64), sym, np.zeros(64), sym[:128]])
         env = ComplexEnvelope(x, 8e9)
-        chain = ch.TxChain("polar", (
-            ch.StageSpec("lo_feedthrough", {"offset": 0.02 - 0.01j}),
-            ch.StageSpec("polar_paths", {
-                "am_bits": 7, "am_cutoff_hz": 1.5e9, "tau_a": 3e-11,
-                "pm_bits": 9, "pm_cutoff_hz": 2e9, "tau_p": 8e-11}),
-            ch.StageSpec("onoff_leakage", {"off_ratio_db": 30.0}),
-            ch.StageSpec("gated_offset", {"offset": 0.01}),
-        ))
         delays = [-5e-11, 0.0, 2.5e-11, 1.1e-10]
-        outs = list(ch.run_chain_per_trim(chain, env, delays))
-        assert len(outs) == len(delays)
-        for delay, out in zip(delays, outs):
-            ref = ch.run_chain(ch.with_stage_param(
-                chain, "polar_paths", comp_delay_s=delay), env)
-            assert np.array_equal(out.samples, ref.samples)
-            assert out.sample_rate == ref.sample_rate
+        # with tau_a = 0 the zero trim takes the join's no-delay branch
+        for tau_a in (3e-11, 0.0):
+            chain = ch.TxChain("polar", (
+                ch.StageSpec("lo_feedthrough", {"offset": 0.02 - 0.01j}),
+                ch.StageSpec("polar_paths", {
+                    "am_bits": 7, "am_cutoff_hz": 1.5e9, "tau_a": tau_a,
+                    "pm_bits": 9, "pm_cutoff_hz": 2e9, "tau_p": 8e-11}),
+                ch.StageSpec("onoff_leakage", {"off_ratio_db": 30.0}),
+                ch.StageSpec("gated_offset", {"offset": 0.01}),
+            ))
+            outs = list(ch.run_chain_per_trim(chain, env, delays))
+            assert len(outs) == len(delays)
+            for delay, out in zip(delays, outs):
+                ref = ch.run_chain(ch.with_stage_param(
+                    chain, "polar_paths", comp_delay_s=delay), env)
+                assert out.samples.tobytes() == ref.samples.tobytes()
+                assert out.sample_rate == ref.sample_rate
 
     def test_per_trim_refuses_a_trim_past_a_quarter(self):
         env = _tone(0.1, n=256)   # 256 us

@@ -102,6 +102,83 @@ class TestPolar:
                 arr[0] = 0.0
 
 
+def _unwrap_oracle(x: np.ndarray) -> np.ndarray:
+    """np.unwrap of the angle that to_polar carries through samples of no
+    amplitude (0.0 before the first one), carried by a loop."""
+    ang, raw, last = np.angle(x), np.empty(x.size), 0.0
+    for k in range(x.size):
+        if abs(x[k]) > 0.0:
+            last = ang[k]
+        raw[k] = last
+    return np.unwrap(raw)
+
+
+def _pi_steps() -> np.ndarray:
+    # every ordered pair of samples whose angles are 0, +-pi and their
+    # neighbouring floats: the angle steps between them hit +-pi exactly
+    # and the floats on both sides of it
+    ulp = np.spacing(np.pi)
+    angles = [0.0, ulp, -ulp, np.pi, -np.pi, np.pi - ulp, -np.pi + ulp]
+    values = [complex(1.0, 0.0), complex(1.0, ulp), complex(1.0, -ulp),
+              complex(-1.0, 0.0), complex(-1.0, -0.0),
+              complex(-1.0, ulp), complex(-1.0, -ulp)]
+    assert np.array_equal(np.angle(values), angles)
+    return np.array([v for a in values for b in values for v in (a, b)])
+
+
+def _wrapping(n: int) -> np.ndarray:
+    rng = np.random.default_rng(17)
+    tone = np.exp(2j * np.pi * 0.37 * np.arange(n))
+    chirp = np.exp(1j * np.pi * 0.5 * np.arange(n) ** 2 / n)
+    scatter = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return np.concatenate([tone, chirp, scatter])
+
+
+def _non_finite() -> np.ndarray:
+    x = _wrapping(64)
+    x[[3, 40, 41, 90, 120, 150, 151]] = [
+        complex(np.nan, 0.0), complex(np.inf, 0.0), complex(-np.inf, 1.0),
+        complex(np.inf, np.nan), complex(0.0, -np.inf),
+        complex(np.nan, np.nan), complex(-np.inf, -np.inf)]
+    return x
+
+
+def _zero_runs() -> np.ndarray:
+    x = _wrapping(64)
+    x[:9] = x[70:95] = x[-12:] = 0.0
+    x[100] = complex(-0.0, -0.0)
+    return x
+
+
+class TestUnwrap:
+    """to_polar's phase against np.unwrap of its carried-forward angle."""
+
+    @pytest.mark.parametrize("x", [
+        _pi_steps(),
+        _wrapping(2048),
+        _non_finite(),
+        _zero_runs(),
+        np.zeros(40, dtype=complex),
+        np.array([-1.0 + 0.0j]),
+        np.array([0.0j]),
+        np.array([complex(np.nan, 1.0)]),
+    ], ids=["pi_steps", "many_wraps", "non_finite", "zero_runs", "all_zero",
+            "one_sample", "one_zero_sample", "one_nan_sample"])
+    def test_phase_is_np_unwrap_bit_for_bit(self, x):
+        phase = to_polar(ComplexEnvelope(x, 1.0)).phase
+        assert phase.tobytes() == _unwrap_oracle(x).tobytes()
+
+    def test_pi_steps_hit_pi_and_its_neighbours(self):
+        steps = set(np.diff(np.angle(_pi_steps())).tolist())
+        for edge in (np.pi, -np.pi):
+            assert {edge, np.nextafter(edge, 0.0),
+                    np.nextafter(edge, 2.0 * edge)} <= steps
+
+    def test_many_wraps_wrap(self):
+        assert np.sum(np.abs(np.diff(np.angle(_wrapping(2048)))) >= np.pi) \
+            > 1000
+
+
 class TestFractionalDelay:
     def test_integer_delay_is_exact_shift(self):
         rng = np.random.default_rng(0)

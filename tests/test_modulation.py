@@ -376,6 +376,32 @@ class TestGateEnvelope:
         env = gate_envelope(spec, 1024 / 10e-9)
         assert np.all(env.samples.imag == 0.0)
 
+    @pytest.mark.parametrize("drag", [False, True])
+    @pytest.mark.parametrize("shape", ["rect", "cosine", "gaussian"])
+    def test_samples_are_the_closed_forms_bit_for_bit(self, shape, drag):
+        # the per-sample formulas, evaluated whole for each peak
+        tau, n, coeff = 10e-9, 160, -0.7e-9
+        fs = n / tau
+        t = (np.arange(n) + 0.5) / fs
+        sigma = 0.25 * tau
+        base = math.exp(-((tau / 2.0) ** 2) / (2.0 * sigma**2))
+        for peak in (1.0, 0.37, 2.0):
+            if shape == "rect":
+                amp, deriv = np.full(n, peak), np.zeros(n)
+            elif shape == "cosine":
+                amp = 0.5 * peak * (1.0 - np.cos(2.0 * np.pi * t / tau))
+                deriv = peak * (np.pi / tau) * np.sin(2.0 * np.pi * t / tau)
+            else:
+                bell = np.exp(-((t - tau / 2.0) ** 2) / (2.0 * sigma**2))
+                amp = peak * (bell - base)
+                deriv = peak * bell * (-(t - tau / 2.0) / sigma**2)
+            want = amp - 1j * coeff * deriv if drag \
+                else amp.astype(np.complex128)
+            spec = GateEnvelopeSpec(shape, tau, peak, drag_enabled=drag,
+                                    drag_coefficient_s=coeff)
+            assert gate_envelope(spec, fs).samples.tobytes() \
+                == want.tobytes()
+
     def test_under_resolved_gate_rejected(self):
         spec = GateEnvelopeSpec("rect", 10e-9, 1.0)
         with pytest.raises(ValueError, match="64"):

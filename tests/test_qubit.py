@@ -457,6 +457,37 @@ class TestProtocols:
         expect = np.sin(scales * math.pi / 2.0) ** 2
         assert np.max(np.abs(p1 - expect)) < 1e-9
 
+    @pytest.mark.parametrize("chain", [None, GATE_CHAIN],
+                             ids=["bare", "chain"])
+    @pytest.mark.parametrize("drag", [False, True], ids=["plain", "drag"])
+    @pytest.mark.parametrize("shape", ["rect", "cosine", "gaussian"])
+    def test_rabi_synthesis_matches_per_scale_pulses(self, monkeypatch,
+                                                     shape, drag, chain):
+        # the gate synthesized once for the sweep against one
+        # synth_qubit_pulse per scale, byte for byte
+        spec = mod.GateEnvelopeSpec(shape, 2.0e-9, peak_amplitude=None,
+                                    drag_enabled=drag,
+                                    drag_coefficient_s=-6.4e-10 if drag else 0.0)
+        scales = np.concatenate([[0.0], np.geomspace(1e-3, 1.7, 18)])
+        model = qb.QubitModel(drive_gain=GATE_GAIN)
+        each, fed = qb._propagate_each, []
+
+        def record(model, envs):
+            envs = list(envs)
+            fed.extend(envs)
+            return each(model, envs)
+
+        monkeypatch.setattr(qb, "_propagate_each", record)
+        p1 = qb.rabi_protocol(model, spec, GATE_FS, scales, chain=chain)
+        ref = [synth_qubit_pulse(chain, mod.with_peak(spec, float(s)),
+                                 GATE_FS) for s in scales]
+        assert len(fed) == len(ref) == 19
+        for got, want in zip(fed, ref):
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.sample_rate == want.sample_rate
+        want_p1 = np.abs(each(model, ref)[:, 1, 0]) ** 2
+        assert p1.tobytes() == want_p1.tobytes()
+
 
 class TestBloch:
     def test_half_turn_and_quarter_turn_endpoints(self):

@@ -1495,6 +1495,15 @@ class TestCli:
                          "--threads", "2"]) == 0
             assert (tmp_path / "out" / "swp" / "sweep.csv").exists()
             assert "sweep: 2 points -> " in capsys.readouterr().out
+        cfg = TestSweep().sweep_config([2.0e9, 1.0e9])
+        cfg["sweep"]["paths"].append("comm.n_symbols")
+        cfg["sweep"]["values"].append([24, 32, 40])
+        p.write_text(json.dumps(cfg))
+        assert main(["sweep", str(p), "--out-dir", str(tmp_path / "out")]) \
+            == 0
+        assert "sweep: 6 points -> " in capsys.readouterr().out
+        rows = (tmp_path / "out" / "swp" / "sweep.csv").read_text()
+        assert len(rows.splitlines()) == 7
 
     def test_scenarios_command(self, capsys):
         assert main(["scenarios"]) == 0
