@@ -254,7 +254,7 @@ def _polar_tracks(env: ComplexEnvelope, p: dict):
 def _join_polar_tracks(env: ComplexEnvelope, amp: np.ndarray,
                        pm: np.ndarray, tau_a: float) -> ComplexEnvelope:
     """Delay the AM track by ``tau_a`` and recombine it with the PM track's
-    phasor ``pm``, as ``envelope.from_polar`` does."""
+    phasor ``pm``: the one place amplitude and phase are joined."""
     fs = env.sample_rate
     if tau_a != 0.0:
         amp = delay_real_track(amp, tau_a, fs)

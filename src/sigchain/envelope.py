@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,6 @@ __all__ = [
     "DELAY_KERNEL_HALF",
     "to_polar",
     "phasor",
-    "from_polar",
     "fractional_delay",
     "delay_real_track",
 ]
@@ -114,9 +114,9 @@ class ComplexEnvelope:
         return to_polar(self)
 
 
-@dataclass(frozen=True)
-class PolarTracks:
-    """Amplitude/phase decomposition of a complex envelope.
+class PolarTracks(NamedTuple):
+    """Amplitude/phase decomposition of a complex envelope, as ``to_polar``
+    returns it: a read-only result, both tracks set read-only in place.
 
     ``phase`` is unwrapped: it carries no 2*pi discontinuities, so filtering
     or delaying it is well posed.  Amplitude is nonnegative by construction.
@@ -124,39 +124,16 @@ class PolarTracks:
 
     amplitude: np.ndarray
     phase: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self) -> None:
-        amp = _frozen(self, "amplitude", np.float64)
-        ph = _frozen(self, "phase", np.float64)
-        if amp.shape != ph.shape or amp.ndim != 1 or amp.size == 0:
-            raise ValueError("amplitude and phase must be matching 1-d arrays")
-        if not self.sample_rate > 0.0:
-            raise ValueError("sample_rate must be positive")
-        if np.any(amp < 0.0):
-            raise ValueError("amplitude track must be nonnegative")
-
-    def __len__(self) -> int:
-        return self.amplitude.size
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Two-sided power spectral density on a strictly increasing frequency grid."""
+class Spectrum(NamedTuple):
+    """Two-sided power spectral density on a strictly increasing frequency
+    grid, as ``metrics.psd_welch`` returns it: a read-only result, both
+    arrays set read-only in place."""
 
     freqs: np.ndarray
     psd: np.ndarray
     resolution_bw: float
-
-    def __post_init__(self) -> None:
-        freqs = _frozen(self, "freqs", np.float64)
-        psd = _frozen(self, "psd", np.float64)
-        if freqs.shape != psd.shape or freqs.ndim != 1:
-            raise ValueError("freqs and psd must be matching 1-d arrays")
-        if freqs.size > 1 and not np.all(np.diff(freqs) > 0.0):
-            raise ValueError("frequency grid must be strictly increasing")
-        if np.any(psd < 0.0):
-            raise ValueError("psd must be nonnegative")
 
 
 def to_polar(env: ComplexEnvelope) -> PolarTracks:
@@ -187,18 +164,13 @@ def to_polar(env: ComplexEnvelope) -> PolarTracks:
     phase = np.empty_like(raw)
     phase[0] = raw[0]
     np.add(raw[1:], correct, out=phase[1:])
-    return PolarTracks(amp, phase, env.sample_rate)
+    amp.flags.writeable = phase.flags.writeable = False
+    return PolarTracks(amp, phase)
 
 
 def phasor(phase: np.ndarray) -> np.ndarray:
     """The unit phasor ``exp(1j * phase)`` of a phase track."""
     return np.exp(1j * phase)
-
-
-def from_polar(tracks: PolarTracks) -> ComplexEnvelope:
-    """Recombine amplitude/phase tracks into an envelope at their rate."""
-    samples = tracks.amplitude * phasor(tracks.phase)
-    return ComplexEnvelope(samples, tracks.sample_rate)
 
 
 def _farrow_table() -> np.ndarray:

@@ -438,8 +438,10 @@ def psd_welch(env: ComplexEnvelope, nperseg: int = 1024) -> Spectrum:
         total = np.add.reduce(p, axis=0)
     psd = total / len(segs) / (fs * power)
     freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, 1.0 / fs))
+    psd = np.fft.fftshift(psd)
+    freqs.flags.writeable = psd.flags.writeable = False
     enbw = fs * power / np.sum(w) ** 2
-    return Spectrum(freqs, np.fft.fftshift(psd), float(enbw))
+    return Spectrum(freqs, psd, float(enbw))
 
 
 def image_rejection(env: ComplexEnvelope, tone_freq: float) -> float:

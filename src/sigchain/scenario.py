@@ -123,17 +123,17 @@ def write_text_atomic(path: Path, text: str) -> None:
 
 def _write_run(out_dir, name: str, files: dict, note: str = "") -> Path:
     """Write a run's directory, ``out_dir/name``, and return it.  ``files``
-    maps each file name to its text, or to None for one this run does not
-    write.  The run is staged beside ``name`` and swapped in whole, so the
-    directory holds exactly these files, or the old run if a write fails."""
+    maps each file name the run writes to its text.  The run is staged
+    beside ``name`` and swapped in whole, so the directory holds exactly
+    these files, or the old run if a write fails."""
     dest = Path(out_dir) / name
     dest.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=f".{name}.", dir=out_dir) as stage:
+    # not named after ``name``, which may fill the 255-byte limit alone
+    with tempfile.TemporaryDirectory(prefix=".sigchain-", dir=out_dir) as stage:
         run, old = Path(stage, "run"), Path(stage, "old")
         run.mkdir()
         for fname, text in sorted(files.items()):
-            if text is not None:
-                write_text_atomic(run / fname, text)
+            write_text_atomic(run / fname, text)
         if dest.is_dir():
             dest.rename(old)
         try:
@@ -379,8 +379,10 @@ def _read_head(d: dict, path: str, keys: tuple) -> tuple:
     """A file's name, sample rate and chain; ``keys`` are its other keys."""
     _no_extras(d, ("name", "sample_rate", "chain", *keys), path)
     name = _get(d, "name", path, "str")
-    _check(name and all(c.isalnum() or c in "_-" for c in name),
-           f"{path}.name", "name must be letters, digits, '_' or '-'")
+    # it names a directory: at most 255 bytes (NAME_MAX)
+    _check(name and all(c.isalnum() or c in "_-" for c in name)
+           and len(name.encode()) <= 255, f"{path}.name",
+           "name must be letters, digits, '_' or '-', at most 255 bytes")
     fs = _get(d, "sample_rate", path, "number")
     _check(fs > 0.0, f"{path}.sample_rate", "must be positive")
     return name, fs, _parse_chain(d.get("chain"), f"{path}.chain")
@@ -674,11 +676,12 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
     metric_cols = [["FAILED" if s is None else
                     (math.nan if s.get(c) is None else s[c])
                     for _, s, _ in results] for c in cols]
-    header = ",".join(list(paths) + list(cols))
-    dest = _write_run(out_dir, base_plan["name"], {
-        "sweep.csv": _csv(header, *zip(*grid), *metric_cols),
-        "failures.json": emit_json(failures) if failures else None},
-        f" ({len(grid)} points, {len(failures)} failed)")
+    header = ",".join(_csv_cell(c) for c in [*paths, *cols])
+    files = {"sweep.csv": _csv(header, *zip(*grid), *metric_cols)}
+    if failures:
+        files["failures.json"] = emit_json(failures)
+    dest = _write_run(out_dir, base_plan["name"], files,
+                      f" ({len(grid)} points, {len(failures)} failed)")
     return dest / "sweep.csv"
 
 
@@ -704,10 +707,10 @@ def run_calibration(raw: dict, out_dir) -> dict:
         raise _keyed(e, path, "calibration") from None
     corrected, fields = ROUTINES[kind](result)
     report = {"name": name, "routine": kind, **fields}
-    _write_run(out_dir, name, {
-        "report.json": emit_json(report),
-        "corrected_chain.json": None if corrected is None
-        else emit_json(asdict(corrected))})
+    files = {"report.json": emit_json(report)}
+    if corrected is not None:
+        files["corrected_chain.json"] = emit_json(asdict(corrected))
+    _write_run(out_dir, name, files)
     return report
 
 

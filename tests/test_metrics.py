@@ -736,6 +736,17 @@ class TestSpectra:
         spec = met.psd_welch(env, nperseg=2048)
         assert spec.freqs[np.argmax(spec.psd)] == pytest.approx(f0)
 
+    @pytest.mark.parametrize("nperseg", [8, 9, 1024])
+    def test_result_is_read_only_on_an_increasing_grid(self, nperseg):
+        rng = np.random.default_rng(nperseg)
+        x = rng.normal(size=2048) + 1j * rng.normal(size=2048)
+        spec = met.psd_welch(ComplexEnvelope(x, 1e6), nperseg=nperseg)
+        assert np.all(np.diff(spec.freqs) > 0.0)
+        assert np.all(spec.psd >= 0.0)
+        for arr in (spec.freqs, spec.psd):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_hann_enbw(self):
         env = ComplexEnvelope(np.ones(4096, dtype=complex), 1e6)
         spec = met.psd_welch(env, nperseg=1024)

@@ -728,6 +728,19 @@ class TestSweep:
         assert lines[0].startswith("chain.stages.0.params.cutoff_hz,"
                                    "chain.stages.1.params.eps_a,")
 
+    def test_header_cells_are_quoted(self, tmp_path):
+        # a path no stage takes: every point fails, and the file still
+        # reads back as rows of the header's width
+        path = 'chain.stages.0.params.a,"b'
+        cfg = self.sweep_config([1.0e9, 2.0e9])
+        cfg["sweep"]["paths"] = [path]
+        target = scn.run_sweep(cfg, tmp_path)
+        with open(target, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == [path, "evm_rms", "evm_db"]
+        assert [len(r) for r in rows] == [3] * 3
+        assert [r[1:] for r in rows[1:]] == [["FAILED", "FAILED"]] * 2
+
     def test_too_many_paths(self, tmp_path):
         cfg = self.sweep_config([1.0e9])
         cfg["sweep"]["paths"] = ["a", "b", "c"]
@@ -1235,6 +1248,50 @@ class TestCli:
         err = capsys.readouterr().err
         prefix = "" if section is None else "scenario."
         assert err.startswith(f"sigchain: config error: {prefix}{where}"), err
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def named_run(command, name) -> dict:
+        """A small scenario, sweep or calibration file named ``name``."""
+        if command == "calibrate":
+            return {**TestCalibrationRunner().cal_config(), "name": name}
+        if command == "sweep":
+            cfg = TestSweep().sweep_config([2.0e9])
+            cfg["base"]["name"] = name
+            return cfg
+        return qpsk_config(name=name, n_symbols=32, outputs=())
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "calibrate"])
+    def test_a_255_byte_name_runs(self, command, tmp_path):
+        name = "n" * 255
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(self.named_run(command, name)))
+        out = tmp_path / "out"
+        assert main([command, str(p), "--out-dir", str(out)]) == 0
+        assert os.listdir(out) == [name]
+
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", "scenario"), ("sweep", "scenario"),
+        ("calibrate", "calibration")])
+    @pytest.mark.parametrize("name", ["n" * 256, "\u00e9" * 128],
+                             ids=["256-chars", "256-bytes"])
+    def test_a_name_past_255_bytes_exit_two_before_compute(
+            self, command, section, name, tmp_path, capsys, monkeypatch):
+        from sigchain import calibration as cal
+
+        def compute(*args, **kwargs):
+            raise AssertionError("compute started")
+
+        for module in (scn, cal):
+            for fn in ("run_chain", "synth_comm_waveform"):
+                monkeypatch.setattr(module, fn, compute)
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(self.named_run(command, name)))
+        assert main([command, str(p), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"sigchain: config error: {section}.name: name must be letters, "
+            "digits, '_' or '-', at most 255 bytes\n")
         assert not (tmp_path / "out").exists()
 
     def test_null_section_keys_take_their_defaults(self):
