@@ -24,8 +24,8 @@ from sigchain.chains import (InputError, StageSpec, TxChain, _finite,
                              check_budget, check_gate, check_record, require,
                              run_chain, run_chain_per_trim,
                              synth_comm_waveform, with_stage_param)
-from sigchain.envelope import ComplexEnvelope, fractional_delay
-from sigchain.metrics import LinkScorer
+from sigchain.envelope import ComplexEnvelope, check_delay, fractional_delay
+from sigchain.metrics import LinkScorer, check_scored
 
 __all__ = [
     "CalibrationError",
@@ -219,13 +219,12 @@ def align_candidates(window_s: float, step_s: float,
                      duration: float) -> np.ndarray:
     """Trim delays ``polar_delay_align`` scores, from ``-window_s`` to
     ``window_s`` in steps of ``step_s`` (both positive).  Each is removed
-    from a probe record ``duration`` seconds long, so raises InputError
-    unless every candidate keeps |tau| < duration / 4."""
+    from a probe record ``duration`` seconds long as its ``comp_delay_s``,
+    so raises InputError at ``window_s`` unless every candidate passes
+    ``check_delay``."""
     candidates = np.arange(-window_s, window_s + 0.5 * step_s, step_s)
-    widest = float(np.abs(candidates).max())
-    require(widest < duration / 4.0, "window_s", f"trim delay candidate "
-            f"{widest:g} s must stay below a quarter of the {duration:g} s "
-            "probe record")
+    check_delay(float(np.abs(candidates).max()), duration, "comp_delay_s",
+                "window_s")
     return candidates
 
 
@@ -239,7 +238,8 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
     way receiver timing recovery absorbs a bulk delay, so the score tracks
     the residual skew between the paths rather than the common shift.  The
     best candidate landing on either end of the grid raises, since the
-    true optimum may sit outside the window.
+    true optimum may sit outside the window.  ``n_symbols`` must leave
+    symbols to score past the probe's edges (``metrics.check_scored``).
     """
     require(chain is not None, "chain", "polar_delay_align needs a chain")
     require(any(st.kind == "polar_paths" for st in chain.stages),
@@ -247,9 +247,7 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
     require(window_s > 0.0, "window_s", "must be positive")
     require(step_s > 0.0, "step_s", "must be positive")
     shape = align_probe_shape(symbol_period, sample_rate)
-    edge = ALIGN_SPAN_SYMBOLS
-    require(n_symbols > 2 * edge, "n_symbols", f"must be above {2 * edge}: "
-            f"the first and last {edge} symbols are not scored")
+    check_scored(n_symbols, ALIGN_SPAN_SYMBOLS, "n_symbols")
     require(seed >= 0, "seed", "must be nonnegative")
     # the probe record at its own rate
     rate = shape.samples_per_symbol / symbol_period

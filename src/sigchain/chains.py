@@ -50,7 +50,6 @@ __all__ = [
     "synth_qubit_pulse",
 ]
 
-HARMONIC_FACTORS = (2, 3, 4)
 ARCHITECTURES = ("cartesian", "polar", "rfdac", "harmonic", "custom")
 MAX_SAMPLES = 1 << 24     # largest record a scenario or probe may ask for
 
@@ -337,12 +336,6 @@ def _apply_gated_offset(env: ComplexEnvelope, p: dict, ctx):
     return ComplexEnvelope(samples, env.sample_rate)
 
 
-def _check_factor(p: dict) -> None:
-    if p["factor"] not in HARMONIC_FACTORS:
-        raise _param_error("harmonic_multiply", "factor", "harmonic factor "
-                           f"must be one of {HARMONIC_FACTORS}")
-
-
 def _mismatched(p: dict) -> bool:
     return (p.get("mismatch_sigma") or 0.0) > 0.0
 
@@ -414,7 +407,7 @@ STAGES: dict[str, Stage] = {
         "seed": _SEED, "trim_bits": Param("int", "[0, 32]", default=0)},
         _mismatched, _check_rfdac),
     "harmonic_multiply": Stage(_apply_harmonic_multiply, None,
-                               {"factor": Param("int")}, check=_check_factor),
+                               {"factor": Param("int", "[2, 4]")}),
     "rise_fall": Stage(_apply_rise_fall, "bw", {"cutoff_hz": _CUTOFF}),
     "spur_inject": Stage(_apply_spur_inject, "iq_lo", {
         "offset_hz": Param("number"), "level_dbc": Param("number"),
@@ -561,11 +554,8 @@ def synth_comm_waveform(
 ):
     """Map bits to symbols, pulse-shape, and run the transmit chain.
 
-    Returns (symbol stream, output envelope); both are None for empty input.
+    Returns (symbol stream, output envelope); empty ``bits`` raise ValueError.
     """
-    bits = np.asarray(bits)
-    if bits.size == 0:
-        return None, None
     stream = mod.map_bits(bits, constellation, symbol_period)
     env = mod.shape_symbols(stream, shape)
     if chain is not None:

@@ -72,8 +72,8 @@ class EyeReport:
     levels: np.ndarray
 
 
-def _decision_grid(shape: mod.PulseShape, sps_out: int, n_total: int,
-                   rx_filtered: bool) -> tuple[int, int]:
+def _decision_grid(shape: mod.PulseShape, sps_out: int,
+                   n_total: int) -> tuple[int, int]:
     """First decision index and inferred symbol count on the output grid."""
     if shape.kind == "rect":
         first = sps_out // 2
@@ -81,7 +81,7 @@ def _decision_grid(shape: mod.PulseShape, sps_out: int, n_total: int,
     else:
         # the tails are 2 * half samples long, as shaped_samples counts them
         half = shape.span_symbols * sps_out // 2
-        first = 2 * half if rx_filtered else half
+        first = 2 * half if shape.kind == "root_raised_cosine" else half
         n_sym = (n_total - 2 * half) // sps_out
     return first, n_sym
 
@@ -131,6 +131,14 @@ def _matched_taps(shape: mod.PulseShape, sps: int) -> np.ndarray:
     return taps * math.sqrt(shape.samples_per_symbol / sps)
 
 
+def check_scored(n_symbols: int, span: int, key: str) -> None:
+    """Raise InputError at ``key`` unless some of ``n_symbols`` symbols are
+    left to score once the first and last ``span`` are cut off."""
+    mod.require(2 * span < n_symbols, key, "leaves no symbol to score: the "
+                f"first and last {span} of {n_symbols} symbols are not "
+                "scored")
+
+
 def demodulate(
     env: ComplexEnvelope,
     constellation: mod.Constellation,
@@ -150,9 +158,10 @@ def demodulate(
     when the record's rate is a multiple of the pulse's, and a record under
     4 samples per symbol is refused with InputError.  Every other shape is
     sampled directly at its group delay.  ``timing_search`` scans integer
-    sample offsets within half a symbol and keeps the one whose first
-    symbols (at most 64) sit closest to the constellation.  There is no
-    carrier, phase, or amplitude recovery.
+    sample offsets within half a symbol, each sampled as the decisions are,
+    and keeps the one whose first symbols (at most 64) sit closest to the
+    constellation.  ``skip_edge_symbols`` off each end must leave symbols
+    (``check_scored``).  There is no carrier, phase, or amplitude recovery.
     """
     x = env.samples
     rrc = shape.kind == "root_raised_cosine"
@@ -167,7 +176,7 @@ def demodulate(
     def sample(idx: np.ndarray) -> np.ndarray:
         return x[idx] if taps is None else _convolve_at(x, taps, idx)
 
-    first, n_auto = _decision_grid(shape, sps, len(env), taps is not None)
+    first, n_auto = _decision_grid(shape, sps, len(env))
     if n_symbols is None:
         n_symbols = n_auto
     if n_symbols < 1:
@@ -175,19 +184,14 @@ def demodulate(
 
     offset = 0
     if timing_search:
-        cands = range(-(sps // 2), sps // 2 + 1)
-        grid = first + np.array(cands)[:, None] \
-            + sps * np.arange(min(64, n_symbols))[None, :]
-        inside = (grid >= 0) & (grid < n_out)
-        pts = constellation.points
-        d2 = np.min(np.abs(sample(grid[inside])[:, None] - pts[None, :]) ** 2,
-                    axis=1)
-        rows = np.split(d2, np.cumsum(inside.sum(axis=1))[:-1])
         best = math.inf
-        for cand, row in zip(cands, rows):
-            if row.size == 0:
+        for cand in range(-(sps // 2), sps // 2 + 1):
+            idx = first + cand + sps * np.arange(min(64, n_symbols))
+            idx = idx[(idx >= 0) & (idx < n_out)]
+            if idx.size == 0:
                 continue
-            cost = float(np.mean(row))
+            d2 = np.abs(sample(idx)[:, None] - constellation.points) ** 2
+            cost = float(np.mean(np.min(d2, axis=1)))
             if cost < best:
                 best, offset = cost, cand
 
@@ -195,8 +199,7 @@ def demodulate(
     if idx[0] < 0 or idx[-1] >= n_out:
         raise ValueError("decision instants fall outside the record")
     if skip_edge_symbols > 0:
-        if 2 * skip_edge_symbols >= idx.size:
-            raise ValueError("skip_edge_symbols leaves no symbols")
+        check_scored(n_symbols, skip_edge_symbols, "skip_edge_symbols")
         idx = idx[skip_edge_symbols:-skip_edge_symbols]
     return DemodResult(sample(idx), offset)
 

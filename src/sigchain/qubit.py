@@ -99,6 +99,13 @@ def check_substeps(substeps: int) -> None:
     mod.require(substeps >= 1, "substeps", "must be at least 1")
 
 
+def check_bloch(model: QubitModel, key: str) -> None:
+    """Raise InputError at ``key`` unless ``model`` has two levels, the
+    only kind ``bloch_trajectory`` tracks."""
+    mod.require(model.levels == 2, key, "a bloch track needs a two-level "
+                "model")
+
+
 def _drive(env: ComplexEnvelope, substeps: int):
     # drive samples refined by linear interpolation, and their time step
     check_substeps(substeps)
@@ -279,10 +286,9 @@ def bloch_trajectory(model: QubitModel, env: ComplexEnvelope,
     """Pauli expectation track of |0> under the drive.
 
     Returns (times, points) where points[k] = (<sx>, <sy>, <sz>) after
-    sample k.  Two-level models only.
+    sample k.  Two-level models only (``check_bloch``).
     """
-    if model.levels != 2:
-        raise ValueError("bloch_trajectory needs a two-level model")
+    check_bloch(model, "model")
     x, dt = _drive(env, substeps)
     # the state after k steps is the first column of their product
     a, b = _su2_prefixes(*_su2_steps(model, x, dt))

@@ -503,9 +503,7 @@ def _compute_qubit(plan: dict, pulse) -> tuple[dict, dict]:
 def _comm_check(plan: dict) -> dict:
     pulse, n_symbols, chain = plan["pulse"], plan["n_symbols"], plan["chain"]
     require(n_symbols >= 16, "n_symbols", "must be >= 16")
-    require(2 * pulse.span_symbols < n_symbols, "pulse.span_symbols",
-            f"must stay below half of n_symbols, {n_symbols}: the first and "
-            "last span_symbols symbols are not scored")
+    met.check_scored(n_symbols, pulse.span_symbols, "pulse.span_symbols")
     sps, fs = pulse.samples_per_symbol, plan["sample_rate"]
     check_budget(sps, "pulse.samples_per_symbol", "one symbol ")
     # the shaped record, its pulse tails included, at its own rate
@@ -526,8 +524,8 @@ def _qubit_check(plan: dict) -> dict:
     n_gate = check_gate(envelope, fs, "envelope.duration_s")
     hold = check_record(plan["chain"], n_gate, fs, "envelope.duration_s")
     check_budget(n_gate * hold * plan["substeps"], "substeps")
-    require(plan["model"].levels == 2 or "bloch" not in plan["outputs"],
-            "outputs", "a bloch track needs a two-level model")
+    if "bloch" in plan["outputs"]:
+        qb.check_bloch(plan["model"], "outputs")
     return {}
 
 

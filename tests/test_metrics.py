@@ -233,6 +233,82 @@ class TestMatchedFilterRate:
         assert err.value.key == "symbol_period"
 
 
+def _batched_timing_search(env, constellation, shape, symbol_period,
+                           n_symbols=None):
+    """Timing offset and decisions as demodulate found them when its search
+    sampled every candidate in one batch: a 2-D grid of candidate instants,
+    masked to the output record, sampled by one call and split back into a
+    row per candidate.  The decisions are None where they fall outside."""
+    x = env.samples
+    rrc = shape.kind == "root_raised_cosine"
+    sps = mod.symbol_samples(symbol_period, env.sample_rate, 4 if rrc else 1)
+    taps = met._matched_taps(shape, sps) if rrc else None
+    n_out = x.size + (taps.size - 1 if rrc else 0)
+
+    def sample(idx):
+        return x[idx] if taps is None else met._convolve_at(x, taps, idx)
+
+    first, n_auto = met._decision_grid(shape, sps, len(env))
+    n_symbols = n_auto if n_symbols is None else n_symbols
+    cands = range(-(sps // 2), sps // 2 + 1)
+    grid = first + np.array(cands)[:, None] \
+        + sps * np.arange(min(64, n_symbols))[None, :]
+    inside = (grid >= 0) & (grid < n_out)
+    pts = constellation.points
+    d2 = np.min(np.abs(sample(grid[inside])[:, None] - pts[None, :]) ** 2,
+                axis=1)
+    rows = np.split(d2, np.cumsum(inside.sum(axis=1))[:-1])
+    best, offset = math.inf, 0
+    for cand, row in zip(cands, rows):
+        if row.size and float(np.mean(row)) < best:
+            best, offset = float(np.mean(row)), cand
+    idx = first + offset + sps * np.arange(n_symbols)
+    if idx[0] < 0 or idx[-1] >= n_out:
+        return offset, None
+    return offset, sample(idx)
+
+
+class TestTimingSearchOracle:
+    """Each candidate sampled on its own gives the batched search's offset
+    and decision bytes."""
+
+    @pytest.mark.parametrize("hold", [1, 2, 3])
+    @pytest.mark.parametrize("sps", [4, 5, 8, 16])
+    @pytest.mark.parametrize("kind", ["root_raised_cosine", "raised_cosine",
+                                      "sinc", "gaussian", "rect"])
+    def test_matches_the_batched_search(self, kind, sps, hold):
+        const, shape, _, env = _loopback(kind, n_sym=96, sps=sps, seed=sps,
+                                         scheme="m_psk", m=4)
+        chain = ch.TxChain("rfdac", (ch.StageSpec(
+            "rfdac_core", {"bits": 16, "hold_factor": hold}),))
+        env = ch.run_chain(chain, env)
+        noise = np.random.default_rng(hold).standard_normal((2, len(env)))
+        env = ComplexEnvelope(env.samples + 0.02 * (noise[0] + 1j * noise[1]),
+                              env.sample_rate)
+        for shift in (0.0, 1.0, -2.5, 0.4 * sps * hold):
+            moved = fractional_delay(env, shift / env.sample_rate)
+            for n_symbols in (None, 40, 3):
+                offset, want = _batched_timing_search(moved, const, shape,
+                                                      1e-6, n_symbols)
+                args = (moved, const, shape, 1e-6, n_symbols, True)
+                if want is None:
+                    with pytest.raises(ValueError, match="outside the"):
+                        met.demodulate(*args)
+                    continue
+                got = met.demodulate(*args)
+                assert got.timing_offset == offset
+                assert got.rx_symbols.tobytes() == want.tobytes()
+
+    def test_no_candidate_inside_keeps_offset_zero(self):
+        # every candidate instant of the one symbol lies past the record
+        const = mod.build_constellation("m_psk", m=4)
+        shape = mod.PulseShape("raised_cosine", 0.35, 8, 8)
+        env = ComplexEnvelope(np.ones(10, dtype=complex), 8e6)
+        assert _batched_timing_search(env, const, shape, 1e-6, 1) == (0, None)
+        with pytest.raises(ValueError, match="outside the record"):
+            met.demodulate(env, const, shape, 1e-6, 1, timing_search=True)
+
+
 class TestEvm:
     def test_scale_identity(self):
         ref = mod.build_constellation("square_qam", m=16).points

@@ -119,7 +119,7 @@ class TestSchemaChecks:
         ("rfdac_core", {"bits": 8, "hold_factor": 0}, "hold_factor",
          "must lie in"),
         ("rfdac_core", {"bits": 8, "mismatch_sigma": 0.01}, "seed", "seed"),
-        ("harmonic_multiply", {"factor": 5}, "factor", "harmonic factor"),
+        ("harmonic_multiply", {"factor": 5}, "factor", r"\[2, 4\], got 5"),
         ("iq_correction", {"matrix": [[1.0, 0.0]]}, "matrix", "'matrix'"),
         ("iq_correction", {"matrix": [[1, 0], [0, "1"]]}, "matrix",
          "'matrix'"),

@@ -1349,6 +1349,81 @@ class TestCli:
         assert str(parsed.value) == \
             "scenario.qubit.substeps: must be at least 1"
 
+    def test_scored_span_rule_has_one_text(self, tmp_path):
+        from sigchain import calibration as cal
+        from sigchain import chains as ch
+
+        problem = ("leaves no symbol to score: the first and last 8 of 16 "
+                   "symbols are not scored")
+        with pytest.raises(scn.ConfigError) as parsed:
+            scn.plan_scenario(qpsk_config(n_symbols=16))
+        with pytest.raises(scn.ConfigError) as routine:
+            scn.run_calibration(align_cal_config(n_symbols=16), tmp_path)
+        plan = scn.plan_scenario(qpsk_config())
+        _, _, clean = scn._comm_input(plan)
+        with pytest.raises(ValueError) as lib:
+            met.demodulate(clean, plan["constellation"], plan["pulse"],
+                           plan["symbol_period"], n_symbols=16,
+                           skip_edge_symbols=8)
+        chain = ch.TxChain("polar", (ch.StageSpec("polar_paths", {}),))
+        with pytest.raises(ValueError) as align:
+            cal.polar_delay_align(chain, 8.0e9, 1.0e-9, 4.0e-10, 5.0e-11,
+                                  n_symbols=16)
+        assert str(parsed.value) == \
+            f"scenario.comm.pulse.span_symbols: {problem}"
+        assert str(routine.value) == f"calibration.routine.n_symbols: {problem}"
+        assert str(lib.value) == f"skip_edge_symbols: {problem}"
+        assert str(align.value) == f"n_symbols: {problem}"
+
+    def test_bloch_rule_has_one_text(self):
+        cfg = pi_config(outputs=("bloch",))
+        plan = scn.plan_scenario(cfg)
+        pulse = scn._qubit_input(plan)
+        cfg["qubit"]["model"].update(levels=3, anharmonicity=-1.0e9)
+        with pytest.raises(scn.ConfigError) as parsed:
+            scn.plan_scenario(cfg)
+        with pytest.raises(ValueError) as lib:
+            qb.bloch_trajectory(qb.QubitModel(3.0e7, levels=3,
+                                              anharmonicity=-1.0e9), pulse)
+        problem = "a bloch track needs a two-level model"
+        assert str(parsed.value) == f"scenario.qubit.outputs: {problem}"
+        assert str(lib.value) == f"model: {problem}"
+
+    def test_trim_delay_rule_has_one_text(self, tmp_path):
+        from sigchain import calibration as cal
+        from sigchain import chains as ch
+
+        cfg = align_cal_config(n_symbols=17, window_s=7e-9, step_s=1e-9)
+        with pytest.raises(scn.ConfigError) as parsed:
+            scn.run_calibration(cfg, tmp_path)
+        # the same probe record, 25 symbols of 8 samples, run as a library
+        shape = cal.align_probe_shape(1.0e-9, 8.0e9)
+        const = mod.build_constellation("m_psk", m=4)
+        _, probe = ch.synth_comm_waveform(np.zeros(34, dtype=int), const,
+                                          shape, symbol_period=1.0e-9)
+        chain = ch.TxChain("polar", (ch.StageSpec("polar_paths", {}),))
+        with pytest.raises(ValueError) as lib:
+            next(ch.run_chain_per_trim(chain, probe, [7e-9]))
+        problem = ("|comp_delay_s| must stay below a quarter of the 2.5e-08 "
+                   "s record, got 7e-09")
+        assert str(parsed.value) == f"calibration.routine.window_s: {problem}"
+        assert str(lib.value) == f"params.comp_delay_s: {problem}"
+
+    def test_harmonic_factor_rule_has_one_text(self):
+        from sigchain import chains as ch
+
+        cfg = scn.read_config(scn.bundled_scenario_path("harmonic_ask"))
+        cfg["chain"]["stages"][1]["params"]["factor"] = 5
+        with pytest.raises(scn.ConfigError) as parsed:
+            scn.plan_scenario(cfg)
+        with pytest.raises(ValueError) as lib:
+            ch.StageSpec("harmonic_multiply", {"factor": 5})
+        problem = ("stage 'harmonic_multiply' parameter 'factor' must lie in "
+                   "[2, 4], got 5")
+        assert str(parsed.value) == \
+            f"scenario.chain.stages.1.params.factor: {problem}"
+        assert str(lib.value) == f"params.factor: {problem}"
+
     def test_simulate_plans_once(self, tmp_path, capsys, monkeypatch):
         calls = []
         plan = scn.plan_scenario
@@ -1599,9 +1674,11 @@ class TestCli:
         (probe_cal_config("leakage_cancel", on_samples=2**24),
          "calibration.routine.on_samples: asks for"),
         (align_cal_config(n_symbols=0),
-         "calibration.routine.n_symbols: must be above 16"),
+         "calibration.routine.n_symbols: leaves no symbol to score: the "
+         "first and last 8 of 0 symbols are not scored"),
         (align_cal_config(n_symbols=16),
-         "calibration.routine.n_symbols: must be above 16"),
+         "calibration.routine.n_symbols: leaves no symbol to score: the "
+         "first and last 8 of 16 symbols are not scored"),
         (probe_cal_config("iq_cal", n_samples=-5),
          "calibration.routine.n_samples: must be at least 8"),
         (probe_cal_config("dpd_fit", hold_samples=0),
@@ -1627,9 +1704,11 @@ class TestCli:
         (align_cal_config(symbol_period=3.75e-10),
          "calibration.routine.symbol_period: symbol_period must span"),
         (align_cal_config(n_symbols=17, window_s=7e-9, step_s=1e-9),
-         "calibration.routine.window_s: trim delay candidate 7e-09 s"),
+         "calibration.routine.window_s: |comp_delay_s| must stay below a "
+         "quarter of the 2.5e-08 s record, got 7e-09"),
         (_align_window(48, at_edge=True),
-         "calibration.routine.window_s: trim delay candidate"),
+         "calibration.routine.window_s: |comp_delay_s| must stay below a "
+         "quarter of the 5.6e-08 s record"),
         (probe_cal_config("iq_cal", n_samples=64, tone_freq=3e9),
          "calibration.routine.tone_freq: tone must land strictly inside"),
         (probe_cal_config("iq_cal", n_samples=64, tone_freq=2e9),

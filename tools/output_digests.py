@@ -1,0 +1,80 @@
+"""Print a SHA-256 digest of every output file of a fixed set of runs.
+
+Run from a checkout, no install needed::
+
+    python tools/output_digests.py > digests.txt
+
+Two sets of inputs run, in process, against this checkout's ``src``:
+
+* the nine bundled CLI commands (``CLI_COMMANDS`` in
+  ``perfbench/workloads.py``); each command's stdout is kept as
+  ``cli/<command>-<scenario>.stdout``, with the temporary output directory
+  replaced by a fixed token;
+* the benchmark's link_budget, qubit_gate and cal_sweep inputs at seeds 1
+  and 90210, written under ``<workload>-<seed>/``.
+
+``perfbench/workloads.py`` is imported, never changed.  Each output line is
+``sha256  relative/path``, sorted by path, so two checkouts write the same
+bytes exactly when ``diff`` of their outputs is empty.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 90210)
+WORKLOADS = ("link_budget", "qubit_gate", "cal_sweep")
+
+
+def _workloads():
+    # no bytecode cache beside the benchmark's files
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_all(tmp: Path) -> None:
+    from sigchain import scenario
+    from sigchain.cli import main
+
+    wl = _workloads()
+    (tmp / "cli").mkdir()
+    for command, name in wl.CLI_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, name, "--out-dir", str(tmp / "cli" / "out")])
+        if code != 0:
+            raise SystemExit(f"{command} {name} exited {code}")
+        (tmp / "cli" / f"{command}-{name}.stdout").write_text(
+            out.getvalue().replace(str(tmp), "<tmp>"))
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            out_dir = tmp / f"{workload}-{seed}"
+            out_dir.mkdir()
+            wl.OPS[workload](scenario, wl.INPUTS[workload](seed), out_dir)
+
+
+def main() -> None:
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
+        _run_all(tmp)
+        lines = sorted(
+            (p.relative_to(tmp).as_posix(),
+             hashlib.sha256(p.read_bytes()).hexdigest())
+            for p in tmp.rglob("*") if p.is_file())
+    for rel, digest in lines:
+        print(f"{digest}  {rel}")
+
+
+if __name__ == "__main__":
+    main()
