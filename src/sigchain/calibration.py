@@ -270,9 +270,7 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
     scorer = LinkScorer(stream, const, shape)
     scores = np.empty(candidates.size)
     for idx, (cand, env) in enumerate(zip(candidates, outputs)):
-        if cand != 0.0:
-            env = fractional_delay(env, -float(cand))
-        scores[idx] = scorer(env)[2].evm_rms
+        scores[idx] = scorer(fractional_delay(env, -float(cand)))[2].evm_rms
     best = int(np.argmin(scores))
     if best in (0, candidates.size - 1):
         raise CalibrationError("best trim delay sits on the search boundary; "

@@ -221,6 +221,7 @@ def _apply_iq_paths(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
         env = imp.quantize(env, p["bits"], p["full_scale"])
     if p["cutoff_hz"] is not None:
         env = imp.bandwidth_limit(env, p["cutoff_hz"])
+    # kept: path_skew rebuilds i + 1j*q, turning a -0.0 real part to +0.0
     if p["tau_i"] != 0.0 or p["tau_q"] != 0.0:
         env = imp.path_skew(env, p["tau_i"], p["tau_q"])
     return env
@@ -245,9 +246,7 @@ def _polar_tracks(env: ComplexEnvelope, p: dict):
         phase = np.round(phase / step) * step
     if p["pm_cutoff_hz"] is not None:
         phase = imp.lowpass_track(phase, p["pm_cutoff_hz"], fs)
-    if p["tau_p"] != 0.0:
-        phase = delay_real_track(phase, p["tau_p"], fs)
-    return amp, phase
+    return amp, delay_real_track(phase, p["tau_p"], fs)
 
 
 def _join_polar_tracks(env: ComplexEnvelope, amp: np.ndarray,
@@ -255,8 +254,7 @@ def _join_polar_tracks(env: ComplexEnvelope, amp: np.ndarray,
     """Delay the AM track by ``tau_a`` and recombine it with the PM track's
     phasor ``pm``: the one place amplitude and phase are joined."""
     fs = env.sample_rate
-    if tau_a != 0.0:
-        amp = delay_real_track(amp, tau_a, fs)
+    amp = delay_real_track(amp, tau_a, fs)
     # filtering and interpolation can undershoot; amplitude is physical
     amp = np.maximum(amp, 0.0)
     return ComplexEnvelope(amp * pm, fs)
@@ -284,9 +282,7 @@ def _apply_rfdac_core(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
             # a level's code, counted from the most negative, picks its gain
             codes = np.round(rails[k] / step).astype(np.int64) + 2**(bits - 1)
             rails[k] = rails[k] * (1.0 + table[codes])
-    samples = rails[0] + 1j * rails[1]
-    if p["hold_factor"] > 1:
-        samples = np.repeat(samples, p["hold_factor"])
+    samples = np.repeat(rails[0] + 1j * rails[1], p["hold_factor"])
     return ComplexEnvelope(samples, env.sample_rate * p["hold_factor"])
 
 
@@ -427,11 +423,11 @@ STAGES["dpd"] = STAGES["am_ampm"]   # a predistorter is an AM-AM/AM-PM pair
 def run_chain(chain: TxChain, env: ComplexEnvelope) -> ComplexEnvelope:
     """Fold the chain's stages over an envelope.
 
-    The commanded on/off gate is derived once from the chain input (samples of
-    exactly zero amplitude are "off"), so gated stages see the intent even
-    after earlier stages smear the waveform.
+    The commanded on/off gate, ``_gate_mask`` (samples of exactly zero
+    amplitude are "off"), is derived once from the chain input, so gated
+    stages see the intent even after earlier stages smear the waveform.
     """
-    context = {"gate_mask": np.abs(env.samples) > 0.0}
+    context = {"gate_mask": _gate_mask(env, None)}
     out = env
     for spec in chain.stages:
         out = apply_stage(out, spec, context)
@@ -449,7 +445,7 @@ def run_chain_per_trim(chain: TxChain, env: ComplexEnvelope, comp_delays):
     it.
     """
     at = _stage_index(chain, "polar_paths")
-    context = {"gate_mask": np.abs(env.samples) > 0.0}
+    context = {"gate_mask": _gate_mask(env, None)}
     for spec in chain.stages[:at]:
         env = apply_stage(env, spec, context)
     check_stage(chain.stages[at], env.sample_rate, env.duration)
@@ -589,6 +585,7 @@ def synth_qubit_pulse(
         peak = rotation_angle / (drive_gain * mod.gate_envelope_unit_area(spec))
         spec = mod.with_peak(spec, peak)
     env = mod.gate_envelope(spec, sample_rate)
+    # kept: a product with 1+0j would change the signs of zero samples
     if axis_phase != 0.0:
         env = imp.static_phase_error(env, axis_phase)
     if chain is not None:

@@ -136,6 +136,14 @@ class Spectrum(NamedTuple):
     resolution_bw: float
 
 
+def _hold_last(x: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """``x`` where ``on``; elsewhere the value ``x`` last had where ``on``,
+    or 0 before the first such sample."""
+    last = np.where(on, np.arange(x.size), -1)
+    np.maximum.accumulate(last, out=last)
+    return np.where(last >= 0, x[np.maximum(last, 0)], 0.0)
+
+
 def to_polar(env: ComplexEnvelope) -> PolarTracks:
     """Decompose into amplitude and unwrapped phase.
 
@@ -145,11 +153,7 @@ def to_polar(env: ComplexEnvelope) -> PolarTracks:
     """
     x = env.samples
     amp = np.abs(x)
-    raw = np.where(amp > 0.0, np.angle(x), 0.0)
-    if not np.all(amp > 0.0):
-        last_valid = np.where(amp > 0.0, np.arange(x.size), -1)
-        np.maximum.accumulate(last_valid, out=last_valid)
-        raw = np.where(last_valid >= 0, raw[np.maximum(last_valid, 0)], 0.0)
+    raw = _hold_last(np.angle(x), amp > 0.0)
     # np.unwrap(raw), its wrap correction worked out only at the steps that
     # get one, those where abs(step) < pi is false (a nan step included),
     # and summed in place
@@ -281,6 +285,7 @@ def _delayed_samples(x: np.ndarray, delay_samples: float) -> np.ndarray:
     elif frac < 1e-9:
         frac = 0.0
 
+    # kept, and exact: the Farrow taps at fraction 0 are not a delta
     if frac == 0.0:
         out = np.zeros(n, dtype=x.dtype)
         lo, hi = max(0, base), min(n, n + base)

@@ -15,8 +15,8 @@ import warnings
 
 import numpy as np
 
-from sigchain.envelope import (ComplexEnvelope, _samples_at, check_delay,
-                               delay_real_track)
+from sigchain.envelope import (ComplexEnvelope, _hold_last, _samples_at,
+                               check_delay, delay_real_track)
 
 __all__ = [
     "amplitude_error",
@@ -156,10 +156,9 @@ def _one_pole(x: np.ndarray, b0: float, a1: float) -> np.ndarray:
     scale, grow, carry = _scan_tables(b0, p, block)
     y = s.reshape(n_blocks, block)    # scanned in place
     y *= grow
-    if n_blocks > 1:
-        # The carry p^(k+1) c, with c = b0 p^(L-1) (sum of the block before),
-        # equals b0 p^k (p^L times that sum): one more cumsum term at k = 0.
-        y[1:, 0] += carry * y[:-1].sum(axis=1)
+    # The carry p^(k+1) c, with c = b0 p^(L-1) (sum of the block before),
+    # equals b0 p^k (p^L times that sum): one more cumsum term at k = 0.
+    y[1:, 0] += carry * y[:-1].sum(axis=1)
     np.cumsum(y, axis=1, out=y)
     y *= scale
     return s[:n]
@@ -222,7 +221,7 @@ def sample_jitter(env: ComplexEnvelope, sigma_s: float, seed: int) -> ComplexEnv
         raise ValueError("sigma_s must be nonnegative")
     if sigma_s >= 0.1 / env.sample_rate:
         raise ValueError("sigma_s must stay below a tenth of a sample")
-    if sigma_s == 0.0:
+    if sigma_s == 0.0:  # kept: the Farrow taps at fraction 0 are no delta
         return env
     rng = np.random.default_rng(seed)
     d = rng.normal(0.0, sigma_s * env.sample_rate, len(env))
@@ -243,12 +242,10 @@ def am_ampm(env: ComplexEnvelope, gain_poly, phase_poly) -> ComplexEnvelope:
     if gain_poly.size == 0:
         raise ValueError("gain_poly must contain at least the linear term")
     amp = np.abs(env.samples)
-    amax = float(amp.max())
-    if amax > 0.0:
-        grid = np.linspace(0.0, amax, 64)
-        if np.any(np.diff(_poly(grid, gain_poly, odd=True)) < 0.0):
-            warnings.warn("AM-AM transfer is non-monotone over the signal range",
-                          stacklevel=2)
+    grid = np.linspace(0.0, amp.max(), 64)
+    if np.any(np.diff(_poly(grid, gain_poly, odd=True)) < 0.0):
+        warnings.warn("AM-AM transfer is non-monotone over the signal range",
+                      stacklevel=2)
     new_amp = _poly(amp, gain_poly, odd=True)
     phase_shift = _poly(amp, phase_poly)
     scale = np.where(amp > 0.0, new_amp / np.where(amp > 0.0, amp, 1.0), 0.0)
@@ -278,10 +275,8 @@ def onoff_leakage(env: ComplexEnvelope, off_ratio_db: float, gate_mask) -> Compl
         raise ValueError("off_ratio_db must be nonnegative")
     leak = 0.0 if math.isinf(off_ratio_db) else 10.0 ** (-off_ratio_db / 20.0)
     x = env.samples
-    last_on = np.where(mask, np.arange(len(env)), -1)
-    np.maximum.accumulate(last_on, out=last_on)
-    template = np.where(last_on >= 0, x[np.maximum(last_on, 0)], 0.0)
-    return ComplexEnvelope(np.where(mask, x, template * leak), env.sample_rate)
+    return ComplexEnvelope(np.where(mask, x, _hold_last(x, mask) * leak),
+                           env.sample_rate)
 
 
 def path_skew(env: ComplexEnvelope, tau_i: float, tau_q: float) -> ComplexEnvelope:

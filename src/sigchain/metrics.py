@@ -160,9 +160,12 @@ def demodulate(
     sampled directly at its group delay.  ``timing_search`` scans integer
     sample offsets within half a symbol, each sampled as the decisions are,
     and keeps the one whose first symbols (at most 64) sit closest to the
-    constellation.  ``skip_edge_symbols`` off each end must leave symbols
-    (``check_scored``).  There is no carrier, phase, or amplitude recovery.
+    constellation.  ``skip_edge_symbols`` off each end (0 cuts none) must
+    be nonnegative and leave symbols (``check_scored``), or InputError.
+    There is no carrier, phase, or amplitude recovery.
     """
+    mod.require(skip_edge_symbols >= 0, "skip_edge_symbols",
+                "must be nonnegative")
     x = env.samples
     rrc = shape.kind == "root_raised_cosine"
     sps = mod.symbol_samples(symbol_period, env.sample_rate, 4 if rrc else 1)

@@ -110,7 +110,7 @@ def _drive(env: ComplexEnvelope, substeps: int):
     # drive samples refined by linear interpolation, and their time step
     check_substeps(substeps)
     dt = 1.0 / (env.sample_rate * substeps)
-    if substeps == 1:
+    if substeps == 1:  # kept: interpolating, re + 1j*im change signed zeros
         return env.samples, dt
     n = len(env)
     coarse = np.arange(n) + 0.5

@@ -289,11 +289,14 @@ class TestPolar:
 class TestRfdac:
     def test_quantize_only_matches_impairment(self):
         env = _qpsk_waveform(64)
-        chain = ch.TxChain("rfdac", (
-            ch.StageSpec("rfdac_core", {"bits": 9, "full_scale": 1.2}),))
-        out = ch.run_chain(chain, env)
         ref = imp.quantize(env, 9, 1.2)
-        assert np.max(np.abs(out.samples - ref.samples)) < 1e-12
+        # a hold of 1, given or by default, leaves the quantized rails as is
+        for hold in ({}, {"hold_factor": 1}):
+            chain = ch.TxChain("rfdac", (ch.StageSpec(
+                "rfdac_core", {"bits": 9, "full_scale": 1.2, **hold}),))
+            out = ch.run_chain(chain, env)
+            assert out.samples.tobytes() == ref.samples.tobytes()
+            assert out.sample_rate == env.sample_rate
 
     def test_hold_images_follow_sinc_envelope(self):
         fs, n, k, hold = 1e6, 4096, 205, 8

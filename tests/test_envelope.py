@@ -8,9 +8,11 @@ from sigchain.envelope import (
     _FARROW_BLOCK,
     DELAY_KERNEL_HALF,
     ComplexEnvelope,
+    _hold_last,
     _horner,
     _interp_kernels,
     _samples_at,
+    delay_real_track,
     fractional_delay,
     phasor,
     to_polar,
@@ -175,14 +177,45 @@ class TestUnwrap:
             > 1000
 
 
+class TestHoldLast:
+    @pytest.mark.parametrize("unit", [1.0, 1.0 + 1.0j])
+    def test_off_samples_hold_the_last_on_value(self, unit):
+        x = np.arange(1, 9) * unit
+        on = np.array([0, 0, 1, 1, 0, 1, 0, 0], dtype=bool)
+        expect = np.array([0, 0, 3, 4, 4, 6, 6, 6]) * unit
+        assert _hold_last(x, on).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("unit", [1.0, 1.0 + 1.0j])
+    def test_all_on_is_the_input_and_all_off_is_zero(self, unit):
+        x = np.random.default_rng(4).normal(size=16) * unit
+        x[[3, 7]] = np.nan, -0.0
+        assert _hold_last(x, np.ones(16, dtype=bool)).tobytes() == x.tobytes()
+        off = _hold_last(x, np.zeros(16, dtype=bool))
+        assert off.tobytes() == np.zeros_like(x).tobytes()
+
+    def test_nan_amplitude_is_off_in_to_polar(self):
+        x = np.array([np.exp(1j * 0.7), complex(np.nan, 1.0),
+                      np.exp(1j * 0.9)])
+        phase = to_polar(ComplexEnvelope(x, 1.0)).phase
+        assert phase[1] == phase[0] == np.angle(x[0])
+
+
 class TestFractionalDelay:
     def test_integer_delay_is_exact_shift(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=128) + 1j * rng.normal(size=128)
+        # non-finite and signed-zero entries move bit for bit; a delay of
+        # 0.0 or -0.0 is a copy
+        x[[20, 40, 60]] = np.nan, np.inf, -np.inf
+        x[80] = complex(-0.0, -0.0)
         env = ComplexEnvelope(x, 1.0)
-        out = fractional_delay(env, 3.0).samples
-        assert np.array_equal(out[3:], x[:-3])
-        assert np.array_equal(out[:3], np.zeros(3))
+        for tau in (3.0, 0.0, -0.0):
+            k = int(tau)
+            expect = np.concatenate((np.zeros(k), x[:x.size - k]))
+            out = fractional_delay(env, tau).samples
+            assert out.tobytes() == expect.tobytes()
+            track = delay_real_track(x.real, tau, 1.0)
+            assert track.tobytes() == expect.real.tobytes()
 
     def test_negative_integer_delay_advances(self):
         x = np.arange(64, dtype=float) + 0j

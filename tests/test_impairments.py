@@ -229,6 +229,19 @@ class TestOnePoleScan:
             self._close(imp.lowpass_track(x.real, frac * fs, fs),
                         signal.lfilter(b, a, x.real))
 
+    @pytest.mark.parametrize("frac", FRACS)
+    def test_one_block_record_is_the_bare_scan(self, frac):
+        # the longest one-block record takes no carry: its output is
+        # b0 p^k cumsum(s p^-k), s[n] = x[n] + x[n-1], bit for bit
+        b, a = imp._one_pole_coeffs(frac, 1.0)
+        n = min(2**16, int(imp._SCAN_RANGE / -math.log(abs(a[1]))))
+        x = np.random.default_rng(5).normal(size=n)
+        s = x.copy()
+        s[1:] += x[:-1]
+        scale, grow, _ = imp._scan_tables(b[0], -a[1], n)
+        y = imp.lowpass_track(x, frac, 1.0)
+        assert y.tobytes() == (np.cumsum(s * grow) * scale).tobytes()
+
     @pytest.mark.parametrize("frac", FRACS[1:] + (1e-4,))
     def test_step_settles_to_one(self, frac):
         # 1e-6 would need millions of samples; 1e-4 settles in 2^16
@@ -382,6 +395,11 @@ class TestAmAmpm:
         env = ComplexEnvelope(np.array([0.0, 1.0, 0.0], dtype=complex), 1e6)
         out = imp.am_ampm(env, [1.0, -0.2], [0.5, 0.5])
         assert out.samples[0] == 0.0 and out.samples[2] == 0.0
+        # an all-zero record spans no range, so even a non-monotone
+        # transfer does not warn (warnings are errors here)
+        zeros = ComplexEnvelope(np.zeros(8, dtype=complex), 1e6)
+        out = imp.am_ampm(zeros, [1.0, -1.0], [0.5, 0.5])
+        assert np.array_equal(out.samples, np.zeros(8))
 
     def test_identity_poly(self):
         env = _rand_envelope(11)

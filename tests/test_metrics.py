@@ -71,6 +71,17 @@ class TestDemodulate:
         assert res.rx_symbols.size == 40
         assert np.max(np.abs(res.rx_symbols - stream.symbols[5:-5])) < 1e-12
 
+    def test_negative_edge_cut_rejected(self, monkeypatch):
+        const, shape, stream, env = _loopback("root_raised_cosine")
+        assert met.demodulate(env, const, shape, 1e-6, skip_edge_symbols=0
+                              ).rx_symbols.size == 200
+        # refused before any instant is sampled, timing search included
+        monkeypatch.setattr(met, "_convolve_at", None)
+        with pytest.raises(InputError, match="must be nonnegative") as e:
+            met.demodulate(env, const, shape, 1e-6, timing_search=True,
+                           skip_edge_symbols=-3)
+        assert e.value.key == "skip_edge_symbols"
+
     def test_non_integer_symbol_period_rejected(self):
         const, shape, stream, env = _loopback("rect")
         with pytest.raises(ValueError, match="integer"):
