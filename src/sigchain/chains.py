@@ -176,9 +176,9 @@ class Param:
 class Stage(NamedTuple):
     """A registry row.  ``apply`` names an impairments function, called
     with the parameters as keywords, or is a function of (envelope,
-    parameters, context).  ``seeded`` says whether given parameters make
-    the stage draw random numbers; ``check`` raises InputError.  A
-    ``gated`` stage reads the on/off gate of the chain input."""
+    parameters).  ``seeded`` says whether given parameters make the stage
+    draw random numbers; ``check`` raises InputError.  A ``gated`` stage
+    also gets the chain input's on/off gate, as ``gate_mask``."""
 
     apply: str | Callable
     term: str | None
@@ -194,29 +194,30 @@ def _args(spec: StageSpec) -> dict:
             for k, par in STAGES[spec.kind].params.items()}
 
 
-def apply_stage(
-    env: ComplexEnvelope, spec: StageSpec, context: dict | None = None
-) -> ComplexEnvelope:
+def apply_stage(env: ComplexEnvelope, spec: StageSpec,
+                gate_mask: np.ndarray | None = None) -> ComplexEnvelope:
     """Apply one stage to an envelope, as its registry row describes, after
-    ``check_stage`` on the record it sees (held unless the gate mask fits)."""
-    mask = (context or {}).get("gate_mask")
+    ``check_stage`` on the record it sees (held unless ``gate_mask``, the
+    chain input's gate, fits it).  A gated stage gets ``gate_mask``, or the
+    record's own gate when none is given."""
     check_stage(spec, env.sample_rate, env.duration,
-                mask is not None and mask.shape != (len(env),))
+                gate_mask is not None and gate_mask.shape != (len(env),))
     row, p = STAGES[spec.kind], _args(spec)
+    if row.gated:
+        p["gate_mask"] = _gate_mask(env) if gate_mask is None else gate_mask
     if isinstance(row.apply, str):  # by name: a rebound imp.<name> is used
         return getattr(imp, row.apply)(env, **p)
-    return row.apply(env, p, context)
+    return row.apply(env, p)
 
 
 # ----------------------------------------------------- apply functions
 
-def _gate_mask(env: ComplexEnvelope, context: dict | None) -> np.ndarray:
-    """Commanded on/off mask, taken from the chain input when available."""
-    mask = (context or {}).get("gate_mask")
-    return np.abs(env.samples) > 0.0 if mask is None else mask
+def _gate_mask(env: ComplexEnvelope) -> np.ndarray:
+    """The record's on/off gate: a sample of exactly zero amplitude is off."""
+    return np.abs(env.samples) > 0.0
 
 
-def _apply_iq_paths(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
+def _apply_iq_paths(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     if p["bits"] is not None:
         env = imp.quantize(env, p["bits"], p["full_scale"])
     if p["cutoff_hz"] is not None:
@@ -260,13 +261,13 @@ def _join_polar_tracks(env: ComplexEnvelope, amp: np.ndarray,
     return ComplexEnvelope(amp * pm, fs)
 
 
-def _apply_polar_paths(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
+def _apply_polar_paths(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     amp, phase = _polar_tracks(env, p)
     return _join_polar_tracks(env, amp, phasor(phase),
                               p["tau_a"] + p["comp_delay_s"])
 
 
-def _apply_rfdac_core(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
+def _apply_rfdac_core(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     bits, full_scale, sigma = p["bits"], p["full_scale"], p["mismatch_sigma"]
     rails = [imp.quantize_track(x, bits, full_scale)
              for x in (env.samples.real, env.samples.imag)]
@@ -286,19 +287,19 @@ def _apply_rfdac_core(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
     return ComplexEnvelope(samples, env.sample_rate * p["hold_factor"])
 
 
-def _apply_harmonic_multiply(env: ComplexEnvelope, p: dict, ctx):
+def _apply_harmonic_multiply(env: ComplexEnvelope, p: dict):
     tracks = env.polar
     return _join_polar_tracks(env, tracks.amplitude,
                               phasor(p["factor"] * tracks.phase), 0.0)
 
 
-def _apply_rise_fall(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
+def _apply_rise_fall(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     """The AM low-pass of a polar path, and nothing else of it."""
     spec = StageSpec("polar_paths", {"am_cutoff_hz": p["cutoff_hz"]})
-    return _apply_polar_paths(env, _args(spec), ctx)
+    return _apply_polar_paths(env, _args(spec))
 
 
-def _apply_spur_inject(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
+def _apply_spur_inject(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     rms = math.sqrt(float(np.mean(np.abs(env.samples) ** 2)))
     amp = rms * 10.0 ** (p["level_dbc"] / 20.0)
     t = np.arange(len(env)) / env.sample_rate
@@ -306,7 +307,7 @@ def _apply_spur_inject(env: ComplexEnvelope, p: dict, ctx) -> ComplexEnvelope:
     return ComplexEnvelope(env.samples + spur, env.sample_rate)
 
 
-def _apply_state_errors(env: ComplexEnvelope, p: dict, ctx):
+def _apply_state_errors(env: ComplexEnvelope, p: dict):
     levels = np.asarray(p["levels"], dtype=np.float64)
     errors = p["errors"]
     if errors is None:
@@ -319,15 +320,15 @@ def _apply_state_errors(env: ComplexEnvelope, p: dict, ctx):
     return _join_polar_tracks(env, amp, phasor(tracks.phase), 0.0)
 
 
-def _apply_iq_correction(env: ComplexEnvelope, p: dict, ctx):
+def _apply_iq_correction(env: ComplexEnvelope, p: dict):
     (a, b), (c, d) = np.asarray(p["matrix"], dtype=np.float64)
     i, q = env.samples.real, env.samples.imag
     out = a * i + b * q + 1j * (c * i + d * q) + p["offset"]
     return ComplexEnvelope(out, env.sample_rate)
 
 
-def _apply_gated_offset(env: ComplexEnvelope, p: dict, ctx):
-    samples = np.where(_gate_mask(env, ctx), env.samples,
+def _apply_gated_offset(env: ComplexEnvelope, p: dict):
+    samples = np.where(p["gate_mask"], env.samples,
                        env.samples + p["offset"])
     return ComplexEnvelope(samples, env.sample_rate)
 
@@ -383,10 +384,8 @@ STAGES: dict[str, Stage] = {
     "am_ampm": Stage("am_ampm", "amp", {
         "gain_poly": Param("numbers"),
         "phase_poly": Param("numbers", default=(0.0,))}),
-    "onoff_leakage": Stage(
-        lambda env, p, ctx: imp.onoff_leakage(env, p["off_ratio_db"],
-                                              _gate_mask(env, ctx)),
-        "iq_lo", {"off_ratio_db": Param("number", "[0, inf]")}, gated=True),
+    "onoff_leakage": Stage("onoff_leakage", "iq_lo", {
+        "off_ratio_db": Param("number", "[0, inf]")}, gated=True),
     "path_skew": Stage("path_skew", "bw", {"tau_i": _DELAY, "tau_q": _DELAY}),
     "iq_paths": Stage(_apply_iq_paths, None, {
         "bits": _BITS, "full_scale": _FULL_SCALE,
@@ -406,8 +405,9 @@ STAGES: dict[str, Stage] = {
                                {"factor": Param("int", "[2, 4]")}),
     "rise_fall": Stage(_apply_rise_fall, "bw", {"cutoff_hz": _CUTOFF}),
     "spur_inject": Stage(_apply_spur_inject, "iq_lo", {
-        "offset_hz": Param("number"), "level_dbc": Param("number"),
-        "phase": _ZERO}),
+        # far past any real spur; 10 ** (level_dbc / 20) overflows past 6165
+        "offset_hz": Param("number"),
+        "level_dbc": Param("number", "(-inf, 300]"), "phase": _ZERO}),
     "state_errors": Stage(_apply_state_errors, "amp", {
         "levels": Param("numbers"), "errors": Param("numbers", default=None),
         "sigma": Param("number", "[0, inf)", default=None), "seed": _SEED},
@@ -427,10 +427,9 @@ def run_chain(chain: TxChain, env: ComplexEnvelope) -> ComplexEnvelope:
     amplitude are "off"), is derived once from the chain input, so gated
     stages see the intent even after earlier stages smear the waveform.
     """
-    context = {"gate_mask": _gate_mask(env, None)}
-    out = env
+    mask, out = _gate_mask(env), env
     for spec in chain.stages:
-        out = apply_stage(out, spec, context)
+        out = apply_stage(out, spec, mask)
     return out
 
 
@@ -445,9 +444,9 @@ def run_chain_per_trim(chain: TxChain, env: ComplexEnvelope, comp_delays):
     it.
     """
     at = _stage_index(chain, "polar_paths")
-    context = {"gate_mask": _gate_mask(env, None)}
+    mask = _gate_mask(env)
     for spec in chain.stages[:at]:
-        env = apply_stage(env, spec, context)
+        env = apply_stage(env, spec, mask)
     check_stage(chain.stages[at], env.sample_rate, env.duration)
     p = _args(chain.stages[at])
     amp, phase = _polar_tracks(env, p)
@@ -459,7 +458,7 @@ def run_chain_per_trim(chain: TxChain, env: ComplexEnvelope, comp_delays):
                         "params.comp_delay_s")
             out = _join_polar_tracks(env, amp, pm, p["tau_a"] + delay)
             for spec in chain.stages[at + 1:]:
-                out = apply_stage(out, spec, context)
+                out = apply_stage(out, spec, mask)
             yield out
 
     return outputs()
@@ -545,34 +544,29 @@ def synth_comm_waveform(
     bits,
     constellation: mod.Constellation,
     shape: mod.PulseShape,
-    chain: TxChain | None = None,
     symbol_period: float = 1.0,
 ):
-    """Map bits to symbols, pulse-shape, and run the transmit chain.
+    """Map bits to symbols and pulse-shape them.
 
-    Returns (symbol stream, output envelope); empty ``bits`` raise ValueError.
+    Returns (symbol stream, ideal envelope); empty ``bits`` raise ValueError.
     """
     stream = mod.map_bits(bits, constellation, symbol_period)
-    env = mod.shape_symbols(stream, shape)
-    if chain is not None:
-        env = run_chain(chain, env)
-    return stream, env
+    return stream, mod.shape_symbols(stream, shape)
 
 
 def synth_qubit_pulse(
-    chain: TxChain | None,
     envelope_spec: mod.GateEnvelopeSpec,
     sample_rate: float,
     rotation_angle: float | None = None,
     axis_phase: float = 0.0,
     drive_gain: float = 1.0,
 ) -> ComplexEnvelope:
-    """Synthesize a drive pulse and run it through the transmit chain.
+    """Synthesize the ideal drive pulse of a gate.
 
     When the envelope spec leaves peak_amplitude unset, the peak is solved so
     a resonant drive of strength ``drive_gain`` rotates by ``rotation_angle``:
     peak = angle / (gain * unit-peak pulse area).  ``axis_phase`` rotates the
-    drive quadrature and is folded into the envelope before the chain.
+    drive quadrature and is folded into the envelope.
     """
     spec = envelope_spec
     if spec.peak_amplitude is None:
@@ -588,6 +582,4 @@ def synth_qubit_pulse(
     # kept: a product with 1+0j would change the signs of zero samples
     if axis_phase != 0.0:
         env = imp.static_phase_error(env, axis_phase)
-    if chain is not None:
-        env = run_chain(chain, env)
     return env

@@ -192,7 +192,8 @@ def quantize_track(
         raise ValueError("full_scale must be positive")
     if lo is None:
         lo = -full_scale
-    step = (full_scale - lo) / 2.0**bits
+    # each bound scaled first: their difference may pass the float range
+    step = full_scale / 2.0**bits - lo / 2.0**bits
     out = np.round(np.asarray(track, dtype=np.float64) / step) * step
     return np.clip(out, lo, full_scale) + 0.0
 
@@ -235,14 +236,18 @@ def am_ampm(env: ComplexEnvelope, gain_poly, phase_poly) -> ComplexEnvelope:
     amplitude transfer A' = c1 A + c3 A^3 + ...; ``phase_poly`` holds
     ascending-power coefficients [p0, p1, ...] of the phase shift in radians
     as a polynomial in A.  A non-monotone amplitude transfer over the signal
-    range is allowed but flagged with a warning.
+    range is allowed but flagged with a warning; an infinite or nan
+    amplitude raises ValueError.
     """
     gain_poly = np.asarray(gain_poly, dtype=np.float64)
     phase_poly = np.asarray(phase_poly, dtype=np.float64)
     if gain_poly.size == 0:
         raise ValueError("gain_poly must contain at least the linear term")
     amp = np.abs(env.samples)
-    grid = np.linspace(0.0, amp.max(), 64)
+    amax = float(amp.max())     # nan if any amplitude is nan
+    if not math.isfinite(amax):
+        raise ValueError(f"am_ampm needs finite samples, got amplitude {amax}")
+    grid = np.linspace(0.0, amax, 64)
     if np.any(np.diff(_poly(grid, gain_poly, odd=True)) < 0.0):
         warnings.warn("AM-AM transfer is non-monotone over the signal range",
                       stacklevel=2)

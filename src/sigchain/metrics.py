@@ -217,7 +217,7 @@ def evm(rx_symbols, ref_symbols) -> EvmReport:
     if ref_power == 0.0:
         raise ValueError("reference power is zero")
     e = math.sqrt(float(np.mean(np.abs(rx - ref) ** 2)) / ref_power)
-    e_db = 20.0 * math.log10(e) if e > 0.0 else -math.inf
+    e_db = -math.inf if e == 0.0 else 20.0 * math.log10(e)  # nan stays nan
     return EvmReport(e, e_db, rx.size)
 
 

@@ -306,9 +306,10 @@ def rabi_protocol(model: QubitModel, envelope_spec, sample_rate: float,
 
     Each scale sets the envelope peak directly; the pulse runs through the
     transmit chain (when given) before hitting the qubit.  Each pulse equals
-    ``synth_qubit_pulse(chain, with_peak(envelope_spec, scale),
-    sample_rate)``, but the parts of the gate that no scale changes are
-    synthesized once for the whole sweep (``modulation.gate_envelopes``).
+    ``run_chain(chain, synth_qubit_pulse(with_peak(envelope_spec, scale),
+    sample_rate))``, byte for byte (without ``run_chain`` when ``chain`` is
+    None), but the parts of the gate that no scale changes are synthesized
+    once for the whole sweep (``modulation.gate_envelopes``).
     """
     pulses = mod.gate_envelopes(envelope_spec, sample_rate,
                                 map(float, scales))

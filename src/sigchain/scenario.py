@@ -474,7 +474,7 @@ def _compute_comm(plan: dict, made: tuple) -> tuple[dict, dict]:
 
 def _qubit_input(plan: dict):
     return synth_qubit_pulse(
-        None, plan["envelope"], plan["sample_rate"],
+        plan["envelope"], plan["sample_rate"],
         rotation_angle=plan["gate"].rotation_angle,
         axis_phase=plan["gate"].axis_phase,
         drive_gain=plan["model"].drive_gain)

@@ -41,8 +41,8 @@ def _pi_pulse_infidelity(chain, eps_a=0.0, phi_e=0.0, theta=math.pi):
     g = math.pi / TAU
     model = qb.QubitModel(drive_gain=g)
     spec = mod.GateEnvelopeSpec("rect", TAU, peak_amplitude=None)
-    env = synth_qubit_pulse(chain, spec, FS_Q, rotation_angle=theta,
-                            drive_gain=g)
+    env = run_chain(chain, synth_qubit_pulse(spec, FS_Q, rotation_angle=theta,
+                                             drive_gain=g))
     u = qb.propagate(model, env)
     target = qb.target_unitary(qb.GateSpec(theta))
     return qb.average_gate_fidelity(u, target).infidelity
@@ -106,7 +106,7 @@ class TestAcceptance:
             StageSpec("lo_feedthrough", {"offset": 0.02}),
             StageSpec("bandwidth_limit", {"cutoff_hz": 5.0 / symbol_period}),
         ))
-        stream, clean = synth_comm_waveform(bits, const, shape, None,
+        stream, clean = synth_comm_waveform(bits, const, shape,
                                             symbol_period)
         scorer = met.LinkScorer(stream, const, shape)
         report = met.evm_budget(scorer, clean, chain,
@@ -137,7 +137,7 @@ class TestAcceptance:
         bw_at = {}
         for beta in (0.25, 0.5, 1.0):
             shape = mod.PulseShape("raised_cosine", beta, 16, sps)
-            stream, env = synth_comm_waveform(bits, const, shape, None,
+            stream, env = synth_comm_waveform(bits, const, shape,
                                               sps / fs)
             res = met.demodulate(env, const, shape, sps / fs,
                                  skip_edge_symbols=16)
@@ -192,11 +192,10 @@ class TestAcceptance:
         n = 512
         factor = 3
         stage = StageSpec("harmonic_multiply", {"factor": factor})
-        ctx = {"gate_mask": np.ones(n, bool)}
 
         t = np.arange(n) / fs
         phi = 0.3 * np.sin(2.0 * np.pi * 2.0e6 * t)
-        out = apply_stage(ComplexEnvelope(np.exp(1j * phi), fs), stage, ctx)
+        out = apply_stage(ComplexEnvelope(np.exp(1j * phi), fs), stage)
         det_dev = float(np.max(np.abs(np.angle(out.samples) - factor * phi)))
         assert det_dev < 1e-12
 
@@ -208,7 +207,7 @@ class TestAcceptance:
                 env = ComplexEnvelope(np.ones(n, complex), fs)
                 noisy = imp.phase_noise(env, rate, seed=seed)
                 if multiplied:
-                    noisy = apply_stage(noisy, stage, ctx)
+                    noisy = apply_stage(noisy, stage)
                 chunks.append(np.diff(np.unwrap(np.angle(noisy.samples))))
             return float(np.var(np.concatenate(chunks)))
 
@@ -244,8 +243,8 @@ class TestAcceptance:
         for tau in (0.0, 5e-11, 1e-10, 1.5e-10, 2e-10):
             for sign in (1.0, -1.0):
                 stream, env = synth_comm_waveform(bits, const, shape,
-                                                  polar(sign * tau),
                                                   symbol_period)
+                env = run_chain(polar(sign * tau), env)
                 res = met.demodulate(env, const, shape, symbol_period,
                                      skip_edge_symbols=8)
                 ref = stream.symbols[8:-8][: res.rx_symbols.size]
@@ -270,7 +269,7 @@ class TestAcceptance:
                 "gaussian", tau, peak_amplitude=None, sigma_fraction=0.25,
                 drag_enabled=drag_coeff != 0.0,
                 drag_coefficient_s=drag_coeff)
-            env = synth_qubit_pulse(None, spec, fs, rotation_angle=math.pi,
+            env = synth_qubit_pulse(spec, fs, rotation_angle=math.pi,
                                     drive_gain=g)
             u = qb.propagate(model, env, substeps=2)
             report = qb.average_gate_fidelity(u, target)
@@ -294,7 +293,8 @@ class TestAcceptance:
         target = qb.target_unitary(qb.GateSpec(math.pi))
 
         def infidelity(chain, peak):
-            env = synth_qubit_pulse(chain, mod.with_peak(spec, peak), FS_Q)
+            env = run_chain(chain,
+                            synth_qubit_pulse(mod.with_peak(spec, peak), FS_Q))
             u = qb.propagate(model, env)
             return qb.average_gate_fidelity(u, target).infidelity
 
@@ -319,8 +319,8 @@ class TestAcceptance:
             dip_lut = cal.rabi_amplitude_cal(dip_model, spec, FS_Q,
                                              np.linspace(0.05, 1.0, 48),
                                              chain=dip)
-            env = synth_qubit_pulse(
-                dip, mod.with_peak(spec, dip_lut.pi_code), FS_Q)
+            env = run_chain(dip, synth_qubit_pulse(
+                mod.with_peak(spec, dip_lut.pi_code), FS_Q))
         u = qb.propagate(dip_model, env)
         assert qb.average_gate_fidelity(u, dip_target).infidelity < 1e-4
 

@@ -44,7 +44,7 @@ class TestRabiAmplitudeCal:
         def infidelity(scale):
             from sigchain.chains import synth_qubit_pulse
             spec = mod.with_peak(_rect_spec(), scale)
-            env = synth_qubit_pulse(chain, spec, FS)
+            env = run_chain(chain, synth_qubit_pulse(spec, FS))
             u = qb.propagate(model, env)
             return qb.average_gate_fidelity(u, target).infidelity
 
@@ -173,8 +173,9 @@ class TestIqCal:
         corrected = cal.iq_cal(self.CHAIN, FS)
 
         def measure(chain):
-            stream, env = synth_comm_waveform(bits, const, shape, chain=chain,
+            stream, env = synth_comm_waveform(bits, const, shape,
                                               symbol_period=8 / FS)
+            env = run_chain(chain, env)
             res = demodulate(env, const, shape, 8 / FS,
                              skip_edge_symbols=shape.span_symbols)
             ref = stream.symbols[shape.span_symbols:-shape.span_symbols]
@@ -227,8 +228,9 @@ def _align_scores_per_candidate(chain, fs, symbol_period, window_s, step_s,
     for idx, cand in enumerate(candidates):
         trial = with_stage_param(chain, "polar_paths",
                                  comp_delay_s=float(cand))
-        stream, env = synth_comm_waveform(bits, const, shape, chain=trial,
+        stream, env = synth_comm_waveform(bits, const, shape,
                                           symbol_period=symbol_period)
+        env = run_chain(trial, env)
         if cand != 0.0:
             env = fractional_delay(env, -float(cand))
         result = demodulate(env, const, shape, symbol_period,
@@ -375,8 +377,9 @@ class TestDpdFit:
         corrected, *_ = cal.dpd_fit(chain, FS, full_scale=1.6)
 
         def measure(chain):
-            stream, env = synth_comm_waveform(bits, const, shape, chain=chain,
+            stream, env = synth_comm_waveform(bits, const, shape,
                                               symbol_period=8 / FS)
+            env = run_chain(chain, env)
             res = demodulate(env, const, shape, 8 / FS,
                              skip_edge_symbols=shape.span_symbols)
             ref = stream.symbols[shape.span_symbols:-shape.span_symbols]

@@ -105,6 +105,22 @@ class TestChainPlumbing:
         b = ch.run_chain(chain, env)
         assert np.max(np.abs(a.samples - 0.5 * b.samples)) < 1e-12
 
+    @pytest.mark.parametrize("kind, params, off", [
+        ("onoff_leakage", {"off_ratio_db": 20.0}, 0.1),
+        ("gated_offset", {"offset": 0.1}, 1.1),
+    ])
+    def test_gated_stage_takes_an_explicit_mask(self, kind, params, off):
+        # every sample is on by the record's own gate; the explicit mask
+        # turns the last four off
+        env = ComplexEnvelope(np.ones(8, dtype=complex), 1e6)
+        spec = ch.StageSpec(kind, params)
+        mask = np.arange(8) < 4
+        got = ch.apply_stage(env, spec, gate_mask=mask)
+        assert np.array_equal(got.samples, np.where(mask, 1.0, off))
+        assert np.array_equal(ch.apply_stage(env, spec).samples, env.samples)
+        with pytest.raises(ch.InputError, match="cannot follow a hold"):
+            ch.apply_stage(env, spec, gate_mask=mask[:4])
+
     def test_stage_list_serializes_plainly(self):
         chain = ch.TxChain("cartesian", (
             ch.StageSpec("iq_paths", {"bits": 10, "cutoff_hz": 1e6}),
@@ -127,7 +143,7 @@ class TestSharedInput:
         lambda env: env.polar.phase.__iadd__(1.0),
     ], ids=["samples", "amplitude", "phase"])
     def test_a_stage_writing_its_input_raises(self, scribble, monkeypatch):
-        def apply(env, p, ctx):
+        def apply(env, p):
             scribble(env)
             return env
 
@@ -228,13 +244,13 @@ class TestPolar:
 
     def test_per_trim_runs_match_whole_chain_runs(self):
         # a gated burst: the stage before polar_paths fills the gaps, so the
-        # gated stages after it see the commanded mask only via the context
+        # gated stages after it see the commanded mask only as the chain
+        # input's gate
         rng = np.random.default_rng(5)
         sym = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 384))
         x = np.concatenate([np.zeros(64), sym, np.zeros(64), sym[:128]])
         env = ComplexEnvelope(x, 8e9)
         delays = [-5e-11, 0.0, 2.5e-11, 1.1e-10]
-        # with tau_a = 0 the zero trim takes the join's no-delay branch
         for tau_a in (3e-11, 0.0):
             chain = ch.TxChain("polar", (
                 ch.StageSpec("lo_feedthrough", {"offset": 0.02 - 0.01j}),
@@ -557,8 +573,8 @@ class TestSharedKernels:
     def test_axis_phase_is_a_static_phase_rotation(self, axis_phase):
         spec = mod.GateEnvelopeSpec("gaussian", 20e-9, drag_enabled=True,
                                     drag_coefficient_s=1e-10)
-        plain = ch.synth_qubit_pulse(None, spec, 25.6e9)
-        got = ch.synth_qubit_pulse(None, spec, 25.6e9, axis_phase=axis_phase)
+        plain = ch.synth_qubit_pulse(spec, 25.6e9)
+        got = ch.synth_qubit_pulse(spec, 25.6e9, axis_phase=axis_phase)
         want = plain.samples * np.exp(1j * axis_phase)
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -584,7 +600,7 @@ class TestSynth:
         # rect pulse: area is exact, so the solved peak gives angle/gain area
         g = 2.0 * math.pi * 5e6
         spec = mod.GateEnvelopeSpec("rect", 20e-9, peak_amplitude=None)
-        env = ch.synth_qubit_pulse(None, spec, 51.2e9,
+        env = ch.synth_qubit_pulse(spec, 51.2e9,
                                    rotation_angle=math.pi, drive_gain=g)
         area = g * np.sum(np.abs(env.samples)) / env.sample_rate
         assert area == pytest.approx(math.pi, rel=1e-12)
@@ -593,21 +609,21 @@ class TestSynth:
         g = 2.0 * math.pi * 5e6
         spec = mod.GateEnvelopeSpec("gaussian", 20e-9, peak_amplitude=None,
                                     sigma_fraction=0.25)
-        env = ch.synth_qubit_pulse(None, spec, 51.2e9,
+        env = ch.synth_qubit_pulse(spec, 51.2e9,
                                    rotation_angle=math.pi / 2, drive_gain=g)
         area = g * np.sum(np.abs(env.samples)) / env.sample_rate
         assert area == pytest.approx(math.pi / 2, rel=1e-5)
 
     def test_axis_phase_rotates_quadrature(self):
         spec = mod.GateEnvelopeSpec("cosine", 20e-9, peak_amplitude=0.5)
-        a = ch.synth_qubit_pulse(None, spec, 25.6e9)
-        b = ch.synth_qubit_pulse(None, spec, 25.6e9, axis_phase=math.pi / 2)
+        a = ch.synth_qubit_pulse(spec, 25.6e9)
+        b = ch.synth_qubit_pulse(spec, 25.6e9, axis_phase=math.pi / 2)
         assert np.max(np.abs(b.samples - 1j * a.samples)) < 1e-12
 
     def test_peak_requires_angle(self):
         spec = mod.GateEnvelopeSpec("rect", 20e-9, peak_amplitude=None)
         with pytest.raises(ValueError, match="rotation_angle"):
-            ch.synth_qubit_pulse(None, spec, 51.2e9)
+            ch.synth_qubit_pulse(spec, 51.2e9)
 
     def test_gate_mask_survives_chain_but_not_resample(self):
         x = np.concatenate([np.zeros(32), np.ones(32)]).astype(complex)

@@ -305,6 +305,16 @@ class TestQuantize:
         assert out[0] == 0.0
         assert out[1] == pytest.approx(0.25)
 
+    def test_huge_full_scale_stays_finite(self):
+        # 2 * 1e308 passes the float range; the step 1e308 / 2**31 does not
+        step = 1e308 / 2.0**31
+        track = imp.quantize_track(np.array([0.3, 0.6 * step, -2.4 * step]),
+                                   32, 1e308)
+        assert np.array_equal(track, [0.0, step, -2.0 * step])
+        env = ComplexEnvelope(np.array([0.5 - 0.25j, 1.0j]), 1e6)
+        assert np.array_equal(imp.quantize(env, 32, 1e308).samples,
+                              np.zeros(2))
+
     def test_bad_args(self):
         env = _rand_envelope(9)
         with pytest.raises(ValueError):
@@ -400,6 +410,14 @@ class TestAmAmpm:
         zeros = ComplexEnvelope(np.zeros(8, dtype=complex), 1e6)
         out = imp.am_ampm(zeros, [1.0, -1.0], [0.5, 0.5])
         assert np.array_equal(out.samples, np.zeros(8))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_amplitude_refused(self, bad):
+        # refused before the monotonicity grid, which would warn on it
+        # (warnings are errors here)
+        env = ComplexEnvelope(np.array([1.0, bad], dtype=complex), 1e6)
+        with pytest.raises(ValueError, match="am_ampm needs finite"):
+            imp.am_ampm(env, [1.0, -0.1], [0.0, 0.2])
 
     def test_identity_poly(self):
         env = _rand_envelope(11)

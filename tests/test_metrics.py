@@ -26,7 +26,7 @@ def _loopback(kind: str, n_sym: int = 200, sps: int = 8, seed: int = 0,
     else:
         shape = mod.PulseShape(kind, rolloff=0.35, span_symbols=16,
                                samples_per_symbol=sps)
-    stream, env = ch.synth_comm_waveform(bits, const, shape, None, 1e-6)
+    stream, env = ch.synth_comm_waveform(bits, const, shape, 1e-6)
     return const, shape, stream, env
 
 
@@ -183,7 +183,8 @@ class TestDecimatingMatchedFilter:
         bits = np.random.default_rng(span).integers(0, 2, 2 * n_sym)
         chain = ch.TxChain("custom", (ch.StageSpec("rfdac_core", {
             "bits": 16, "hold_factor": hold}),))
-        _, env = ch.synth_comm_waveform(bits, const, shape, chain, 1e-6)
+        _, clean = ch.synth_comm_waveform(bits, const, shape, 1e-6)
+        env = ch.run_chain(chain, clean)
         full = met.demodulate(env, const, shape, 1e-6).rx_symbols
         n = full.size
         # cuts at the end, at both ends, and the scorer's window
@@ -347,6 +348,12 @@ class TestEvm:
         assert abs(met.evm(ref * np.exp(1j * phi), ref).evm_rms
                    - 2.0 * abs(math.sin(phi / 2.0))) < 1e-9
 
+    def test_nan_evm_reads_nan_db(self):
+        ref = np.array([1.0, 1j, -1.0])
+        rep = met.evm(np.array([1.0, math.nan, -1.0]), ref)
+        assert math.isnan(rep.evm_rms) and math.isnan(rep.evm_db)
+        assert met.evm(ref, ref).evm_db == -math.inf
+
     def test_error_paths(self):
         with pytest.raises(ValueError):
             met.evm(np.ones(3), np.ones(4))
@@ -373,7 +380,7 @@ class TestLinkScorer:
 
 def _budget(bits, const, shape, chain, symbol_period):
     """evm_budget as a scenario runs it: one synthesis, one full-chain run."""
-    stream, clean = ch.synth_comm_waveform(bits, const, shape, None,
+    stream, clean = ch.synth_comm_waveform(bits, const, shape,
                                            symbol_period)
     scorer = met.LinkScorer(stream, const, shape)
     total = scorer(ch.run_chain(chain, clean))[2]
@@ -388,7 +395,7 @@ def _budget_oracle(bits, constellation, shape, chain, symbol_period):
         by_term.setdefault(ch.STAGES[spec.kind].term, []).append(spec)
     skip = shape.span_symbols
     stream, clean = ch.synth_comm_waveform(bits, constellation, shape,
-                                           None, symbol_period)
+                                           symbol_period)
 
     def measure(sub: tuple) -> float:
         env = ch.run_chain(ch.TxChain(chain.architecture, sub), clean)
@@ -497,7 +504,7 @@ class TestEye:
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, n_sym)
         shape = mod.PulseShape("rect", samples_per_symbol=sps)
-        return ch.synth_comm_waveform(bits, const, shape, None, 1e-6)
+        return ch.synth_comm_waveform(bits, const, shape, 1e-6)
 
     def test_clean_rect_eye_fully_open(self):
         _, env = self._ook()
@@ -531,7 +538,7 @@ class TestEye:
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, 2 * 512)
         shape = mod.PulseShape("rect", samples_per_symbol=32)
-        _, env = ch.synth_comm_waveform(bits, const, shape, None, 1e-6)
+        _, env = ch.synth_comm_waveform(bits, const, shape, 1e-6)
         eye = met.eye_metrics(env, 1e-6, n_levels=4)
         assert eye.eye_width_fraction == 1.0
         assert eye.levels.size == 4
@@ -625,7 +632,7 @@ class TestEyeOracle:
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, const.bits_per_symbol * n_sym)
         shape = mod.PulseShape("rect", samples_per_symbol=sps)
-        _, env = ch.synth_comm_waveform(bits, const, shape, None, 1e-6)
+        _, env = ch.synth_comm_waveform(bits, const, shape, 1e-6)
         if kind == "band_limited":
             env = imp.bandwidth_limit(env, 0.3e6)
         elif kind == "noisy":

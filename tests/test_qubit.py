@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 from sigchain import modulation as mod
 from sigchain import qubit as qb
-from sigchain.chains import StageSpec, TxChain, synth_qubit_pulse
+from sigchain.chains import StageSpec, TxChain, run_chain, synth_qubit_pulse
 from sigchain.envelope import ComplexEnvelope
 
 TWO_PI = 2.0 * math.pi
@@ -127,7 +127,8 @@ def _ref_bloch(model, env, substeps):
 def _ref_rabi(model, spec, fs, scales, chain):
     p1 = np.empty(len(scales))
     for k, scale in enumerate(scales):
-        env = synth_qubit_pulse(chain, mod.with_peak(spec, float(scale)), fs)
+        pulse = synth_qubit_pulse(mod.with_peak(spec, float(scale)), fs)
+        env = run_chain(chain, pulse)
         p1[k] = abs(_ref_propagate(model, env)[1, 0]) ** 2
     return p1
 
@@ -479,8 +480,10 @@ class TestProtocols:
 
         monkeypatch.setattr(qb, "_propagate_each", record)
         p1 = qb.rabi_protocol(model, spec, GATE_FS, scales, chain=chain)
-        ref = [synth_qubit_pulse(chain, mod.with_peak(spec, float(s)),
-                                 GATE_FS) for s in scales]
+        ref = [synth_qubit_pulse(mod.with_peak(spec, float(s)), GATE_FS)
+               for s in scales]
+        if chain is not None:
+            ref = [run_chain(chain, env) for env in ref]
         assert len(fed) == len(ref) == 19
         for got, want in zip(fed, ref):
             assert got.samples.tobytes() == want.samples.tobytes()
@@ -528,9 +531,9 @@ class TestBatchedKernel:
 
     def test_propagate_two_level_detuned_drag(self):
         model = qb.QubitModel(drive_gain=GATE_GAIN, detuning=TWO_PI * 7e6)
-        env = synth_qubit_pulse(GATE_CHAIN, _gate_spec(drag=True), GATE_FS,
-                                rotation_angle=math.pi,
-                                drive_gain=GATE_GAIN)
+        env = run_chain(GATE_CHAIN, synth_qubit_pulse(
+            _gate_spec(drag=True), GATE_FS, rotation_angle=math.pi,
+            drive_gain=GATE_GAIN))
         u = qb.propagate(model, env)
         assert np.max(np.abs(u - _ref_propagate(model, env))) <= 1e-12
         # an odd-length record carries its last step up the tree
@@ -560,8 +563,9 @@ class TestBatchedKernel:
 
     def test_bloch_scan_matches_sequential_loop(self):
         model = qb.QubitModel(drive_gain=GATE_GAIN)
-        env = synth_qubit_pulse(GATE_CHAIN, _gate_spec(), GATE_FS,
-                                rotation_angle=math.pi, drive_gain=GATE_GAIN)
+        env = run_chain(GATE_CHAIN, synth_qubit_pulse(
+            _gate_spec(), GATE_FS, rotation_angle=math.pi,
+            drive_gain=GATE_GAIN))
         times, pts = qb.bloch_trajectory(model, env, substeps=16)
         ref_times, ref_pts = _ref_bloch(model, env, 16)
         assert pts.shape == ref_pts.shape == (16 * len(env) + 1, 3)

@@ -77,12 +77,23 @@ class TestRows:
         assert calls == [kwargs]
 
     def test_by_name_kernels_take_the_schema_keys(self):
-        # apply_stage passes the parameters as keywords, in any order
+        # apply_stage passes the parameters as keywords, in any order, and
+        # a gated row's gate as the keyword gate_mask
+        gated = []
         for kind, row in ch.STAGES.items():
             if isinstance(row.apply, str):
                 kernel = inspect.signature(getattr(imp, row.apply))
-                assert set(list(kernel.parameters)[1:]) == set(row.params), \
-                    kind
+                keys = {*row.params, *(["gate_mask"] if row.gated else [])}
+                assert set(list(kernel.parameters)[1:]) == keys, kind
+                gated += [kind] * row.gated
+        assert gated == ["onoff_leakage"]
+
+    def test_callable_rows_take_the_record_and_parameters(self):
+        for kind, row in ch.STAGES.items():
+            if callable(row.apply):
+                assert row.apply.__name__ == f"_apply_{kind}", kind
+                assert list(inspect.signature(row.apply).parameters) == [
+                    "env", "p"], kind
 
     def test_defaults_are_not_stored(self):
         params = {"bits": 8, "seed": None}
@@ -134,6 +145,8 @@ class TestSchemaChecks:
         ("amplitude_error", {"eps_a": 10**400}, "eps_a", "'number'"),
         ("lo_feedthrough", {"offset": 10**400}, "offset", "'complex'"),
         ("am_ampm", {"gain_poly": [1.0, 10**400]}, "gain_poly", "'numbers'"),
+        ("spur_inject", {"offset_hz": 1e3, "level_dbc": 7000.0}, "level_dbc",
+         r"\(-inf, 300\], got 7000"),
     ])
     def test_rejected_at_construction(self, kind, params, key, match):
         with pytest.raises(ch.InputError, match=match) as info:
@@ -142,6 +155,11 @@ class TestSchemaChecks:
 
     def test_explicit_errors_need_no_seed(self):
         ch.StageSpec("state_errors", {"levels": [1.0], "errors": [0.1]})
+
+    def test_spur_at_its_level_bound_is_finite(self):
+        out = ch.apply_stage(_env(), ch.StageSpec(
+            "spur_inject", {"offset_hz": 1e3, "level_dbc": 300.0}))
+        assert np.all(np.isfinite(out.samples))
 
     def test_off_ratio_may_be_infinite(self):
         out = ch.apply_stage(_env(), ch.StageSpec(

@@ -415,9 +415,9 @@ class TestValidation:
         class Seen(Exception):
             pass
 
-        def spy(env, spec, context=None):
+        def spy(env, spec, gate_mask=None):
             if spec.kind != kind:
-                return real(env, spec, context)
+                return real(env, spec, gate_mask)
             seen.append(env.duration)
             raise Seen
 
@@ -1505,8 +1505,7 @@ class TestCli:
         cfg["qubit"]["envelope"]["duration_s"] = 6.3e-8
         gate_text = "the gate spans 63 samples at 1e+09 Hz, fewer than 64"
         with pytest.raises(ValueError) as lib:
-            synth_qubit_pulse(None, mod.GateEnvelopeSpec("rect", 6.3e-8),
-                              1.0e9)
+            synth_qubit_pulse(mod.GateEnvelopeSpec("rect", 6.3e-8), 1.0e9)
         assert str(lib.value) == gate_text
         p = tmp_path / "s.json"
         p.write_text(json.dumps(cfg))
@@ -1825,11 +1824,15 @@ class TestCli:
         ("qam16_budget", None, {"n_symbols": 10**400}, "comm.n_symbols"),
         ("qam16_budget", None, {"n_symbols": 32}, "comm.pulse.span_symbols"),
         ("polar_skew", 0, {"tau_p": 1e300}, "stages.0.params.tau_p"),
+        # 10 ** (level_dbc / 20) would overflow a float
+        ("qam16_budget", 0, {"kind": "spur_inject", "offset_hz": 1.0e8,
+                             "level_dbc": 7000}, "stages.0.params.level_dbc"),
     ], ids=["eps-str", "cutoff-past-nyquist", "seed-str", "gain-list",
             "quantize-bits-float", "rfdac-bits-bool", "rfdac-mismatch-table",
             "n-symbols-huge",
             "budget-composite-stage", "gated-after-hold",
-            "n-symbols-past-float", "no-symbol-scored", "pm-delay-huge"])
+            "n-symbols-past-float", "no-symbol-scored", "pm-delay-huge",
+            "spur-level-overflow"])
     def test_config_mistakes_exit_two_with_path(
             self, scenario, stage, params, where, tmp_path, capsys):
         cfg = scn.read_config(scn.bundled_scenario_path(scenario))
