@@ -87,11 +87,11 @@ class TxChain:
     """An architecture label plus an ordered stage list."""
 
     architecture: str
-    stages: tuple = ()
+    stages: tuple[StageSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.architecture!r}")
+        require(self.architecture in ARCHITECTURES, "architecture",
+                f"expected one of {ARCHITECTURES}, got {self.architecture!r}")
         stages = tuple(self.stages)
         for st in stages:
             if not isinstance(st, StageSpec):

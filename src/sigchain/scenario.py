@@ -33,10 +33,9 @@ from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain.calibration import ROUTINES
-from sigchain.chains import (ARCHITECTURES, STAGES, StageSpec, TxChain,
-                             _finite, _real, check_budget, check_gate,
-                             check_record, run_chain, synth_comm_waveform,
-                             synth_qubit_pulse)
+from sigchain.chains import (STAGES, StageSpec, TxChain, _finite, _real,
+                             check_budget, check_gate, check_record,
+                             run_chain, synth_comm_waveform, synth_qubit_pulse)
 from sigchain.envelope import InputError, require
 
 __all__ = [
@@ -242,9 +241,11 @@ _KINDS = {"number": (_finite, "finite number"),
 def _value(v, kind, path: str):
     """``v`` checked as a JSON kind, as one of a tuple of values, or for
     ``[kind]`` as an array of ``kind`` (read as a tuple); or read as the
-    record class ``kind``, a constellation from its scheme."""
+    record class ``kind``, a constellation or a stage by its own reader."""
     if kind is mod.Constellation:
         return _parse_constellation(v, path)
+    if kind is StageSpec:
+        return _parse_stage(v, path)
     if isinstance(kind, type):
         return _parse_record(kind, v, path)
     if isinstance(kind, list):
@@ -287,20 +288,23 @@ def _keyed(e: InputError, section: str, top: str = "") -> ConfigError:
 # A parameter's JSON kind, from its resolved annotation; any other class
 # names itself, such as a record class
 _ANNOTATED = {float: "number", float | None: "number", list[float]: ["number"],
-              int: "int", str: "str", bool: "bool", list: "list"}
-# Absent record fields that are not their default: a gate peak is solved
-# from the rotation angle
-_ABSENT = {mod.GateEnvelopeSpec: {"peak_amplitude": None}}
+              int: "int", str: "str", bool: "bool", list: "list",
+              dict: "dict", tuple[StageSpec, ...]: [StageSpec]}
+# Absent record fields that take other than their default: a gate peak is
+# solved from the rotation angle, and a chain's architecture is "custom"
+_ABSENT = {mod.GateEnvelopeSpec: {"peak_amplitude": None},
+           TxChain: {"architecture": "custom"}}
 
 
 @functools.cache
 def _signature(fn) -> tuple[dict, dict]:
-    """``fn``'s parameters to their kinds, and to their defaults if any."""
+    """``fn``'s parameters to their kinds, and to their absent values."""
     ps = inspect.signature(fn).parameters.values()
     hints = typing.get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
     return ({p.name: _ANNOTATED.get(hints.get(p.name), hints.get(p.name))
              for p in ps},
-            {p.name: p.default for p in ps if p.default is not p.empty})
+            {**{p.name: p.default for p in ps if p.default is not p.empty},
+             **_ABSENT.get(fn, {})})
 
 
 # Each routine's config keys to their kinds, and to their defaults if any:
@@ -322,31 +326,17 @@ def _parse_record(cls, obj, path: str):
 
 
 def _parse_stage(obj, path: str) -> StageSpec:
-    """A stage checked against its schema; complex values may be [re, im]."""
-    d = _read(_value(obj, "dict", path), {"kind": "str", "params": "dict"},
-              ("params",), path)
-    kind, params = d["kind"], dict(d.get("params", {}))
-    for key, par in (STAGES[kind].params if kind in STAGES else {}).items():
-        v = params.get(key)
-        if par.type == "complex" and isinstance(v, list) and len(v) == 2 \
-                and all(map(_finite, v)):
-            params[key] = complex(*v)
-    try:
-        return StageSpec(kind, params)
-    except InputError as e:
-        raise _keyed(e, path) from None
-
-
-def _parse_chain(obj, path: str) -> TxChain | None:
-    """The chain, each stage checked against its schema."""
-    if obj is None:
-        return None
-    d = _read(_value(obj, "dict", path),
-              {"architecture": ARCHITECTURES, "stages": "list"},
-              ("architecture",), path)
-    return TxChain(d.get("architecture", "custom"), tuple(
-        _parse_stage(s, f"{path}.stages.{i}")
-        for i, s in enumerate(d["stages"])))
+    """A stage read as a record; a complex parameter may be [re, im]."""
+    d = _value(obj, "dict", path)
+    kind, params = d.get("kind"), d.get("params")
+    if isinstance(kind, str) and kind in STAGES and isinstance(params, dict):
+        d = {**d, "params": dict(params)}
+        for key, par in STAGES[kind].params.items():
+            v = params.get(key)
+            if par.type == "complex" and isinstance(v, list) \
+                    and len(v) == 2 and all(map(_finite, v)):
+                d["params"][key] = complex(*v)
+    return _parse_record(StageSpec, d, path)
 
 
 def _parse_constellation(obj, path: str) -> mod.Constellation:
@@ -385,7 +375,9 @@ def _read_head(d: dict, path: str, keys: tuple) -> tuple:
            "name must be letters, digits, '_' or '-', at most 255 bytes")
     fs = _get(d, "sample_rate", path, "number")
     _check(fs > 0.0, f"{path}.sample_rate", "must be positive")
-    return name, fs, _parse_chain(d.get("chain"), f"{path}.chain")
+    chain = d.get("chain")
+    return name, fs, None if chain is None else _value(chain, TxChain,
+                                                       f"{path}.chain")
 
 
 def plan_scenario(raw) -> dict:
@@ -593,15 +585,16 @@ def run_scenario(raw: dict, out_dir) -> dict:
 
 # ----------------------------------------------------------------- sweep
 
-def _set_path(cfg: dict, dotted: str, value) -> None:
-    """Set the entry at a dotted path, making absent objects on the way."""
+def _set_path(cfg: dict, dotted: str, value) -> list:
+    """Set the entry at a dotted path, making absent objects on the way, and
+    return the path's keys, each list index as the position it names."""
     keys = dotted.split(".")
     node = cfg
     for depth, k in enumerate(keys, 1):
         last = depth == len(keys)
         if isinstance(node, list):
             try:
-                k = range(len(node))[int(k)]
+                k = keys[depth - 1] = range(len(node))[int(k)]
             except (ValueError, IndexError):
                 raise ConfigError(
                     f"sweep path {dotted!r}: bad index {k!r}") from None
@@ -613,6 +606,7 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
         else:
             node = node.setdefault(k, {}) if isinstance(node, dict) \
                 else node[k]
+    return keys
 
 
 def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
@@ -635,8 +629,13 @@ def run_sweep(raw: dict, out_dir, threads: int = 1) -> Path:
     for i, v in enumerate(values):
         _check(v, f"sweep-file.sweep.values.{i}", "expected nonempty array")
     base_plan = plan_scenario(base)
-    for p, vals in zip(paths, values):
-        _set_path(copy.deepcopy(base), p, vals[0])
+    keys = [_set_path(copy.deepcopy(base), p, vals[0])
+            for p, vals in zip(paths, values)]
+    n = min(map(len, keys))
+    _check(len(keys) == 1 or keys[0][:n] != keys[1][:n],
+           "sweep-file.sweep.paths.1", f"{paths[-1]!r} names the entry "
+           f"{paths[0]!r} names, or one inside or around it; one axis "
+           "would overwrite the other")
 
     grid = list(itertools.product(*values))
 

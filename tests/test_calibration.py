@@ -108,6 +108,16 @@ class TestRabiAmplitudeCal:
             cal.rabi_amplitude_cal(model, _rect_spec(), FS,
                                    np.linspace(0.05, 0.6, 20))
 
+    def test_peak_on_the_last_scale_raises(self):
+        # the sweep ends at the half-turn peak of a 20 ns gaussian gate
+        fs, model = 16e9, qb.QubitModel(drive_gain=TWO_PI * 50e6)
+        spec = mod.GateEnvelopeSpec("gaussian", 20e-9, peak_amplitude=None)
+        pi_peak = math.pi / (model.drive_gain
+                             * mod.gate_envelope_unit_area(spec))
+        with pytest.raises(cal.CalibrationError, match="sweep edge"):
+            cal.rabi_amplitude_cal(model, spec, fs,
+                                   np.linspace(0.0, pi_peak, 9))
+
     def test_sweep_validation(self):
         model = qb.QubitModel(drive_gain=math.pi / TAU)
         with pytest.raises(ValueError, match="5 sweep points"):
@@ -405,6 +415,19 @@ class TestDpdFit:
         with pytest.warns(UserWarning, match="AM-AM transfer is non-monotone"):
             with pytest.raises(cal.CalibrationError, match="fold"):
                 cal.dpd_fit(chain, FS)
+
+    def test_fold_in_the_forward_fit_raises(self):
+        # the measured staircase rises at every level, but A - 0.3 A^3
+        # peaks at 0.70 (A = 1.05), short of the full-scale 1.0: inverting
+        # the fit walks past the peak, where its slope turns negative
+        chain = TxChain("custom", (StageSpec(
+            "am_ampm", {"gain_poly": [1.0, -0.3]}),))
+        levels = np.arange(1, 33) / 32.0
+        amp = np.abs(run_chain(chain, ComplexEnvelope(
+            levels.astype(np.complex128), FS)).samples)
+        assert np.all(np.diff(amp) > 0.0)
+        with pytest.raises(cal.CalibrationError, match="folds over"):
+            cal.dpd_fit(chain, FS)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="order"):

@@ -454,6 +454,22 @@ class TestOnoffLeakage:
             imp.onoff_leakage(env, 40.0, np.ones(63, dtype=bool))
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda env: imp.phase_noise(env, -1.0, seed=0),
+     "rate must be nonnegative"),
+    (lambda env: imp.sample_jitter(env, -1e-12, seed=0),
+     "sigma_s must be nonnegative"),
+    (lambda env: imp.am_ampm(env, [], [0.0]),
+     "gain_poly must contain at least the linear term"),
+    (lambda env: imp.onoff_leakage(env, -1.0, np.ones(len(env), dtype=bool)),
+     "off_ratio_db must be nonnegative"),
+], ids=["phase-noise-rate", "jitter-sigma", "empty-gain-poly",
+        "off-ratio"])
+def test_kernel_refuses_a_value_outside_its_domain(call, text):
+    with pytest.raises(ValueError, match=text):
+        call(_tone(0.01, n=64))
+
+
 class TestPathSkew:
     def test_equal_skew_is_pure_delay(self):
         # same tau on both rails == fractional delay of the complex record

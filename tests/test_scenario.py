@@ -18,7 +18,8 @@ from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain import scenario as scn
-from sigchain.chains import MAX_SAMPLES, run_chain, synth_qubit_pulse
+from sigchain.chains import (MAX_SAMPLES, InputError, TxChain, run_chain,
+                             synth_qubit_pulse)
 from sigchain.cli import main
 
 
@@ -302,6 +303,26 @@ class TestValidation:
                     "scenario.comm.outputs: a budget report needs a chain of "
                     "at least one stage")):
                 scn.plan_scenario(cfg)
+
+    def test_architecture_rule_has_one_text(self):
+        with pytest.raises(InputError) as lib:
+            TxChain("bogus")
+        assert lib.value.key == "architecture"
+        assert lib.value.problem == (
+            "expected one of ('cartesian', 'polar', 'rfdac', 'harmonic', "
+            "'custom'), got 'bogus'")
+        cfg = qpsk_config(chain={"architecture": "bogus", "stages": []})
+        with pytest.raises(scn.ConfigError) as parsed:
+            scn.plan_scenario(cfg)
+        assert str(parsed.value) == f"scenario.chain.{lib.value}"
+
+    @pytest.mark.parametrize("chain, want", [
+        ({}, TxChain("custom")), ({"stages": None}, TxChain("custom")),
+        ({"architecture": "polar"}, TxChain("polar"))],
+        ids=["empty", "null-stages", "architecture-only"])
+    def test_absent_stages_plan_to_an_empty_chain(self, chain, want):
+        plan = scn.plan_scenario(qpsk_config(outputs=(), chain=chain))
+        assert plan["chain"] == want and plan["chain"].stages == ()
 
     def test_unknown_output_rejected(self):
         cfg = qpsk_config(outputs=("waterfall",))
@@ -645,6 +666,9 @@ class TestScoredWindow:
         assert np.array_equal(ref, stream.symbols[span:-span])
 
 
+CUTOFF = "chain.stages.0.params.cutoff_hz"
+
+
 class TestSweep:
     def sweep_config(self, values):
         chain = {"stages": [
@@ -766,6 +790,44 @@ class TestSweep:
             cfg["sweep"]["paths"] = [path]
             with pytest.raises(scn.ConfigError, match=match):
                 scn.run_sweep(cfg, tmp_path)
+
+    @pytest.mark.parametrize("first, second", [
+        (CUTOFF, CUTOFF),
+        (CUTOFF, "chain.stages.00.params.cutoff_hz"),
+        (CUTOFF, "chain.stages.-1.params.cutoff_hz"),
+        ("chain.stages.0", CUTOFF),
+        (CUTOFF, "chain"),
+    ], ids=["same", "zero-padded", "negative", "inside", "around"])
+    def test_overlapping_paths_exit_two_before_compute(
+            self, first, second, tmp_path, capsys, monkeypatch):
+        # the second axis would overwrite the first at every point
+        started = []
+
+        def compute(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("compute started")
+
+        monkeypatch.setattr(scn, "run_chain", compute)
+        monkeypatch.setattr(scn, "synth_comm_waveform", compute)
+        cfg = self.sweep_config([3.2e9, 2.0e9])
+        cfg["sweep"] = {"paths": [first, second],
+                        "values": [[3.2e9, 2.0e9], [1.5e9, 1.0e9]]}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["sweep", str(p), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "sigchain: config error: sweep-file.sweep.paths.1: "
+            f"{second!r} names the entry {first!r} names")
+        assert not (tmp_path / "out").exists() and not started
+
+    def test_distinct_entries_of_one_stage_sweep_together(self, tmp_path):
+        cfg = self.sweep_config([2.0e9])
+        cfg["sweep"] = {"paths": ["chain.stages.0.params.cutoff_hz",
+                                  "chain.stages.0.kind"],
+                        "values": [[2.0e9], ["bandwidth_limit"]]}
+        lines = scn.run_sweep(cfg, tmp_path).read_text().splitlines()
+        assert len(lines) == 2 and "FAILED" not in lines[1]
 
 
 def _oracle_sweep(raw: dict, out_dir, threads: int) -> Path:
@@ -1232,11 +1294,15 @@ class TestCli:
         ("qpsk_ideal", "comm", {"constellation": {
             "scheme": "star_qam", "rings": 64, "phases": 128}},
          "comm.constellation.phases"),
+        ("qpsk_ideal", "comm", {"constellation": {
+            "scheme": "qpsk_sum", "ratios": [1, 1]}},
+         "comm.constellation: degenerate qpsk_sum constellation: coincident "
+         "points"),
         ("pi_pulse_ideal", None, {"comm": {}}, "scenario: unknown key 'comm'"),
         ("qpsk_ideal", None, {"qubit": {}}, "scenario: unknown key 'qubit'"),
     ], ids=["eye-levels", "eye-levels-past-periods", "bit-seed", "ratio-bool",
             "ratio-string", "ratio-inf", "seven-ratios", "psk-size",
-            "star-size", "comm-on-qubit", "qubit-on-comm"])
+            "star-size", "ratios-coincide", "comm-on-qubit", "qubit-on-comm"])
     def test_mode_section_defect_exit_two(self, base, section, change,
                                           where, tmp_path, capsys):
         cfg = scn.read_config(scn.bundled_scenario_path(base))
@@ -1446,6 +1512,13 @@ class TestCli:
         assert info.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_threads_below_one_exit_two(self, tmp_path, capsys):
+        assert main(["sweep", "bandwidth_sweep", "--out-dir",
+                     str(tmp_path / "out"), "--threads", "0"]) == 2
+        assert capsys.readouterr().err == \
+            "sigchain: config error: --threads must be >= 1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
