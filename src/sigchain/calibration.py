@@ -24,7 +24,8 @@ from sigchain.chains import (InputError, StageSpec, TxChain, _finite,
                              check_budget, check_gate, check_record, require,
                              run_chain, run_chain_per_trim,
                              synth_comm_waveform, with_stage_param)
-from sigchain.envelope import ComplexEnvelope, check_delay, fractional_delay
+from sigchain.envelope import (ComplexEnvelope, check_delay,
+                               fractional_delay, phasor)
 from sigchain.metrics import LinkScorer, check_scored
 
 __all__ = [
@@ -186,7 +187,7 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
             "length, with no hold_factor above 1")
     k = iq_tone_bin(sample_rate, n_samples, tone_freq)
     t = np.arange(n_samples)
-    probe = ComplexEnvelope(np.exp(2j * np.pi * k * t / n_samples),
+    probe = ComplexEnvelope(phasor(2.0 * np.pi * k * t / n_samples),
                             sample_rate)
     spec = np.fft.fft(run_chain(chain, probe).samples)
     mu = spec[k] / n_samples

@@ -303,7 +303,7 @@ def _apply_spur_inject(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     rms = math.sqrt(float(np.mean(np.abs(env.samples) ** 2)))
     amp = rms * 10.0 ** (p["level_dbc"] / 20.0)
     t = np.arange(len(env)) / env.sample_rate
-    spur = amp * np.exp(1j * (2.0 * math.pi * p["offset_hz"] * t + p["phase"]))
+    spur = amp * phasor(2.0 * math.pi * p["offset_hz"] * t + p["phase"])
     return ComplexEnvelope(env.samples + spur, env.sample_rate)
 
 

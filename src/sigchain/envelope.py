@@ -173,8 +173,15 @@ def to_polar(env: ComplexEnvelope) -> PolarTracks:
 
 
 def phasor(phase: np.ndarray) -> np.ndarray:
-    """The unit phasor ``exp(1j * phase)`` of a phase track."""
-    return np.exp(1j * phase)
+    """The unit phasor ``exp(1j * phase)`` of a real phase track, as
+    ``cos(phase) + 1j * sin(phase)`` written straight into the real and
+    imaginary parts of one complex128 array: no complex exp of an argument
+    whose real part is zero."""
+    phase = np.asarray(phase, dtype=np.float64)
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 def _farrow_table() -> np.ndarray:

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from sigchain.envelope import (ComplexEnvelope, _hold_last, _samples_at,
-                               check_delay, delay_real_track)
+                               check_delay, delay_real_track, phasor)
 
 __all__ = [
     "amplitude_error",
@@ -60,7 +60,7 @@ def phase_noise(env: ComplexEnvelope, rate: float, seed: int) -> ComplexEnvelope
     rng = np.random.default_rng(seed)
     steps = rng.normal(0.0, math.sqrt(rate / env.sample_rate), n - 1)
     theta = np.concatenate(([0.0], np.cumsum(steps)))
-    return ComplexEnvelope(env.samples * np.exp(1j * theta), env.sample_rate)
+    return ComplexEnvelope(env.samples * phasor(theta), env.sample_rate)
 
 
 def iq_imbalance_mu_nu(gain_mismatch: float, quad_skew: float) -> tuple[complex, complex]:
@@ -254,7 +254,7 @@ def am_ampm(env: ComplexEnvelope, gain_poly, phase_poly) -> ComplexEnvelope:
     new_amp = _poly(amp, gain_poly, odd=True)
     phase_shift = _poly(amp, phase_poly)
     scale = np.where(amp > 0.0, new_amp / np.where(amp > 0.0, amp, 1.0), 0.0)
-    return ComplexEnvelope(env.samples * scale * np.exp(1j * phase_shift),
+    return ComplexEnvelope(env.samples * scale * phasor(phase_shift),
                            env.sample_rate)
 
 

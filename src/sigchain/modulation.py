@@ -39,6 +39,10 @@ _NORM_TOL = 1e-12
 MIN_GATE_SAMPLES = 64
 # Most points a constellation may hold; its distinctness check is O(m^2)
 MAX_POINTS = 4096
+# Most window samples, and most outputs, per matrix product of the polyphase
+# shaping kernel: bounds its working memory whatever the stream length, span
+# or samples per symbol
+_SHAPE_BLOCK = 1 << 15
 
 
 def _gray_inverse(g: int) -> int:
@@ -329,7 +333,9 @@ def shape_symbols(stream: SymbolStream, shape: PulseShape) -> ComplexEnvelope:
     The output sample rate is samples_per_symbol / symbol_period.  Symbol k's
     decision instant sits at sample k*sps + (ntaps-1)//2 ("full" convolution
     group delay).  The tails are span/2 symbols long at each end; the link
-    scorer leaves out the first and last span_symbols symbols.
+    scorer leaves out the first and last span_symbols symbols.  The
+    convolution is polyphase (``_polyphase``), so the zeros between the
+    upsampled symbols are never multiplied.
     """
     if len(stream) == 0:
         raise ValueError("cannot shape an empty symbol stream")
@@ -338,11 +344,39 @@ def shape_symbols(stream: SymbolStream, shape: PulseShape) -> ComplexEnvelope:
         # hold each symbol for exactly one period; no spill, zero group delay
         samples = np.repeat(stream.symbols, sps)
     else:
-        taps = shape_filter(shape).astype(np.complex128)
-        up = np.zeros(len(stream) * sps, dtype=np.complex128)
-        up[::sps] = stream.symbols
-        samples = np.convolve(up, taps)
+        samples = _polyphase(stream.symbols, shape_filter(shape), sps)
     return ComplexEnvelope(samples, sps / stream.symbol_period)
+
+
+def _polyphase(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
+    """``np.convolve(up, taps)``, where ``up`` holds each of ``symbols``
+    followed by ``sps - 1`` zeros, without multiplying by those zeros.
+
+    Output row ``r`` (samples ``r*sps`` to ``r*sps + sps - 1``) is the
+    window of ``span`` symbols ending at symbol ``r`` times the branch
+    matrix: the taps padded to ``span`` rows of ``sps``, the rows reversed.
+    Each rail takes its windows a block of rows at a time, copied
+    contiguous and reduced by one real matrix product; a block holds at
+    most ``_SHAPE_BLOCK`` window samples and as many outputs (or one row),
+    so the working memory past the output is bounded whatever the stream
+    length.  The sums run in another order than ``np.convolve``'s, so the
+    two may differ in the last places."""
+    n_out = symbols.size * sps + taps.size - 1
+    span = -(-taps.size // sps)
+    branches = np.zeros(span * sps)
+    branches[:taps.size] = taps
+    branches = branches.reshape(span, sps)[::-1].copy()
+    n_rows = -(-n_out // sps)
+    out = np.empty((n_rows, sps), dtype=np.complex128)
+    rail = np.zeros(span - 1 + n_rows)   # zeros before and after the symbols
+    windows = np.lib.stride_tricks.sliding_window_view(rail, span)
+    rows = max(1, _SHAPE_BLOCK // max(span, sps))
+    for part, src in ((out.real, symbols.real), (out.imag, symbols.imag)):
+        rail[span - 1:span - 1 + src.size] = src
+        for lo in range(0, n_rows, rows):
+            block = np.ascontiguousarray(windows[lo:lo + rows])
+            part[lo:lo + rows] = block @ branches
+    return out.ravel()[:n_out]
 
 
 def shaped_samples(n_symbols: int, shape: PulseShape) -> int:

@@ -100,6 +100,26 @@ class TestPolar:
                 arr[0] = 0.0
 
 
+# Phases where cos/sin and a complex exp may part ways: signed zeros,
+# subnormals, the branch at +-pi, a huge argument and the non-finite
+_EDGE_PHASES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.pi,
+                         -np.pi, 1e300, -1e300, np.inf, -np.inf, np.nan])
+
+
+class TestPhasor:
+    # a tolerance, not bits: another numpy build may vectorize sin and cos
+    @pytest.mark.parametrize("phase", [
+        _EDGE_PHASES,
+        np.random.default_rng(5).normal(scale=50.0, size=4096),
+        *(np.array(p) for p in _EDGE_PHASES),
+    ], ids=["edges", "random"] + [f"0d-{float(p)!r}" for p in _EDGE_PHASES])
+    def test_equals_complex_exp(self, phase):
+        with np.errstate(invalid="ignore"):   # cos, sin and exp of +-inf
+            got, ref = phasor(phase), np.exp(1j * phase)
+        assert got.dtype == np.complex128 and got.shape == phase.shape
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=4e-16)
+
+
 def _unwrap_oracle(x: np.ndarray) -> np.ndarray:
     """np.unwrap of the angle that to_polar carries through samples of no
     amplitude (0.0 before the first one), carried by a loop."""

@@ -4,7 +4,8 @@ copies of its record at once.
 Every stage kind in ``chains.STAGES`` runs through ``apply_stage`` on a
 2**16-sample record with ``tracemalloc`` on; its peak allocation must stay
 within ``BOUND`` times the bytes of its input plus its output.  The same
-bound holds for ``to_polar`` and the link metrics a scenario runs.  A kernel
+bound holds for ``to_polar`` and the link metrics a scenario runs, and
+``shape_symbols`` holds at most 2.25 times its output record.  A kernel
 that materializes a per-sample filter bank over the whole record (about 30
 input records for the Farrow bank of ``sample_jitter``) fails here.
 """
@@ -124,6 +125,17 @@ def test_stage_working_memory(kind, record):
         "psd_welch"])
 def test_metric_working_memory(metric, args, record):
     _assert_bounded(metric, record, *args)
+
+
+def test_shape_symbols_working_memory():
+    # the shaped record and its ComplexEnvelope copy are 2x; a blocked
+    # polyphase kernel adds little, where a zero-stuffed convolution peaks
+    # at 3.0x and windows copied over the whole stream at about 3.2x
+    bits = np.random.default_rng(3).integers(0, 2, 8192 * CONST.bits_per_symbol)
+    stream = mod.map_bits(bits, CONST, SYMBOL_PERIOD)
+    env, peak = _peak(mod.shape_symbols, stream, SHAPE)
+    assert peak <= 2.25 * env.samples.nbytes, (
+        f"peak is {peak / env.samples.nbytes:.2f}x the shaped record")
 
 
 def test_sample_jitter_long_record():

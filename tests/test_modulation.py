@@ -11,6 +11,7 @@ from sigchain.modulation import (
     Constellation,
     GateEnvelopeSpec,
     PulseShape,
+    SymbolStream,
     build_constellation,
     gate_envelope,
     gate_envelope_unit_area,
@@ -258,7 +259,41 @@ class TestSymbolSamples:
         assert err.value.key == "symbol_period"
 
 
+def _zero_stuffed(symbols: np.ndarray, shape: PulseShape) -> np.ndarray:
+    """The reference shaping: each symbol at every ``sps``-th sample of a
+    zero stream, convolved with the taps."""
+    sps = shape.samples_per_symbol
+    up = np.zeros(symbols.size * sps, dtype=np.complex128)
+    up[::sps] = symbols
+    return np.convolve(up, shape_filter(shape).astype(np.complex128))
+
+
+# Most a shaped sample may differ from the reference, in units of
+# eps * peak |sample|: the polyphase sum adds each output's products in
+# another order (2.8 is the largest seen over sps 4-32 and spans 4-16)
+SHAPE_ULPS = 4.0
+
+
 class TestShapeSymbols:
+    @pytest.mark.parametrize("kind", ["sinc", "raised_cosine",
+                                      "root_raised_cosine", "gaussian"])
+    @pytest.mark.parametrize("n_symbols", [1, 2, 16, 17, 8192])
+    def test_equals_zero_stuffed_convolution(self, kind, n_symbols):
+        rng = np.random.default_rng(n_symbols)
+        # every sps on short streams; a spread of them, odd ones too, on
+        # the long one, whose reference convolution is slow.  The span
+        # 4 + sps % 13 takes every value from 4 to 16 over sps 4-32.
+        for sps in (4, 5, 8, 13, 16, 32) if n_symbols > 17 else range(4, 33):
+            shape = PulseShape(kind, 0.35, 4 + sps % 13, sps)
+            symbols = (rng.standard_normal(n_symbols)
+                       + 1j * rng.standard_normal(n_symbols))
+            got = shape_symbols(SymbolStream(symbols, 1.0), shape)
+            ref = _zero_stuffed(symbols, shape)
+            assert len(got) == ref.size == shaped_samples(n_symbols, shape)
+            err = np.abs(got.samples.view(np.float64) - ref.view(np.float64))
+            tol = SHAPE_ULPS * np.finfo(np.float64).eps * np.abs(ref).max()
+            assert err.max() <= tol, (sps, shape.span_symbols)
+
     def test_single_symbol_rect_is_boxcar(self):
         c = build_constellation("m_psk", m=2)
         stream = map_bits(np.array([0]), c, symbol_period=1e-9)

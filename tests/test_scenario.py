@@ -765,6 +765,23 @@ class TestSweep:
         assert [len(r) for r in rows] == [3] * 3
         assert [r[1:] for r in rows[1:]] == [["FAILED", "FAILED"]] * 2
 
+    def test_misspelt_key_fails_every_point(self, tmp_path):
+        # only a bad index or a path through a non-object is refused up
+        # front; a key no record takes reaches each point's plan
+        cfg = scn.read_config(scn.bundled_scenario_path("bandwidth_sweep"))
+        path = "chain.stages.0.params.cutof_hz"
+        cfg["sweep"]["paths"] = [path]
+        target = scn.run_sweep(cfg, tmp_path)
+        with open(target, newline="") as f:
+            rows = list(csv.reader(f))
+        n = len(cfg["sweep"]["values"][0])
+        assert rows[0] == [path, "evm_rms", "evm_db"]
+        assert [r[1:] for r in rows[1:]] == [["FAILED", "FAILED"]] * n
+        failures = json.loads((target.parent / "failures.json").read_text())
+        assert [f["point"] for f in failures] == [
+            {path: v} for v in cfg["sweep"]["values"][0]]
+        assert all("cutof_hz" in f["error"] for f in failures)
+
     def test_too_many_paths(self, tmp_path):
         cfg = self.sweep_config([1.0e9])
         cfg["sweep"]["paths"] = ["a", "b", "c"]
