@@ -299,8 +299,22 @@ def _apply_rise_fall(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     return _apply_polar_paths(env, _args(spec))
 
 
+def _rms(x: np.ndarray) -> float:
+    """Root mean square of ``x``, finite for a finite record wherever it is
+    below the largest double.  Where the plain mean of squares overflows,
+    it is taken of ``x`` scaled by its largest component instead."""
+    with np.errstate(over="ignore"):
+        ms = float(np.mean(np.abs(x) ** 2))
+    if ms != math.inf:
+        return math.sqrt(ms)
+    scale = float(max(np.max(np.abs(x.real)), np.max(np.abs(x.imag))))
+    if scale == math.inf:  # an infinite sample
+        return math.inf
+    return scale * math.sqrt(float(np.mean(np.abs(x / scale) ** 2)))
+
+
 def _apply_spur_inject(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
-    rms = math.sqrt(float(np.mean(np.abs(env.samples) ** 2)))
+    rms = _rms(env.samples)
     amp = rms * 10.0 ** (p["level_dbc"] / 20.0)
     t = np.arange(len(env)) / env.sample_rate
     spur = amp * phasor(2.0 * math.pi * p["offset_hz"] * t + p["phase"])

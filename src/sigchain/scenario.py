@@ -145,10 +145,135 @@ def _write_run(out_dir, name: str, files: dict, note: str = "") -> Path:
     return dest
 
 
-# Rows per %-formatting pass: bounds the transient tuple of cell values
+# Rows per byte matrix: bounds the transient cells of a block
 _CSV_BLOCK = 4096
 # A cell holding any of these is quoted (RFC 4180)
 _CSV_QUOTED = frozenset(',"\r\n')
+# Fill byte of cell matrices, dropped from the text; UTF-8 never holds it
+_PAD = 0xFF
+# Bytes of a float cell: the longest %.17g text, "-2.2250738585072014e-308"
+_FLOAT_WIDTH = 24
+# 10**k, exact for k <= 22
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+
+
+def _four_digit_tables():
+    """0 to 9999 as four ASCII digits, first digit in the low byte, and
+    the trailing zeros of each as four digits."""
+    n = np.arange(10000)
+    ascii4 = (n // 1000 | n // 100 % 10 << 8 | n // 10 % 10 << 16
+              | n % 10 << 24 | 0x30303030).astype(np.uint64)
+    return ascii4, sum(n % 10 ** k == 0 for k in range(1, 5))
+
+
+_ASCII4, _TZ4 = _four_digit_tables()
+
+# Cell layouts of %.17g in fixed notation, one row per exponent e = -4..15
+# of the 17 digits: the sign and the digits up to the units digit stay in
+# place (_KEEP bytes), "." follows (or "0." and -e - 1 zeros when e < 0:
+# _GAP bytes), then the rest of the digits.  Masks are 24 bytes as three
+# little-endian words.
+_EXP = np.arange(-4, 16)
+_KEEP = np.where(_EXP < 0, 1, _EXP + 2)
+_GAP = np.where(_EXP < 0, 1 - _EXP, 1)
+
+
+def _words(rows) -> np.ndarray:
+    """Rows of 24 bytes as rows of three little-endian words."""
+    return np.ascontiguousarray(rows, np.uint8).view("<u8").astype(np.uint64)
+
+
+# Each byte's place after the kept bytes, by layout
+_BYTE = np.arange(_FLOAT_WIDTH) - _KEEP[:, None]
+_LOW = _words(np.where(_BYTE < 0, _PAD, 0))
+_FILL = _words(np.where((_BYTE < 0) | (_BYTE >= _GAP[:, None]), 0,
+                        np.where(_BYTE == (_EXP < 0)[:, None], ord("."),
+                                 ord("0"))))
+# Bits each word of the rest of the digits moves up, by layout
+_SHIFT = np.repeat(8 * _GAP[:, None], 3, axis=1).astype(np.uint64)
+# Bytes from the text's end on, by its length
+_TAIL = _words(np.where(np.arange(_FLOAT_WIDTH) >= np.arange(25)[:, None],
+                        _PAD, 0))
+
+
+def _split(x):
+    """Veltkamp's split: ``x == hi + lo``, each half of 26 bits or fewer."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _digits17(a, e):
+    """``a * 10**(16 - e)`` rounded half to even, exactly, as int64.
+
+    Dekker's two-product makes ``hi + lo`` the exact product.  Where the
+    result has 17 digits, ``hi`` is an even integer (at least 2**53), so
+    rounding ``lo`` half to even rounds the sum half to even."""
+    k = 16 - e
+    hi = a * _POW10[k]
+    ah, al = _split(a)
+    ph, pl = _POW10_HI[k], _POW10_LO[k]
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _fixed17(v):
+    """``"%.17g" % x`` for each ``x`` of ``v`` with 1e-4 <= |x| < 1e16, as
+    ``_FLOAT_WIDTH`` bytes of ASCII per row, padded with ``_PAD``.
+
+    In that range ``%.17g`` is fixed notation: the 17 significant digits
+    of ``|x|`` with the point after the units digit, trailing fraction
+    zeros dropped, and the point too when no fraction is left."""
+    a = np.abs(v)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    d = _digits17(a, e)
+    # log10 may miss by one beside a power of ten, and rounding may carry
+    # into the next decade: step e until d has exactly 17 digits
+    bad = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    while bad.size:
+        e[bad] += np.where(d[bad] < 10**16, -1, 1)
+        d[bad] = _digits17(a[bad], e[bad])
+        bad = bad[(d[bad] < 10**16) | (d[bad] >= 10**17)]
+    # d is a1 (3 digits), a2, b1, b2 (4 each) and c (2)
+    q = d // 10**10
+    r = d - q * 10**10
+    b = r // 100
+    c = r - b * 100
+    a1 = q // 10**4
+    a2 = q - a1 * 10**4
+    b1 = b // 10**4
+    b2 = b - b1 * 10**4
+    # g: the sign in byte 0 (the "0" of a1's four digits), digit k in byte
+    # k + 1
+    g = np.empty((len(v), 3), np.uint64)
+    g[:, 0] = (_ASCII4[a1] ^ np.where(np.signbit(v), ord("-") ^ ord("0"),
+                                      _PAD ^ ord("0")).astype(np.uint64)
+               | _ASCII4[a2] << 32)
+    g[:, 1] = _ASCII4[b1] | _ASCII4[b2] << 32
+    g[:, 2] = _ASCII4[c] >> 16
+    # trailing zeros of d
+    tz = _TZ4[a1]
+    for part, width in ((a2, 4), (b1, 4), (b2, 4), (c, 2)):
+        tz = np.where(part == 0, tz + width, _TZ4[part])
+    i = e + 4  # the layout row
+    kept = g & np.take(_LOW, i, axis=0)
+    rest = g ^ kept
+    # the rest moves up by _GAP bytes, each word taking the top bytes of
+    # the word before it; none move into a row's first word
+    carry = np.empty_like(rest)
+    carry.ravel()[1:] = rest.ravel()[:-1]
+    carry[:, 0] = 0
+    shift = np.take(_SHIFT, i, axis=0)
+    moved = rest << shift | carry >> (64 - shift)
+    # the text ends after its last nonzero fraction digit, or before the
+    # point when the fraction is all zeros
+    end = np.where(tz < 16 - e, 18 - tz + _GAP[i], _KEEP[i])
+    out = (kept | moved | np.take(_FILL, i, axis=0)
+           | np.take(_TAIL, end, axis=0))
+    return out.astype("<u8", copy=False).view(np.uint8)
 
 
 def _csv_cell(v) -> str:
@@ -167,47 +292,76 @@ def _csv_cell(v) -> str:
     return text
 
 
+def _text_matrix(texts) -> np.ndarray:
+    """The UTF-8 bytes of each text as a row, padded with ``_PAD``."""
+    cells = [t.encode() for t in texts]
+    width = max(map(len, cells), default=0)
+    flat = b"".join(c.ljust(width, b"\xff") for c in cells)
+    return np.frombuffer(flat, np.uint8).reshape(len(cells), width)
+
+
+def _distinct_cells(values, keys) -> np.ndarray:
+    """The cells of ``values``, ``_csv_cell`` once per distinct entry of
+    ``keys``, which are equal where the values' texts are."""
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return _text_matrix([_csv_cell(v) for v in values[first].tolist()])[index]
+
+
+def _float_cells(v) -> np.ndarray:
+    """The cells of float64 values: ``_fixed17`` where it applies, else
+    once per distinct bit pattern."""
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e16)
+    out = _fixed17(np.where(fixed, v, 1.0))
+    rest = np.flatnonzero(~fixed)
+    cells = _distinct_cells(v[rest], v[rest].view(np.int64))
+    out[rest, :cells.shape[1]] = cells
+    out[rest, cells.shape[1]:] = _PAD
+    return out
+
+
 def _csv(header: str, *columns) -> str:
     """CSV text from equal-length columns, one row per index.
 
-    An ndarray column formats each distinct value once and repeats its
-    text; distinct float values are distinct bit patterns, so -0.0 apart
-    from 0.0, and each nan.  A float column of which over half the cells
-    are distinct instead goes through one C-level ``%.17g`` pass per block
-    of ``_CSV_BLOCK`` rows.  Any other column is formatted cell by cell.
     A cell is formatted as ``_csv_cell`` does: strings as they are,
     booleans as ``true`` and ``false``, integers in decimal, floats as
     ``%.17g`` (which spells nan and infinities ``nan``, ``inf`` and
     ``-inf``) and lists, objects and null as compact JSON.  A cell
     holding a comma, quote or line break is quoted per RFC 4180.
+
+    A float ndarray column writes its cells with 1e-4 <= |x| < 1e16 from
+    their exact decimal digits (``_fixed17``, equal to ``%.17g`` byte for
+    byte) and any other cell through ``_csv_cell``, once per distinct bit
+    pattern.  Any other ndarray column formats each distinct value once
+    and repeats its text; other columns are formatted cell by cell.  Each
+    block of ``_CSV_BLOCK`` rows is one byte matrix of cells, commas and
+    line ends, its ``_PAD`` bytes dropped; distinct values are found block
+    by block, so no transient grows with the row count.
     """
-    cols, fmts = [], []
+    cols = []
     for c in columns:
-        fmt = "%s"
         if not isinstance(c, np.ndarray) or c.dtype.kind == "O":
             c = [_csv_cell(v) for v in c]
+            cols.append(lambda s, c=c: _text_matrix(c[s]))
+        elif c.dtype.kind == "f":
+            cols.append(lambda s, c=c: _float_cells(
+                c[s].astype(np.float64, copy=False)))
         else:
-            flt = c.dtype.kind == "f"
-            if flt:
-                c = c.astype(np.float64, copy=False)
-            keys, index = np.unique(c.view(np.int64) if flt else c,
-                                    return_inverse=True)
-            if flt and 2 * keys.size > c.size:
-                fmt = "%.17g"
-            else:
-                values = keys.view(np.float64) if flt else keys
-                c = np.array([_csv_cell(v) for v in values.tolist()],
-                             dtype=object)[index]
-        cols.append(c)
-        fmts.append(fmt)
-    row = ",".join(fmts) + "\n"
-    n = len(cols[0])
+            cols.append(lambda s, c=c: _distinct_cells(c[s], c[s]))
+        if len(cols) == 1:
+            n = len(c)
     parts = [header + "\n"]
     for start in range(0, n, _CSV_BLOCK):
-        block = np.empty((min(_CSV_BLOCK, n - start), len(cols)), dtype=object)
-        for j, c in enumerate(cols):
-            block[:, j] = c[start:start + _CSV_BLOCK]
-        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+        cells = [col(slice(start, start + _CSV_BLOCK)) for col in cols]
+        block = np.empty((len(cells[0]),
+                          sum(c.shape[1] + 1 for c in cells)), np.uint8)
+        at = 0
+        for c in cells:
+            block[:, at:at + c.shape[1]] = c
+            at += c.shape[1] + 1
+            block[:, at - 1] = ord(",")
+        block[:, -1] = ord("\n")
+        parts.append(block.tobytes().translate(None, b"\xff").decode())
     return "".join(parts)
 
 

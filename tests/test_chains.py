@@ -435,6 +435,15 @@ class TestHarmonic:
         assert 20.0 * math.log10(spur / carrier) == pytest.approx(-40.0,
                                                                   abs=0.05)
 
+    def test_spur_on_a_huge_record_stays_finite(self):
+        # the plain mean of squares overflows past about 1.3e154
+        env = ComplexEnvelope(np.full(64, 1e200 + 0j), 1e6)
+        out = ch.apply_stage(env, ch.StageSpec(
+            "spur_inject", {"offset_hz": 1e5, "level_dbc": -40.0}))
+        assert np.all(np.isfinite(out.samples))
+        spur = out.samples - env.samples
+        assert np.abs(spur) == pytest.approx(np.full(64, 1e198), rel=1e-12)
+
     def test_rise_fall_smooths_keying_edge(self):
         x = np.concatenate([np.zeros(64), np.ones(192)]).astype(complex)
         env = ComplexEnvelope(x, 1e6)

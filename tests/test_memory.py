@@ -8,6 +8,7 @@ bound holds for ``to_polar`` and the link metrics a scenario runs, and
 ``shape_symbols`` holds at most 2.25 times its output record.  A kernel
 that materializes a per-sample filter bank over the whole record (about 30
 input records for the Farrow bank of ``sample_jitter``) fails here.
+``scenario._csv`` holds at most 2.25 times the text it returns.
 """
 import dataclasses
 import tracemalloc
@@ -18,6 +19,7 @@ import pytest
 from sigchain import chains as ch
 from sigchain import metrics as met
 from sigchain import modulation as mod
+from sigchain import scenario as scn
 from sigchain.envelope import ComplexEnvelope, to_polar
 
 BOUND = 4.0
@@ -143,3 +145,17 @@ def test_sample_jitter_long_record():
     env = _record(1 << 20)
     spec = ch.StageSpec("sample_jitter", PARAMS["sample_jitter"])
     _assert_bounded(ch.apply_stage, env, spec)
+
+
+def test_csv_working_memory():
+    # the blocks' texts and their join are 2x the text; one block's byte
+    # matrix adds about 0.85 MB at any row count, so any transient that
+    # grows with the rows, such as a whole-column index, fails here
+    n = 1 << 16
+    rng = np.random.default_rng(3)
+    labels = np.array([f"{k:04d}" for k in rng.integers(0, 10000, n)])
+    text, peak = _peak(scn._csv, "b,w,x,y,z", labels,
+                       *rng.standard_normal((4, n)))
+    assert text.count("\n") == n + 1
+    assert peak <= 2.25 * len(text), (
+        f"peak is {peak / len(text):.2f}x the text")

@@ -231,6 +231,81 @@ class TestCsv:
         assert got == scn._csv("s,x", labels, np.arange(6.0))
         assert got.splitlines()[2] == '"a,b",1'
 
+    @staticmethod
+    def _oracle_columns():
+        """Float columns, about 1.5M cells, that probe the exact-digit
+        path at its edges; each cell's text must be ``"%.17g" % v``."""
+        rng = np.random.default_rng(20260)
+
+        def both(v):
+            return np.concatenate([v, -v])
+
+        # each decade from 1e-5 to 1e17, and one and two ulps either side
+        tens = np.array([float(f"1e{k}") for k in range(-5, 18)])
+        up, down = np.nextafter(tens, np.inf), np.nextafter(tens, 0.0)
+        decades = both(np.concatenate([
+            tens, up, down, np.nextafter(up, np.inf),
+            np.nextafter(down, 0.0)]))
+        # 17 digits then a 5: the nearest doubles to 18th-digit ties, and
+        # odd / 2**(17 - e) in decade e, each an exact tie (an odd below
+        # 2**53 is exact, which bounds e = 15 to 2.25e15)
+        digits = rng.integers(10**16, 10**17, 50_000)
+        exps = rng.integers(-4, 16, digits.size)
+        near = np.array([float(f"{d}5e{e - 17}")
+                         for d, e in zip(digits.tolist(), exps.tolist())])
+        exact = np.concatenate([
+            (rng.integers(math.ceil(10.0**e * 2**(17 - e)),
+                          int(min(10.0**(e + 1) * 2**(17 - e), 2**53)),
+                          2_500) | 1) * 2.0 ** (e - 17)
+            for e in range(-4, 16)])
+        # 17 nines then a digit: as near as a double comes to carrying
+        # into the next decade
+        nines = np.array([float(f"99999999999999999{d}e{e - 17}")
+                          for d in range(10) for e in range(-5, 17)])
+        # bit patterns: uniform over the exact-digit range, and over all
+        # doubles (nan payloads, infinities, subnormals and both zeros too)
+        lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+        in_range = rng.integers(lo, hi, 350_000).view(np.float64)
+        anything = rng.integers(-2**63, 2**63 - 1, 200_000,
+                                endpoint=True).view(np.float64)
+        fallback = np.array([0.0, 5e-324, 2.2250738585072014e-308,
+                             1.7976931348623157e308, math.nan, math.inf])
+        mixed = both(in_range[:20_000].copy())
+        mixed[rng.integers(0, mixed.size, 4_000)] = both(fallback)[
+            rng.integers(0, 12, 4_000)]
+        lo32, hi32 = np.array([1e-4, 1e16], np.float32).view(np.int32)
+        single = rng.integers(lo32, hi32, 100_000).view(np.float32)
+        # float32's smallest subnormal, smallest normal and largest values
+        fallback32 = np.array([0.0, 1e-45, 1.1754944e-38, 3.4028235e38,
+                               math.nan, math.inf], np.float32)
+        return [decades, both(near), both(exact), both(nines),
+                both(in_range), anything, both(fallback), mixed,
+                both(single), both(fallback32)]
+
+    @staticmethod
+    def _assert_percent_17g(col):
+        got = scn._csv("x", col).split("\n")
+        assert got[0] == "x" and got[-1] == "" and len(got) == len(col) + 2
+        # cell by cell, so a failure names the values, not a text diff
+        bad = [(v, g) for v, g in zip(col.tolist(), got[1:-1])
+               if g != "%.17g" % v]
+        assert bad[:5] == [], f"{len(bad)} of {len(col)} cells differ"
+
+    def test_float_cells_match_percent_17g(self):
+        for col in self._oracle_columns():
+            self._assert_percent_17g(col)
+
+    @pytest.mark.parametrize("toward", [-math.inf, math.inf])
+    def test_float_cells_do_not_trust_log10(self, monkeypatch, toward):
+        # log10 an ulp low puts every power of ten a decade low, an ulp
+        # high puts the ulps below it a decade high; the digits must still
+        # be exact, whatever the log10 of a numpy build errs by
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10",
+                            lambda x: np.nextafter(log10(x), toward))
+        decades, *_, mixed = self._oracle_columns()[:8]
+        self._assert_percent_17g(np.concatenate([decades, mixed]))
+
 
 class TestValidation:
     def test_missing_key_names_the_path(self):
