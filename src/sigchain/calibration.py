@@ -187,8 +187,8 @@ def iq_cal(chain: TxChain, sample_rate: float, tone_freq: float | None = None,
             "length, with no hold_factor above 1")
     k = iq_tone_bin(sample_rate, n_samples, tone_freq)
     t = np.arange(n_samples)
-    probe = ComplexEnvelope(phasor(2.0 * np.pi * k * t / n_samples),
-                            sample_rate)
+    probe = ComplexEnvelope._fresh(phasor(2.0 * np.pi * k * t / n_samples),
+                                   sample_rate)
     spec = np.fft.fft(run_chain(chain, probe).samples)
     mu = spec[k] / n_samples
     nu = spec[-k] / n_samples
@@ -307,7 +307,7 @@ def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
     require(hold_samples * hold >= 4, "hold_samples", "must hold each level "
             "for at least 4 samples after the chain's hold")
     levels = full_scale * np.arange(1, n_levels + 1) / n_levels
-    probe = ComplexEnvelope(
+    probe = ComplexEnvelope._fresh(
         np.repeat(levels, hold_samples).astype(np.complex128), sample_rate)
     # the rules leave each level held for at least 4 output samples
     steps = run_chain(chain, probe).samples.reshape(n_levels, -1)
@@ -320,6 +320,17 @@ def dpd_fit(chain: TxChain, sample_rate: float, order: int = 5,
 
     powers = np.arange(1, order + 1, 2)
     fwd, *_ = np.linalg.lstsq(levels[:, None] ** powers, amp_out, rcond=None)
+    # a fit rising from 0 reaches nothing past its first peak, where its
+    # slope, a polynomial in drive**2, has its least positive root
+    roots = np.roots((fwd * powers)[::-1])
+    peaks = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+    if fwd[0] > 0.0 and peaks.size:
+        top = float((np.sqrt(peaks.min()) ** powers) @ fwd)
+        if top < full_scale:
+            raise CalibrationError(
+                "forward amplitude fit has no preimage for the requested "
+                f"range: it folds over at {top:.4g}, short of full_scale "
+                f"{full_scale:g}")
     drive = levels.copy()
     for _ in range(60):
         val = (drive[:, None] ** powers) @ fwd
@@ -365,7 +376,7 @@ def leakage_cancel(chain: TxChain, sample_rate: float,
             "guard_samples + 8: the off window must outlast the guard")
     check_budget(off_samples, "off_samples", "the off window ")
     check_record(chain, on_samples + off_samples, sample_rate, "on_samples")
-    probe = ComplexEnvelope(
+    probe = ComplexEnvelope._fresh(
         np.concatenate([np.ones(on_samples), np.zeros(off_samples)])
         .astype(np.complex128), sample_rate)
     out = run_chain(chain, probe)

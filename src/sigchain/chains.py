@@ -258,7 +258,7 @@ def _join_polar_tracks(env: ComplexEnvelope, amp: np.ndarray,
     amp = delay_real_track(amp, tau_a, fs)
     # filtering and interpolation can undershoot; amplitude is physical
     amp = np.maximum(amp, 0.0)
-    return ComplexEnvelope(amp * pm, fs)
+    return ComplexEnvelope._fresh(amp * pm, fs)
 
 
 def _apply_polar_paths(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
@@ -284,7 +284,7 @@ def _apply_rfdac_core(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
             codes = np.round(rails[k] / step).astype(np.int64) + 2**(bits - 1)
             rails[k] = rails[k] * (1.0 + table[codes])
     samples = np.repeat(rails[0] + 1j * rails[1], p["hold_factor"])
-    return ComplexEnvelope(samples, env.sample_rate * p["hold_factor"])
+    return ComplexEnvelope._fresh(samples, env.sample_rate * p["hold_factor"])
 
 
 def _apply_harmonic_multiply(env: ComplexEnvelope, p: dict):
@@ -318,7 +318,7 @@ def _apply_spur_inject(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
     amp = rms * 10.0 ** (p["level_dbc"] / 20.0)
     t = np.arange(len(env)) / env.sample_rate
     spur = amp * phasor(2.0 * math.pi * p["offset_hz"] * t + p["phase"])
-    return ComplexEnvelope(env.samples + spur, env.sample_rate)
+    return ComplexEnvelope._fresh(env.samples + spur, env.sample_rate)
 
 
 def _apply_state_errors(env: ComplexEnvelope, p: dict):
@@ -338,13 +338,13 @@ def _apply_iq_correction(env: ComplexEnvelope, p: dict):
     (a, b), (c, d) = np.asarray(p["matrix"], dtype=np.float64)
     i, q = env.samples.real, env.samples.imag
     out = a * i + b * q + 1j * (c * i + d * q) + p["offset"]
-    return ComplexEnvelope(out, env.sample_rate)
+    return ComplexEnvelope._fresh(out, env.sample_rate)
 
 
 def _apply_gated_offset(env: ComplexEnvelope, p: dict):
     samples = np.where(p["gate_mask"], env.samples,
                        env.samples + p["offset"])
-    return ComplexEnvelope(samples, env.sample_rate)
+    return ComplexEnvelope._fresh(samples, env.sample_rate)
 
 
 def _mismatched(p: dict) -> bool:
@@ -440,11 +440,22 @@ def run_chain(chain: TxChain, env: ComplexEnvelope) -> ComplexEnvelope:
     The commanded on/off gate, ``_gate_mask`` (samples of exactly zero
     amplitude are "off"), is derived once from the chain input, so gated
     stages see the intent even after earlier stages smear the waveform.
+    It is derived when the first gated stage is reached, and not at all
+    in a chain without one.
     """
-    mask, out = _gate_mask(env), env
-    for spec in chain.stages:
+    return _fold(chain.stages, env, env)[0]
+
+
+def _fold(stages, out: ComplexEnvelope, chain_input: ComplexEnvelope,
+          mask: np.ndarray | None = None):
+    """Apply ``stages`` in order to ``out``, and return the result and
+    the chain input's gate: ``mask``, or made from ``chain_input`` at the
+    first gated stage when ``mask`` is None (None if there is none)."""
+    for spec in stages:
+        if mask is None and STAGES[spec.kind].gated:
+            mask = _gate_mask(chain_input)
         out = apply_stage(out, spec, mask)
-    return out
+    return out, mask
 
 
 def run_chain_per_trim(chain: TxChain, env: ComplexEnvelope, comp_delays):
@@ -458,21 +469,20 @@ def run_chain_per_trim(chain: TxChain, env: ComplexEnvelope, comp_delays):
     it.
     """
     at = _stage_index(chain, "polar_paths")
-    mask = _gate_mask(env)
-    for spec in chain.stages[:at]:
-        env = apply_stage(env, spec, mask)
+    chain_input = env
+    env, mask = _fold(chain.stages[:at], env, chain_input)
     check_stage(chain.stages[at], env.sample_rate, env.duration)
     p = _args(chain.stages[at])
     amp, phase = _polar_tracks(env, p)
     pm = phasor(phase)
 
     def outputs():
+        nonlocal mask
         for delay in comp_delays:
             check_delay(delay, env.duration, "comp_delay_s",
                         "params.comp_delay_s")
             out = _join_polar_tracks(env, amp, pm, p["tau_a"] + delay)
-            for spec in chain.stages[at + 1:]:
-                out = apply_stage(out, spec, mask)
+            out, mask = _fold(chain.stages[at + 1:], out, chain_input, mask)
             yield out
 
     return outputs()

@@ -5,6 +5,14 @@ currency of this package: modulators produce it, impairment stages transform
 it, and both the communication metrics and the qubit propagator consume it.
 Records are uniformly sampled baseband arrays; no passband carrier is ever
 represented explicitly.
+
+Records are read-only, and no record shares memory with an array that
+anyone may still write.  ``ComplexEnvelope(samples, sample_rate)`` copies
+``samples``, so a caller keeps its array writeable and the record never
+sees later writes to it: pass a view or an input this way.  A kernel that
+has just made the array, and keeps no reference to it, hands it over with
+``ComplexEnvelope._fresh(samples, sample_rate)`` instead, which adopts the
+array and sets it (and any array it views) read-only in place: no copy.
 """
 from __future__ import annotations
 
@@ -66,11 +74,18 @@ def check_delay(tau: float, duration: float, name: str = "tau",
                          f"of the {duration:g} s record, got {tau!r}")
 
 
-def _frozen(record, name: str, dtype) -> np.ndarray:
-    """Store a read-only ``dtype`` copy of the array field ``name`` in the
-    frozen dataclass ``record``, and return it."""
-    arr = np.array(getattr(record, name), dtype=dtype, copy=True)
-    arr.flags.writeable = False
+def _frozen(record, name: str, dtype, copy: bool = True) -> np.ndarray:
+    """Store the array field ``name`` of the frozen dataclass ``record`` as
+    a read-only ``dtype`` array, and return it: a copy, or unless ``copy``
+    the array itself (copied only if its dtype differs or it is not
+    C-contiguous), set read-only in place with every array it views."""
+    arr = getattr(record, name)
+    arr = np.array(arr, dtype=dtype, copy=True) if copy \
+        else np.asarray(arr, dtype=dtype, order="C")
+    view = arr
+    while isinstance(view, np.ndarray):
+        view.flags.writeable = False
+        view = view.base
     object.__setattr__(record, name, arr)
     return arr
 
@@ -90,14 +105,25 @@ class ComplexEnvelope:
     samples: np.ndarray
     sample_rate: float
 
-    def __post_init__(self) -> None:
-        samples = _frozen(self, "samples", np.complex128)
+    def __post_init__(self, copy: bool = True) -> None:
+        samples = _frozen(self, "samples", np.complex128, copy)
         if samples.ndim != 1:
             raise ValueError("envelope samples must be one-dimensional")
         if samples.size == 0:
             raise ValueError("envelope must contain at least one sample")
         if not np.isfinite(self.sample_rate) or self.sample_rate <= 0.0:
             raise ValueError("sample_rate must be positive and finite")
+
+    @classmethod
+    def _fresh(cls, samples: np.ndarray,
+               sample_rate: float) -> ComplexEnvelope:
+        """The record of ``samples``, an array its caller has just made and
+        drops, adopted without a copy (see the module notes)."""
+        env = cls.__new__(cls)
+        object.__setattr__(env, "samples", samples)
+        object.__setattr__(env, "sample_rate", sample_rate)
+        env.__post_init__(copy=False)
+        return env
 
     def __len__(self) -> int:
         return self.samples.size
@@ -324,7 +350,7 @@ def fractional_delay(env: ComplexEnvelope, tau: float) -> ComplexEnvelope:
     """
     check_delay(tau, env.duration)
     out = _delayed_samples(env.samples, tau * env.sample_rate)
-    return ComplexEnvelope(out, env.sample_rate)
+    return ComplexEnvelope._fresh(out, env.sample_rate)
 
 
 def delay_real_track(track: np.ndarray, tau: float, sample_rate: float) -> np.ndarray:

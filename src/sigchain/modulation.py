@@ -23,6 +23,7 @@ __all__ = [
     "GateEnvelopeSpec",
     "build_constellation",
     "map_bits",
+    "symbol_labels",
     "shape_filter",
     "shape_symbols",
     "shaped_samples",
@@ -269,10 +270,16 @@ def map_bits(bits, constellation: Constellation, symbol_period: float = 1.0) -> 
     b = constellation.bits_per_symbol
     if bits.size % b != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {b}")
-    groups = bits.reshape(-1, b)
-    weights = 1 << np.arange(b - 1, -1, -1)
-    labels = groups @ weights
+    labels = symbol_labels(bits, b)
     return SymbolStream(constellation.points[labels], symbol_period)
+
+
+def symbol_labels(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
+    """The label of each symbol's bits, ``bits_per_symbol`` of 0/1 values
+    in a row, the most significant first: ``map_bits`` sends
+    ``points[label]``."""
+    weights = 1 << np.arange(bits_per_symbol - 1, -1, -1)
+    return bits.reshape(-1, bits_per_symbol) @ weights
 
 
 @lru_cache(maxsize=64)
@@ -345,7 +352,7 @@ def shape_symbols(stream: SymbolStream, shape: PulseShape) -> ComplexEnvelope:
         samples = np.repeat(stream.symbols, sps)
     else:
         samples = _polyphase(stream.symbols, shape_filter(shape), sps)
-    return ComplexEnvelope(samples, sps / stream.symbol_period)
+    return ComplexEnvelope._fresh(samples, sps / stream.symbol_period)
 
 
 def _polyphase(symbols: np.ndarray, taps: np.ndarray, sps: int) -> np.ndarray:
@@ -478,7 +485,7 @@ def gate_envelopes(spec: GateEnvelopeSpec, sample_rate: float, peaks):
             samples = amp(peak) - 1j * spec.drag_coefficient_s * deriv(peak)
         else:
             samples = amp(peak).astype(np.complex128)
-        return ComplexEnvelope(samples, sample_rate)
+        return ComplexEnvelope._fresh(samples, sample_rate)
 
     return map(envelope, peaks)
 

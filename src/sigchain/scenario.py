@@ -300,21 +300,45 @@ def _text_matrix(texts) -> np.ndarray:
     return np.frombuffer(flat, np.uint8).reshape(len(cells), width)
 
 
-def _distinct_cells(values, keys) -> np.ndarray:
-    """The cells of ``values``, ``_csv_cell`` once per distinct entry of
-    ``keys``, which are equal where the values' texts are."""
+class Table(NamedTuple):
+    """A CSV column whose cell in row r is the cell of
+    ``table[index[r]]``: each entry of ``table`` is formatted once."""
+
+    table: np.ndarray | list
+    index: np.ndarray
+
+
+def _distinct(values, keys) -> Table:
+    """``values`` as a table of one entry per distinct entry of ``keys``
+    (which are equal where the values' texts are), and its index."""
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    return _text_matrix([_csv_cell(v) for v in values[first].tolist()])[index]
+    return Table(values[first], index)
+
+
+def _table_cells(table) -> np.ndarray:
+    """The cells of a table's entries: a float array's by
+    ``_float_cells``, any other's by ``_csv_cell``."""
+    if isinstance(table, np.ndarray):
+        if table.dtype.kind == "f":
+            return _float_cells(table.astype(np.float64, copy=False))
+        table = table.tolist()
+    return _text_matrix([_csv_cell(v) for v in table])
+
+
+def _gathered(column: Table) -> np.ndarray:
+    """The cells of a table column's rows, its table formatted once."""
+    return _table_cells(column.table)[column.index]
 
 
 def _float_cells(v) -> np.ndarray:
     """The cells of float64 values: ``_fixed17`` where it applies, else
-    once per distinct bit pattern."""
+    ``_csv_cell`` once per distinct bit pattern."""
     a = np.abs(v)
     fixed = (a >= 1e-4) & (a < 1e16)
     out = _fixed17(np.where(fixed, v, 1.0))
     rest = np.flatnonzero(~fixed)
-    cells = _distinct_cells(v[rest], v[rest].view(np.int64))
+    table, index = _distinct(v[rest], v[rest].view(np.int64))
+    cells = _text_matrix([_csv_cell(x) for x in table.tolist()])[index]
     out[rest, :cells.shape[1]] = cells
     out[rest, cells.shape[1]:] = _PAD
     return out
@@ -332,22 +356,26 @@ def _csv(header: str, *columns) -> str:
     A float ndarray column writes its cells with 1e-4 <= |x| < 1e16 from
     their exact decimal digits (``_fixed17``, equal to ``%.17g`` byte for
     byte) and any other cell through ``_csv_cell``, once per distinct bit
-    pattern.  Any other ndarray column formats each distinct value once
-    and repeats its text; other columns are formatted cell by cell.  Each
-    block of ``_CSV_BLOCK`` rows is one byte matrix of cells, commas and
-    line ends, its ``_PAD`` bytes dropped; distinct values are found block
-    by block, so no transient grows with the row count.
+    pattern.  A ``Table`` column formats its table once, a float array
+    as a float column and any other table cell by cell, and gathers its
+    rows' cells by index.  Any other ndarray column is, block by block, a
+    table of its distinct values; other columns are formatted cell by
+    cell.  Each block of ``_CSV_BLOCK`` rows is one byte matrix of cells,
+    commas and line ends, its ``_PAD`` bytes dropped, so no transient
+    grows with the row count.
     """
     cols = []
     for c in columns:
-        if not isinstance(c, np.ndarray) or c.dtype.kind == "O":
+        if isinstance(c, Table):
+            cells, c = _table_cells(c.table), c.index
+            cols.append(lambda s, t=cells, i=c: t[i[s]])
+        elif not isinstance(c, np.ndarray) or c.dtype.kind == "O":
             c = [_csv_cell(v) for v in c]
             cols.append(lambda s, c=c: _text_matrix(c[s]))
         elif c.dtype.kind == "f":
-            cols.append(lambda s, c=c: _float_cells(
-                c[s].astype(np.float64, copy=False)))
+            cols.append(lambda s, c=c: _table_cells(c[s]))
         else:
-            cols.append(lambda s, c=c: _distinct_cells(c[s], c[s]))
+            cols.append(lambda s, c=c: _gathered(_distinct(c[s], c[s])))
         if len(cols) == 1:
             n = len(c)
     parts = [header + "\n"]
@@ -575,17 +603,21 @@ def _compute_comm(plan: dict, made: tuple) -> tuple[dict, dict]:
     symbol_period = plan["symbol_period"]
     env = clean if plan["chain"] is None else run_chain(plan["chain"], clean)
     scorer = met.LinkScorer(stream, const, shape, plan["timing_search"])
-    rx, ref, report = scorer(env)
+    rx, _, report = scorer(env)
     summary = {**vars(report)}
     artifacts = {}
 
     if "constellation" in plan["outputs"]:
+        # the scorer's reference symbols are points[labels]: each row's bits
+        # and reference point are the table entries of its label
         bps = const.bits_per_symbol
         skip = shape.span_symbols
-        sent = bits.reshape(-1, bps)[skip:-skip] + ord("0")
-        labels = sent.astype(np.uint8).view(f"S{bps}").ravel().astype(str)
+        labels = mod.symbol_labels(bits, bps)[skip:-skip]
+        pts = const.points
+        names = [format(k, f"0{bps}b") for k in range(pts.size)]
         artifacts["constellation.csv"] = _csv(
-            "bits,i_ref,q_ref,i_rx,q_rx", labels, ref.real, ref.imag,
+            "bits,i_ref,q_ref,i_rx,q_rx", Table(names, labels),
+            Table(pts.real, labels), Table(pts.imag, labels),
             rx.real, rx.imag)
     if "psd" in plan["outputs"]:
         spectrum = met.psd_welch(env)
@@ -605,7 +637,8 @@ def _compute_comm(plan: dict, made: tuple) -> tuple[dict, dict]:
         keep = min(EYE_TRACES, max(0, len(env) // sps - 2 * skip))
         lo, hi = skip * sps, (skip + keep) * sps
         offs = (np.arange(lo, hi) - instant + sps // 2) % sps
-        artifacts["eye.csv"] = _csv("t_frac,i,q", offs / sps,
+        artifacts["eye.csv"] = _csv("t_frac,i,q",
+                                    Table(np.arange(sps) / sps, offs),
                                     env.samples.real[lo:hi],
                                     env.samples.imag[lo:hi])
     if "budget" in plan["outputs"]:

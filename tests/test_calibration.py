@@ -418,8 +418,8 @@ class TestDpdFit:
 
     def test_fold_in_the_forward_fit_raises(self):
         # the measured staircase rises at every level, but A - 0.3 A^3
-        # peaks at 0.70 (A = 1.05), short of the full-scale 1.0: inverting
-        # the fit walks past the peak, where its slope turns negative
+        # peaks at 0.70 (A = 1.05), short of the full-scale 1.0: the fit
+        # folds over there, so the top levels have no preimage
         chain = TxChain("custom", (StageSpec(
             "am_ampm", {"gain_poly": [1.0, -0.3]}),))
         levels = np.arange(1, 33) / 32.0
@@ -428,6 +428,29 @@ class TestDpdFit:
         assert np.all(np.diff(amp) > 0.0)
         with pytest.raises(cal.CalibrationError, match="folds over"):
             cal.dpd_fit(chain, FS)
+
+    @pytest.mark.parametrize("full_scale", [1.0, 1.05])
+    def test_unreachable_full_scale_has_no_preimage(self, full_scale):
+        # A - 0.15 A^3 rises at every probed level, but its peak, 0.994 at
+        # A = 1.49, lies below full_scale: no drive reaches it, and the
+        # fit says so before its inversion can walk past the peak
+        chain = TxChain("custom", (StageSpec(
+            "am_ampm", {"gain_poly": [1.0, -0.15]}),))
+        with pytest.raises(cal.CalibrationError,
+                           match="no preimage .* at 0.9938, short of"):
+            cal.dpd_fit(chain, FS, full_scale=full_scale)
+        cal.dpd_fit(chain, FS, full_scale=0.99)
+
+    def test_a_measured_fold_is_named_a_fold(self):
+        # A - 0.5 A^3 peaks at 0.54 (A = 0.82), inside the probed range:
+        # the staircase itself turns down
+        chain = TxChain("custom", (StageSpec(
+            "am_ampm", {"gain_poly": [1.0, -0.5]}),))
+        with pytest.warns(UserWarning, match="AM-AM transfer is non-monotone"):
+            with pytest.raises(cal.CalibrationError) as info:
+                cal.dpd_fit(chain, FS)
+        assert str(info.value) == ("amplitude response folds over; static "
+                                   "predistortion cannot invert it")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="order"):

@@ -634,6 +634,45 @@ class TestSynth:
         with pytest.raises(ValueError, match="rotation_angle"):
             ch.synth_qubit_pulse(spec, 51.2e9)
 
+    @staticmethod
+    def _spy_gate(monkeypatch):
+        """Count ``_gate_mask`` calls, and record what each was given."""
+        calls = []
+        real = ch._gate_mask
+
+        def spy(env):
+            calls.append(env)
+            return real(env)
+
+        monkeypatch.setattr(ch, "_gate_mask", spy)
+        return calls
+
+    def test_no_gate_is_made_without_a_gated_stage(self, monkeypatch):
+        calls = self._spy_gate(monkeypatch)
+        env = ComplexEnvelope(np.r_[np.zeros(32), np.ones(32)], 1e6)
+        chain = ch.TxChain("custom", (
+            ch.StageSpec("amplitude_error", {"eps_a": 0.1}),
+            ch.StageSpec("polar_paths", {"am_cutoff_hz": 1e5}),
+            ch.StageSpec("lo_feedthrough", {"offset": 0.01})))
+        ch.run_chain(chain, env)
+        list(ch.run_chain_per_trim(chain, env, [0.0, 1e-6, 2e-6]))
+        assert calls == []
+
+    def test_the_gate_is_made_once_from_the_chain_input(self, monkeypatch):
+        calls = self._spy_gate(monkeypatch)
+        env = ComplexEnvelope(np.r_[np.zeros(32), np.ones(32)], 1e6)
+        chain = ch.TxChain("custom", (
+            ch.StageSpec("lo_feedthrough", {"offset": 0.01}),
+            ch.StageSpec("polar_paths", {"am_cutoff_hz": 1e5}),
+            ch.StageSpec("gated_offset", {"offset": 0.1}),
+            ch.StageSpec("onoff_leakage", {"off_ratio_db": 40.0})))
+        out = ch.run_chain(chain, env)
+        assert calls == [env]
+        assert np.all(out.samples[:32] == 0.0)
+        trims = list(ch.run_chain_per_trim(chain, env, [0.0, 1e-6, 2e-6]))
+        assert calls == [env, env]
+        assert trims[0].samples.tobytes() == out.samples.tobytes()
+
     def test_gate_mask_survives_chain_but_not_resample(self):
         x = np.concatenate([np.zeros(32), np.ones(32)]).astype(complex)
         env = ComplexEnvelope(x, 1e6)

@@ -46,6 +46,52 @@ class TestEnvelopeType:
         src[0] = 5.0
         assert env.samples[0] == 1.0
 
+    @pytest.mark.parametrize("make", [
+        lambda: np.arange(8.0) + 1j,                    # complex128
+        lambda: np.arange(8.0),                         # converted
+        lambda: (np.arange(16.0) + 1j)[::2],            # a strided view
+        lambda: np.arange(8.0).astype(np.complex64),
+    ], ids=["complex128", "float64", "view", "complex64"])
+    def test_public_constructor_copies(self, make):
+        # the caller's array stays writeable, and the record never sees
+        # what is later written to it
+        src = make()
+        env = ComplexEnvelope(src, 1e9)
+        want = env.samples.copy()
+        assert src.flags.writeable and not env.samples.flags.writeable
+        assert not np.shares_memory(env.samples, src)
+        src[:] = -7.0
+        assert env.samples.tobytes() == want.tobytes()
+        if src.base is not None:
+            src.base[:] = 3.0
+            assert env.samples.tobytes() == want.tobytes()
+
+    def test_fresh_adopts_and_freezes_in_place(self):
+        made = np.arange(10.0) + 2j
+        view = made[:8]
+        env = ComplexEnvelope._fresh(view, 1e9)
+        assert env.samples is view
+        assert not view.flags.writeable and not made.flags.writeable
+        assert env.samples.tobytes() == ComplexEnvelope(
+            np.arange(8.0) + 2j, 1e9).samples.tobytes()
+        assert env.sample_rate == 1e9 and env.duration == 8e-9
+
+    def test_fresh_converts_other_dtypes(self):
+        made = np.arange(4.0)
+        env = ComplexEnvelope._fresh(made, 1e9)
+        assert env.samples.dtype == np.complex128
+        assert not env.samples.flags.writeable
+        assert np.array_equal(env.samples, made)
+
+    @pytest.mark.parametrize("samples, rate", [
+        (np.ones((2, 2), complex), 1e9), (np.array([], complex), 1e9),
+        (np.ones(4, complex), 0.0), (np.ones(4, complex), np.nan)])
+    def test_fresh_checks_what_the_constructor_checks(self, samples, rate):
+        with pytest.raises(ValueError):
+            ComplexEnvelope(samples, rate)
+        with pytest.raises(ValueError):
+            ComplexEnvelope._fresh(samples.copy(), rate)
+
     def test_duration(self):
         env = ComplexEnvelope(np.ones(100), 50.0)
         assert env.duration == pytest.approx(2.0)

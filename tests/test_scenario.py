@@ -223,6 +223,36 @@ class TestCsv:
         assert len(got) == len(want)
         assert [k for k, (a, b) in enumerate(zip(got, want)) if a != b] == []
 
+    TABLE_FLOATS = np.array([0.0, -0.0, math.nan, -math.nan, math.inf,
+                             -math.inf, 1e-300, -1e-300, 1e20, -1e20, 0.1,
+                             -3.0, 5e-324, 123456789.125])
+    TABLE_WORDS = ["0110", "a,b", 'say "hi"', "line\nbreak", "", "x\ry"]
+
+    @pytest.mark.parametrize("n", [1, 9, scn._CSV_BLOCK + 5])
+    def test_table_columns_match_csv_cell(self, n):
+        # each row's cell is _csv_cell of its table entry: signed zeros,
+        # nan, infinities and floats outside the exact-digit range in a
+        # float table, RFC 4180 quoting in a string table
+        rng = np.random.default_rng(n)
+        fi = rng.integers(0, self.TABLE_FLOATS.size, n)
+        wi = rng.integers(0, len(self.TABLE_WORDS), n)
+        cols = (scn.Table(self.TABLE_FLOATS, fi),
+                scn.Table(self.TABLE_WORDS, wi),
+                scn.Table(np.array([7, -1, 2**62]), fi % 3),
+                self.TABLE_FLOATS[fi])
+        want = "f,w,i,x\n" + "".join(
+            f"{scn._csv_cell(self.TABLE_FLOATS[f])},"
+            f"{scn._csv_cell(self.TABLE_WORDS[w])},"
+            f"{[7, -1, 2**62][f % 3]},{scn._csv_cell(self.TABLE_FLOATS[f])}\n"
+            for f, w in zip(fi.tolist(), wi.tolist()))
+        got = scn._csv("f,w,i,x", *cols)
+        assert got.split("\n") == want.split("\n")
+        # a table column writes what the plain column of its rows writes
+        assert got == scn._csv("f,w,i,x", self.TABLE_FLOATS[fi],
+                               np.array(self.TABLE_WORDS)[wi],
+                               np.array([7, -1, 2**62])[fi % 3],
+                               self.TABLE_FLOATS[fi])
+
     def test_string_array_matches_per_cell_path(self):
         # an ndarray column formats each distinct value once; the text must
         # be the per-cell text, quoting included
@@ -588,6 +618,29 @@ class TestRunScenario:
         psd = (dest / "psd.csv").read_text().splitlines()
         assert psd[0] == "freq_hz,db"
         assert len(psd) > 64
+
+    @pytest.mark.parametrize("scheme, m", [
+        ("m_psk", 4), ("m_psk", 8), ("square_qam", 16), ("square_qam", 64)])
+    def test_constellation_rows_are_the_sent_labels(self, scheme, m):
+        # bits, i_ref and q_ref come from tables over the sent labels; the
+        # text equals the plain columns of the bit strings and the scorer's
+        # reference symbols
+        cfg = qpsk_config(n_symbols=300, outputs=("constellation",),
+                          chain={"stages": [{"kind": "phase_noise", "params":
+                                             {"rate": 1e6, "seed": 2}}]})
+        cfg["comm"]["constellation"] = {"scheme": scheme, "m": m}
+        _, artifacts = scn._compute(cfg)
+        plan = scn.plan_scenario(cfg)
+        bits, stream, clean = scn._comm_input(plan)
+        rx, ref, _ = met.LinkScorer(stream, plan["constellation"],
+                                    plan["pulse"])(
+            run_chain(plan["chain"], clean))
+        bps, skip = plan["constellation"].bits_per_symbol, 8
+        labels = ["".join(map(str, row))
+                  for row in bits.reshape(-1, bps)[skip:-skip].tolist()]
+        assert artifacts["constellation.csv"] == scn._csv(
+            "bits,i_ref,q_ref,i_rx,q_rx", labels, ref.real, ref.imag,
+            rx.real, rx.imag)
 
     def test_qubit_outputs(self, tmp_path):
         summary = scn.run_scenario(pi_config(), tmp_path)

@@ -16,10 +16,16 @@ Two sets of inputs run, in process, against this checkout's ``src``:
 ``perfbench/workloads.py`` is imported, never changed.  Each output line is
 ``sha256  relative/path``, sorted by path, so two checkouts write the same
 bytes exactly when ``diff`` of their outputs is empty.
+
+Some outputs move in their last bits with the kernel OpenBLAS picks for the
+CPU, so digests compare only between runs on one kernel.  Its name (such as
+``SkylakeX``, or ``unknown`` where it cannot be read) goes first, to stderr,
+as ``openblas core: <name>``; stdout holds only the digest lines.
 """
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import importlib.util
 import io
@@ -40,6 +46,25 @@ def _workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def openblas_core() -> str:
+    """The name of the CPU kernel numpy's bundled OpenBLAS runs, read
+    through the library's ``scipy_openblas_get_corename64_``, or
+    ``unknown``."""
+    import numpy as np
+
+    here = Path(np.__file__).resolve().parent
+    for lib in sorted([*here.parent.glob("numpy.libs/*openblas*"),
+                       *here.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        name = corename()
+        return name.decode() if name else "unknown"
+    return "unknown"
 
 
 def _run_all(tmp: Path) -> None:
@@ -64,6 +89,7 @@ def _run_all(tmp: Path) -> None:
 
 
 def main() -> None:
+    print(f"openblas core: {openblas_core()}", file=sys.stderr)
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
