@@ -80,7 +80,7 @@ def _parabola_vertex(x: np.ndarray, y: np.ndarray) -> float:
     return 0.5 * (x[0] + x[1] - d21 / curv)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeLut:
     """Drive code versus measured rotation angle, monotone by construction.
 
@@ -253,7 +253,7 @@ def polar_delay_align(chain: TxChain, sample_rate: float,
     # the probe record at its own rate
     rate = shape.samples_per_symbol / symbol_period
     n_probe = mod.shaped_samples(n_symbols, shape)
-    hold = check_record(chain, n_probe, sample_rate, "n_symbols", rate)
+    hold = check_record(chain, n_probe, rate, "n_symbols")
     # the chain runs once per candidate: count them as np.arange will
     span = (window_s + 0.5 * step_s + window_s) / step_s
     n_cand = math.ceil(span) if math.isfinite(span) else span

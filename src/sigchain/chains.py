@@ -534,17 +534,17 @@ def check_stage(spec: StageSpec, fs: float, duration: float,
 
 
 def check_record(chain: TxChain | None, n_samples: int, sample_rate: float,
-                 key: str, record_rate: float | None = None) -> int:
+                 key: str) -> int:
     """Check ``chain`` against the record it runs on, ``n_samples`` samples
-    at ``sample_rate`` lasting ``n_samples / record_rate`` s (a shaped
-    record's own rate, ``sps / symbol_period``, unless ``sample_rate``), and
-    return its hold product.  Raises InputError at ``key`` unless the held
-    record fits ``MAX_SAMPLES``, and under ``chain.stages.<i>.`` where
-    ``check_stage`` refuses a stage at the rate it sees."""
+    at the rate it carries, ``sample_rate`` (``sps / symbol_period`` for a
+    shaped record), and return its hold product.  Raises InputError at
+    ``key`` unless the held record fits ``MAX_SAMPLES``, and under
+    ``chain.stages.<i>.`` where ``check_stage`` refuses a stage at the rate
+    it sees."""
     stages = chain.stages if chain is not None else ()
     hold = math.prod(spec.params.get("hold_factor") or 1 for spec in stages)
     check_budget(n_samples * hold, key)
-    duration = n_samples / (record_rate or sample_rate)
+    duration = n_samples / sample_rate
     fs = sample_rate
     for i, spec in enumerate(stages):
         check_stage(spec, fs, duration, fs != sample_rate,

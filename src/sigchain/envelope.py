@@ -13,6 +13,10 @@ sees later writes to it: pass a view or an input this way.  A kernel that
 has just made the array, and keeps no reference to it, hands it over with
 ``ComplexEnvelope._fresh(samples, sample_rate)`` instead, which adopts the
 array and sets it (and any array it views) read-only in place: no copy.
+
+A record that holds an array, here or in any module, is declared
+``eq=False``: it equals only itself and hashes by identity, so comparing
+two records never compares their arrays; compare the arrays for that.
 """
 from __future__ import annotations
 
@@ -90,7 +94,7 @@ def _frozen(record, name: str, dtype, copy: bool = True) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexEnvelope:
     """Uniformly sampled complex baseband record, its first sample at time 0.
 

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemodResult:
     """Decision-point samples of one record and the integer timing offset
     they were taken at."""
@@ -64,7 +64,7 @@ class BudgetReport:
         return abs(self.total_rss - self.total_measured) / self.total_measured
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EyeReport:
     eye_height: float
     eye_width_fraction: float
@@ -221,7 +221,7 @@ def evm(rx_symbols, ref_symbols) -> EvmReport:
     return EvmReport(e, e_db, rx.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkScorer:
     """Scores any envelope of one record against its transmitted symbols.
 

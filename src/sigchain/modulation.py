@@ -54,7 +54,7 @@ def _gray_inverse(g: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """A labeled set of complex symbol points, normalized to unit RMS.
 
@@ -78,7 +78,7 @@ class Constellation:
         return self.points.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolStream:
     """A run of complex symbols at a fixed symbol period."""
 

@@ -308,38 +308,23 @@ class Table(NamedTuple):
     index: np.ndarray
 
 
-def _distinct(values, keys) -> Table:
-    """``values`` as a table of one entry per distinct entry of ``keys``
-    (which are equal where the values' texts are), and its index."""
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    return Table(values[first], index)
-
-
-def _table_cells(table) -> np.ndarray:
-    """The cells of a table's entries: a float array's by
-    ``_float_cells``, any other's by ``_csv_cell``."""
-    if isinstance(table, np.ndarray):
-        if table.dtype.kind == "f":
-            return _float_cells(table.astype(np.float64, copy=False))
-        table = table.tolist()
-    return _text_matrix([_csv_cell(v) for v in table])
-
-
-def _gathered(column: Table) -> np.ndarray:
-    """The cells of a table column's rows, its table formatted once."""
-    return _table_cells(column.table)[column.index]
-
-
-def _float_cells(v) -> np.ndarray:
-    """The cells of float64 values: ``_fixed17`` where it applies, else
-    ``_csv_cell`` once per distinct bit pattern."""
+def _cells(values) -> np.ndarray:
+    """The cells of a sequence of values.  A float array's cells with
+    1e-4 <= |x| < 1e16 are ``_fixed17``'s, its others ``_csv_cell``'s,
+    once per distinct bit pattern; any other value's are ``_csv_cell``'s."""
+    if isinstance(values, np.ndarray) and values.dtype.kind != "f":
+        values = values.tolist()
+    if not isinstance(values, np.ndarray):
+        return _text_matrix([_csv_cell(v) for v in values])
+    v = values.astype(np.float64, copy=False)
     a = np.abs(v)
     fixed = (a >= 1e-4) & (a < 1e16)
     out = _fixed17(np.where(fixed, v, 1.0))
     rest = np.flatnonzero(~fixed)
-    table, index = _distinct(v[rest], v[rest].view(np.int64))
-    cells = _text_matrix([_csv_cell(x) for x in table.tolist()])[index]
-    out[rest, :cells.shape[1]] = cells
+    _, first, index = np.unique(v[rest].view(np.int64), return_index=True,
+                                return_inverse=True)
+    cells = _text_matrix([_csv_cell(x) for x in v[rest[first]].tolist()])
+    out[rest, :cells.shape[1]] = cells[index]
     out[rest, cells.shape[1]:] = _PAD
     return out
 
@@ -353,29 +338,19 @@ def _csv(header: str, *columns) -> str:
     ``-inf``) and lists, objects and null as compact JSON.  A cell
     holding a comma, quote or line break is quoted per RFC 4180.
 
-    A float ndarray column writes its cells with 1e-4 <= |x| < 1e16 from
-    their exact decimal digits (``_fixed17``, equal to ``%.17g`` byte for
-    byte) and any other cell through ``_csv_cell``, once per distinct bit
-    pattern.  A ``Table`` column formats its table once, a float array
-    as a float column and any other table cell by cell, and gathers its
-    rows' cells by index.  Any other ndarray column is, block by block, a
-    table of its distinct values; other columns are formatted cell by
-    cell.  Each block of ``_CSV_BLOCK`` rows is one byte matrix of cells,
-    commas and line ends, its ``_PAD`` bytes dropped, so no transient
-    grows with the row count.
+    A column is a ``Table``, whose table ``_cells`` formats once and
+    whose rows' cells are gathered by index, or any other sequence of
+    values, which ``_cells`` formats one block of ``_CSV_BLOCK`` rows at a
+    time.  Each block is one byte matrix of cells, commas and line ends,
+    its ``_PAD`` bytes dropped, so no transient grows with the row count.
     """
     cols = []
     for c in columns:
         if isinstance(c, Table):
-            cells, c = _table_cells(c.table), c.index
-            cols.append(lambda s, t=cells, i=c: t[i[s]])
-        elif not isinstance(c, np.ndarray) or c.dtype.kind == "O":
-            c = [_csv_cell(v) for v in c]
-            cols.append(lambda s, c=c: _text_matrix(c[s]))
-        elif c.dtype.kind == "f":
-            cols.append(lambda s, c=c: _table_cells(c[s]))
+            cols.append(lambda s, t=_cells(c.table), i=c.index: t[i[s]])
+            c = c.index
         else:
-            cols.append(lambda s, c=c: _gathered(_distinct(c[s], c[s])))
+            cols.append(lambda s, c=c: _cells(c[s]))
         if len(cols) == 1:
             n = len(c)
     parts = [header + "\n"]
@@ -687,7 +662,7 @@ def _comm_check(plan: dict) -> dict:
     check_budget(sps, "pulse.samples_per_symbol", "one symbol ")
     # the shaped record, its pulse tails included, at its own rate
     n = mod.shaped_samples(n_symbols, pulse)
-    check_record(chain, n, fs, "n_symbols", sps / (sps / fs))
+    check_record(chain, n, sps / (sps / fs), "n_symbols")
     require(plan["bit_seed"] >= 0, "bit_seed", "must be nonnegative")
     met.check_eye_levels(plan["eye_levels"], n // sps, "eye_levels")
     if "budget" in plan["outputs"]:

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigchain import calibration as cal
+from sigchain import metrics as met
+from sigchain import modulation as mod
 from sigchain.envelope import (
     _FARROW,
     _FARROW_BLOCK,
@@ -91,6 +94,25 @@ class TestEnvelopeType:
             ComplexEnvelope(samples, rate)
         with pytest.raises(ValueError):
             ComplexEnvelope._fresh(samples.copy(), rate)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ComplexEnvelope(np.ones(4), 1e9),
+        lambda: mod.build_constellation("m_psk", m=4),
+        lambda: mod.SymbolStream(np.ones(4), 1e-9),
+        lambda: met.DemodResult(np.ones(4), 0),
+        lambda: met.EyeReport(0.5, 0.5, 0.5, np.ones(4)),
+        lambda: met.LinkScorer(mod.SymbolStream(np.ones(4), 1e-9),
+                               mod.build_constellation("m_psk", m=4),
+                               mod.PulseShape("rect")),
+        lambda: cal.AmplitudeLut(np.ones(4), np.ones(4), np.ones(4), 0.0),
+    ], ids=["envelope", "constellation", "stream", "demod", "eye", "scorer",
+            "lut"])
+    def test_array_records_compare_by_identity(self, make):
+        # equal fields, distinct records: unequal and hashable, no
+        # elementwise array comparison
+        a, b = make(), make()
+        assert a == a and not a == b and a != b
+        assert len({a, b}) == 2
 
     def test_duration(self):
         env = ComplexEnvelope(np.ones(100), 50.0)

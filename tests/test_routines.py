@@ -120,6 +120,10 @@ CASES = [
     ("rabi_amplitude_cal", None,
      {**RABI, "scales": [-0.05, 0.1, 0.2, 0.3, 0.4]},
      "calibration.routine.scales.0"),
+    # a bound at the probe's rate, an ulp below the calibration's
+    ("polar_delay_align",
+     [{"kind": "polar_paths", "params": {"am_cutoff_hz": 3999999999.9999995}}],
+     ALIGN, "calibration.chain.stages.0.params.am_cutoff_hz"),
 ]
 
 

@@ -142,6 +142,9 @@ class TestCsv:
             ["FAILED" if k % 3 == 1 else float(v)
              for k, v in enumerate(floats)],
             np.ascontiguousarray(floats[::-1]),
+            np.array([f"o{k}" if k % 2 else int(v)
+                      for k, v in enumerate(ints)], dtype=object),
+            tuple(floats.tolist()),
         ]
 
     @pytest.mark.parametrize("extra", [0, 1, 17])
@@ -149,8 +152,8 @@ class TestCsv:
     def test_matches_per_cell_rules(self, blocks, extra):
         n = blocks * scn._CSV_BLOCK + extra
         cols = self.columns(n)
-        got = scn._csv("a,b,c,d,e,f,g", *cols)
-        assert got == _reference_csv("a,b,c,d,e,f,g", zip(*cols))
+        got = scn._csv("a,b,c,d,e,f,g,h,i", *cols)
+        assert got == _reference_csv("a,b,c,d,e,f,g,h,i", zip(*cols))
         assert got.count("\n") == n + 1
 
     def test_special_values_spelled_out(self):
@@ -203,9 +206,9 @@ class TestCsv:
 
     @pytest.mark.parametrize("n", [1, 9, scn._CSV_BLOCK + 5])
     def test_ndarray_columns_match_csv_cell(self, n):
-        # str, int and bool arrays take the distinct-value path that float
-        # arrays of repeating values take; an all-distinct float column
-        # takes the %.17g pass beside them
+        # str, int and bool arrays are read with tolist and formatted cell
+        # by cell; float arrays of repeating values and an all-distinct
+        # float column take the exact-digit pass beside them
         rng = np.random.default_rng(n)
         words = np.array(["0110", "a,b", 'say "hi"', "line\nbreak", "", "x"])
         ints = np.array([0, -1, 7, 2**62, -2**63, 42])
@@ -254,8 +257,8 @@ class TestCsv:
                                self.TABLE_FLOATS[fi])
 
     def test_string_array_matches_per_cell_path(self):
-        # an ndarray column formats each distinct value once; the text must
-        # be the per-cell text, quoting included
+        # a string array column writes what the list of its values writes,
+        # quoting included
         labels = ["0110", "a,b", 'say "hi"', "line\nbreak", "0110", "a,b"]
         got = scn._csv("s,x", np.array(labels), np.arange(6.0))
         assert got == scn._csv("s,x", labels, np.arange(6.0))
@@ -456,9 +459,13 @@ class TestValidation:
          "stages.1.params.cutoff_hz: must stay below 8e+09"),
         ([{"kind": "polar_paths", "params": {"pm_cutoff_hz": 5.0e9}}],
          "stages.0.params.pm_cutoff_hz"),
+        # the shaped record's rate, sps / (sps / 8e9), is an ulp below 8e9
         ([{"kind": "sample_jitter",
-           "params": {"sigma_s": 1.25e-11, "seed": 1}}],
+           "params": {"sigma_s": 1.2500000000000002e-11, "seed": 1}}],
          "stages.0.params.sigma_s: must stay below 1.25e-11"),
+        ([{"kind": "bandwidth_limit",
+           "params": {"cutoff_hz": 3999999999.9999995}}],
+         "scenario.chain.stages.0.params.cutoff_hz: must stay below 4e+09"),
     ])
     def test_rate_bounds_at_the_stage_rate(self, stages, where):
         with pytest.raises(scn.ConfigError, match=re.escape(where)):
