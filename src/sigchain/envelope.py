@@ -17,9 +17,26 @@ array and sets it (and any array it views) read-only in place: no copy.
 A record that holds an array, here or in any module, is declared
 ``eq=False``: it equals only itself and hashes by identity, so comparing
 two records never compares their arrays; compare the arrays for that.
+
+Freed record memory stays with the process.  glibc's malloc serves a block
+at or above its mmap threshold from a fresh mapping, and hands the top of
+its heap back to the kernel once more than its trim threshold is free
+there.  Both follow the largest mapped block freed so far, which on a
+benchmark link is one 2**16-sample record (1 MiB, and twice that to trim),
+so left alone every stage's output and temporaries would come back as
+fresh pages: about 6800 minor page faults per benchmark link_budget op.
+Importing this module therefore calls libc's ``mallopt`` once per
+threshold, setting the mmap threshold to 32 MiB and the trim threshold to
+64 MiB, the values glibc's own policy reaches at its cap.  Setting either
+one stops glibc moving the other from its 128 KiB default, so both are
+set.  The cost: a process that imports sigchain keeps up to 64 MiB of freed
+heap mapped, and a record above 32 MiB (2**21 samples) still takes a fresh
+mapping and returns it.  Where libc has no ``mallopt`` (macOS, Windows;
+musl's does nothing) nothing changes.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -92,6 +109,30 @@ def _frozen(record, name: str, dtype, copy: bool = True) -> np.ndarray:
         view = view.base
     object.__setattr__(record, name, arr)
     return arr
+
+
+# glibc's ``mallopt`` parameter numbers (malloc.h) and the values set
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_heap_mapped(load=ctypes.CDLL) -> None:
+    """Set libc's malloc mmap and trim thresholds (see the module
+    docstring) through the ``mallopt`` of ``load(None)``, the libraries
+    this process has loaded; do nothing where that fails or has no
+    ``mallopt``."""
+    try:
+        mallopt = load(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_keep_heap_mapped()
 
 
 @dataclass(frozen=True, eq=False)

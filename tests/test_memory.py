@@ -10,16 +10,27 @@ that materializes a per-sample filter bank over the whole record (about 30
 input records for the Farrow bank of ``sample_jitter``) fails here.
 ``scenario._csv`` holds at most 2.25 times the text it returns.
 
+Freed record memory stays mapped: a child process that runs a 2**16-sample
+link scenario again and again takes almost no fresh pages per run.
+
 The same parameter table checks that every stage kind's output record is
 read-only and shares no memory with an array its caller can still write.
 """
+import ctypes
 import dataclasses
+import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sigchain import chains as ch
+from sigchain import envelope
 from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import scenario as scn
@@ -180,3 +191,80 @@ def test_csv_working_memory():
     assert text.count("\n") == n + 1
     assert peak <= 2.25 * len(text), (
         f"peak is {peak / len(text):.2f}x the text")
+
+
+# A 2**16-sample link: the benchmark link_budget QAM chain, every output.
+LINK_RUNS = """
+import json, resource, sys, tempfile
+from sigchain.scenario import run_scenario
+
+scenario = {
+    "name": "fault_link", "mode": "comm", "sample_rate": 8.0e9,
+    "chain": {"architecture": "cartesian", "stages": [
+        {"kind": "amplitude_error", "params": {"eps_a": 0.02}},
+        {"kind": "am_ampm", "params": {"gain_poly": [1.0, -0.03],
+                                       "phase_poly": [0.0, 0.0, 0.02]}},
+        {"kind": "static_phase_error", "params": {"phi_e": 0.015}},
+        {"kind": "phase_noise", "params": {"rate": 100.0, "seed": 5}},
+        {"kind": "sample_jitter", "params": {"sigma_s": 3.0e-12, "seed": 6}},
+        {"kind": "iq_imbalance",
+         "params": {"gain_mismatch": 0.03, "quad_skew": 0.02}},
+        {"kind": "lo_feedthrough", "params": {"offset": [0.004, 0.003]}},
+        {"kind": "bandwidth_limit", "params": {"cutoff_hz": 1.6e9}},
+    ]},
+    "comm": {
+        "constellation": {"scheme": "square_qam", "m": 16},
+        "pulse": {"kind": "root_raised_cosine", "rolloff": 0.35,
+                  "span_symbols": 16, "samples_per_symbol": 8},
+        "n_symbols": 8176, "bit_seed": 7, "eye_levels": 4,
+        "outputs": ["budget", "eye", "psd", "constellation"],
+    },
+}
+faults = []
+with tempfile.TemporaryDirectory() as d:
+    for k in range(4):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_scenario(scenario, d)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+print(json.dumps(faults[1:]))
+"""
+
+
+def _has_glibc_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    return platform.libc_ver()[0] == "glibc"
+
+
+@pytest.mark.skipif(not _has_glibc_mallopt(),
+                    reason="the heap thresholds are glibc malloc's")
+def test_link_runs_keep_their_pages():
+    # glibc's default thresholds hand each freed record back to the
+    # kernel, so every run faults its memory in again: about 5600 minor
+    # faults per run of this scenario, against 0 with them raised after
+    # one run more than the warm-up (10 to 171 on that run, by heap layout)
+    src = str(Path(envelope.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", LINK_RUNS], capture_output=True,
+        text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    faults = json.loads(out.stdout.splitlines()[-1])
+    assert max(faults) <= 256, f"minor faults per run: {faults}"
+
+
+class _NoMallopt:
+    """A loaded C library without ``mallopt``."""
+
+
+def _refuse(name):
+    raise OSError(f"cannot load {name!r}")
+
+
+@pytest.mark.parametrize("load", [lambda name: _NoMallopt(), _refuse],
+                         ids=["no_mallopt", "no_libc"])
+def test_heap_policy_needs_mallopt(load):
+    assert envelope._keep_heap_mapped(load) is None

@@ -1,5 +1,6 @@
 """``tools/output_digests.py`` names the OpenBLAS kernel its digests were
-made on, since some output bits move with that kernel."""
+made on, since some output bits move with that kernel, and
+``tools/op_counters.py`` prints one row of counters per op."""
 import importlib.util
 import os
 import platform
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+DIGESTS = TOOLS / "output_digests.py"
 
 
 def _load(monkeypatch):
@@ -36,3 +38,17 @@ def test_openblas_core_is_the_running_kernel(monkeypatch):
         [sys.executable, "-B", "-c", code], capture_output=True, text=True,
         check=True, env={**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"})
     assert out.stdout.strip() == "Sandybridge"
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource")
+def test_op_counters_prints_a_row_per_op():
+    out = subprocess.run(
+        [sys.executable, "-B", str(TOOLS / "op_counters.py"), "cal_sweep",
+         "--ops", "2"], capture_output=True, text=True, check=True,
+        timeout=120)
+    rows = [line.split("\t") for line in out.stdout.splitlines()]
+    assert rows[0] == ["op", "wall_ms", "cpu_ms", "sys_ms", "minflt"]
+    assert [row[0] for row in rows[1:]] == ["1", "2", "median"]
+    for row in rows[1:]:
+        wall, cpu, sys_ms, minflt = map(float, row[1:])
+        assert wall > 0 and cpu >= sys_ms >= 0 and minflt >= 0

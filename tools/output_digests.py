@@ -38,7 +38,8 @@ SEEDS = (1, 90210)
 WORKLOADS = ("link_budget", "qubit_gate", "cal_sweep")
 
 
-def _workloads():
+def load_workloads():
+    """``perfbench/workloads.py``, loaded as a module of its own."""
     # no bytecode cache beside the benchmark's files
     sys.dont_write_bytecode = True
     spec = importlib.util.spec_from_file_location(
@@ -71,7 +72,7 @@ def _run_all(tmp: Path) -> None:
     from sigchain import scenario
     from sigchain.cli import main
 
-    wl = _workloads()
+    wl = load_workloads()
     (tmp / "cli").mkdir()
     for command, name in wl.CLI_COMMANDS:
         out = io.StringIO()
