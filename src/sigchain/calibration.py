@@ -21,10 +21,10 @@ import numpy as np
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain.chains import (InputError, StageSpec, TxChain, _finite,
-                             check_budget, check_gate, check_record, require,
-                             run_chain, run_chain_per_trim,
-                             synth_comm_waveform, with_stage_param)
-from sigchain.envelope import (ComplexEnvelope, check_delay,
+                             check_record, require, run_chain,
+                             run_chain_per_trim, synth_comm_waveform,
+                             with_stage_param)
+from sigchain.envelope import (ComplexEnvelope, check_budget, check_delay,
                                fractional_delay, phasor)
 from sigchain.metrics import LinkScorer, check_scored
 
@@ -118,7 +118,8 @@ def rabi_amplitude_cal(model: qb.QubitModel, envelope: mod.GateEnvelopeSpec,
     inherit the flat top of the sine.  A nonmonotone angle map beyond
     ``residual_tol`` radians means the inversion is untrustworthy.
     """
-    n_gate = check_gate(envelope, sample_rate, "envelope.duration_s")
+    n_gate = mod.gate_samples(envelope.duration_s, sample_rate,
+                              "envelope.duration_s")
     check_record(chain, n_gate, sample_rate, "envelope.duration_s")
     for k, v in enumerate(scales):
         require(_finite(v), f"scales.{k}",

@@ -32,6 +32,7 @@ from sigchain import modulation as mod
 from sigchain.envelope import (
     ComplexEnvelope,
     InputError,
+    check_budget,
     check_delay,
     delay_real_track,
     phasor,
@@ -51,7 +52,6 @@ __all__ = [
 ]
 
 ARCHITECTURES = ("cartesian", "polar", "rfdac", "harmonic", "custom")
-MAX_SAMPLES = 1 << 24     # largest record a scenario or probe may ask for
 
 
 @dataclass(frozen=True)
@@ -268,6 +268,8 @@ def _apply_polar_paths(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
 
 
 def _apply_rfdac_core(env: ComplexEnvelope, p: dict) -> ComplexEnvelope:
+    check_budget(len(env) * p["hold_factor"], "params.hold_factor",
+                 "stage 'rfdac_core' ")
     bits, full_scale, sigma = p["bits"], p["full_scale"], p["mismatch_sigma"]
     rails = [imp.quantize_track(x, bits, full_scale)
              for x in (env.samples.real, env.samples.imag)]
@@ -503,17 +505,6 @@ def with_stage_param(chain: TxChain, kind: str, **updates) -> TxChain:
     return TxChain(chain.architecture, tuple(stages))
 
 
-def check_budget(n_samples: float, key: str, what: str = "") -> None:
-    """Raise InputError at ``key``, its message opened by ``what``, unless a
-    record of ``n_samples`` samples fits ``MAX_SAMPLES``."""
-    # an int count past the float range is compared exactly, and named by
-    # that range
-    count = "over 1.798e+308" if isinstance(n_samples, int) \
-        and n_samples > sys.float_info.max else format(n_samples, ".4g")
-    require(n_samples <= MAX_SAMPLES, key, f"{what}asks for {count} "
-            f"samples, more than the budget of {MAX_SAMPLES}")
-
-
 def check_stage(spec: StageSpec, fs: float, duration: float,
                 held: bool = False, at: str = "") -> None:
     """Raise InputError under ``at`` unless ``spec`` fits the record it sees,
@@ -551,17 +542,6 @@ def check_record(chain: TxChain | None, n_samples: int, sample_rate: float,
                     f"chain.stages.{i}.")
         fs *= spec.params.get("hold_factor") or 1
     return hold
-
-
-def check_gate(spec: mod.GateEnvelopeSpec, sample_rate: float,
-               key: str) -> int:
-    """Samples the gate spans, ``modulation.gate_samples``; raises InputError
-    at ``key`` unless they fit the budget and ``gate_samples`` accepts it."""
-    check_budget(spec.duration_s * sample_rate, key)
-    try:
-        return mod.gate_samples(spec.duration_s, sample_rate)
-    except ValueError as e:
-        raise InputError(key, str(e)) from None
 
 
 def synth_comm_waveform(

@@ -37,6 +37,7 @@ musl's does nothing) nothing changes.
 from __future__ import annotations
 
 import ctypes
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -68,6 +69,7 @@ _FARROW_BLOCK = 4096
 _FARROW_ORDER = 12
 # The taps reproduce records that are polynomials up to this degree exactly.
 _EXACT_DEGREE = 4
+MAX_SAMPLES = 1 << 24     # largest record a scenario or probe may ask for
 
 
 class InputError(ValueError):
@@ -93,6 +95,17 @@ def check_delay(tau: float, duration: float, name: str = "tau",
     if not abs(tau) < duration / 4.0:
         raise InputError(key or name, f"|{name}| must stay below a quarter "
                          f"of the {duration:g} s record, got {tau!r}")
+
+
+def check_budget(n_samples: float, key: str, what: str = "") -> None:
+    """Raise InputError at ``key``, its message opened by ``what``, unless a
+    record of ``n_samples`` samples fits ``MAX_SAMPLES``."""
+    # an int count past the float range is compared exactly, and named by
+    # that range
+    count = "over 1.798e+308" if isinstance(n_samples, int) \
+        and n_samples > sys.float_info.max else format(n_samples, ".4g")
+    require(n_samples <= MAX_SAMPLES, key, f"{what}asks for {count} "
+            f"samples, more than the budget of {MAX_SAMPLES}")
 
 
 def _frozen(record, name: str, dtype, copy: bool = True) -> np.ndarray:

@@ -421,11 +421,11 @@ def psd_welch(env: ComplexEnvelope, nperseg: int = 1024) -> Spectrum:
 
     Periodic Hann segments with 50% overlap, no detrending, density
     scaling; the resolution bandwidth is the window's equivalent noise
-    bandwidth.
+    bandwidth.  ``nperseg``, clipped to the record, must be at least 8.
     """
-    if nperseg < 8:
-        raise ValueError("nperseg must be at least 8")
     nperseg = min(nperseg, len(env))
+    if nperseg < 8:
+        raise ValueError(f"a Welch segment needs 8 samples, got {nperseg}")
     fs = env.sample_rate
     w = _periodic_hann(nperseg)
     power = np.sum(w * w)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from sigchain.envelope import ComplexEnvelope, _frozen, require
+from sigchain.envelope import ComplexEnvelope, _frozen, check_budget, require
 
 __all__ = [
     "Constellation",
@@ -425,14 +425,15 @@ def gate_envelope_unit_area(spec: GateEnvelopeSpec) -> float:
     return sigma * math.sqrt(2.0 * np.pi) * math.erf(z / math.sqrt(2.0)) - tau * baseline
 
 
-def gate_samples(duration_s: float, sample_rate: float) -> int:
+def gate_samples(duration_s: float, sample_rate: float,
+                 key: str = "duration_s") -> int:
     """Samples a gate of ``duration_s`` spans at ``sample_rate``,
-    ``round(duration_s * sample_rate)``.  Raises ValueError when that is
-    fewer than ``MIN_GATE_SAMPLES``, so a gate is never under-resolved."""
+    ``round(duration_s * sample_rate)``.  Raises InputError at ``key`` unless
+    that fits ``MAX_SAMPLES`` and is at least ``MIN_GATE_SAMPLES``."""
+    check_budget(duration_s * sample_rate, key)
     n = round(duration_s * sample_rate)
-    if n < MIN_GATE_SAMPLES:
-        raise ValueError(f"the gate spans {n} samples at {sample_rate:g} Hz, "
-                         f"fewer than {MIN_GATE_SAMPLES}")
+    require(n >= MIN_GATE_SAMPLES, key, f"the gate spans {n} samples at "
+            f"{sample_rate:g} Hz, fewer than {MIN_GATE_SAMPLES}")
     return n
 
 

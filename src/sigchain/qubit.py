@@ -18,7 +18,7 @@ import numpy as np
 
 from sigchain import modulation as mod
 from sigchain.chains import run_chain
-from sigchain.envelope import ComplexEnvelope
+from sigchain.envelope import ComplexEnvelope, check_budget
 
 __all__ = [
     "QubitModel",
@@ -113,6 +113,7 @@ def _drive(env: ComplexEnvelope, substeps: int):
     if substeps == 1:  # kept: interpolating, re + 1j*im change signed zeros
         return env.samples, dt
     n = len(env)
+    check_budget(n * substeps, "substeps")
     coarse = np.arange(n) + 0.5
     fine = (np.arange(n * substeps) + 0.5) / substeps
     re = np.interp(fine, coarse, env.samples.real)
@@ -163,14 +164,14 @@ def _su2_prefixes(a, b):
 
 
 def _three_level_steps(model: QubitModel, x: np.ndarray, dt: float):
-    # exp(-i H dt) for each sample of x, from the eigendecomposition of H
+    # exp(-i H dt) for each sample of x, from the eigendecomposition of H;
+    # only its lower triangle is written, the one eigh reads
     h = np.zeros(x.shape + (3, 3), dtype=np.complex128)
     d = model.detuning
     h[..., [0, 1, 2], [0, 1, 2]] = [0.5 * d, -0.5 * d,
                                     -1.5 * d + model.anharmonicity]
     cpl = 0.5 * model.drive_gain * np.conj(x)
-    h[..., 0, 1], h[..., 1, 2] = cpl, math.sqrt(2.0) * cpl
-    h[..., 1, 0], h[..., 2, 1] = np.conj(h[..., 0, 1]), np.conj(h[..., 1, 2])
+    h[..., 1, 0], h[..., 2, 1] = np.conj(cpl), np.conj(math.sqrt(2.0) * cpl)
     evals, evecs = np.linalg.eigh(h)
     phase = np.exp(-1j * evals * dt)
     return np.einsum("...ij,...j,...lj->...il", evecs, phase, np.conj(evecs))

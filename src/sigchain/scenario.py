@@ -34,9 +34,9 @@ from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain.calibration import ROUTINES
 from sigchain.chains import (STAGES, StageSpec, TxChain, _finite, _real,
-                             check_budget, check_gate, check_record,
-                             run_chain, synth_comm_waveform, synth_qubit_pulse)
-from sigchain.envelope import InputError, require
+                             check_record, run_chain, synth_comm_waveform,
+                             synth_qubit_pulse)
+from sigchain.envelope import InputError, check_budget, require
 
 __all__ = [
     "ConfigError",
@@ -675,7 +675,7 @@ def _comm_check(plan: dict) -> dict:
 def _qubit_check(plan: dict) -> dict:
     fs, envelope = plan["sample_rate"], plan["envelope"]
     qb.check_substeps(plan["substeps"])
-    n_gate = check_gate(envelope, fs, "envelope.duration_s")
+    n_gate = mod.gate_samples(envelope.duration_s, fs, "envelope.duration_s")
     hold = check_record(plan["chain"], n_gate, fs, "envelope.duration_s")
     check_budget(n_gate * hold * plan["substeps"], "substeps")
     if "bloch" in plan["outputs"]:

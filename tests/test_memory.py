@@ -15,10 +15,16 @@ link scenario again and again takes almost no fresh pages per run.
 
 The same parameter table checks that every stage kind's output record is
 read-only and shares no memory with an array its caller can still write.
+
+A kernel that sizes a record from a number refuses one past the sample
+budget, ``envelope.MAX_SAMPLES``, with InputError at that number's key
+before it allocates: the tests run it with ``np.arange``, ``np.full`` and
+``np.repeat`` made to raise for a result that long.
 """
 import ctypes
 import dataclasses
 import json
+import math
 import os
 import platform
 import subprocess
@@ -33,8 +39,9 @@ from sigchain import chains as ch
 from sigchain import envelope
 from sigchain import metrics as met
 from sigchain import modulation as mod
+from sigchain import qubit as qb
 from sigchain import scenario as scn
-from sigchain.envelope import ComplexEnvelope, to_polar
+from sigchain.envelope import MAX_SAMPLES, ComplexEnvelope, InputError, to_polar
 
 BOUND = 4.0
 FS = 8.0e9
@@ -268,3 +275,82 @@ def _refuse(name):
                          ids=["no_mallopt", "no_libc"])
 def test_heap_policy_needs_mallopt(load):
     assert envelope._keep_heap_mapped(load) is None
+
+
+class _Oversized(Exception):
+    """An array past ``MAX_SAMPLES`` was asked for."""
+
+
+def _arange_length(*args, **kw):
+    start, stop, step = (0, args[0], 1) if len(args) == 1 else (*args, 1)[:3]
+    return max(0, math.ceil((stop - start) / step))
+
+
+_LENGTHS = {
+    "arange": _arange_length,
+    "full": lambda shape, *a, **kw: math.prod(np.atleast_1d(shape).tolist()),
+    "repeat": lambda a, repeats, *r, **kw: np.size(a) * int(np.max(repeats)),
+}
+
+
+@pytest.fixture
+def no_oversized_arrays(monkeypatch):
+    """``np.arange``, ``np.full`` and ``np.repeat`` raise ``_Oversized``
+    instead of making an array longer than ``MAX_SAMPLES``."""
+    def guard(name, length):
+        make = getattr(np, name)
+
+        def guarded(*args, **kw):
+            if length(*args, **kw) > MAX_SAMPLES:
+                raise _Oversized(f"np.{name} asked for "
+                                 f"{length(*args, **kw)} elements")
+            return make(*args, **kw)
+        return guarded
+
+    for name, length in _LENGTHS.items():
+        monkeypatch.setattr(np, name, guard(name, length))
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: np.arange(n), lambda n: np.arange(0.5, n + 0.5),
+    lambda n: np.full(n, 0.0), lambda n: np.repeat(np.zeros(2), n // 2)],
+    ids=["arange", "arange_start", "full", "repeat"])
+def test_guard_refuses_oversized_arrays(make, no_oversized_arrays):
+    assert len(make(64)) == 64
+    with pytest.raises(_Oversized):
+        make(MAX_SAMPLES + 2)
+
+
+_HUGE_GATE = mod.GateEnvelopeSpec("rect", 1.0, 1.0)   # 10**12 samples at 1e12
+
+
+@pytest.mark.parametrize("synth", [
+    lambda: mod.gate_envelope(_HUGE_GATE, 1e12),
+    lambda: mod.gate_envelopes(_HUGE_GATE, 1e12, [1.0]),
+    lambda: ch.synth_qubit_pulse(_HUGE_GATE, 1e12)],
+    ids=["gate_envelope", "gate_envelopes", "synth_qubit_pulse"])
+def test_oversized_gate_is_refused_before_it_is_sampled(
+        synth, no_oversized_arrays):
+    with pytest.raises(InputError, match="asks for 1e[+]12 samples") as e:
+        synth()
+    assert e.value.key == "duration_s"
+
+
+@pytest.mark.parametrize("run", [qb.propagate, qb.bloch_trajectory])
+def test_oversized_substeps_are_refused_before_the_drive_is_refined(
+        run, no_oversized_arrays):
+    env = mod.gate_envelope(mod.GateEnvelopeSpec("rect", 64e-9, 0.1), 1e9)
+    model = qb.QubitModel(drive_gain=1.0e8)
+    with pytest.raises(InputError, match="asks for 6.711e[+]07 samples") as e:
+        run(model, env, substeps=2 ** 20)
+    assert e.value.key == "substeps"
+
+
+def test_oversized_hold_is_refused_before_the_record_is_held(
+        no_oversized_arrays):
+    env = _record(1024)
+    spec = ch.StageSpec("rfdac_core", {"bits": 12, "hold_factor": 2 ** 20})
+    with pytest.raises(InputError, match="stage 'rfdac_core' asks for "
+                       "1.074e[+]09 samples") as e:
+        ch.apply_stage(env, spec)
+    assert e.value.key == "params.hold_factor"

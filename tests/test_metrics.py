@@ -841,6 +841,19 @@ class TestSpectra:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
+    @pytest.mark.parametrize("nperseg, n", [(1024, 1), (1024, 2),
+                                            (1024, 7), (7, 1024)])
+    def test_segment_under_eight_samples_is_refused(self, nperseg, n):
+        env = ComplexEnvelope(np.ones(n, dtype=complex), 1e6)
+        with pytest.raises(ValueError, match="needs 8 samples, got "
+                           f"{min(nperseg, n)}$"):
+            met.psd_welch(env, nperseg=nperseg)
+
+    def test_eight_sample_record_is_one_segment(self):
+        env = ComplexEnvelope(np.ones(8, dtype=complex), 1e6)
+        spec = met.psd_welch(env)
+        assert spec.psd.size == 8 and np.all(np.isfinite(spec.psd))
+
     def test_hann_enbw(self):
         env = ComplexEnvelope(np.ones(4096, dtype=complex), 1e6)
         spec = met.psd_welch(env, nperseg=1024)

@@ -432,6 +432,36 @@ class TestThreeLevel:
         env = ComplexEnvelope(np.zeros(32, dtype=complex), 1e9)
         assert self._leakage(qb.propagate(model, env)) < 1e-15
 
+    @staticmethod
+    def _full_hermitian_steps(model, x, dt):
+        # the step kernel with both triangles of H written
+        h = np.zeros(x.shape + (3, 3), dtype=np.complex128)
+        d = model.detuning
+        h[..., [0, 1, 2], [0, 1, 2]] = [0.5 * d, -0.5 * d,
+                                        -1.5 * d + model.anharmonicity]
+        cpl = 0.5 * model.drive_gain * np.conj(x)
+        h[..., 0, 1], h[..., 1, 2] = cpl, math.sqrt(2.0) * cpl
+        h[..., 1, 0], h[..., 2, 1] = np.conj(h[..., 0, 1]), \
+            np.conj(h[..., 1, 2])
+        evals, evecs = np.linalg.eigh(h)
+        phase = np.exp(-1j * evals * dt)
+        return np.einsum("...ij,...j,...lj->...il", evecs, phase,
+                         np.conj(evecs))
+
+    def test_lower_triangle_steps_equal_full_hermitian_steps(self):
+        # eigh reads only the lower triangle, so the steps are the same bytes
+        rng = np.random.default_rng(35)
+        for k in range(50):
+            model = qb.QubitModel(
+                drive_gain=TWO_PI * rng.uniform(1e6, 1e8),
+                detuning=TWO_PI * rng.normal(0.0, 1e6) * (k % 3 != 0),
+                levels=3, anharmonicity=-TWO_PI * rng.uniform(1e8, 3e8))
+            x = rng.normal(size=(33, 2)) + 1j * rng.normal(size=(33, 2))
+            x *= [1.0, 0.0, 1e-3][k % 3]
+            got = qb._three_level_steps(model, x, 1e-9)
+            want = self._full_hermitian_steps(model, x, 1e-9)
+            assert got.tobytes() == want.tobytes()
+
     def test_huge_anharmonicity_recovers_two_level(self):
         tau = 32e-9
         fs = 8e9

@@ -12,8 +12,9 @@ from sigchain import calibration as cal
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain import scenario as scn
-from sigchain.chains import MAX_SAMPLES, InputError, StageSpec, TxChain
+from sigchain.chains import InputError, StageSpec, TxChain
 from sigchain.cli import main
+from sigchain.envelope import MAX_SAMPLES
 
 RFDAC = {"kind": "rfdac_core", "params": {"bits": 12, "hold_factor": 1}}
 HELD = {"kind": "rfdac_core", "params": {"bits": 12, "hold_factor": 2}}

@@ -18,9 +18,9 @@ from sigchain import metrics as met
 from sigchain import modulation as mod
 from sigchain import qubit as qb
 from sigchain import scenario as scn
-from sigchain.chains import (MAX_SAMPLES, InputError, TxChain, run_chain,
-                             synth_qubit_pulse)
+from sigchain.chains import InputError, TxChain, run_chain, synth_qubit_pulse
 from sigchain.cli import main
+from sigchain.envelope import MAX_SAMPLES
 
 
 # a 16-bit converter holding each sample twice
@@ -1731,7 +1731,7 @@ class TestCli:
         gate_text = "the gate spans 63 samples at 1e+09 Hz, fewer than 64"
         with pytest.raises(ValueError) as lib:
             synth_qubit_pulse(mod.GateEnvelopeSpec("rect", 6.3e-8), 1.0e9)
-        assert str(lib.value) == gate_text
+        assert str(lib.value) == f"duration_s: {gate_text}"
         p = tmp_path / "s.json"
         p.write_text(json.dumps(cfg))
         assert main(["simulate", str(p), "--out-dir",
